@@ -14,9 +14,6 @@ one shared topology (``repro.sim.batched``):
   **bit for bit** (asserted here) and clear
   ``BENCH_BATCHED_MIN_SPEEDUP`` (default 1.1x; CI smoke drops it to
   parity so shared-runner noise cannot flake the job).
-- **batched_jax** — the same stacked evaluation under the optional JAX
-  backend (jitted + vmapped), measured only when jax is installed;
-  the committed artifact records availability either way.
 
 The committed artifact is ``benchmarks/results/backend_sweep.json``.
 """
@@ -28,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.backend import HAVE_JAX
 from repro.config.presets import smoke
 from repro.server.topology import moonshot_sut
 from repro.sim.batched import (
@@ -135,15 +131,6 @@ def test_batched_sweep_speedup(record_artifact):
     except OSError:
         pool_s = None  # sandboxed: no subprocesses
 
-    jax_s = None
-    if HAVE_JAX:
-        jax_fn = lambda: evaluate_fleet(  # noqa: E731
-            topology, _PARAMS, points,
-            window_steps=WINDOW_STEPS, backend="jax",
-        )
-        jax_fn()  # trigger jit compilation outside the timed rounds
-        jax_s, _ = best_of(jax_fn)
-
     speedup = serial_s / batched_s
     payload = {
         "benchmark": "backend_sweep",
@@ -160,13 +147,6 @@ def test_batched_sweep_speedup(record_artifact):
         "batched_numpy_speedup": round(speedup, 3),
         "pool_speedup": (
             None if pool_s is None else round(serial_s / pool_s, 3)
-        ),
-        "have_jax": HAVE_JAX,
-        "batched_jax_points_per_s": (
-            None if jax_s is None else round(N_POINTS / jax_s, 1)
-        ),
-        "batched_jax_speedup": (
-            None if jax_s is None else round(serial_s / jax_s, 3)
         ),
         "min_speedup": BATCHED_MIN_SPEEDUP,
     }

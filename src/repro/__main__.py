@@ -67,10 +67,6 @@ def _cmd_run(args) -> int:
         from .experiments.common import ENV_STEPPING
 
         os.environ[ENV_STEPPING] = args.stepping
-    if args.backend is not None:
-        from .backend import ENV_BACKEND
-
-        os.environ[ENV_BACKEND] = args.backend
     if args.all:
         experiments = all_experiments()
     elif args.light:
@@ -138,13 +134,6 @@ def _cmd_sweep(args) -> int:
         from .experiments.common import ENV_STEPPING
 
         stepping = os.environ.get(ENV_STEPPING) or "fixed"
-    backend = args.backend
-    if backend is None:
-        import os
-
-        from .backend import ENV_BACKEND
-
-        backend = os.environ.get(ENV_BACKEND) or "numpy"
     results = run_sweep(
         topology,
         params,
@@ -158,7 +147,6 @@ def _cmd_sweep(args) -> int:
         telemetry=telemetry,
         profile=args.profile or profile_from_env(),
         stepping=stepping,
-        backend=backend,
     )
     if args.csv:
         save_csv(results, args.csv)
@@ -230,7 +218,6 @@ def _cmd_fleet_serve(args) -> int:
         config=config,
         checkpoint_dir=args.checkpoints,
         session=session,
-        backend=args.backend,
     )
 
     async def _serve() -> None:
@@ -308,7 +295,6 @@ def _cmd_fleet_chaos(args) -> int:
                 -1.0 if args.batch_window is None else args.batch_window
             ),
             max_batch=0 if args.max_batch is None else args.max_batch,
-            backend=args.backend,
         )
         if args.heartbeat_interval is not None:
             import dataclasses
@@ -350,7 +336,6 @@ def _cmd_room(args) -> int:
             seed=args.seed,
             audit=args.audit,
             telemetry_dir=args.telemetry,
-            backend=args.backend or "numpy",
         )
         result = run(
             config=config,
@@ -464,18 +449,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
             "closed-form thermal advance — all scheduling decisions "
             "stay bit-identical, temperature traces carry a bounded "
             "error (also: REPRO_STEPPING)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["numpy", "jax"],
-        default=None,
-        help=(
-            "array backend for the thermal/DVFS kernels: 'numpy' "
-            "(default, bit-identical to the historical engine) or "
-            "'jax' (optional dependency; epsilon-bounded results, "
-            "enables jit/vmap batched evaluation — see "
-            "docs/architecture.md) (also: REPRO_BACKEND)"
         ),
     )
 
@@ -623,14 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "window is set; also: REPRO_FLEET_BATCH=window:N)"
             ),
         )
-        p.add_argument(
-            "--backend",
-            default=None,
-            help=(
-                "array backend for the workers' what-if fleet-tensor "
-                "path (e.g. numpy, jax; also: REPRO_BACKEND)"
-            ),
-        )
 
     serve_parser = fleet_sub.add_parser(
         "serve", help="run the fleet service (JSON lines over TCP)"
@@ -772,12 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         metavar="DIR",
         help="mirror room solver events to DIR/room.jsonl",
-    )
-    room_parser.add_argument(
-        "--backend",
-        choices=["numpy", "jax"],
-        default=None,
-        help="array backend for the chassis kernels",
     )
     room_parser.add_argument(
         "--out",

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..backend import get_backend
-from ..backend import numpy_xp as np
+import numpy as np
+
 from ..sim.power_manager import (
     dynamic_power,
     select_frequencies,
@@ -30,7 +30,6 @@ from ..workloads.power_model import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..backend import ArrayBackend
     from ..sim.view import SchedulerView
     from ..workloads.job import Job
 
@@ -91,17 +90,14 @@ def predict_job_powers(
     socket_ids: np.ndarray,
     job: "Job",
     freq_mhz: np.ndarray,
-    backend: "ArrayBackend | None" = None,
 ) -> np.ndarray:
     """Vectorised :func:`predicted_job_power` over many candidates.
 
     Bit-identical to calling the scalar helper once per socket: the
-    per-element float op order is preserved (in every backend's
-    namespace), and the leakage law is inlined because
-    :func:`~repro.workloads.power_model.leakage_power` validates
-    ``tdp_w`` as a scalar.
+    per-element float op order is preserved, and the leakage law is
+    inlined because :func:`~repro.workloads.power_model.leakage_power`
+    validates ``tdp_w`` as a scalar.
     """
-    xp = get_backend(backend).xp
     topology = view.topology
     ids = np.asarray(socket_ids)
     tdp = topology.tdp_array[ids]
@@ -111,9 +107,9 @@ def predict_job_powers(
         freq_mhz, dyn_max, profile.dynamic_exponent, view.ladder.max_mhz
     )
     factor = 1.0 + LEAKAGE_TEMP_COEFF * (
-        xp.asarray(view.chip_c[ids]) - LEAKAGE_REFERENCE_C
+        np.asarray(view.chip_c[ids]) - LEAKAGE_REFERENCE_C
     )
-    factor = xp.maximum(factor, LEAKAGE_FLOOR_FRACTION)
+    factor = np.maximum(factor, LEAKAGE_FLOOR_FRACTION)
     leak = (LEAKAGE_TDP_FRACTION * tdp) * factor
     return dyn + leak
 

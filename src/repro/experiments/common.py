@@ -6,7 +6,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
-from ..backend import ENV_BACKEND
 from ..config.parameters import SimulationParameters
 from ..config.presets import scaled
 from ..errors import ConfigurationError
@@ -30,10 +29,6 @@ ENV_AUDIT = "REPRO_AUDIT"
 #: Environment variable selecting the engine stepping mode
 #: ("fixed" or "adaptive").
 ENV_STEPPING = "REPRO_STEPPING"
-
-#: ``ENV_BACKEND`` ("REPRO_BACKEND") selects the array backend; it is
-#: imported from :mod:`repro.backend` above and honoured here so
-#: experiment entry points pick it up like the other scale knobs.
 
 
 @dataclass
@@ -65,10 +60,6 @@ class ExperimentConfig:
             ``"fixed"`` (default) or ``"adaptive"`` multi-rate
             stepping (also settable via ``REPRO_STEPPING``; see
             :class:`~repro.sim.multirate.MultiRateEngine`).
-        backend: Array backend name for the seam-managed kernels:
-            ``"numpy"`` (default, bit-identical to the pre-seam
-            engine) or ``"jax"`` (also settable via
-            ``REPRO_BACKEND``; see ``docs/architecture.md`` §11).
     """
 
     n_rows: int = 3
@@ -86,7 +77,6 @@ class ExperimentConfig:
     telemetry_dir: "str | None" = None
     profile: bool = False
     stepping: str = "fixed"
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         from ..obs.session import ENV_TELEMETRY, profile_from_env
@@ -119,14 +109,6 @@ class ExperimentConfig:
                 f"stepping must be one of {STEPPING_MODES}, got "
                 f"{self.stepping!r}"
             )
-        env_backend = os.environ.get(ENV_BACKEND)
-        if env_backend and self.backend == "numpy":
-            self.backend = env_backend
-        from ..backend import get_backend
-
-        # Resolve eagerly so a bad name (or a missing optional
-        # dependency) fails at configuration time, not mid-sweep.
-        self.backend = get_backend(self.backend).name
         if self.n_rows < 1:
             raise ConfigurationError("n_rows must be >= 1")
         if self.max_workers < 1:
@@ -175,7 +157,6 @@ class ExperimentConfig:
             telemetry=self.telemetry_dir,
             profile=self.profile,
             stepping=self.stepping,
-            backend=self.backend,
         )
 
 

@@ -244,10 +244,10 @@ def run(
     """Run the full room scenario family.
 
     Args:
-        config: Scale knobs — ``seed``, ``backend`` and ``audit`` are
-            honoured (room solves are steady-state, so the horizon
-            knobs do not apply); ``telemetry_dir`` mirrors every room
-            solve into ``room.jsonl``.
+        config: Scale knobs — ``seed`` and ``audit`` are honoured
+            (room solves are steady-state, so the horizon knobs do not
+            apply); ``telemetry_dir`` mirrors every room solve into
+            ``room.jsonl``.
         mixes: Chassis-mix names (see :func:`build_mix`).
         crac_setpoints_c: CRAC supply sweep for the curves.
         placements: Policies compared at the reference setpoint.
@@ -278,7 +278,6 @@ def run(
             benchmark_set=benchmark_set,
             seed=config.seed,
             mode=mode,
-            backend=config.backend,
             emit=emit,
         )
         if auditor is not None:
@@ -295,7 +294,6 @@ def run(
                 dyn_max_w=dynamic,
                 seed=config.seed,
                 mode=mode,
-                backend=config.backend,
             )
             auditor.check(
                 room,
@@ -306,7 +304,6 @@ def run(
                     crac,
                     seed=config.seed,
                     mode=mode,
-                    backend=config.backend,
                 ),
             )
         return load
@@ -322,7 +319,6 @@ def run(
                     benchmark_set=benchmark_set,
                     seed=config.seed,
                     mode=mode,
-                    backend=config.backend,
                     emit=emit,
                 )
             )

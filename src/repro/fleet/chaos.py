@@ -416,7 +416,6 @@ class ChaosRunConfig:
             ``-1.0`` env-sentinel semantics; defaults leave batching
             off, keeping legacy chaos logs byte-identical).
         max_batch: Batch size bound passed through likewise.
-        backend: Array backend for the workers' what-if path.
     """
 
     seed: int = 0
@@ -429,7 +428,6 @@ class ChaosRunConfig:
     heartbeat_interval_s: float = 0.25
     batch_window_s: float = -1.0
     max_batch: int = 0
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.horizon_s <= 0 or self.tick_s <= 0:
@@ -573,7 +571,7 @@ def run_chaos(
         session = TelemetrySession(log_path)
 
     computes = {
-        chassis_id: ChassisCompute(spec, backend=config.backend)
+        chassis_id: ChassisCompute(spec)
         for chassis_id, spec in registry.chassis.items()
     }
     handles = {

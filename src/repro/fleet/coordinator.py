@@ -438,7 +438,9 @@ class FleetCoordinator:
 
         The answer arrives through ``callback`` (and
         :attr:`answers`) once terminal — possibly within this very
-        call, when the request is shed at admission.
+        call, when the request is shed at admission or fails it (an
+        unknown chassis, or a utilization vector whose length is not
+        the chassis' socket count).
         """
         rid = self._next_id
         self._next_id += 1
@@ -446,7 +448,8 @@ class FleetCoordinator:
             self._callbacks[rid] = callback
         cls = query.request_class
         chassis = query.chassis
-        if chassis not in self.registry.chassis:
+        failure = self._admission_failure(query)
+        if failure is not None:
             self.emit(
                 "fleet_submit",
                 t=float(now),
@@ -461,7 +464,7 @@ class FleetCoordinator:
                 FleetAnswer(
                     request_id=rid,
                     status=AnswerStatus.FAILED,
-                    reason=f"unknown chassis {chassis!r}",
+                    reason=failure,
                 ),
                 now,
             )
@@ -509,6 +512,19 @@ class FleetCoordinator:
             queue_len=len(self.queue),
         )
         return rid
+
+    def _admission_failure(self, query) -> Optional[str]:
+        """Why ``query`` can never be answered, or None if it can."""
+        spec = self.registry.chassis.get(query.chassis)
+        if spec is None:
+            return f"unknown chassis {query.chassis!r}"
+        utilization = getattr(query, "utilization", None)
+        if utilization is not None and len(utilization) != spec.n_sockets:
+            return (
+                f"chassis {query.chassis!r} has {spec.n_sockets} sockets, "
+                f"got {len(utilization)} utilization values"
+            )
+        return None
 
     def _shed_victim(self, incoming: RequestClass) -> Optional[_Queued]:
         """The queued BATCH request an INTERACTIVE arrival may evict."""

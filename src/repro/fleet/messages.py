@@ -22,6 +22,7 @@ it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Tuple
@@ -57,10 +58,15 @@ class PlacementQuery:
     Attributes:
         chassis: Target chassis id in the fleet registry.
         job_power_w: Dynamic power the job draws while busy, W.
-        utilization: Optional per-socket busy fractions describing the
-            chassis' current load; ``None`` means the uniform
-            ``base_utilization`` of the chassis spec.
+        utilization: Optional per-socket busy fractions in [0, 1]
+            describing the chassis' current load; ``None`` means the
+            uniform ``base_utilization`` of the chassis spec.  Its
+            length is checked against the chassis at admission.
         request_class: Shedding priority.
+
+    Raises:
+        FleetError: for a non-finite or non-positive job power, or a
+            utilization outside [0, 1].
     """
 
     chassis: str
@@ -71,12 +77,13 @@ class PlacementQuery:
     kind = "placement"
 
     def __post_init__(self) -> None:
-        if self.job_power_w <= 0:
-            raise FleetError("job power must be positive")
+        if not (math.isfinite(self.job_power_w) and self.job_power_w > 0):
+            raise FleetError("job power must be positive and finite")
         if self.utilization is not None:
-            object.__setattr__(
-                self, "utilization", tuple(float(u) for u in self.utilization)
-            )
+            utilization = tuple(float(u) for u in self.utilization)
+            if not all(0.0 <= u <= 1.0 for u in utilization):
+                raise FleetError("utilization values must lie in [0, 1]")
+            object.__setattr__(self, "utilization", utilization)
 
 
 @dataclass(frozen=True)
@@ -91,9 +98,14 @@ class WhatIfQuery:
 
     Attributes:
         chassis: Target chassis id.
-        scenarios: ``(utilization, dyn_max_w)`` pairs to evaluate.
+        scenarios: ``(utilization, dyn_max_w)`` pairs to evaluate;
+            utilization in [0, 1], power finite and non-negative.
         window_steps: Cold-start transient steps to advance per point.
         request_class: Shedding priority (what-ifs default to BATCH).
+
+    Raises:
+        FleetError: for an empty or out-of-range scenario list or a
+            negative window.
     """
 
     chassis: str
@@ -109,6 +121,13 @@ class WhatIfQuery:
         )
         if not scenarios:
             raise FleetError("what-if query needs at least one scenario")
+        for utilization, power in scenarios:
+            if not 0.0 <= utilization <= 1.0:
+                raise FleetError("what-if utilization must lie in [0, 1]")
+            if not (math.isfinite(power) and power >= 0):
+                raise FleetError(
+                    "what-if power must be finite and non-negative"
+                )
         if self.window_steps < 0:
             raise FleetError("window steps must be >= 0")
         object.__setattr__(self, "scenarios", scenarios)

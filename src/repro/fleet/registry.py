@@ -58,6 +58,11 @@ class ChassisSpec:
         if not 0.0 <= self.base_utilization <= 1.0:
             raise FleetError("base utilization must lie in [0, 1]")
 
+    @property
+    def n_sockets(self) -> int:
+        """Socket count of the built topology."""
+        return self.n_rows * self.lanes_per_row * self.chain_length
+
     def build_topology(self) -> ServerTopology:
         """Construct the chassis geometry from the recipe."""
         return ServerTopology(

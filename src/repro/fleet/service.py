@@ -19,6 +19,10 @@ Wire protocol (one JSON object per line, newline-terminated)::
 
 Backpressure is visible on the wire: a shed request answers with
 ``"status": "shed"`` (the 503 of this protocol) instead of hanging.
+A line that is not a valid query — bad or too deeply nested JSON,
+invalid UTF-8, out-of-range values, or longer than the 64 KiB stream
+limit — answers with one ``{"status": "error", "reason": ...}`` line
+and the connection stays open.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ def query_from_json(obj: dict):
                 window_steps=int(obj.get("window_steps", 0)),
                 request_class=cls,
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FleetError(f"malformed {kind!r} query: {exc}") from exc
     raise FleetError(
         f"unknown query kind {kind!r} (want 'placement' or 'what_if')"
@@ -118,7 +122,6 @@ class FleetService:
         checkpoint_dir: Optional[str] = None,
         session=None,
         tick_interval_s: float = 0.05,
-        backend: Optional[str] = None,
     ) -> None:
         if tick_interval_s <= 0:
             raise FleetError("tick interval must be positive")
@@ -128,7 +131,6 @@ class FleetService:
         # log, so they default off here (chaos runs keep them on).
         self.config = config or FleetConfig(log_heartbeats=False)
         self.checkpoint_dir = checkpoint_dir
-        self.backend = backend
         self.session = session
         self.tick_interval_s = tick_interval_s
         self.coordinator: Optional[FleetCoordinator] = None
@@ -152,7 +154,6 @@ class FleetService:
                 worker_id=w.worker_id,
                 heartbeat_interval_s=self.policy.heartbeat_interval_s,
                 checkpoint_dir=self.checkpoint_dir,
-                backend=self.backend,
             )
             for w in self.registry.workers
         }
@@ -203,25 +204,28 @@ class FleetService:
         """Serve one JSON-lines client connection."""
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
                 try:
-                    query = query_from_json(json.loads(line))
-                except (json.JSONDecodeError, FleetError) as exc:
-                    writer.write(
-                        json.dumps(
-                            {"status": "error", "reason": str(exc)}
-                        ).encode()
-                        + b"\n"
+                    if line is None:
+                        raise FleetError(
+                            "request line exceeds the stream limit"
+                        )
+                    # ValueError covers JSONDecodeError, the
+                    # UnicodeDecodeError of a non-UTF-8 line, and an
+                    # answer that overflowed to a non-finite float
+                    # (NaN is not JSON); RecursionError a too deeply
+                    # nested line.
+                    answer = await self.submit(
+                        query_from_json(json.loads(line))
                     )
-                    await writer.drain()
-                    continue
-                answer = await self.submit(query)
-                writer.write(
-                    json.dumps(answer.to_dict(), sort_keys=True).encode()
-                    + b"\n"
-                )
+                    reply = json.dumps(
+                        answer.to_dict(), sort_keys=True, allow_nan=False
+                    )
+                except (ValueError, RecursionError, FleetError) as exc:
+                    reply = json.dumps({"status": "error", "reason": str(exc)})
+                writer.write(reply.encode() + b"\n")
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -235,6 +239,25 @@ class FleetService:
         return await asyncio.start_server(
             self.handle_connection, host=host, port=port
         )
+
+
+async def _read_line(reader) -> Optional[bytes]:
+    """The next line (``b""`` at EOF), or None if it overran the limit.
+
+    An over-long line is consumed through its newline, so it earns the
+    client exactly one error answer and the next line parses cleanly.
+    """
+    overran = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF: an unterminated last line, or b""
+        except asyncio.LimitOverrunError as exc:
+            overran = True
+            await reader.readexactly(exc.consumed)
+            continue
+        return None if overran else line
 
 
 async def query_fleet(

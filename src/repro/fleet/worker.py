@@ -45,7 +45,6 @@ def worker_main(
     worker_id: str,
     heartbeat_interval_s: float,
     checkpoint_dir: Optional[str] = None,
-    backend: Optional[str] = None,
     warm_capacity: int = WARM_FIELD_CACHE_MAX,
 ) -> None:
     """Worker process entry point (runs until ``stop`` or EOF).
@@ -72,9 +71,7 @@ def worker_main(
             # tell the supervisor so (the alternative — crashing — is
             # exactly the flap loop this path exists to break).
             cold = True
-    compute = ChassisCompute(
-        spec, backend=backend, warm_capacity=warm_capacity
-    )
+    compute = ChassisCompute(spec, warm_capacity=warm_capacity)
     try:
         conn.send(("hello", cold))
         if snapshot is None:
@@ -154,14 +151,12 @@ class ProcessWorkerHandle:
         worker_id: str,
         heartbeat_interval_s: float,
         checkpoint_dir: Optional[str] = None,
-        backend: Optional[str] = None,
         warm_capacity: int = WARM_FIELD_CACHE_MAX,
     ) -> None:
         self.spec = spec
         self.worker_id = worker_id
         self.heartbeat_interval_s = heartbeat_interval_s
         self.checkpoint_dir = checkpoint_dir
-        self.backend = backend
         self.warm_capacity = warm_capacity
         self._proc: Optional[multiprocessing.Process] = None
         self._conn = None
@@ -187,7 +182,6 @@ class ProcessWorkerHandle:
                 self.worker_id,
                 self.heartbeat_interval_s,
                 self.checkpoint_dir,
-                self.backend,
                 self.warm_capacity,
             ),
             daemon=True,

@@ -24,10 +24,8 @@ Chassis steady states evaluate through either of two proven paths:
   stacked into one :func:`~repro.sim.batched.evaluate_fleet`
   fleet-tensor call per iteration, each chassis a
   :class:`~repro.sim.batched.FleetPoint` with its inlet as the
-  per-point override.  Under the numpy backend this path is
-  bit-identical to the serial loop (see
-  ``tests/test_room_differential.py``); under JAX it is
-  epsilon-bounded.
+  per-point override.  This path is bit-identical to the serial loop
+  (see ``tests/test_room_differential.py``).
 
 A 1-chassis room with zero recirculation converges in a single
 iteration to exactly the chassis-only steady state — bit for bit (the
@@ -283,7 +281,6 @@ def _solve_chassis_batched(
     utilization: np.ndarray,
     dyn_max_w: np.ndarray,
     inlet_c: np.ndarray,
-    backend,
 ) -> List[SteadyStateField]:
     """One chassis-solve pass through the fleet-tensor evaluator.
 
@@ -291,8 +288,7 @@ def _solve_chassis_batched(
     :func:`~repro.sim.batched.evaluate_fleet` call, each as a
     :class:`~repro.sim.batched.FleetPoint` whose ``inlet_c`` override
     carries the room iteration's inlet.  Bit-identical to the serial
-    loop under numpy (the batched evaluator's own oracle guarantees
-    it per point).
+    loop (the batched evaluator's own oracle guarantees it per point).
     """
     groups: Dict[Tuple[int, int, int, int], List[int]] = {}
     for i, spec in enumerate(room.chassis):
@@ -308,9 +304,7 @@ def _solve_chassis_batched(
             )
             for i in indices
         ]
-        result = evaluate_fleet(
-            topology, params, points, window_steps=0, backend=backend
-        )
+        result = evaluate_fleet(topology, params, points, window_steps=0)
         for k, i in enumerate(indices):
             fields[i] = result.field(k)
     return fields  # type: ignore[return-value]
@@ -326,7 +320,6 @@ def solve_room(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     divergence_limit_c: float = DEFAULT_DIVERGENCE_LIMIT_C,
     mode: str = "batched",
-    backend=None,
     emit: Optional[Callable[[dict], None]] = None,
 ) -> RoomSolution:
     """Iterate chassis steady states to the room thermal equilibrium.
@@ -345,9 +338,7 @@ def solve_room(
         divergence_limit_c: Residual above which the solve aborts as
             divergent without spending the rest of the budget.
         mode: ``"batched"`` (fleet-tensor, default) or ``"serial"``
-            (per-chassis reference loop); bit-identical under numpy.
-        backend: Array backend for the batched path (name, instance or
-            ``None`` for ``REPRO_BACKEND``/numpy).
+            (per-chassis reference loop); bit-identical.
         emit: Optional sink for ``room_*`` telemetry events (already
             validated dicts, e.g. ``JsonlWriter.emit``).
 
@@ -415,7 +406,7 @@ def solve_room(
             )
         else:
             fields = _solve_chassis_batched(
-                room, params, utilization, dyn_max_w, inlet, backend
+                room, params, utilization, dyn_max_w, inlet
             )
         exhaust = np.array(
             [float(np.sum(field.power_w)) for field in fields]

@@ -165,7 +165,6 @@ def place_coolest_inlet(
     dyn_max_w: float = 0.0,
     seed: int = 0,
     mode: str = "batched",
-    backend=None,
     **_kwargs,
 ) -> np.ndarray:
     """Balance thermal margin using the observed (recirculated) inlets.
@@ -186,7 +185,6 @@ def place_coolest_inlet(
         crac_supply_c,
         seed=seed,
         mode=mode,
-        backend=backend,
     )
     caps = _standalone_caps(room, uniform.inlet_c, dyn_max_w, seed)
     return _weighted_fill(room, caps, room_utilization, caps)
@@ -231,7 +229,6 @@ def place_room_load(
     dyn_max_w: float = 0.0,
     seed: int = 0,
     mode: str = "batched",
-    backend=None,
 ) -> np.ndarray:
     """Distribute a total room load over chassis under one policy.
 
@@ -244,7 +241,6 @@ def place_room_load(
         dyn_max_w: Busy dynamic power per socket, W (idle-room solve).
         seed: Parameter seed threaded to any internal room solve.
         mode: Chassis evaluation mode for internal solves.
-        backend: Array backend for internal solves.
 
     Returns:
         Per-chassis utilisation vector, demand-conserving.
@@ -268,6 +264,5 @@ def place_room_load(
         dyn_max_w=dyn_max_w,
         seed=seed,
         mode=mode,
-        backend=backend,
     )
     return np.clip(util, 0.0, 1.0)

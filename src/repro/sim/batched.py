@@ -9,17 +9,12 @@ fresh set of ``(n,)`` kernel calls; this module stacks ``N`` such
 points into leading-axis ``(N, n)`` fleet tensors and evaluates every
 point per kernel call instead.
 
-The evaluator runs on the array-backend seam (``repro.backend``):
-
-- Under the default numpy backend the stacked math is **bit-identical**
-  to the per-point serial path (:func:`evaluate_fleet_serial`), because
-  every kernel is elementwise over the socket axis and the one
-  exception — the coupling matrix–vector product, whose BLAS kernel
-  (dgemv vs dgemm) may round differently when batched — is deliberately
-  evaluated one point at a time through the exact serial entry point.
-- Under the optional JAX backend the steady fixed point is a single
-  ``jit``-ed, ``vmap``-ed kernel over the point axis; results are
-  epsilon-bounded against numpy (see ``tests/test_batched_sweep.py``).
+The stacked math is **bit-identical** to the per-point serial path
+(:func:`evaluate_fleet_serial`), because every kernel is elementwise
+over the socket axis and the one exception — the coupling
+matrix–vector product, whose BLAS kernel (dgemv vs dgemm) may round
+differently when batched — is deliberately evaluated one point at a
+time through the exact serial entry point.
 
 Only decision-free math batches this way: scheduler placement decisions
 depend on job identity and history, so the full engine keeps its serial
@@ -33,8 +28,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..backend import ArrayBackend, get_backend
-from ..backend import numpy_xp as np
+import numpy as np
+
 from ..config.parameters import SimulationParameters
 from ..errors import SimulationError
 from ..server.topology import ServerTopology
@@ -80,8 +75,7 @@ class FleetPoint:
 class FleetSweepResult:
     """Stacked ``(N, n)`` results for a batch of fleet points.
 
-    All arrays are host numpy (converted from the evaluating backend),
-    with the point axis leading and aligned with the input sequence.
+    The point axis leads and is aligned with the input sequence.
 
     Attributes:
         power_w: Steady per-socket total power, W.
@@ -146,8 +140,8 @@ def evaluate_fleet_serial(
     Runs each point independently through the exact historical entry
     points (:func:`~repro.sim.steady_state.solve_steady_state`, the
     steady DVFS selector, the closed-form window advance) and stacks
-    the results.  :func:`evaluate_fleet` under the numpy backend must
-    match this bit for bit — it is the batched evaluator's oracle.
+    the results.  :func:`evaluate_fleet` must match this bit for bit —
+    it is the batched evaluator's oracle.
     """
     if not points:
         raise SimulationError("fleet sweep needs at least one point")
@@ -216,7 +210,7 @@ def evaluate_fleet_serial(
     )
 
 
-def _steady_fleet_numpy(
+def _steady_fleet(
     topology: ServerTopology,
     params: SimulationParameters,
     util: np.ndarray,
@@ -260,60 +254,11 @@ def _steady_fleet_numpy(
     return power, ambient, sink, chip
 
 
-def _steady_fleet_vmapped(
-    topology: ServerTopology,
-    params: SimulationParameters,
-    util: np.ndarray,
-    dynamic: np.ndarray,
-    inlet: np.ndarray,
-    backend: ArrayBackend,
-) -> tuple:
-    """Steady fixed point as one jitted, vmapped kernel (JAX path).
-
-    The per-point solver is written against ``backend.xp`` and mapped
-    over the leading point axis; the coupling product is a plain
-    ``matrix @ power`` inside the traced function, so the whole batch
-    evaluates in a single fused kernel call.
-    """
-    xp = backend.xp
-    tdp = backend.asarray(topology.tdp_array)
-    gated = backend.asarray(topology.gated_power_array)
-    r_ext = backend.asarray(topology.r_ext_array)
-    theta_off = backend.asarray(topology.theta_offset_array)
-    theta_slope = backend.asarray(topology.theta_slope_array)
-    matrix = backend.asarray(topology.coupling.matrix)
-    r_int = params.r_int
-    n = topology.n_sockets
-
-    def solve_point(util_i, dyn_i, inlet_i):
-        chip = xp.full((n,), 60.0)
-        power = gated
-        ambient = xp.full((n,), inlet_i)
-        sink = ambient
-        for _ in range(LEAKAGE_ITERATIONS):
-            leak = leakage_power(chip, 1.0, xp=xp) * tdp
-            busy_power = dyn_i + leak
-            power = util_i * busy_power + (1.0 - util_i) * gated
-            ambient = inlet_i + matrix @ power
-            sink = ambient + power * r_ext
-            theta = theta_off + theta_slope * power
-            chip = sink + power * r_int + theta
-        return power, ambient, sink, chip
-
-    solve = backend.jit(backend.vmap(solve_point))
-    return solve(
-        backend.asarray(util),
-        backend.asarray(dynamic),
-        backend.asarray(inlet),
-    )
-
-
 def evaluate_fleet(
     topology: ServerTopology,
     params: SimulationParameters,
     points: Sequence[FleetPoint],
     window_steps: int = 0,
-    backend=None,
 ) -> FleetSweepResult:
     """Evaluate a batch of fleet points with stacked kernel calls.
 
@@ -324,19 +269,13 @@ def evaluate_fleet(
         points: The sweep points; all evaluate in one pass.
         window_steps: Decayed engine steps of cold-start transient to
             advance (0 reports the inlet-equilibrium start state).
-        backend: Array backend — a name from
-            :data:`repro.backend.BACKEND_NAMES`, an
-            :class:`~repro.backend.ArrayBackend`, or ``None``
-            (``REPRO_BACKEND``/numpy).  numpy is bit-identical to
-            :func:`evaluate_fleet_serial`; JAX is epsilon-bounded and
-            evaluates the steady solve as one vmapped kernel.
 
     Returns:
-        The stacked :class:`FleetSweepResult` (host numpy arrays).
+        The stacked :class:`FleetSweepResult`, bit-identical to
+        :func:`evaluate_fleet_serial`.
     """
     if not points:
         raise SimulationError("fleet sweep needs at least one point")
-    backend = get_backend(backend)
     n = topology.n_sockets
     n_points = len(points)
     ladder = topology.processor.ladder
@@ -357,16 +296,9 @@ def evaluate_fleet(
         ]
     )
 
-    if backend.name == "numpy":
-        power, ambient, sink, chip = _steady_fleet_numpy(
-            topology, params, util, dynamic, inlet
-        )
-    else:
-        util_scalar = np.array([point.utilization for point in points])
-        dyn_scalar = np.array([point.dyn_max_w for point in points])
-        power, ambient, sink, chip = _steady_fleet_vmapped(
-            topology, params, util_scalar, dyn_scalar, inlet, backend
-        )
+    power, ambient, sink, chip = _steady_fleet(
+        topology, params, util, dynamic, inlet
+    )
 
     # DVFS selection is elementwise per socket column, so the stacked
     # batch flattens to one (N * n,) call — bit-identical per element
@@ -375,31 +307,21 @@ def evaluate_fleet(
     freq = select_frequencies_steady(
         ambient_c=ambient.reshape(flat),
         chip_c=chip.reshape(flat),
-        dyn_max_w=backend.asarray(dynamic).reshape(flat),
-        dyn_exp=backend.asarray(dyn_exp).reshape(flat),
-        tdp_w=backend.asarray(np.tile(topology.tdp_array, n_points)),
-        r_ext=backend.asarray(np.tile(topology.r_ext_array, n_points)),
-        theta_offset=backend.asarray(
-            np.tile(topology.theta_offset_array, n_points)
-        ),
-        theta_slope=backend.asarray(
-            np.tile(topology.theta_slope_array, n_points)
-        ),
+        dyn_max_w=dynamic.reshape(flat),
+        dyn_exp=dyn_exp.reshape(flat),
+        tdp_w=np.tile(topology.tdp_array, n_points),
+        r_ext=np.tile(topology.r_ext_array, n_points),
+        theta_offset=np.tile(topology.theta_offset_array, n_points),
+        theta_slope=np.tile(topology.theta_slope_array, n_points),
         ladder=ladder,
         params=params,
-        backend=backend,
     ).reshape((n_points, n))
 
     # Cold-start transient: both nodes start at the point's inlet
     # equilibrium and advance under the frozen steady field, exactly as
     # TwoNodeThermalState.advance_window does per point.
-    xp = backend.xp
-    start = xp.broadcast_to(
-        backend.asarray(inlet)[:, None], (n_points, n)
-    )
-    theta = backend.asarray(topology.theta_offset_array) + (
-        backend.asarray(topology.theta_slope_array) * power
-    )
+    start = np.broadcast_to(inlet[:, None], (n_points, n))
+    theta = topology.theta_offset_array + topology.theta_slope_array * power
     sink_decay, chip_decay = _decays(params)
     window_sink, window_chip, _ = advance_window_modes(
         start,
@@ -410,15 +332,15 @@ def evaluate_fleet(
         ambient,
         power,
         params.r_int,
-        backend.asarray(topology.r_ext_array),
+        topology.r_ext_array,
         theta,
     )
     return FleetSweepResult(
-        power_w=backend.to_numpy(power),
-        ambient_c=backend.to_numpy(ambient),
-        sink_c=backend.to_numpy(sink),
-        chip_c=backend.to_numpy(chip),
-        freq_mhz=backend.to_numpy(freq),
-        window_sink_c=backend.to_numpy(window_sink),
-        window_chip_c=backend.to_numpy(window_chip),
+        power_w=power,
+        ambient_c=ambient,
+        sink_c=sink,
+        chip_c=chip,
+        freq_mhz=freq,
+        window_sink_c=window_sink,
+        window_chip_c=window_chip,
     )

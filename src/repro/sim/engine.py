@@ -208,7 +208,6 @@ class Simulation:
         run_name: str = "run",
         stepping: str = "fixed",
         multirate=None,
-        backend=None,
     ):
         """Bind a run configuration.
 
@@ -260,13 +259,6 @@ class Simulation:
             multirate: Optional :class:`repro.sim.multirate.
                 MultiRateConfig` tuning the adaptive driver; ignored
                 under fixed stepping.
-            backend: Array backend for the seam-managed kernels: a
-                name from :data:`repro.backend.BACKEND_NAMES`, an
-                :class:`repro.backend.ArrayBackend` instance, or
-                ``None`` (consult ``REPRO_BACKEND``, default numpy).
-                The default numpy backend is bit-identical to the
-                pre-seam engine; other backends are validation modes
-                (see ``docs/architecture.md`` §11).
         """
         self.topology = topology
         self.params = params
@@ -303,11 +295,6 @@ class Simulation:
             )
         self.stepping = stepping
         self.multirate = multirate
-        # Resolve eagerly so a bad name/spec raises ConfigurationError
-        # at construction, not deep inside run().
-        from ..backend import get_backend
-
-        self.backend = get_backend(backend)
         # Both persist across runs: the recorder's run counter keeps
         # back-to-back logs in distinct files, and the profiler rebinds
         # (zeroing its accounting) at every run start.
@@ -366,7 +353,6 @@ class Simulation:
             self.scheduler,
             ordered,
             n_jobs_submitted=len(jobs),
-            backend=self.backend,
         )
         if self.params.warm_start and ordered:
             _warm_start(ctx.state, ordered)

@@ -109,7 +109,6 @@ def config_key(
     load: float,
     fault_schedule=None,
     stepping: str = "fixed",
-    backend: str = "numpy",
     room=None,
 ) -> str:
     """Memo-cache key for one fully specified sweep point.
@@ -124,10 +123,6 @@ def config_key(
             and checkpoint key is unchanged while adaptive results can
             never alias fixed ones (their epsilon-bounded thermal
             fields differ).
-        backend: Array backend name; joins the key only when it is not
-            the default ``"numpy"`` (which is bit-identical to the
-            pre-seam engine), following the same precedent as
-            ``stepping``.
         room: Optional room-layer inputs (an object exposing
             ``token() -> bytes``, e.g. :class:`~repro.room.capacity.
             RoomKey` carrying the room fingerprint — chassis mix plus
@@ -147,8 +142,6 @@ def config_key(
         digest.update(fault_schedule.fingerprint().encode())
     if stepping != "fixed":
         digest.update(f"|stepping:{stepping}".encode())
-    if backend != "numpy":
-        digest.update(f"|backend:{backend}".encode())
     if room is not None:
         digest.update(b"|room:")
         digest.update(room.token())
@@ -271,7 +264,6 @@ def _run_point(
     point_key: Optional[str] = None,
     stepping: str = "fixed",
     multirate=None,
-    backend: str = "numpy",
 ) -> SimulationResult:
     """Execute one sweep point; runs in workers and in the serial path.
 
@@ -308,7 +300,6 @@ def _run_point(
         run_name=run_name,
         stepping=stepping,
         multirate=multirate,
-        backend=backend,
     )
 
 
@@ -337,7 +328,6 @@ def execute_sweep(
     profile: bool = False,
     stepping: str = "fixed",
     multirate=None,
-    backend=None,
 ) -> List[SimulationResult]:
     """Run every sweep point, in parallel where possible.
 
@@ -389,13 +379,6 @@ def execute_sweep(
             non-default mode joins the cache/checkpoint key.
         multirate: Optional :class:`~repro.sim.multirate.
             MultiRateConfig` for the adaptive driver.
-        backend: Array backend applied to every point — a name from
-            :data:`repro.backend.BACKEND_NAMES`, an
-            :class:`~repro.backend.ArrayBackend` instance, or ``None``
-            (consult ``REPRO_BACKEND``, default numpy).  Resolved once
-            up front (so a bad spec fails before any work) and shipped
-            to workers as its *name*, which is always picklable; a
-            non-default backend joins the cache/checkpoint key.
 
     Returns:
         One :class:`~repro.sim.results.SimulationResult` per point, in
@@ -413,10 +396,6 @@ def execute_sweep(
         raise ConfigurationError("retry_backoff_s must be >= 0")
     if timeout_s is not None and timeout_s <= 0:
         raise ConfigurationError("timeout_s must be positive")
-
-    from ..backend import get_backend
-
-    backend_name = get_backend(backend).name
 
     if telemetry is not None:
         from ..obs.session import TelemetryConfig
@@ -440,7 +419,6 @@ def execute_sweep(
                 *point,
                 fault_schedule=fault_schedule,
                 stepping=stepping,
-                backend=backend_name,
             )
         if cache is not None:
             hit = cache.get(keys[i])
@@ -536,7 +514,6 @@ def execute_sweep(
                     session=session,
                     stepping=stepping,
                     multirate=multirate,
-                    backend=backend_name,
                 )
             for i in serial:
                 record(
@@ -553,7 +530,6 @@ def execute_sweep(
                         point_key=keys[i],
                         stepping=stepping,
                         multirate=multirate,
-                        backend=backend_name,
                     ),
                 )
         if session is not None:
@@ -583,7 +559,6 @@ def _run_pool(
     session=None,
     stepping: str = "fixed",
     multirate=None,
-    backend: str = "numpy",
 ) -> List[int]:
     """Fan points out over a fork-based process pool, with recovery.
 
@@ -636,7 +611,6 @@ def _run_pool(
                         keys[i] if keys is not None else None,
                         stepping,
                         multirate,
-                        backend,
                     )
                     for i in remaining
                 }

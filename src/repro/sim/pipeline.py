@@ -49,14 +49,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..backend import numpy_xp as np
+import numpy as np
 
-from ..backend import ArrayBackend, default_backend, get_backend
 from ..config.parameters import SimulationParameters
 from ..server.topology import ServerTopology
 from ..thermal.dynamics import ema_window_sum
 from ..workloads.job import Job
-from ..workloads.power_model import leakage_power
 from .power_manager import SelectionWorkspace, select_frequencies
 from .results import SimulationResult
 from .state import SimulationState
@@ -184,12 +182,6 @@ class EngineContext:
     # hooks read tolerance and guard-band settings from it.
     multirate: Optional[object] = None
 
-    # Array backend for the seam-managed kernels (DVFS selection, the
-    # two-node thermal advance).  The default in-place numpy backend is
-    # the historical hot path; non-inplace backends route those kernels
-    # through their pure functional twins.
-    backend: ArrayBackend = field(default_factory=default_backend)
-
     @classmethod
     def create(
         cls,
@@ -198,7 +190,6 @@ class EngineContext:
         scheduler,
         ordered_jobs: List[Job],
         n_jobs_submitted: int,
-        backend: Optional[ArrayBackend] = None,
     ) -> "EngineContext":
         """Build a fully initialised context for one run."""
         state = SimulationState(topology, params)
@@ -235,7 +226,6 @@ class EngineContext:
             max_mhz=float(ladder.max_mhz),
             span_mhz=float(ladder.max_mhz - ladder.min_mhz),
             sustained_mhz=float(ladder.sustained_mhz),
-            backend=get_backend(backend),
         )
 
 
@@ -524,15 +514,7 @@ class PowerManager(StepComponent):
         state = ctx.state
         params = ctx.params
         ladder = state.ladder
-        backend = ctx.backend
-        if backend.inplace:
-            leak = _leakage_into(state.chip_c, ctx.tdp, self._leak)
-        else:
-            # Pure twin of _leakage_into: same ops, commutative
-            # multiply reorder only (bit-identical under numpy).
-            leak = (
-                leakage_power(state.chip_c, 1.0, xp=backend.xp) * ctx.tdp
-            )
+        leak = _leakage_into(state.chip_c, ctx.tdp, self._leak)
         freq = select_frequencies(
             sink_c=state.sink_c,
             chip_c=state.chip_c,
@@ -545,7 +527,6 @@ class PowerManager(StepComponent):
             params=params,
             leakage_w=leak,
             workspace=self._workspace,
-            backend=backend,
         )
         faults = ctx.fault_state
         if faults is not None:
@@ -558,9 +539,7 @@ class PowerManager(StepComponent):
         # busy_power = dyn_max * (freq / max) ** exp + leak, in place
         # (see dynamic_power; commutative reorder only).
         busy_power = np.divide(
-            state.freq_mhz,
-            ctx.max_mhz,
-            out=self._busy_power if backend.inplace else None,
+            state.freq_mhz, ctx.max_mhz, out=self._busy_power
         )
         busy_power **= state.dyn_exp
         busy_power *= state.dyn_max_w
@@ -795,74 +774,33 @@ class ThermalUpdater(StepComponent):
         """
         state = ctx.state
         inlet = ctx.inlet_c
-        backend = ctx.backend
-        inplace = backend.inplace
         sink_heat = state.thermal.sink_heat_output_w(
-            state.ambient_c,
-            ctx.r_ext,
-            out=self._scratch if inplace else None,
-            backend=backend,
+            state.ambient_c, ctx.r_ext, out=self._scratch
         )
         # entry = inlet + M @ heat; the rise over inlet is divided by
         # the airflow scale and re-based on the inlet.  The round-trip
         # through the rise is kept even at scale 1.0 (the rounded
         # subtraction is part of the historical trajectory); only the
-        # exact division by 1.0 is skipped.  The pure branch performs
-        # the identical float ops on fresh arrays.
-        if inplace:
-            ambient = np.matmul(
-                self._matrix, sink_heat, out=self._ambient
-            )
-            ambient += inlet
-            ambient -= inlet
-            if ctx.airflow_scale != 1.0:
-                ambient /= ctx.airflow_scale
-            faults = ctx.fault_state
-            if faults is not None and faults.airflow_degraded:
-                # Degraded fan lanes amplify their sockets' entry rises
-                # as 1/residual-airflow, on top of any global
-                # fan-control scale.
-                ambient /= faults.airflow_factor
-            ambient += inlet
-        else:
-            ambient = self._matrix @ sink_heat
-            ambient = ambient + inlet
-            ambient = ambient - inlet
-            if ctx.airflow_scale != 1.0:
-                ambient = ambient / ctx.airflow_scale
-            faults = ctx.fault_state
-            if faults is not None and faults.airflow_degraded:
-                ambient = ambient / faults.airflow_factor
-            ambient = ambient + inlet
+        # exact division by 1.0 is skipped.
+        ambient = np.matmul(self._matrix, sink_heat, out=self._ambient)
+        ambient += inlet
+        ambient -= inlet
+        if ctx.airflow_scale != 1.0:
+            ambient /= ctx.airflow_scale
+        faults = ctx.fault_state
+        if faults is not None and faults.airflow_degraded:
+            # Degraded fan lanes amplify their sockets' entry rises
+            # as 1/residual-airflow, on top of any global
+            # fan-control scale.
+            ambient /= faults.airflow_factor
+        ambient += inlet
         state.ambient_c = ambient
         return ambient
 
     def on_step(self, ctx: EngineContext) -> None:
         state = ctx.state
         power = ctx.power
-        backend = ctx.backend
         ambient = self._refresh_ambient(ctx)
-        if not backend.inplace:
-            # Pure twin: identical float ops on fresh arrays.
-            theta = ctx.theta_slope * power + ctx.theta_offset
-            state.thermal.step_decayed(
-                self._sink_decay,
-                self._chip_decay,
-                ambient,
-                power,
-                ctx.params.r_int,
-                ctx.r_ext,
-                theta,
-                backend=backend,
-            )
-            alpha = ctx.history_alpha
-            state.history_c = (
-                state.history_c + (state.chip_c - state.history_c) * alpha
-            )
-            state.busy_ema = (
-                state.busy_ema + (state.busy - state.busy_ema) * alpha
-            )
-            return
         theta = np.multiply(ctx.theta_slope, power, out=self._theta)
         theta += ctx.theta_offset
         state.thermal.step_decayed(

@@ -32,8 +32,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Tuple, Union
 
-from ..backend import ArrayBackend, get_backend
-from ..backend import numpy_xp as np
+import numpy as np
+
 from ..config.parameters import SimulationParameters
 from ..server.processors import FrequencyLadder
 from ..workloads.power_model import leakage_power
@@ -125,7 +125,6 @@ def _pick_highest_allowed(
     states: np.ndarray,
     min_mhz: float,
     workspace: Optional[SelectionWorkspace] = None,
-    xp=np,
 ) -> np.ndarray:
     """Highest admissible ladder state per socket, else the floor.
 
@@ -137,8 +136,8 @@ def _pick_highest_allowed(
     """
     if workspace is None:
         any_allowed = allowed.any(axis=0)
-        last = allowed.shape[0] - 1 - xp.argmax(allowed[::-1], axis=0)
-        return xp.where(any_allowed, states[last, 0], min_mhz)
+        last = allowed.shape[0] - 1 - np.argmax(allowed[::-1], axis=0)
+        return np.where(any_allowed, states[last, 0], min_mhz)
     # ndarray methods skip the np.* dispatch wrappers on the hot path.
     any_allowed = allowed.any(axis=0, out=workspace.any_allowed)
     pick = allowed[::-1].argmax(axis=0, out=workspace.pick)
@@ -186,7 +185,6 @@ def select_frequencies(
     params: SimulationParameters,
     leakage_w: Optional[np.ndarray] = None,
     workspace: Optional[SelectionWorkspace] = None,
-    backend: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """Per-socket highest allowed frequency, MHz (vectorised).
 
@@ -206,33 +204,7 @@ def select_frequencies(
         workspace: Optional :class:`SelectionWorkspace` sized for this
             ladder and socket count; repeat callers (the engine hot
             path) pass one to skip per-call temporary allocation.
-        backend: Array backend.  Non-inplace backends take the pure
-            functional twin below (workspace ignored), which performs
-            the identical float ops in the identical per-element
-            order — bit-identical under numpy, traceable under JAX.
     """
-    backend = get_backend(backend)
-    if not backend.inplace:
-        xp = backend.xp
-        if leakage_w is None:
-            leakage_w = leakage_power(chip_c, 1.0, xp=xp) * tdp_w
-        states, boost, ratios = _ladder_tables(ladder)
-        limits = _state_limits(ladder, params)
-        if backend.name != "numpy":
-            states = backend.asarray(states)
-            ratios = backend.asarray(ratios)
-            limits = backend.asarray(limits)
-        power = ratios ** dyn_exp
-        power = power * dyn_max_w
-        power = power + leakage_w
-        chip_eq = power * params.r_int
-        chip_eq = chip_eq + sink_c
-        chip_eq = chip_eq + theta_offset
-        chip_eq = chip_eq + theta_slope * power
-        allowed = chip_eq <= limits
-        return _pick_highest_allowed(
-            allowed, states, float(ladder.min_mhz), xp=xp
-        )
     if leakage_w is None:
         leakage_w = leakage_power(chip_c, 1.0) * tdp_w
     states, boost, ratios = _ladder_tables(ladder)
@@ -276,7 +248,6 @@ def select_frequencies_steady(
     theta_slope: np.ndarray,
     ladder: FrequencyLadder,
     params: SimulationParameters,
-    backend: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """Steady-state frequency prediction from entry air temperature.
 
@@ -291,30 +262,8 @@ def select_frequencies_steady(
 
     The batched fleet evaluator calls this with flattened ``(N * n,)``
     inputs: the math is elementwise per column, so batching is
-    bit-identical to per-point calls.  Non-inplace backends take the
-    pure twin (same ops, same order).
+    bit-identical to per-point calls.
     """
-    backend = get_backend(backend)
-    if not backend.inplace:
-        xp = backend.xp
-        leak = leakage_power(chip_c, 1.0, xp=xp) * tdp_w
-        states, boost, ratios = _ladder_tables(ladder)
-        limits = _state_limits(ladder, params)
-        if backend.name != "numpy":
-            states = backend.asarray(states)
-            ratios = backend.asarray(ratios)
-            limits = backend.asarray(limits)
-        power = ratios ** dyn_exp
-        power = power * dyn_max_w
-        power = power + leak
-        chip_ss = power * (params.r_int + r_ext)
-        chip_ss = chip_ss + ambient_c
-        chip_ss = chip_ss + theta_offset
-        chip_ss = chip_ss + theta_slope * power
-        allowed = chip_ss <= limits
-        return _pick_highest_allowed(
-            allowed, states, float(ladder.min_mhz), xp=xp
-        )
     leak = leakage_power(chip_c, 1.0) * tdp_w
     states, boost, ratios = _ladder_tables(ladder)
     power = ratios ** dyn_exp

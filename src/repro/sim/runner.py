@@ -26,7 +26,6 @@ def run_once(
     run_name: str = "run",
     stepping: str = "fixed",
     multirate=None,
-    backend=None,
 ) -> SimulationResult:
     """Run one (scheduler, benchmark set, load) configuration.
 
@@ -56,10 +55,6 @@ def run_once(
             :class:`repro.sim.multirate.MultiRateEngine`.
         multirate: Optional :class:`repro.sim.multirate.
             MultiRateConfig` for the adaptive driver.
-        backend: Array backend for the seam-managed kernels — a name
-            from :data:`repro.backend.BACKEND_NAMES`, an
-            :class:`~repro.backend.ArrayBackend` instance, or ``None``
-            (consult ``REPRO_BACKEND``, default numpy).
     """
     arrivals = ArrivalProcess(
         benchmark_set=benchmark_set,
@@ -80,7 +75,6 @@ def run_once(
         run_name=run_name,
         stepping=stepping,
         multirate=multirate,
-        backend=backend,
     )
     result = simulation.run(jobs)
     if simulation.telemetry is not None:
@@ -126,7 +120,6 @@ def run_sweep(
     profile: bool = False,
     stepping: str = "fixed",
     multirate=None,
-    backend=None,
 ) -> Dict[Tuple[str, BenchmarkSet, float], SimulationResult]:
     """Run the full cross product of schedulers, sets and loads.
 
@@ -178,11 +171,6 @@ def run_sweep(
             adaptive results never alias fixed ones.
         multirate: Optional :class:`~repro.sim.multirate.
             MultiRateConfig` tuning the adaptive driver.
-        backend: Array backend applied to every point (name,
-            :class:`~repro.backend.ArrayBackend` instance, or ``None``
-            for the ``REPRO_BACKEND``/numpy default).  A non-default
-            backend joins the cache/checkpoint key, so its
-            epsilon-bounded results never alias the numpy ones.
 
     Returns:
         Mapping from ``(scheduler name, benchmark set, load)`` to the
@@ -219,6 +207,5 @@ def run_sweep(
         profile=profile,
         stepping=stepping,
         multirate=multirate,
-        backend=backend,
     )
     return dict(zip(points, results))

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..backend import numpy_xp as np
+import numpy as np
+
 from ..config.parameters import SimulationParameters
 from ..errors import SimulationError
 from ..server.topology import ServerTopology

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
-from ..backend import ArrayBackend, get_backend
-from ..backend import numpy_xp as np
+import numpy as np
+
 from ..errors import ThermalModelError
 from .chip_model import DEFAULT_R_INT
 from .heatsink import HeatSink
@@ -35,10 +35,9 @@ from .rc_network import FactorizedSystem, ThermalNetwork
 
 #: Retained LU factorizations per model instance.  The convection edge
 #: is the only power-dependent conductance, so the cache is keyed on
-#: ``(backend.cache_token, g_conv)``; sweeps that revisit the same total
-#: power (Fig. 9/10 grids, steady-state iteration) hit the cache and
-#: only pay back-substitution, while a backend switch mid-process can
-#: never be served a foreign backend's factorization.
+#: ``g_conv`` alone; sweeps that revisit the same total power (Fig. 9/10
+#: grids, steady-state iteration) hit the cache and only pay
+#: back-substitution.
 FACTOR_CACHE_MAX = 64
 
 
@@ -196,9 +195,7 @@ class DetailedChipModel:
         spreader_resistance: float = DEFAULT_SPREADER_RESISTANCE,
         conv_a: float = DEFAULT_CONV_A,
         conv_p0: float = DEFAULT_CONV_P0,
-        backend: Optional[ArrayBackend] = None,
     ):
-        self._backend = get_backend(backend)
         if r_int <= 0:
             raise ThermalModelError(f"r_int must be positive, got {r_int}")
         if lateral_resistivity <= 0:
@@ -269,7 +266,7 @@ class DetailedChipModel:
         self._node_index = index
         self._n_nodes = n
         self._base_conductance = base
-        self._factor_cache: "OrderedDict[Tuple[str, float], FactorizedSystem]" = (
+        self._factor_cache: "OrderedDict[float, FactorizedSystem]" = (
             OrderedDict()
         )
 
@@ -304,37 +301,30 @@ class DetailedChipModel:
         self,
         ambient_c: float,
         block_power_w: Mapping[str, float],
-        backend: Optional[ArrayBackend] = None,
     ) -> DetailedChipResult:
         """Solve for block temperatures given a per-block power map.
 
         Fast path: reuses the precomputed base conductance matrix and an
-        LRU cache of LU factorizations keyed on ``(backend cache token,
-        convection conductance)`` — bit-identical to
-        :meth:`solve_via_network`, which rebuilds the full
-        :class:`~repro.thermal.rc_network.ThermalNetwork` every call.
+        LRU cache of LU factorizations keyed on the convection
+        conductance — bit-identical to :meth:`solve_via_network`, which
+        rebuilds the full :class:`~repro.thermal.rc_network.
+        ThermalNetwork` every call.
 
         Args:
             ambient_c: Entry air temperature at the socket, degC.
             block_power_w: Heat injected into each block, W.  Blocks not
                 listed inject zero.
-            backend: Per-call backend override; defaults to the model's
-                construction-time backend.  Factorizations are cached
-                per backend identity, so alternating backends on one
-                model never reuses a foreign backend's factorization.
 
         Raises:
             ThermalModelError: if a power key names an unknown block or
                 any power is negative.
         """
-        backend = self._backend if backend is None else get_backend(backend)
         self._validate_powers(block_power_w)
         total_power = sum(block_power_w.values())
         r_conv = self.sink.r_ext + self.conv_a / (total_power + self.conv_p0)
         g_conv = 1.0 / r_conv
 
-        cache_key = (backend.cache_token, g_conv)
-        system = self._factor_cache.get(cache_key)
+        system = self._factor_cache.get(g_conv)
         if system is None:
             conductance = self._base_conductance.copy()
             # sink_base (2) <-> ambient (0) convection edge, in the same
@@ -343,12 +333,12 @@ class DetailedChipModel:
             conductance[0, 0] += g_conv
             conductance[2, 0] -= g_conv
             conductance[0, 2] -= g_conv
-            system = FactorizedSystem(conductance[1:, 1:], backend=backend)
-            self._factor_cache[cache_key] = system
+            system = FactorizedSystem(conductance[1:, 1:])
+            self._factor_cache[g_conv] = system
             if len(self._factor_cache) > FACTOR_CACHE_MAX:
                 self._factor_cache.popitem(last=False)
         else:
-            self._factor_cache.move_to_end(cache_key)
+            self._factor_cache.move_to_end(g_conv)
 
         index = self._node_index
         rhs = np.zeros(self._n_nodes - 1)
@@ -385,7 +375,7 @@ class DetailedChipModel:
         self._validate_powers(block_power_w)
         total_power = sum(block_power_w.values())
 
-        network = ThermalNetwork(backend=self._backend)
+        network = ThermalNetwork()
         network.add_boundary("ambient", ambient_c)
         network.add_node("spreader")
         network.add_node("sink_base")

@@ -22,25 +22,31 @@ ad-hoc thermal studies in downstream code.
 
 from __future__ import annotations
 
+import importlib.util
+import warnings
 from typing import Dict, List, Optional, Tuple
 
-from ..backend import ArrayBackend, get_backend
-from ..backend import numpy_xp as np
-from ..backend.numpy_backend import HAVE_SCIPY  # noqa: F401  (monkeypatchable)
+import numpy as np
+
 from ..errors import ThermalModelError
+
+#: Whether scipy is installed.  ``scipy.linalg`` itself is imported at
+#: the first factorization rather than with this module, because only
+#: the detailed chip model ever factorizes.  Read at construction time,
+#: so tests can patch it to force the dense fallback.
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
+
+_SINGULAR_MSG = "singular linear system: zero pivot in LU factorization"
 
 
 class FactorizedSystem:
     """A dense linear system ``A @ x = b`` factorized once, solved often.
 
-    A thin facade over :meth:`repro.backend.ArrayBackend.factorize`.
-    The default numpy backend wraps scipy's LU factorization (LAPACK
-    ``getrf``/``getrs``) when scipy is available, so repeated solves
-    against new right-hand sides only pay the O(n^2) back-substitution;
-    without scipy each solve falls back to ``np.linalg.solve`` on the
-    retained matrix — correct, just not amortized.  The module-level
-    ``HAVE_SCIPY`` flag is read at construction time so tests can force
-    the fallback path.
+    With scipy installed this is scipy's LU factorization (LAPACK
+    ``getrf``/``getrs``), so repeated solves against new right-hand
+    sides only pay the O(n^2) back-substitution.  Without scipy (or
+    for an empty system) each solve falls back to ``np.linalg.solve``
+    on the retained matrix — correct, just not amortized.
 
     Exact singularity (a zero pivot — e.g. a free node with no path to
     any boundary) raises :class:`~repro.errors.ThermalModelError`; scipy
@@ -51,14 +57,23 @@ class FactorizedSystem:
             (fallback) if the matrix is exactly singular.
     """
 
-    __slots__ = ("matrix", "backend", "_solver")
+    __slots__ = ("matrix", "_lu_piv", "_lu_solve")
 
-    def __init__(
-        self, matrix: np.ndarray, backend: Optional[ArrayBackend] = None
-    ) -> None:
+    def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
-        self.backend = get_backend(backend)
-        self._solver = self.backend.factorize(matrix, use_lapack=HAVE_SCIPY)
+        self._lu_piv = self._lu_solve = None
+        if HAVE_SCIPY and matrix.size:
+            from scipy.linalg import lu_factor, lu_solve
+
+            with warnings.catch_warnings():
+                # scipy warns (LinAlgWarning) instead of raising on an
+                # exactly singular factorization; we raise below.
+                warnings.simplefilter("ignore")
+                lu, piv = lu_factor(matrix, check_finite=False)
+            if np.any(np.diagonal(lu) == 0.0):
+                raise ThermalModelError(_SINGULAR_MSG)
+            self._lu_piv = (lu, piv)
+            self._lu_solve = lu_solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for ``x`` given a right-hand side ``b``.
@@ -67,7 +82,12 @@ class FactorizedSystem:
             ThermalModelError: if the system is singular (fallback path;
                 the LU path raises at construction instead).
         """
-        return self._solver.solve(rhs)
+        if self._lu_solve is not None:
+            return self._lu_solve(self._lu_piv, rhs, check_finite=False)
+        try:
+            return np.linalg.solve(self.matrix, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ThermalModelError(_SINGULAR_MSG) from exc
 
 
 class ThermalNetwork:
@@ -77,8 +97,7 @@ class ThermalNetwork:
     adding the same edge twice accumulates conductance (parallel paths).
     """
 
-    def __init__(self, backend: Optional[ArrayBackend] = None) -> None:
-        self._backend = get_backend(backend)
+    def __init__(self) -> None:
         self._names: List[str] = []
         self._index: Dict[str, int] = {}
         self._edges: List[Tuple[int, int, float]] = []
@@ -156,9 +175,7 @@ class ThermalNetwork:
         system: Optional[FactorizedSystem] = None
         if free:
             try:
-                system = FactorizedSystem(
-                    conductance[np.ix_(free, free)], backend=self._backend
-                )
+                system = FactorizedSystem(conductance[np.ix_(free, free)])
             except ThermalModelError as exc:
                 raise ThermalModelError(
                     "singular thermal network: a free node is not "

@@ -44,24 +44,18 @@ def leakage_power(
     tdp_w: float,
     reference_c: float = LEAKAGE_REFERENCE_C,
     temp_coeff: float = LEAKAGE_TEMP_COEFF,
-    xp=np,
 ) -> ArrayLike:
     """Temperature-dependent leakage power, W.
 
     Equals ``LEAKAGE_TDP_FRACTION * tdp_w`` at the reference temperature
     and varies linearly with a floor to stay physical at low
     temperatures.
-
-    Args:
-        xp: Array namespace (``numpy`` default, or a backend's ``xp``
-            for traced execution); the float op order is namespace
-            independent.
     """
     if tdp_w <= 0:
         raise WorkloadError(f"TDP must be positive, got {tdp_w}")
     reference_leakage = LEAKAGE_TDP_FRACTION * tdp_w
-    factor = 1.0 + temp_coeff * (xp.asarray(temperature_c) - reference_c)
-    factor = xp.maximum(factor, LEAKAGE_FLOOR_FRACTION)
+    factor = 1.0 + temp_coeff * (np.asarray(temperature_c) - reference_c)
+    factor = np.maximum(factor, LEAKAGE_FLOOR_FRACTION)
     result = reference_leakage * factor
     if np.isscalar(temperature_c):
         return float(result)

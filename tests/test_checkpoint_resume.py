@@ -282,7 +282,6 @@ class _FlakyRunPoint:
         point_key=None,
         stepping="fixed",
         multirate=None,
-        backend="numpy",
     ):
         from repro.core import get_scheduler
         from repro.sim.runner import run_once
@@ -312,7 +311,6 @@ class _FlakyRunPoint:
             profile=profile,
             stepping=stepping,
             multirate=multirate,
-            backend=backend,
         )
 
 

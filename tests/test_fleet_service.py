@@ -1,6 +1,7 @@
 """Process-worker and asyncio service tests (real time, real pipes)."""
 
 import asyncio
+import json
 import multiprocessing
 import threading
 import time
@@ -15,9 +16,11 @@ from repro.fleet.registry import (
     ChassisSpec,
     FleetRegistry,
     WorkerSpec,
+    demo_fleet,
 )
 from repro.fleet.service import (
     FleetService,
+    _read_line,
     query_fleet,
     query_from_json,
 )
@@ -195,12 +198,26 @@ class TestQueryFromJson:
             {"kind": "mystery"},
             {"kind": "placement"},
             {"kind": "placement", "chassis": "c0", "job_power_w": "x"},
+            {"kind": "placement", "chassis": "c0", "job_power_w": 10**400},
             "not an object",
         ],
     )
     def test_malformed_queries_rejected(self, obj):
         with pytest.raises(FleetError):
             query_from_json(obj)
+
+
+def _service(registry):
+    return FleetService(
+        registry,
+        policy=SupervisionPolicy(heartbeat_interval_s=0.2),
+        config=FleetConfig(
+            request_timeout_s=15.0,
+            queue_timeout_s=30.0,
+            log_heartbeats=False,
+        ),
+        tick_interval_s=0.02,
+    )
 
 
 @pytest.mark.skipif(
@@ -210,16 +227,7 @@ class TestQueryFromJson:
 class TestFleetService:
     def test_end_to_end_over_tcp(self):
         async def scenario():
-            service = FleetService(
-                REGISTRY,
-                policy=SupervisionPolicy(heartbeat_interval_s=0.2),
-                config=FleetConfig(
-                    request_timeout_s=15.0,
-                    queue_timeout_s=30.0,
-                    log_heartbeats=False,
-                ),
-                tick_interval_s=0.02,
-            )
+            service = _service(REGISTRY)
             server = await service.serve(host="127.0.0.1", port=0)
             port = server.sockets[0].getsockname()[1]
             try:
@@ -247,16 +255,7 @@ class TestFleetService:
 
     def test_submit_direct(self):
         async def scenario():
-            service = FleetService(
-                REGISTRY,
-                policy=SupervisionPolicy(heartbeat_interval_s=0.2),
-                config=FleetConfig(
-                    request_timeout_s=15.0,
-                    queue_timeout_s=30.0,
-                    log_heartbeats=False,
-                ),
-                tick_interval_s=0.02,
-            )
+            service = _service(REGISTRY)
             await service.start()
             try:
                 return await asyncio.wait_for(
@@ -270,3 +269,121 @@ class TestFleetService:
 
         answer = asyncio.run(scenario())
         assert answer.status.value == "ok"
+
+
+async def _exchange(service, lines):
+    """Serve ``lines`` over one TCP connection; one reply per line."""
+    server = await service.serve(host="127.0.0.1", port=0)
+    port = server.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        replies = []
+        for line in lines:
+            writer.write(line + b"\n")
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.readline(), timeout=30.0)
+            assert reply, f"connection dropped after {line[:40]!r}"
+            replies.append(json.loads(reply))
+        return replies
+    finally:
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        await service.stop()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs process workers",
+)
+class TestHostileInput:
+    """Bad lines get one structured reply and harm nothing else."""
+
+    def test_malformed_queries_leave_workers_in_service(self):
+        registry = demo_fleet(1, n_rows=1, replicas=1)
+        n_sockets = registry.chassis["c0"].build_topology().n_sockets
+
+        def placement(power="6.0", utilization=None):
+            line = f'{{"kind": "placement", "chassis": "c0", ' \
+                f'"job_power_w": {power}'
+            if utilization is not None:
+                line += f', "utilization": {utilization}'
+            return (line + "}").encode()
+
+        def what_if(utilization, power):
+            return (
+                f'{{"kind": "what_if", "chassis": "c0", '
+                f'"scenarios": [[{utilization}, {power}]]}}'
+            ).encode()
+
+        malformed = [
+            what_if("2.0", "10.0"),
+            what_if("NaN", "10.0"),
+            what_if("0.5", "Infinity"),
+            what_if("0.5", "-1.0"),
+            placement(utilization=json.dumps([0.5] * (n_sockets + 1))),
+            placement(utilization=json.dumps([1.5] * n_sockets)),
+            placement(utilization=json.dumps([-0.2] * n_sockets)),
+            placement(power="NaN"),
+            placement(power="Infinity"),
+            placement(power="-Infinity"),
+            # Finite, but the answer overflows to NaN.
+            what_if("0.5", "1e308"),
+        ]
+        service = _service(registry)
+        replies = asyncio.run(
+            _exchange(service, malformed + [placement()])
+        )
+        *bad, good = replies
+        statuses = [reply["status"] for reply in bad]
+        assert statuses == ["error"] * 4 + ["failed"] + ["error"] * 6
+        assert f"has {n_sockets} sockets" in bad[4]["reason"]
+        assert good["status"] == "ok"
+        assert good["attempts"] == 1
+        supervisors = service.coordinator.supervisors.values()
+        assert [sup.restarts for sup in supervisors] == [0, 0]
+
+    def test_undecodable_lines_get_one_error_each(self):
+        service = _service(REGISTRY)
+        valid = json.dumps(
+            {"kind": "placement", "chassis": "c0", "job_power_w": 6.0}
+        ).encode()
+        replies = asyncio.run(
+            _exchange(
+                service,
+                [
+                    b'{"kind": "placement", "chassis": "\xff\xfe"}',
+                    b'{"kind": "placement", "chassis": "' + b"x" * 70_000
+                    + b'", "job_power_w": 6.0}',
+                    b"[" * 30_000 + b"]" * 30_000,
+                    valid,
+                ],
+            )
+        )
+        assert [reply["status"] for reply in replies] == [
+            "error", "error", "error", "ok"
+        ]
+        assert "utf-8" in replies[0]["reason"]
+        assert "limit" in replies[1]["reason"]
+
+
+def test_over_long_line_is_skipped_even_when_split_across_reads():
+    """The rest of an over-long line arriving later is still dropped,
+    so it earns one error, not one per fragment."""
+
+    async def scenario():
+        reader = asyncio.StreamReader(limit=16)
+
+        async def feed():
+            for chunk in (b"a" * 10, b"b" * 10, b"c" * 10, b'd\n{"k": 1}\n'):
+                await asyncio.sleep(0.01)
+                reader.feed_data(chunk)
+            reader.feed_data(b"tail")
+            reader.feed_eof()
+
+        feeder = asyncio.ensure_future(feed())
+        lines = [await _read_line(reader) for _ in range(4)]
+        await feeder
+        return lines
+
+    assert asyncio.run(scenario()) == [None, b'{"k": 1}\n', b"tail", b""]

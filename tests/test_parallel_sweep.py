@@ -204,6 +204,13 @@ class TestConfigKey:
             moonshot_sut(n_rows=2)
         )
 
+    def test_benchmark_set_values_unchanged(self):
+        """Set values are hashed into every key; renaming one would
+        orphan every existing cache entry and checkpoint."""
+        assert [s.value for s in BenchmarkSet] == [
+            "Computation", "Storage", "GP"
+        ]
+
 
 class TestSerialFallback:
     def test_single_point_runs_inline(self, small_sut, monkeypatch):

@@ -4,17 +4,14 @@
 recipe into one :func:`~repro.sim.batched.evaluate_fleet` call per
 fixed-point iteration, each chassis a
 :class:`~repro.sim.batched.FleetPoint` carrying its inlet override.
-Under the numpy backend that path must match the per-chassis serial
-loop **bit for bit** — every iteration feeds on the previous one's
-inlets, so even a single ULP of drift would compound and change the
-converged fingerprint.  Under JAX (optional dependency) the match is
-epsilon-bounded.
+That path must match the per-chassis serial loop **bit for bit** —
+every iteration feeds on the previous one's inlets, so even a single
+ULP of drift would compound and change the converged fingerprint.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import HAVE_JAX
 from repro.fleet.registry import ChassisSpec, spec_from_catalog
 from repro.room import (
     Room,
@@ -122,33 +119,3 @@ def test_per_chassis_utilization_vector_matches_too():
     serial = solve_room(room, utilization, dyn, 21.0, mode="serial")
     _assert_bit_identical(batched, serial)
 
-
-def test_explicit_numpy_backend_matches_default():
-    """Naming the backend cannot change a single bit."""
-    room = catalog_mix(3)
-    default = solve_room(room, 0.7, 15.0, 18.0)
-    named = solve_room(room, 0.7, 15.0, 18.0, backend="numpy")
-    _assert_bit_identical(default, named)
-
-
-@pytest.mark.skipif(not HAVE_JAX, reason="jax not installed")
-def test_jax_backend_is_epsilon_bounded():
-    """With the optional dependency installed, the JAX fleet-tensor
-    path converges to the same equilibrium within float tolerance."""
-    room = catalog_mix(3)
-    reference = solve_room(room, 0.7, 15.0, 18.0, mode="serial")
-    jaxed = solve_room(
-        room, 0.7, 15.0, 18.0, mode="batched", backend="jax"
-    )
-    np.testing.assert_allclose(
-        jaxed.inlet_c, reference.inlet_c, rtol=1e-5, atol=1e-4
-    )
-    np.testing.assert_allclose(
-        jaxed.exhaust_w, reference.exhaust_w, rtol=1e-5, atol=1e-3
-    )
-    np.testing.assert_allclose(
-        jaxed.max_chip_c,
-        reference.max_chip_c,
-        rtol=1e-5,
-        atol=1e-3,
-    )
