@@ -345,7 +345,6 @@ def _cmd_room(args) -> int:
             benchmark_set=BenchmarkSet(args.set),
             n_chassis=args.chassis,
             diurnal_step_h=args.diurnal_step,
-            mode="serial" if args.serial else "batched",
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -715,15 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hour stride of the diurnal free-cooling trace",
     )
     room_parser.add_argument("--seed", type=int, default=0)
-    room_parser.add_argument(
-        "--serial",
-        action="store_true",
-        help=(
-            "solve chassis one at a time instead of the batched "
-            "fleet-tensor path (bit-identical on numpy; for "
-            "differential debugging)"
-        ),
-    )
     room_parser.add_argument(
         "--audit",
         action="store_true",

@@ -239,7 +239,6 @@ def run(
     n_chassis: int = 3,
     diurnal_mix: str = "mixed",
     diurnal_step_h: int = 2,
-    mode: str = "batched",
 ) -> RoomScenarioResult:
     """Run the full room scenario family.
 
@@ -256,7 +255,6 @@ def run(
         diurnal_mix: Mix for the diurnal envelope.
         diurnal_step_h: Hour stride of the diurnal trace (2 keeps the
             default run light; 1 gives the full 24-point envelope).
-        mode: Chassis evaluation mode (``"batched"`` / ``"serial"``).
     """
     config = config or ExperimentConfig()
     writer = None
@@ -277,7 +275,6 @@ def run(
             placement=placement,
             benchmark_set=benchmark_set,
             seed=config.seed,
-            mode=mode,
             emit=emit,
         )
         if auditor is not None:
@@ -293,7 +290,6 @@ def run(
                 crac_supply_c=crac,
                 dyn_max_w=dynamic,
                 seed=config.seed,
-                mode=mode,
             )
             auditor.check(
                 room,
@@ -303,7 +299,6 @@ def run(
                     dynamic,
                     crac,
                     seed=config.seed,
-                    mode=mode,
                 ),
             )
         return load
@@ -318,7 +313,6 @@ def run(
                     crac_setpoints_c,
                     benchmark_set=benchmark_set,
                     seed=config.seed,
-                    mode=mode,
                     emit=emit,
                 )
             )

@@ -25,7 +25,6 @@ from .model import (
     DEFAULT_DIVERGENCE_LIMIT_C,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE_C,
-    ROOM_SOLVE_MODES,
     Room,
     RoomSolution,
     solve_room,
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_MAX_ITERATIONS",
     "DEFAULT_TOLERANCE_C",
     "ROOM_PLACEMENTS",
-    "ROOM_SOLVE_MODES",
     "RecirculationMatrix",
     "Room",
     "RoomDeratingPoint",

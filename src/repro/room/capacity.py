@@ -51,7 +51,7 @@ class RoomKey:
         fingerprint: :meth:`Room.fingerprint` of the room.
         crac_supply_c: CRAC supply temperature of the solve, degC.
         detail: Extra distinguishing content (placement vector digest,
-            solver mode, seed).
+            seed).
     """
 
     fingerprint: str
@@ -107,7 +107,6 @@ def solve_room_cached(
     dyn_max_w,
     crac_supply_c: float,
     seed: int = 0,
-    mode: str = "batched",
     use_cache: bool = True,
     emit=None,
     **solve_kwargs,
@@ -136,7 +135,6 @@ def solve_room_cached(
         dyn,
         crac_supply_c,
         seed=seed,
-        mode=mode,
         emit=emit,
         **solve_kwargs,
     )
@@ -152,7 +150,6 @@ def max_sustainable_room_load(
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
     limit_c: Optional[float] = None,
     seed: int = 0,
-    mode: str = "batched",
     use_cache: bool = True,
     emit=None,
 ) -> float:
@@ -173,7 +170,6 @@ def max_sustainable_room_load(
         limit_c: Temperature ceiling; defaults to the DVFS limit of
             the shared parameter set.
         seed: Parameter seed.
-        mode: Chassis evaluation mode (``"batched"`` / ``"serial"``).
         use_cache: Memoise probes into the shared sweep cache.
         emit: Optional telemetry sink threaded to every room solve.
 
@@ -198,7 +194,6 @@ def max_sustainable_room_load(
             crac_supply_c=crac_supply_c,
             dyn_max_w=dynamic,
             seed=seed,
-            mode=mode,
         )
         solution = solve_room_cached(
             room,
@@ -206,7 +201,6 @@ def max_sustainable_room_load(
             dynamic,
             crac_supply_c,
             seed=seed,
-            mode=mode,
             use_cache=use_cache,
             emit=emit,
         )
@@ -246,7 +240,6 @@ def room_derating_curve(
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
     limit_c: Optional[float] = None,
     seed: int = 0,
-    mode: str = "batched",
     use_cache: bool = True,
     emit=None,
 ) -> List[RoomDeratingPoint]:
@@ -270,7 +263,6 @@ def room_derating_curve(
                 benchmark_set=benchmark_set,
                 limit_c=limit_c,
                 seed=seed,
-                mode=mode,
                 use_cache=use_cache,
                 emit=emit,
             ),
@@ -303,7 +295,6 @@ def optimize_crac_setpoint(
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
     limit_c: Optional[float] = None,
     seed: int = 0,
-    mode: str = "batched",
     use_cache: bool = True,
     emit=None,
 ) -> CracSetpointChoice:
@@ -333,7 +324,6 @@ def optimize_crac_setpoint(
         benchmark_set=benchmark_set,
         limit_c=limit_c,
         seed=seed,
-        mode=mode,
         use_cache=use_cache,
         emit=emit,
     )

@@ -16,16 +16,15 @@ silent nonsense — when the loop gains exceed 1 (strong recirculation
 against a leakage-heavy fleet), when residuals go non-finite, or when
 the iteration budget runs out above tolerance.
 
-Chassis steady states evaluate through either of two proven paths:
-
-- ``mode="serial"`` — one :func:`~repro.sim.steady_state.
-  solve_steady_state` call per chassis (the reference loop);
-- ``mode="batched"`` (default) — chassis sharing a topology recipe are
-  stacked into one :func:`~repro.sim.batched.evaluate_fleet`
-  fleet-tensor call per iteration, each chassis a
-  :class:`~repro.sim.batched.FleetPoint` with its inlet as the
-  per-point override.  This path is bit-identical to the serial loop
-  (see ``tests/test_room_differential.py``).
+Each iteration evaluates the chassis steady states through one path:
+chassis sharing a topology recipe are stacked into one
+:func:`~repro.sim.batched.evaluate_fleet` fleet-tensor call, each
+chassis a :class:`~repro.sim.batched.FleetPoint` with its inlet as the
+per-point override.  The room reads only the steady fields, so the
+evaluator's deferred DVFS selection and window advance never run.
+Every converged chassis field is bit-identical to
+:func:`~repro.sim.steady_state.solve_steady_state` at that chassis'
+converged inlet (``tests/test_room_differential.py``).
 
 A 1-chassis room with zero recirculation converges in a single
 iteration to exactly the chassis-only steady state — bit for bit (the
@@ -34,7 +33,6 @@ fingerprint oracle in ``tests/test_room_goldens.py``).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -47,7 +45,7 @@ from ..errors import RoomConvergenceError, RoomError
 from ..fleet.registry import ChassisSpec
 from ..server.topology import ServerTopology
 from ..sim.batched import FleetPoint, evaluate_fleet
-from ..sim.steady_state import SteadyStateField, solve_steady_state
+from ..sim.steady_state import SteadyStateField
 from .recirculation import RecirculationMatrix
 
 #: Default convergence tolerance on the inlet fixed point, degC.
@@ -58,9 +56,6 @@ DEFAULT_MAX_ITERATIONS = 60
 
 #: Residual above which the solve is declared divergent outright, degC.
 DEFAULT_DIVERGENCE_LIMIT_C = 1000.0
-
-#: Chassis evaluation modes for one room iteration.
-ROOM_SOLVE_MODES = ("batched", "serial")
 
 #: Per-process cache of built chassis topologies, keyed by recipe.
 _topology_cache: Dict[Tuple[int, int, int, int], ServerTopology] = {}
@@ -249,33 +244,15 @@ def _as_chassis_vector(room: Room, values, name: str) -> np.ndarray:
     return array
 
 
-def _solve_chassis_serial(
-    room: Room,
-    params: SimulationParameters,
-    utilization: np.ndarray,
-    dyn_max_w: np.ndarray,
-    inlet_c: np.ndarray,
-) -> List[SteadyStateField]:
-    """One chassis-solve pass through the per-chassis reference loop."""
-    fields = []
+def _recipe_groups(room: Room) -> List[List[int]]:
+    """Chassis indices grouped by topology recipe, first-seen order."""
+    groups: Dict[Tuple[int, int, int, int], List[int]] = {}
     for i, spec in enumerate(room.chassis):
-        topology = _topology_for(spec)
-        n = topology.n_sockets
-        chassis_params = dataclasses.replace(
-            params, inlet_c=float(inlet_c[i])
-        )
-        fields.append(
-            solve_steady_state(
-                topology,
-                chassis_params,
-                np.full(n, dyn_max_w[i]),
-                np.full(n, utilization[i]),
-            )
-        )
-    return fields
+        groups.setdefault(_chassis_recipe(spec), []).append(i)
+    return list(groups.values())
 
 
-def _solve_chassis_batched(
+def _solve_chassis(
     room: Room,
     params: SimulationParameters,
     utilization: np.ndarray,
@@ -287,14 +264,12 @@ def _solve_chassis_batched(
     Chassis sharing a topology recipe stack into one
     :func:`~repro.sim.batched.evaluate_fleet` call, each as a
     :class:`~repro.sim.batched.FleetPoint` whose ``inlet_c`` override
-    carries the room iteration's inlet.  Bit-identical to the serial
-    loop (the batched evaluator's own oracle guarantees it per point).
+    carries the room iteration's inlet.  Each field is bit-identical
+    to :func:`~repro.sim.steady_state.solve_steady_state` at that
+    inlet (the batched evaluator's own oracle guarantees it per point).
     """
-    groups: Dict[Tuple[int, int, int, int], List[int]] = {}
-    for i, spec in enumerate(room.chassis):
-        groups.setdefault(_chassis_recipe(spec), []).append(i)
     fields: List[Optional[SteadyStateField]] = [None] * room.n_chassis
-    for recipe, indices in groups.items():
+    for indices in _recipe_groups(room):
         topology = _topology_for(room.chassis[indices[0]])
         points = [
             FleetPoint(
@@ -319,7 +294,6 @@ def solve_room(
     tolerance_c: float = DEFAULT_TOLERANCE_C,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     divergence_limit_c: float = DEFAULT_DIVERGENCE_LIMIT_C,
-    mode: str = "batched",
     emit: Optional[Callable[[dict], None]] = None,
 ) -> RoomSolution:
     """Iterate chassis steady states to the room thermal equilibrium.
@@ -337,8 +311,6 @@ def solve_room(
         max_iterations: Fixed-point iteration budget.
         divergence_limit_c: Residual above which the solve aborts as
             divergent without spending the rest of the budget.
-        mode: ``"batched"`` (fleet-tensor, default) or ``"serial"``
-            (per-chassis reference loop); bit-identical.
         emit: Optional sink for ``room_*`` telemetry events (already
             validated dicts, e.g. ``JsonlWriter.emit``).
 
@@ -363,10 +335,6 @@ def solve_room(
         raise RoomError("tolerance must be positive")
     if max_iterations < 1:
         raise RoomError("max_iterations must be >= 1")
-    if mode not in ROOM_SOLVE_MODES:
-        raise RoomError(
-            f"mode must be one of {ROOM_SOLVE_MODES}, got {mode!r}"
-        )
 
     from ..obs.events import make_event
 
@@ -400,14 +368,9 @@ def solve_room(
         return RoomConvergenceError(residuals, tolerance_c, reason)
 
     for _ in range(max_iterations):
-        if mode == "serial":
-            fields = _solve_chassis_serial(
-                room, params, utilization, dyn_max_w, inlet
-            )
-        else:
-            fields = _solve_chassis_batched(
-                room, params, utilization, dyn_max_w, inlet
-            )
+        fields = _solve_chassis(
+            room, params, utilization, dyn_max_w, inlet
+        )
         exhaust = np.array(
             [float(np.sum(field.power_w)) for field in fields]
         )

@@ -43,8 +43,8 @@ import numpy as np
 
 from ..config.presets import scaled
 from ..errors import RoomError
-from ..sim.steady_state import uniform_load_field
-from .model import Room, _topology_for, solve_room
+from ..sim.batched import FleetPoint, evaluate_fleet
+from .model import Room, _recipe_groups, _topology_for, solve_room
 
 PlacementFn = Callable[..., np.ndarray]
 
@@ -66,36 +66,58 @@ def _standalone_caps(
     does.  ``inlets_c`` is a scalar (every chassis at the CRAC supply,
     optimistic) or a per-chassis vector (e.g. the converged inlets of
     a room solve, recirculation-aware).
+
+    A chassis that stays under the limit fully loaded caps at 1.0, one
+    over it even idle caps at 0.0, and the rest bisect [0, 1] to
+    :data:`CAP_TOLERANCE`.  Every chassis of one topology recipe
+    bisects in lockstep — one stacked steady solve
+    (:func:`~repro.sim.batched.evaluate_fleet`) per halving — and
+    since all start from [0, 1] they take the same halvings, each
+    bit-identical to a scalar bisection over
+    :func:`~repro.sim.steady_state.uniform_load_field`.
     """
     params = scaled(seed=seed)
     inlets = np.broadcast_to(
         np.asarray(inlets_c, dtype=float), (room.n_chassis,)
     )
+    for inlet in inlets:
+        # Rejects an inlet at or above the DVFS limit.
+        params.with_overrides(inlet_c=float(inlet))
+    ceiling = params.temperature_limit_c
     caps = np.empty(room.n_chassis)
-    for i, spec in enumerate(room.chassis):
-        topology = _topology_for(spec)
-        adjusted = params.with_overrides(inlet_c=float(inlets[i]))
-        ceiling = adjusted.temperature_limit_c
+    for indices in _recipe_groups(room):
+        topology = _topology_for(room.chassis[indices[0]])
 
-        def hottest(util: float) -> float:
-            field = uniform_load_field(
-                topology, adjusted, util, dyn_max_w
-            )
-            return float(field.chip_c.max())
+        def hottest(members, util) -> np.ndarray:
+            points = [
+                FleetPoint(
+                    utilization=float(u),
+                    dyn_max_w=dyn_max_w,
+                    inlet_c=float(inlets[i]),
+                )
+                for i, u in zip(members, util)
+            ]
+            result = evaluate_fleet(topology, params, points)
+            return result.chip_c.max(axis=1)
 
-        if hottest(1.0) <= ceiling:
-            caps[i] = 1.0
-        elif hottest(0.0) > ceiling:
-            caps[i] = 0.0
-        else:
-            low, high = 0.0, 1.0
-            while high - low > CAP_TOLERANCE:
-                mid = (low + high) / 2.0
-                if hottest(mid) <= ceiling:
-                    low = mid
-                else:
-                    high = mid
-            caps[i] = low
+        members = np.asarray(indices)
+        full = hottest(members, np.ones(members.size)) <= ceiling
+        caps[members[full]] = 1.0
+        members = members[~full]
+        if members.size == 0:
+            continue
+        idle = hottest(members, np.zeros(members.size)) > ceiling
+        caps[members[idle]] = 0.0
+        members = members[~idle]
+        low = np.zeros(members.size)
+        high = np.ones(members.size)
+        # Equal (and exact, dyadic) widths: every chassis halves [0, 1].
+        while members.size and high[0] - low[0] > CAP_TOLERANCE:
+            mid = (low + high) / 2.0
+            fits = hottest(members, mid) <= ceiling
+            low = np.where(fits, mid, low)
+            high = np.where(fits, high, mid)
+        caps[members] = low
     return caps
 
 
@@ -164,7 +186,6 @@ def place_coolest_inlet(
     crac_supply_c: float = 18.0,
     dyn_max_w: float = 0.0,
     seed: int = 0,
-    mode: str = "batched",
     **_kwargs,
 ) -> np.ndarray:
     """Balance thermal margin using the observed (recirculated) inlets.
@@ -184,7 +205,6 @@ def place_coolest_inlet(
         dyn_max_w,
         crac_supply_c,
         seed=seed,
-        mode=mode,
     )
     caps = _standalone_caps(room, uniform.inlet_c, dyn_max_w, seed)
     return _weighted_fill(room, caps, room_utilization, caps)
@@ -228,7 +248,6 @@ def place_room_load(
     crac_supply_c: float = 18.0,
     dyn_max_w: float = 0.0,
     seed: int = 0,
-    mode: str = "batched",
 ) -> np.ndarray:
     """Distribute a total room load over chassis under one policy.
 
@@ -240,7 +259,6 @@ def place_room_load(
             solves the idle room at this setpoint).
         dyn_max_w: Busy dynamic power per socket, W (idle-room solve).
         seed: Parameter seed threaded to any internal room solve.
-        mode: Chassis evaluation mode for internal solves.
 
     Returns:
         Per-chassis utilisation vector, demand-conserving.
@@ -263,6 +281,5 @@ def place_room_load(
         crac_supply_c=crac_supply_c,
         dyn_max_w=dyn_max_w,
         seed=seed,
-        mode=mode,
     )
     return np.clip(util, 0.0, 1.0)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from .steady_state import (
     SteadyStateField,
     solve_steady_state,
 )
+
+#: The cold-start window pair ``(window_sink_c, window_chip_c)``.
+Window = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -71,11 +74,20 @@ class FleetPoint:
             raise SimulationError("dynamic exponent must be positive")
 
 
-@dataclass(frozen=True)
 class FleetSweepResult:
     """Stacked ``(N, n)`` results for a batch of fleet points.
 
     The point axis leads and is aligned with the input sequence.
+
+    The four steady tensors are always computed.  The DVFS selection
+    (``freq_mhz``) and the cold-start window (``window_sink_c``,
+    ``window_chip_c``) may be *deferred*: :func:`evaluate_fleet` passes
+    them as zero-argument callables over the steady tensors, run on the
+    first read and cached on the result.  A caller that reads only the
+    steady fields — the room solver — never pays for them; fleet
+    what-ifs read ``freq_mhz`` but never the window.  Pickling
+    materialises every tensor, so a result crosses a process boundary
+    whole.
 
     Attributes:
         power_w: Steady per-socket total power, W.
@@ -88,13 +100,53 @@ class FleetSweepResult:
         window_chip_c: Chip temperatures after the same window.
     """
 
-    power_w: np.ndarray
-    ambient_c: np.ndarray
-    sink_c: np.ndarray
-    chip_c: np.ndarray
-    freq_mhz: np.ndarray
-    window_sink_c: np.ndarray
-    window_chip_c: np.ndarray
+    def __init__(
+        self,
+        power_w: np.ndarray,
+        ambient_c: np.ndarray,
+        sink_c: np.ndarray,
+        chip_c: np.ndarray,
+        freq_mhz: Union[np.ndarray, Callable[[], np.ndarray]],
+        window_c: Union[Window, Callable[[], Window]],
+    ) -> None:
+        self.power_w = power_w
+        self.ambient_c = ambient_c
+        self.sink_c = sink_c
+        self.chip_c = chip_c
+        self._freq_mhz = freq_mhz
+        self._window_c = window_c
+
+    def _materialise(self, name: str):
+        value = getattr(self, name)
+        if callable(value):
+            value = value()
+            setattr(self, name, value)
+        return value
+
+    @property
+    def freq_mhz(self) -> np.ndarray:
+        return self._materialise("_freq_mhz")
+
+    @property
+    def window_sink_c(self) -> np.ndarray:
+        return self._materialise("_window_c")[0]
+
+    @property
+    def window_chip_c(self) -> np.ndarray:
+        return self._materialise("_window_c")[1]
+
+    def __reduce__(self):
+        return (
+            FleetSweepResult,
+            (
+                self.power_w,
+                self.ambient_c,
+                self.sink_c,
+                self.chip_c,
+                self.freq_mhz,
+                self._materialise("_window_c"),
+            ),
+        )
 
     @property
     def n_points(self) -> int:
@@ -205,8 +257,7 @@ def evaluate_fleet_serial(
         sink_c=np.stack([f.sink_c for f in fields]),
         chip_c=np.stack([f.chip_c for f in fields]),
         freq_mhz=np.stack(freqs),
-        window_sink_c=np.stack(window_sink),
-        window_chip_c=np.stack(window_chip),
+        window_c=(np.stack(window_sink), np.stack(window_chip)),
     )
 
 
@@ -222,32 +273,29 @@ def _steady_fleet(
     Every operation is elementwise over the trailing socket axis in the
     exact order of :func:`~repro.sim.steady_state.solve_steady_state`,
     so each ``(N, n)`` element sees the identical float sequence as its
-    ``(n,)`` serial counterpart.  The one matrix–vector product goes
-    through :meth:`~repro.thermal.coupling.CouplingModel.
-    entry_temperatures` one point at a time: a stacked ``(N, n)``
-    product would hit a different BLAS kernel (dgemm vs dgemv) whose
-    reduction order is not guaranteed to match.
+    ``(n,)`` serial counterpart.  The one matrix–vector product runs
+    one point at a time into that point's row of ``ambient``: a stacked
+    ``(N, n)`` product would hit a different BLAS kernel (dgemm vs
+    dgemv) whose reduction order is not guaranteed to match.
     """
     tdp = topology.tdp_array
     gated = topology.gated_power_array
     r_ext = topology.r_ext_array
     theta_off = topology.theta_offset_array
     theta_slope = topology.theta_slope_array
-    coupling = topology.coupling
+    matrix = topology.coupling.matrix
 
     chip = np.full(util.shape, 60.0)
-    power = np.broadcast_to(gated, util.shape)
-    ambient = sink = None
+    ambient = np.empty(util.shape)
+    idle_power = (1.0 - util) * gated
+    power = sink = None
     for _ in range(LEAKAGE_ITERATIONS):
         leak = leakage_power(chip, 1.0) * tdp
         busy_power = dynamic + leak
-        power = util * busy_power + (1.0 - util) * gated
-        ambient = np.stack(
-            [
-                coupling.entry_temperatures(float(inlet[i]), power[i])
-                for i in range(power.shape[0])
-            ]
-        )
+        power = util * busy_power + idle_power
+        for i in range(power.shape[0]):
+            np.matmul(matrix, power[i], out=ambient[i])
+        ambient += inlet[:, None]
         sink = ambient + power * r_ext
         theta = theta_off + theta_slope * power
         chip = sink + power * params.r_int + theta
@@ -261,6 +309,10 @@ def evaluate_fleet(
     window_steps: int = 0,
 ) -> FleetSweepResult:
     """Evaluate a batch of fleet points with stacked kernel calls.
+
+    The steady tensors are computed here; the DVFS selection and the
+    window advance are deferred to the first read of the result's
+    ``freq_mhz`` or window fields (see :class:`FleetSweepResult`).
 
     Args:
         topology: The shared server geometry.
@@ -278,17 +330,16 @@ def evaluate_fleet(
         raise SimulationError("fleet sweep needs at least one point")
     n = topology.n_sockets
     n_points = len(points)
-    ladder = topology.processor.ladder
 
-    util = np.stack(
-        [np.full(n, point.utilization) for point in points]
-    )
-    dynamic = np.stack(
-        [np.full(n, point.dyn_max_w) for point in points]
-    )
-    dyn_exp = np.stack(
-        [np.full(n, point.dyn_exp) for point in points]
-    )
+    def columns(values: List[float]) -> np.ndarray:
+        """One value per point, repeated over that point's sockets."""
+        return np.repeat(np.array(values, dtype=float), n).reshape(
+            n_points, n
+        )
+
+    util = columns([point.utilization for point in points])
+    dynamic = columns([point.dyn_max_w for point in points])
+    dyn_exp = [point.dyn_exp for point in points]
     inlet = np.array(
         [
             params.inlet_c if point.inlet_c is None else float(point.inlet_c)
@@ -300,47 +351,54 @@ def evaluate_fleet(
         topology, params, util, dynamic, inlet
     )
 
-    # DVFS selection is elementwise per socket column, so the stacked
-    # batch flattens to one (N * n,) call — bit-identical per element
-    # to N separate (n,) calls (see select_frequencies_steady).
-    flat = (n_points * n,)
-    freq = select_frequencies_steady(
-        ambient_c=ambient.reshape(flat),
-        chip_c=chip.reshape(flat),
-        dyn_max_w=dynamic.reshape(flat),
-        dyn_exp=dyn_exp.reshape(flat),
-        tdp_w=np.tile(topology.tdp_array, n_points),
-        r_ext=np.tile(topology.r_ext_array, n_points),
-        theta_offset=np.tile(topology.theta_offset_array, n_points),
-        theta_slope=np.tile(topology.theta_slope_array, n_points),
-        ladder=ladder,
-        params=params,
-    ).reshape((n_points, n))
+    def frequencies() -> np.ndarray:
+        # DVFS selection is elementwise per socket column, so the
+        # stacked batch flattens to one (N * n,) call — bit-identical
+        # per element to N separate (n,) calls (see
+        # select_frequencies_steady).
+        flat = (n_points * n,)
+        return select_frequencies_steady(
+            ambient_c=ambient.reshape(flat),
+            chip_c=chip.reshape(flat),
+            dyn_max_w=dynamic.reshape(flat),
+            dyn_exp=columns(dyn_exp).reshape(flat),
+            tdp_w=np.tile(topology.tdp_array, n_points),
+            r_ext=np.tile(topology.r_ext_array, n_points),
+            theta_offset=np.tile(topology.theta_offset_array, n_points),
+            theta_slope=np.tile(topology.theta_slope_array, n_points),
+            ladder=topology.processor.ladder,
+            params=params,
+        ).reshape((n_points, n))
 
-    # Cold-start transient: both nodes start at the point's inlet
-    # equilibrium and advance under the frozen steady field, exactly as
-    # TwoNodeThermalState.advance_window does per point.
-    start = np.broadcast_to(inlet[:, None], (n_points, n))
-    theta = topology.theta_offset_array + topology.theta_slope_array * power
-    sink_decay, chip_decay = _decays(params)
-    window_sink, window_chip, _ = advance_window_modes(
-        start,
-        start,
-        sink_decay,
-        chip_decay,
-        window_steps,
-        ambient,
-        power,
-        params.r_int,
-        topology.r_ext_array,
-        theta,
-    )
+    def window() -> Window:
+        # Cold-start transient: both nodes start at the point's inlet
+        # equilibrium and advance under the frozen steady field,
+        # exactly as TwoNodeThermalState.advance_window does per point.
+        start = np.broadcast_to(inlet[:, None], (n_points, n))
+        theta = (
+            topology.theta_offset_array
+            + topology.theta_slope_array * power
+        )
+        sink_decay, chip_decay = _decays(params)
+        window_sink, window_chip, _ = advance_window_modes(
+            start,
+            start,
+            sink_decay,
+            chip_decay,
+            window_steps,
+            ambient,
+            power,
+            params.r_int,
+            topology.r_ext_array,
+            theta,
+        )
+        return window_sink, window_chip
+
     return FleetSweepResult(
         power_w=power,
         ambient_c=ambient,
         sink_c=sink,
         chip_c=chip,
-        freq_mhz=freq,
-        window_sink_c=window_sink,
-        window_chip_c=window_chip,
+        freq_mhz=frequencies,
+        window_c=window,
     )

@@ -6,6 +6,8 @@ match the per-point serial kernels **bit for bit** — including a mixed
 8-point sweep with per-point inlet overrides.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,20 @@ def test_field_accessor_matches_serial_solver(small_sut, params):
     )
     np.testing.assert_array_equal(field.chip_c, serial.chip_c[0])
     assert field.hottest_socket == int(np.argmax(serial.chip_c[0]))
+
+
+def test_deferred_fields_are_cached_and_pickle_whole(small_sut, params):
+    """The DVFS and window tensors are computed once, on first read,
+    and pickling materialises them (results cross process pools)."""
+    batched = evaluate_fleet(
+        small_sut, params, MIXED_POINTS, window_steps=64
+    )
+    serial = evaluate_fleet_serial(
+        small_sut, params, MIXED_POINTS, window_steps=64
+    )
+    _assert_bit_identical(pickle.loads(pickle.dumps(batched)), serial)
+    assert batched.freq_mhz is batched.freq_mhz
+    assert batched.window_chip_c is batched.window_chip_c
 
 
 def test_point_validation():

@@ -1,17 +1,21 @@
-"""Room solver: batched fleet-tensor path vs the serial reference loop.
+"""Room solver: stacked chassis fields vs the chassis-level solver.
 
-``solve_room(mode="batched")`` stacks chassis sharing a topology
+:func:`~repro.room.model.solve_room` stacks chassis sharing a topology
 recipe into one :func:`~repro.sim.batched.evaluate_fleet` call per
 fixed-point iteration, each chassis a
 :class:`~repro.sim.batched.FleetPoint` carrying its inlet override.
-That path must match the per-chassis serial loop **bit for bit** —
-every iteration feeds on the previous one's inlets, so even a single
-ULP of drift would compound and change the converged fingerprint.
+Every converged chassis field must equal
+:func:`~repro.sim.steady_state.solve_steady_state` at that chassis'
+converged inlet **bit for bit** — the chassis solver stays the
+reference.  Every iteration feeds on the previous one's inlets, so a
+single ULP of drift would compound into a different fingerprint (the
+goldens in ``tests/test_room_goldens.py`` pin those).
 """
 
 import numpy as np
 import pytest
 
+from repro.config.presets import scaled
 from repro.fleet.registry import ChassisSpec, spec_from_catalog
 from repro.room import (
     Room,
@@ -20,7 +24,9 @@ from repro.room import (
     solve_room,
     uniform_recirculation,
 )
+from repro.room.model import _topology_for
 from repro.server.catalog import TABLE_I_SYSTEMS
+from repro.sim.steady_state import solve_steady_state
 
 FIELDS = ("power_w", "ambient_c", "sink_c", "chip_c")
 
@@ -82,32 +88,32 @@ SCENARIOS = [
 ]
 
 
-def _assert_bit_identical(batched, serial):
-    assert batched.n_iterations == serial.n_iterations
-    assert batched.residuals_c == serial.residuals_c
-    np.testing.assert_array_equal(batched.inlet_c, serial.inlet_c)
-    np.testing.assert_array_equal(batched.exhaust_w, serial.exhaust_w)
-    for i, (left, right) in enumerate(
-        zip(batched.fields, serial.fields)
-    ):
+def _assert_fields_match_chassis_solver(room, solution):
+    params = scaled(seed=0)
+    for i, spec in enumerate(room.chassis):
+        topology = _topology_for(spec)
+        n = topology.n_sockets
+        reference = solve_steady_state(
+            topology,
+            params.with_overrides(inlet_c=float(solution.inlet_c[i])),
+            np.full(n, solution.dyn_max_w[i]),
+            np.full(n, solution.utilization[i]),
+        )
         for field in FIELDS:
             np.testing.assert_array_equal(
-                getattr(left, field),
-                getattr(right, field),
+                getattr(solution.fields[i], field),
+                getattr(reference, field),
                 err_msg=f"chassis {i} {field}",
             )
-    assert batched.fingerprint() == serial.fingerprint()
+        assert solution.exhaust_w[i] == float(np.sum(reference.power_w))
 
 
 @pytest.mark.parametrize("room,utilization,dyn,crac", SCENARIOS)
 def test_batched_matches_serial_bit_for_bit(
     room, utilization, dyn, crac
 ):
-    batched = solve_room(
-        room, utilization, dyn, crac, mode="batched"
-    )
-    serial = solve_room(room, utilization, dyn, crac, mode="serial")
-    _assert_bit_identical(batched, serial)
+    solution = solve_room(room, utilization, dyn, crac)
+    _assert_fields_match_chassis_solver(room, solution)
 
 
 def test_per_chassis_utilization_vector_matches_too():
@@ -115,7 +121,6 @@ def test_per_chassis_utilization_vector_matches_too():
     room = catalog_mix(3)
     utilization = np.array([0.9, 0.3, 0.6])
     dyn = np.array([15.0, 8.0, 12.0])
-    batched = solve_room(room, utilization, dyn, 21.0, mode="batched")
-    serial = solve_room(room, utilization, dyn, 21.0, mode="serial")
-    _assert_bit_identical(batched, serial)
-
+    solution = solve_room(room, utilization, dyn, 21.0)
+    assert solution.n_iterations > 1
+    _assert_fields_match_chassis_solver(room, solution)

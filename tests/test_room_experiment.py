@@ -335,8 +335,6 @@ class TestTypedRejections:
             solve_room(room, 0.5, 10.0, 20.0, tolerance_c=0.0)
         with pytest.raises(RoomError, match="max_iterations"):
             solve_room(room, 0.5, 10.0, 20.0, max_iterations=0)
-        with pytest.raises(RoomError, match="mode"):
-            solve_room(room, 0.5, 10.0, 20.0, mode="quantum")
 
     def test_budget_exhaustion_is_a_typed_divergence(self):
         room = Room(

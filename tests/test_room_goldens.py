@@ -37,6 +37,8 @@ from repro.room import (
     solve_room,
     zero_recirculation,
 )
+from repro.sim import batched
+from repro.sim.parallel import clear_shared_cache
 from repro.sim.steady_state import solve_steady_state
 from repro.workloads.benchmark import BenchmarkSet
 
@@ -149,9 +151,12 @@ def fixture_path(name: str) -> str:
 
 
 def test_room_curve_matches_golden():
+    assert_curve_matches_golden(compute_curve())
+
+
+def assert_curve_matches_golden(actual: dict) -> None:
     with open(fixture_path("room_curve.json")) as handle:
         expected = json.load(handle)
-    actual = compute_curve()
     assert actual["room"] == expected["room"]
     assert len(actual["curve"]) == len(expected["curve"])
     for got, want in zip(actual["curve"], expected["curve"]):
@@ -176,9 +181,12 @@ def test_room_curve_derates_monotonically():
 
 
 def test_mixed_fleet_matches_golden():
+    assert_mixed_fleet_matches_golden(compute_mixed_fleet())
+
+
+def assert_mixed_fleet_matches_golden(actual: dict) -> None:
     with open(fixture_path("room_mixed_fleet.json")) as handle:
         expected = json.load(handle)
-    actual = compute_mixed_fleet()
     assert actual["room"] == expected["room"]
     assert actual["n_iterations"] == expected["n_iterations"]
     for key in ("inlet_c", "exhaust_w", "max_chip_c"):
@@ -191,6 +199,21 @@ def test_mixed_fleet_matches_golden():
     # The fingerprint hashes raw IEEE-754 bytes: identical platforms
     # must reproduce it exactly.
     assert actual["fingerprint"] == expected["fingerprint"]
+
+
+def test_room_never_runs_the_deferred_fleet_kernels(monkeypatch):
+    """The room reads only steady fields: with the batched evaluator's
+    DVFS selection and window advance made to raise, a cold solve and
+    a cold sustainable-load curve still give the golden answers."""
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the room ran a deferred fleet kernel")
+
+    monkeypatch.setattr(batched, "select_frequencies_steady", forbidden)
+    monkeypatch.setattr(batched, "advance_window_modes", forbidden)
+    clear_shared_cache()
+    assert_mixed_fleet_matches_golden(compute_mixed_fleet())
+    assert_curve_matches_golden(compute_curve())
 
 
 def test_single_chassis_zero_recirculation_oracle():
