@@ -102,6 +102,19 @@ def _cmd_sweep(args) -> int:
     from .sim.runner import run_sweep
     from .workloads.benchmark import BenchmarkSet
 
+    known_sets = [member.value for member in BenchmarkSet]
+    for kind, names, known in (
+        ("scheduler", args.schemes, all_scheduler_names()),
+        ("benchmark set", args.sets, known_sets),
+    ):
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            print(
+                f"error: unknown {kind}(s) {', '.join(unknown)}; "
+                f"known: {', '.join(known)}",
+                file=sys.stderr,
+            )
+            return 2
     sets = [BenchmarkSet(name) for name in args.sets]
     topology = moonshot_sut(n_rows=args.rows)
     params = scaled(

@@ -36,10 +36,18 @@ coupling):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigurationError
+
+
+def _require_finite(field: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"fault {field} must be finite, got {value}"
+        )
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,9 @@ class FaultEvent:
     end_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite("start_s", self.start_s)
+        if self.end_s is not None:
+            _require_finite("end_s", self.end_s)
         if self.start_s < 0:
             raise ConfigurationError(
                 f"fault start must be non-negative, got {self.start_s}"
@@ -137,6 +148,9 @@ class SensorFault(FaultEvent):
         super().__post_init__()
         if self.socket_id < 0:
             raise ConfigurationError("sensor fault socket must be >= 0")
+        _require_finite("bias_c", self.bias_c)
+        if self.stuck_c is not None:
+            _require_finite("stuck_c", self.stuck_c)
         if self.mode is SensorFaultMode.STUCK and self.stuck_c is None:
             raise ConfigurationError(
                 "a stuck sensor fault needs stuck_c"

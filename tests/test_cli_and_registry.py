@@ -78,6 +78,29 @@ class TestCLI:
         with pytest.raises(ConfigurationError):
             main(["run", "fig99"])
 
+    @pytest.mark.parametrize(
+        "flags,unknown,known",
+        [
+            (["--schemes", "CF", "NOPE"], "NOPE", "CN"),
+            (["--sets", "Nope"], "Nope", "Storage"),
+        ],
+    )
+    def test_sweep_rejects_unknown_names_before_running(
+        self, capsys, monkeypatch, flags, unknown, known
+    ):
+        import repro.sim.runner
+
+        def _run_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before its names were checked")
+
+        monkeypatch.setattr(repro.sim.runner, "run_sweep", _run_sweep)
+        assert main(["sweep", "--rows", "1", "--sim-time", "1"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert unknown in line and known in line
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

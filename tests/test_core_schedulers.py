@@ -20,6 +20,7 @@ from repro.core import (
     get_scheduler,
     register_scheduler,
 )
+from repro.core.neighbors import _build_neighbor_lists
 from repro.errors import SchedulingError
 from repro.sim.state import SimulationState
 from repro.workloads.job import Job
@@ -187,31 +188,26 @@ class TestMinHR:
 class TestCoolestNeighbors:
     def test_prefers_cool_neighborhood(self, state):
         policy = reset(CoolestNeighbors(), state)
-        state.thermal.chip_c[:] = 50.0
-        # Socket 0's whole neighbourhood cool; socket 1 itself cool but
-        # neighbours hot.
-        topo = state.topology
-        state.thermal.chip_c[0] = 30.0
-        for site in topo.sites:
-            if site.socket_id == 0:
-                continue
-        state.thermal.chip_c[1] = 20.0  # cooler itself...
-        # ...but leave its neighbours at 50.
-        neighbors_of_0 = policy._neighbors[0]
-        state.thermal.chip_c[neighbors_of_0] = 25.0
+        chip = state.thermal.chip_c
+        chip[:] = 50.0
+        # Socket 0's whole neighbourhood cool...
+        chip[0] = 30.0
+        chip[_build_neighbor_lists(state.topology)[0]] = 25.0
+        # ...while socket 1, one of those neighbours, is cooler itself
+        # but its other neighbours stay at 50.
+        chip[1] = 20.0
         idle = np.array([0, 1])
         pick = policy.select_socket(make_job(), idle, state)
         assert pick == 0
 
     def test_neighbor_lists_symmetric(self, state):
-        policy = reset(CoolestNeighbors(), state)
-        for socket_id, neighbors in enumerate(policy._neighbors):
+        neighbor_lists = _build_neighbor_lists(state.topology)
+        for socket_id, neighbors in enumerate(neighbor_lists):
             for n in neighbors:
-                assert socket_id in policy._neighbors[n]
+                assert socket_id in neighbor_lists[n]
 
     def test_neighbor_counts_reasonable(self, state):
-        policy = reset(CoolestNeighbors(), state)
-        for neighbors in policy._neighbors:
+        for neighbors in _build_neighbor_lists(state.topology):
             assert 1 <= neighbors.size <= 4
 
 

@@ -164,6 +164,20 @@ class TestSpecParser:
         with pytest.raises(ConfigurationError):
             parse_fault_spec("kill:socket=0,sockets=1")
 
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            ("sensor:socket=3,mode=bias,bias=nan", "bias_c"),
+            ("sensor:socket=3,mode=bias,bias=inf", "bias_c"),
+            ("sensor:socket=3,mode=stuck,value=nan", "stuck_c"),
+            ("sensor:socket=3,mode=stuck,value=inf", "stuck_c"),
+            ("fan:row=0,scale=0.5,start=nan", "start_s"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, small_sut, spec, field):
+        with pytest.raises(ConfigurationError, match=field):
+            parse_fault_spec(spec, topology=small_sut)
+
 
 class TestFaultState:
     @pytest.fixture
