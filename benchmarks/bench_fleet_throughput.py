@@ -1,13 +1,13 @@
-"""Fleet-service throughput: micro-batching vs. per-message dispatch.
+"""Fleet-service throughput: a coalescing window vs. one-member batches.
 
 Drives one seeded mixed interactive/batch query stream (600 requests
 over two 180-socket chassis, 25% what-if scenarios, placements drawn
 from a small pool of shared chassis states) through the virtual-time
 fleet drive loop twice:
 
-- **per_message** — batching off (``max_batch=1``), warm-field cache
-  off: every query is one message, one steady-state solve, one
-  post-answer snapshot.  This is the coordinator's legacy hot path.
+- **per_message** — one-member batches (window 0, ``max_batch=1``,
+  the coordinator's defaults), warm-field cache off: every query is
+  one message, one steady-state solve, one post-answer snapshot.
 - **batched** — a 0.5s coalescing window with ``max_batch=64`` and a
   16-entry warm-field cache: compatible queued queries ride one
   :class:`~repro.fleet.messages.QueryBatch`, the equilibrium field is

@@ -1,15 +1,15 @@
 """Scheduler-kernel and thermal-solver speedups vs. the scalar paths.
 
-Three measurements, each against a reference implementation: the
-in-tree ``use_kernel=False`` path on the predictive policies,
-``DetailedChipModel.solve_via_network``, and a bench-local copy of the
-per-candidate loop Coolest Neighbors used to score sockets:
+Three measurements, each against a reference implementation:
+bench-local copies of the per-candidate loops CouplingPredictor and
+Coolest Neighbors used to score sockets, and
+``DetailedChipModel.solve_via_network``:
 
 - **placement_e2e** — a placement-heavy 180-socket Moonshot run under
   full-search CouplingPredictor (``row_restricted=False``: every idle
   socket scored per decision, the policy's worst case).  The vectorised
-  :class:`~repro.core.kernels.PlacementKernel` must produce a
-  bit-identical trajectory and clear ``BENCH_KERNEL_MIN_SPEEDUP``
+  :class:`~repro.core.kernels.PlacementKernel` must reproduce the
+  loop's trajectory bit for bit and clear ``BENCH_KERNEL_MIN_SPEEDUP``
   (default 1.5x; the committed artifact shows ~14x).
 - **neighbors_e2e** — the same run under Coolest Neighbors.  Its
   one-array-pass scoring must reproduce the loop's trajectory bit for
@@ -36,6 +36,12 @@ import pytest
 from repro.config.presets import smoke
 from repro.core.coupling_predictor import CouplingPredictor
 from repro.core.neighbors import CoolestNeighbors, _build_neighbor_lists
+from repro.core.prediction import (
+    predict_downwind_slowdown,
+    predict_job_frequency,
+    predicted_job_power,
+)
+from repro.core.predictive import SINK_TIEBREAK_WEIGHT
 from repro.server.topology import moonshot_sut
 from repro.sim.engine import Simulation
 from repro.sim.fingerprint import result_fingerprint
@@ -81,22 +87,48 @@ def _workload():
     return topology, params, jobs, n_steps
 
 
+class _ScalarCP(CouplingPredictor):
+    """CouplingPredictor scoring one candidate at a time (reference)."""
+
+    def select_socket(self, job, idle_ids, view):
+        self._require_candidates(idle_ids)
+        candidates = self._candidate_pool(idle_ids, view)
+        freq = predict_job_frequency(view, candidates, job)
+        scores = np.empty(candidates.shape, dtype=float)
+        topology = view.topology
+        for i, (socket, f_mhz) in enumerate(zip(candidates, freq)):
+            socket = int(socket)
+            power = predicted_job_power(view, socket, job, float(f_mhz))
+            slowdown = 0.0
+            if self.coupling_aware:
+                slowdown = predict_downwind_slowdown(view, socket, power)
+            sink_ss = (
+                view.ambient_c[socket]
+                + power * topology.r_ext_array[socket]
+            )
+            scores[i] = (
+                float(f_mhz)
+                - slowdown
+                - SINK_TIEBREAK_WEIGHT
+                * (sink_ss + float(view.sink_c[socket]))
+            )
+        return int(candidates[int(np.argmax(scores))])
+
+
 def test_placement_kernel_speedup(record_artifact):
     topology, params, jobs, n_steps = _workload()
 
-    def _run(use_kernel):
+    def _run(policy_cls):
         sim = Simulation(
-            topology,
-            params,
-            CouplingPredictor(row_restricted=False, use_kernel=use_kernel),
+            topology, params, policy_cls(row_restricted=False)
         )
         return sim.run(list(jobs))
 
     kernel_s, kernel_result = best_of(
-        lambda: _run(True), rounds=KERNEL_ROUNDS
+        lambda: _run(CouplingPredictor), rounds=KERNEL_ROUNDS
     )
     scalar_s, scalar_result = best_of(
-        lambda: _run(False), rounds=KERNEL_ROUNDS
+        lambda: _run(_ScalarCP), rounds=KERNEL_ROUNDS
     )
 
     # The kernel's contract: the exact scalar trajectory, faster.

@@ -178,38 +178,40 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _fleet_policy(args):
-    """Build the supervision policy from CLI flags.
+def _heartbeat(args) -> dict:
+    """``--heartbeat-interval`` as a config field; omitted keeps the
+    config's own default."""
+    if args.heartbeat_interval is None:
+        return {}
+    return {"heartbeat_interval_s": args.heartbeat_interval}
 
-    ``--heartbeat-interval`` follows the ``REPRO_CACHE_MAX`` sentinel
-    discipline: omitted means "defer to ``REPRO_FLEET_HEARTBEAT``",
-    and explicit non-positive values are rejected with a
-    :class:`~repro.errors.ConfigurationError` naming the knob.
-    """
-    from .fleet import SupervisionPolicy
 
-    interval = args.heartbeat_interval
-    return SupervisionPolicy(
-        heartbeat_interval_s=-1.0 if interval is None else interval
-    )
+def _max_batch(args) -> int:
+    """``--max-batch``; omitted, 8 with a positive ``--batch-window``
+    and 1 without."""
+    if args.max_batch is not None:
+        return args.max_batch
+    return 8 if args.batch_window > 0 else 1
 
 
 def _cmd_fleet_serve(args) -> int:
     import asyncio
 
     from .errors import ConfigurationError, FleetError
-    from .fleet import FleetConfig, FleetService, demo_fleet
+    from .fleet import (
+        FleetConfig,
+        FleetService,
+        SupervisionPolicy,
+        demo_fleet,
+    )
 
     try:
-        policy = _fleet_policy(args)
+        policy = SupervisionPolicy(**_heartbeat(args))
         config = FleetConfig(
             log_heartbeats=False,
-            batch_window_s=(
-                -1.0 if args.batch_window is None else args.batch_window
-            ),
-            max_batch=0 if args.max_batch is None else args.max_batch,
+            batch_window_s=args.batch_window,
+            max_batch=_max_batch(args),
         )
-        config.resolve_batching()  # surface env errors before starting
     except (ConfigurationError, FleetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -297,29 +299,16 @@ def _cmd_fleet_chaos(args) -> int:
     from .fleet import ChaosRunConfig, run_chaos
 
     try:
-        _fleet_policy(args)  # reject bad knob values before the run
         config = ChaosRunConfig(
             seed=args.seed,
             horizon_s=args.horizon,
             n_chassis=args.chassis,
             n_requests=args.requests,
             n_chaos_events=args.chaos_events,
-            batch_window_s=(
-                -1.0 if args.batch_window is None else args.batch_window
-            ),
-            max_batch=0 if args.max_batch is None else args.max_batch,
+            batch_window_s=args.batch_window,
+            max_batch=_max_batch(args),
+            **_heartbeat(args),
         )
-        if args.heartbeat_interval is not None:
-            import dataclasses
-
-            config = dataclasses.replace(
-                config,
-                heartbeat_interval_s=args.heartbeat_interval,
-            )
-    except (ConfigurationError, FleetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = run_chaos(config, out_dir=args.out)
     except (ConfigurationError, FleetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -581,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="S",
             help=(
                 "worker heartbeat cadence in seconds; must be "
-                "positive (also: REPRO_FLEET_HEARTBEAT)"
+                "positive (default: 1 for serve, 0.25 for chaos)"
             ),
         )
         p.add_argument(
@@ -590,12 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--batch-window",
             type=float,
-            default=None,
+            default=0.0,
             metavar="S",
             help=(
                 "micro-batching coalescing window in seconds; 0 "
-                "batches only same-tick arrivals; omitted defers to "
-                "REPRO_FLEET_BATCH (default: batching off)"
+                "(default) batches only same-tick arrivals"
             ),
         )
         p.add_argument(
@@ -604,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="N",
             help=(
-                "most queries per batch message (default 8 when a "
-                "window is set; also: REPRO_FLEET_BATCH=window:N)"
+                "most queries per batch message (default 8 with a "
+                "positive --batch-window, else 1)"
             ),
         )
 

@@ -15,11 +15,11 @@ one leakage-compensation pass and a table lookup into the offline
 coupling map for downwind entry temperatures.
 
 The scoring itself runs through the vectorised
-:class:`~repro.core.kernels.PlacementKernel` by default (batched
-candidate evaluation plus a per-step downwind frequency cache); the
-scalar reference path is kept behind ``use_kernel=False`` for the
-identity oracle and the kernel benchmarks, and both paths are pinned
-bit-identical by ``tests/test_kernel_identity.py``.
+:class:`~repro.core.kernels.PlacementKernel` (batched candidate
+evaluation plus a per-step downwind frequency cache).  Every decision
+is pinned by the committed oracle ``tests/goldens/kernel_oracle.json``;
+the per-candidate scalar loop it replaced lives on only as the
+reference in ``tests/test_kernel_identity.py`` and the kernel bench.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ import numpy as np
 
 from .base import Scheduler, register_scheduler
 from .kernels import PlacementKernel
-from .prediction import (
-    predict_downwind_slowdown,
-    predict_job_frequency,
-    predict_job_powers,
-    predicted_job_power,
-)
+from .prediction import predict_job_frequency, predict_job_powers
 from .predictive import SINK_TIEBREAK_WEIGHT
 
 
@@ -47,7 +42,6 @@ class CouplingPredictor(Scheduler):
         self,
         row_restricted: bool = True,
         coupling_aware: bool = True,
-        use_kernel: bool = True,
     ) -> None:
         """Create a CP scheduler.
 
@@ -58,16 +52,10 @@ class CouplingPredictor(Scheduler):
             coupling_aware: Include the downwind-slowdown term.  With it
                 disabled CP degenerates to row-restricted Predictive
                 (used by the ablation benches).
-            use_kernel: Score candidates through the vectorised
-                :class:`~repro.core.kernels.PlacementKernel` (default).
-                Disabled, CP runs the scalar per-candidate reference
-                loop — bit-identical, kept for oracle tests and
-                benchmark baselines.
         """
         super().__init__()
         self.row_restricted = row_restricted
         self.coupling_aware = coupling_aware
-        self.use_kernel = use_kernel
         self._kernel = None
 
     def reset(self, view, rng) -> None:
@@ -81,9 +69,6 @@ class CouplingPredictor(Scheduler):
         self._require_candidates(idle_ids)
         candidates = self._candidate_pool(idle_ids, view)
         freq = predict_job_frequency(view, candidates, job)
-        if not self.use_kernel:
-            return self._select_socket_scalar(job, candidates, freq, view)
-
         topology = view.topology
         kernel = self._kernel
         if kernel is None or kernel.topology is not topology:
@@ -102,28 +87,6 @@ class CouplingPredictor(Scheduler):
             - slowdown
             - SINK_TIEBREAK_WEIGHT * (sink_ss + view.sink_c[candidates])
         )
-        return int(candidates[int(np.argmax(scores))])
-
-    def _select_socket_scalar(self, job, candidates, freq, view) -> int:
-        """Scalar per-candidate reference scoring (pre-kernel path)."""
-        scores = np.empty(candidates.shape, dtype=float)
-        topology = view.topology
-        for i, (socket, f_mhz) in enumerate(zip(candidates, freq)):
-            socket = int(socket)
-            power = predicted_job_power(view, socket, job, float(f_mhz))
-            slowdown = 0.0
-            if self.coupling_aware:
-                slowdown = predict_downwind_slowdown(view, socket, power)
-            sink_ss = (
-                view.ambient_c[socket]
-                + power * topology.r_ext_array[socket]
-            )
-            scores[i] = (
-                float(f_mhz)
-                - slowdown
-                - SINK_TIEBREAK_WEIGHT
-                * (sink_ss + float(view.sink_c[socket]))
-            )
         return int(candidates[int(np.argmax(scores))])
 
     def _candidate_pool(self, idle_ids, view) -> np.ndarray:

@@ -15,11 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Scheduler, register_scheduler
-from .prediction import (
-    predict_job_frequency,
-    predict_job_powers,
-    predicted_job_power,
-)
+from .prediction import predict_job_frequency, predict_job_powers
 
 #: MHz-per-degC weight of the sink steady-state tie-breaker; small
 #: enough never to override a 200 MHz state difference.
@@ -31,19 +27,6 @@ class Predictive(Scheduler):
     """Place the job where its predicted frequency is highest."""
 
     name = "Predictive"
-
-    def __init__(self, use_kernel: bool = True) -> None:
-        """Create a Predictive scheduler.
-
-        Args:
-            use_kernel: Evaluate candidate powers through the batched
-                :func:`~repro.core.prediction.predict_job_powers`
-                kernel (default).  Disabled, the per-candidate scalar
-                loop runs instead — bit-identical, kept for oracle
-                tests and benchmark baselines.
-        """
-        super().__init__()
-        self.use_kernel = use_kernel
 
     def select_socket(self, job, idle_ids, view) -> int:
         self._require_candidates(idle_ids)
@@ -60,15 +43,7 @@ class Predictive(Scheduler):
     def _sink_steady_state(self, job, idle_ids, view, freq) -> np.ndarray:
         """Eventual sink temperature if the job ran indefinitely."""
         topology = view.topology
-        if self.use_kernel:
-            powers = predict_job_powers(view, idle_ids, job, freq)
-        else:
-            powers = np.array(
-                [
-                    predicted_job_power(view, int(socket), job, float(f))
-                    for socket, f in zip(idle_ids, freq)
-                ]
-            )
+        powers = predict_job_powers(view, idle_ids, job, freq)
         return (
             view.ambient_c[idle_ids]
             + powers * topology.r_ext_array[idle_ids]

@@ -37,14 +37,7 @@ from .compute import (
     WarmFieldCache,
     degraded_payload,
 )
-from .coordinator import (
-    DEFAULT_MAX_BATCH,
-    ENV_BATCH,
-    FleetConfig,
-    FleetCoordinator,
-    WorkerHandle,
-    batching_from_env,
-)
+from .coordinator import FleetConfig, FleetCoordinator, WorkerHandle
 from .invariants import check_fleet_events, check_fleet_log
 from .loadgen import drive_fleet, generate_workload, latency_stats
 from .messages import (
@@ -65,14 +58,7 @@ from .registry import (
     spec_from_catalog,
 )
 from .service import FleetService, query_from_json, query_fleet
-from .supervision import (
-    DEFAULT_HEARTBEAT_S,
-    ENV_HEARTBEAT,
-    SupervisionPolicy,
-    WorkerState,
-    WorkerSupervisor,
-    heartbeat_interval_from_env,
-)
+from .supervision import SupervisionPolicy, WorkerState, WorkerSupervisor
 from .worker import ProcessWorkerHandle, worker_main
 
 __all__ = [
@@ -84,10 +70,6 @@ __all__ = [
     "ChassisSnapshot",
     "ChassisSpec",
     "CheckpointCorruption",
-    "DEFAULT_HEARTBEAT_S",
-    "DEFAULT_MAX_BATCH",
-    "ENV_BATCH",
-    "ENV_HEARTBEAT",
     "FleetAnswer",
     "FleetBusy",
     "FleetConfig",
@@ -110,14 +92,12 @@ __all__ = [
     "WorkerSpec",
     "WorkerState",
     "WorkerSupervisor",
-    "batching_from_env",
     "check_fleet_events",
     "check_fleet_log",
     "degraded_payload",
     "demo_fleet",
     "drive_fleet",
     "generate_workload",
-    "heartbeat_interval_from_env",
     "latency_stats",
     "query_fleet",
     "query_from_json",

@@ -294,23 +294,6 @@ class SimWorkerHandle:
         self._pending.clear()
         self._exit_pending = False
 
-    def send(self, request_id: int, query, now: float) -> None:
-        if not self.alive:
-            return  # writing into a dead pipe
-        taken = max(now, self._hang_end(now))
-        extra = sum(
-            e for (start, end, e) in self._delays if start <= now <= end
-        )
-        ready = taken + SERVICE_TIME_S[query.kind] + extra
-        payload = self.compute.answer(query)
-        snapshot = self.compute.snapshot(
-            getattr(query, "utilization", None), t=ready
-        )
-        self._counter += 1
-        self._pending.append(
-            (ready, self._counter, ("answer", request_id, payload), snapshot)
-        )
-
     def send_batch(self, batch, now: float) -> None:
         """One batch costs its slowest member plus a small per-member
         marshalling overhead — not the sum of service times; that gap
@@ -412,10 +395,13 @@ class ChaosRunConfig:
         n_chaos_events: Failures sampled into the schedule.
         heartbeat_interval_s: Virtual heartbeat cadence.
         batch_window_s: Micro-batching window passed through to
-            :class:`~repro.fleet.coordinator.FleetConfig` (same
-            ``-1.0`` env-sentinel semantics; defaults leave batching
-            off, keeping legacy chaos logs byte-identical).
+            :class:`~repro.fleet.coordinator.FleetConfig`.
         max_batch: Batch size bound passed through likewise.
+
+    Raises:
+        FleetError: for a non-positive or non-finite horizon, tick or
+            heartbeat interval (naming the field), too small a fleet
+            or workload, or batching knobs ``FleetConfig`` rejects.
     """
 
     seed: int = 0
@@ -426,14 +412,22 @@ class ChaosRunConfig:
     burst_size: int = 12
     n_chaos_events: int = 6
     heartbeat_interval_s: float = 0.25
-    batch_window_s: float = -1.0
-    max_batch: int = 0
+    batch_window_s: float = 0.0
+    max_batch: int = 1
 
     def __post_init__(self) -> None:
-        if self.horizon_s <= 0 or self.tick_s <= 0:
-            raise FleetError("horizon and tick must be positive")
+        for name in ("horizon_s", "tick_s", "heartbeat_interval_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise FleetError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
         if min(self.n_chassis, self.n_requests) < 1:
             raise FleetError("need at least one chassis and request")
+        # Reject bad batching knobs here, before any run starts.
+        FleetConfig(
+            batch_window_s=self.batch_window_s, max_batch=self.max_batch
+        )
 
 
 @dataclass

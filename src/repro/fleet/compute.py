@@ -17,15 +17,16 @@ query kinds deterministically from chassis state:
   answered with stacked kernel calls, memoised in a
   :class:`~repro.sim.parallel.SweepCache`.
 
-:meth:`ChassisCompute.answer_batch` is the cross-*query* analogue,
-feeding the coordinator's micro-batching dispatch path: the
+:meth:`ChassisCompute.answer_batch` is the cross-*query* analogue and
+the entry point of every coordinator dispatch: the
 steady-state field is solved once per **distinct chassis state** in
 the batch (state fingerprint = utilization vector over this chassis'
 topology/parameters), all placement candidates of all queries sharing
 a state are scored in one stacked pass, and the what-if scenarios of
 every member stack into a single :func:`~repro.sim.batched.
 evaluate_fleet` fleet-tensor call.  The batched answers are
-bit-identical to the per-query path — every stacked operation is
+bit-identical to the per-query :meth:`ChassisCompute.answer` — every
+stacked operation is
 elementwise over the member axis.
 
 Solved equilibrium fields are additionally memoised in a **warm-field
@@ -91,7 +92,7 @@ class WarmFieldCache:
     fields; the bound only trades recompute for memory.
 
     ``capacity=0`` disables retention (every lookup is a miss), which
-    is how the per-message baseline is benchmarked.
+    is how the one-member-batch baseline is benchmarked.
 
     Attributes:
         capacity: Maximum retained entries (0 disables).
@@ -370,7 +371,7 @@ class ChassisCompute:
         return digest.hexdigest()
 
     def answer(self, query) -> dict:
-        """Dispatch on query kind (the worker-side entry point)."""
+        """Dispatch on query kind: the per-query reference answer."""
         if isinstance(query, PlacementQuery):
             return self.place(query)
         if isinstance(query, WhatIfQuery):

@@ -26,33 +26,30 @@ Guarantees (checked by :mod:`repro.fleet.invariants` under chaos):
   against a replica cannot double-execute anything observable; the
   coordinator still guarantees the *answer* is delivered once.
 
-**Micro-batching.**  With batching enabled (``batch_window_s`` /
-``max_batch`` on :class:`FleetConfig`, ``--batch-window`` on the CLI,
-``REPRO_FLEET_BATCH`` in the environment) the dispatch step coalesces
-compatible queued queries per target worker: a query may be *held* in
-the queue for up to ``batch_window_s`` after becoming dispatchable,
-and whatever coalesced — up to ``max_batch`` members — ships as one
-:class:`~repro.fleet.messages.QueryBatch` answered in a single
+**Micro-batching.**  Every dispatch ships a
+:class:`~repro.fleet.messages.QueryBatch`, answered in a single
 :meth:`~repro.fleet.compute.ChassisCompute.answer_batch` pass.  The
-batch is purely a transport/compute grouping: every member keeps its
-own inflight record, deadline, retry budget, exclusion set and
-exactly-one-terminal-answer guarantee, and held members remain
-ordinary queue entries (still subject to queue timeouts and
-class-based shedding).  Batching is off by default
-(``batch_window_s=0``, ``max_batch=1``), in which case dispatch is the
-legacy one-query-per-message path, byte-identical to earlier
-releases.
+dispatch step coalesces compatible queued queries per target worker:
+a query may be *held* in the queue for up to ``batch_window_s`` after
+becoming dispatchable, and whatever coalesced — up to ``max_batch``
+members — ships as one batch.  The batch is purely a transport/compute
+grouping: every member keeps its own inflight record, deadline, retry
+budget, exclusion set and exactly-one-terminal-answer guarantee, and
+held members remain ordinary queue entries (still subject to queue
+timeouts and class-based shedding).  With the defaults
+(``batch_window_s=0``, ``max_batch=1``) each query ships as a
+one-member batch on the tick it becomes dispatchable.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, FleetError
+from ..errors import FleetError
 from ..obs.events import make_event
 from .compute import ChassisSnapshot, degraded_payload
 from .messages import (
@@ -63,57 +60,6 @@ from .messages import (
 )
 from .registry import FleetRegistry
 from .supervision import SupervisionPolicy, WorkerState, WorkerSupervisor
-
-#: Environment variable setting the default batching window, as
-#: ``"window_s"`` or ``"window_s:max_batch"`` (e.g. ``"0.05:8"``).
-ENV_BATCH = "REPRO_FLEET_BATCH"
-
-#: Default batch size bound when batching is enabled without an
-#: explicit ``max_batch``.
-DEFAULT_MAX_BATCH = 8
-
-
-def batching_from_env() -> Tuple[float, int]:
-    """The ``(batch_window_s, max_batch)`` declared by the environment.
-
-    ``REPRO_FLEET_BATCH`` holds ``"window_s"`` or
-    ``"window_s:max_batch"``; unset/empty means batching off
-    (``(0.0, 0)`` — the 0 meaning "no explicit bound declared").
-
-    Raises:
-        ConfigurationError: for a malformed value, naming
-            ``REPRO_FLEET_BATCH``.
-    """
-    raw = os.environ.get(ENV_BATCH)
-    if raw is None or raw == "":
-        return 0.0, 0
-    window_part, _, batch_part = raw.partition(":")
-    try:
-        window = float(window_part)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"{ENV_BATCH} must be 'window_s' or 'window_s:max_batch', "
-            f"got {raw!r}"
-        ) from exc
-    if window < 0:
-        raise ConfigurationError(
-            f"{ENV_BATCH} window must be >= 0, got {window!r}"
-        )
-    max_batch = 0
-    if batch_part:
-        try:
-            max_batch = int(batch_part)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{ENV_BATCH} max_batch must be an integer, "
-                f"got {batch_part!r}"
-            ) from exc
-        if max_batch < 1:
-            raise ConfigurationError(
-                f"{ENV_BATCH} max_batch must be >= 1, got {max_batch!r}"
-            )
-    return window, max_batch
-
 
 class WorkerHandle(Protocol):
     """What the coordinator needs from a worker transport.
@@ -136,15 +82,11 @@ class WorkerHandle(Protocol):
     def stop(self, now: float) -> None:
         """Kill the worker; any in-flight work is lost."""
 
-    def send(self, request_id: int, query, now: float) -> None:
-        """Deliver one query to the worker."""
-
     def send_batch(self, batch: QueryBatch, now: float) -> None:
-        """Deliver one query batch (only used with batching enabled)."""
+        """Deliver one query batch."""
 
     def poll(self, now: float) -> List[Tuple]:
         """Messages ready at ``now``: ``("heartbeat", seq)``,
-        ``("answer", request_id, payload)``,
         ``("answer_batch", batch_id, entries, stats)`` with entries a
         list of ``(request_id, payload)`` pairs, ``("snapshot", snap)``,
         ``("hello", cold)`` or ``("exit",)``."""
@@ -171,17 +113,15 @@ class FleetConfig:
         log_heartbeats: Emit a ``fleet_heartbeat`` event per beat
             (chaos/test runs); long-running services turn this off.
         batch_window_s: Micro-batching coalescing window: how long a
-            dispatchable query may be held waiting for companions.
-            The ``-1.0`` sentinel (default) defers to
-            ``REPRO_FLEET_BATCH`` (default ``0.0``); any other
-            negative value is rejected.  ``0.0`` with ``max_batch``
-            at 1 disables batching entirely (the legacy
-            one-query-per-message dispatch path).
+            dispatchable query may be held waiting for companions
+            (finite, >= 0).
         max_batch: Most members per :class:`~repro.fleet.messages.
-            QueryBatch`.  ``0`` (default) defers to
-            ``REPRO_FLEET_BATCH``, falling back to
-            :data:`DEFAULT_MAX_BATCH` when a window is configured and
-            1 otherwise; negative values are rejected.
+            QueryBatch` (>= 1).  The defaults, window 0 and max 1,
+            ship every query as a one-member batch.
+
+    Raises:
+        FleetError: for an out-of-range value, or a non-finite float
+            field (the message names the field).
     """
 
     max_queue: int = 64
@@ -193,10 +133,20 @@ class FleetConfig:
     max_staleness_s: float = 60.0
     seed: int = 0
     log_heartbeats: bool = True
-    batch_window_s: float = -1.0
-    max_batch: int = 0
+    batch_window_s: float = 0.0
+    max_batch: int = 1
 
     def __post_init__(self) -> None:
+        for name in (
+            "request_timeout_s",
+            "queue_timeout_s",
+            "retry_jitter_s",
+            "max_staleness_s",
+            "batch_window_s",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise FleetError(f"{name} must be finite, got {value!r}")
         if self.max_queue < 1:
             raise FleetError("max_queue must be >= 1")
         if self.max_inflight_per_worker < 1:
@@ -209,32 +159,14 @@ class FleetConfig:
             raise FleetError("retry jitter must be >= 0")
         if self.max_staleness_s <= 0:
             raise FleetError("max_staleness_s must be positive")
-        if self.batch_window_s < 0 and self.batch_window_s != -1.0:
+        if self.batch_window_s < 0:
             raise FleetError(
-                "batch window must be >= 0 (or the -1.0 env sentinel), "
-                f"got {self.batch_window_s!r}"
+                f"batch_window_s must be >= 0, got {self.batch_window_s!r}"
             )
-        if self.max_batch < 0:
+        if self.max_batch < 1:
             raise FleetError(
-                f"max_batch must be >= 0, got {self.max_batch!r}"
+                f"max_batch must be >= 1, got {self.max_batch!r}"
             )
-
-    def resolve_batching(self) -> Tuple[float, int]:
-        """The effective ``(batch_window_s, max_batch)`` after env defaults.
-
-        Resolved once at coordinator construction (not per tick), so a
-        long-lived coordinator is immune to environment churn.
-        """
-        window = self.batch_window_s
-        env_batch = 0
-        if window == -1.0:
-            window, env_batch = batching_from_env()
-        max_batch = self.max_batch
-        if max_batch == 0:
-            max_batch = env_batch or (
-                DEFAULT_MAX_BATCH if window > 0 else 1
-            )
-        return float(window), int(max_batch)
 
 
 @dataclass
@@ -347,10 +279,6 @@ class FleetCoordinator:
         self._awaiting_hello: set = set()
         self._started = False
         self.peak_queue_len = 0
-        self.batch_window_s, self.max_batch = (
-            self.config.resolve_batching()
-        )
-        self._batching = self.max_batch > 1 or self.batch_window_s > 0
         self._next_batch_id = 0
         self._batches: Dict[int, _BatchMeta] = {}
 
@@ -586,8 +514,6 @@ class FleetCoordinator:
                             worker=wid,
                             seq=int(msg[1]),
                         )
-                elif kind == "answer":
-                    self._on_answer(wid, msg[1], msg[2], now)
                 elif kind == "answer_batch":
                     self._on_answer_batch(
                         wid, msg[1], msg[2], msg[3], now
@@ -777,65 +703,11 @@ class FleetCoordinator:
                 sup.on_restarted(now, cold=bool(cold))
 
     def _dispatch(self, now: float) -> None:
-        if self._batching:
-            self._dispatch_batched(now)
-        else:
-            self._dispatch_serial(now)
+        """Coalesce dispatchable queries per worker; flush by window.
 
-    def _dispatch_serial(self, now: float) -> None:
-        """Legacy one-query-per-message dispatch (batching off)."""
-        inflight_count: Dict[str, int] = {
-            wid: 0 for wid in self._worker_order
-        }
-        for record in self.inflight.values():
-            inflight_count[record.worker_id] += 1
-        remaining: List[_Queued] = []
-        for queued in self.queue:
-            if queued.not_before > now:
-                remaining.append(queued)
-                continue
-            workers = self.registry.workers_for(queued.query.chassis)
-            target = None
-            all_quarantined = True
-            for worker in workers:
-                sup = self.supervisors[worker.worker_id]
-                if sup.state is not WorkerState.QUARANTINED:
-                    all_quarantined = False
-                if worker.worker_id in queued.exclude:
-                    continue
-                if not sup.serving:
-                    continue
-                if (
-                    inflight_count[worker.worker_id]
-                    >= self.config.max_inflight_per_worker
-                ):
-                    continue
-                target = worker.worker_id
-                break
-            if target is not None:
-                self._send(queued, target, now)
-                inflight_count[target] += 1
-            elif all_quarantined:
-                # The chassis has no worker left and never will: serve
-                # from the snapshot now rather than waiting out the
-                # queue deadline.
-                self._resolve_unservable(
-                    queued.request_id,
-                    queued.query,
-                    queued.attempts,
-                    now,
-                    "chassis_quarantined",
-                )
-            else:
-                remaining.append(queued)
-        self.queue = remaining
-
-    def _dispatch_batched(self, now: float) -> None:
-        """Micro-batching dispatch: coalesce per worker, flush by window.
-
-        Worker eligibility is decided per member with exactly the
-        serial path's rules (exclusions, serving state, inflight cap —
-        counting members tentatively grouped this tick).  A worker's
+        Worker eligibility is decided per query: replica exclusions,
+        serving state and the inflight cap, counting members
+        tentatively grouped this tick.  A worker's
         group flushes in ``max_batch``-sized chunks; a partial chunk
         flushes only once its oldest member has waited
         ``batch_window_s`` since becoming dispatchable, and otherwise
@@ -886,18 +758,18 @@ class FleetCoordinator:
         for wid in self._worker_order:
             members = groups.get(wid)
             while members:
-                chunk = members[: self.max_batch]
+                chunk = members[: self.config.max_batch]
                 oldest_wait = now - min(m.ready_t for m in chunk)
                 if (
-                    len(chunk) < self.max_batch
-                    and oldest_wait < self.batch_window_s
+                    len(chunk) < self.config.max_batch
+                    and oldest_wait < self.config.batch_window_s
                 ):
                     break  # hold the partial chunk for companions
                 flushed_bids.append(
                     self._send_batch(chunk, wid, oldest_wait, now)
                 )
                 gone.update(m.request_id for m in chunk)
-                members = members[self.max_batch:]
+                members = members[self.config.max_batch:]
         if gone:
             self.queue = [
                 q for q in self.queue if q.request_id not in gone
@@ -946,20 +818,6 @@ class FleetCoordinator:
         )
         self.handles[wid].send_batch(batch, now)
         return bid
-
-    def _send(self, queued: _Queued, wid: str, now: float) -> None:
-        sup = self.supervisors[wid]
-        self.inflight[queued.request_id] = _Inflight(
-            request_id=queued.request_id,
-            query=queued.query,
-            request_class=queued.request_class,
-            worker_id=wid,
-            incarnation=sup.incarnation,
-            submitted_t=queued.submitted_t,
-            deadline_t=now + self.config.request_timeout_s,
-            attempts=queued.attempts + 1,
-        )
-        self.handles[wid].send(queued.request_id, queued.query, now)
 
     # -- terminal resolution --------------------------------------------
 

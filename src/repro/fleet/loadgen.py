@@ -14,7 +14,8 @@ admission-to-answer latency percentiles.
 Everything here is deterministic under its seed: the same seed,
 registry and configuration produce the same workload, the same event
 stream and the same answers — which is what lets the benchmark's
-differential oracle pin batched-vs-serial payloads bit-identical.
+differential oracle pin windowed and one-member-batch payloads
+bit-identical.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ def drive_fleet(
     request is terminal (bounded by ``drain_s``).  ``warm_capacity``
     is handed to every chassis'
     :class:`~repro.fleet.compute.ChassisCompute` — 0 is the cold
-    per-message baseline, a positive bound enables the warm-field
-    cache.
+    one-member-batch baseline, a positive bound enables the
+    warm-field cache.
 
     Returns the finished coordinator (answers, events, state).
     """

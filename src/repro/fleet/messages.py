@@ -139,14 +139,15 @@ FleetQuery = (PlacementQuery, WhatIfQuery)
 
 @dataclass(frozen=True)
 class QueryBatch:
-    """Several queued queries for one chassis, shipped as one message.
+    """Queued queries for one chassis, shipped as one message.
 
-    Produced by the coordinator's micro-batching dispatch path (see
+    The coordinator's only dispatch message (see
     :class:`~repro.fleet.coordinator.FleetConfig` ``batch_window_s`` /
-    ``max_batch``): compatible queries that coalesced inside one
-    batching window travel to the worker together, the worker answers
-    them in one :meth:`~repro.fleet.compute.ChassisCompute.
-    answer_batch` pass, and the reply comes back as a single
+    ``max_batch``): the queries that coalesced inside one batching
+    window travel to the worker together (one member under the default
+    window 0 and max 1), the worker answers them in one
+    :meth:`~repro.fleet.compute.ChassisCompute.answer_batch` pass, and
+    the reply comes back as a single
     ``("answer_batch", batch_id, entries, stats)`` message.  Each
     member keeps its own request id, timeout, retry budget and
     exactly-one-terminal-answer guarantee — the batch is a *transport

@@ -23,49 +23,19 @@ supervisor stops restarting it, and the coordinator serves that
 chassis from its last snapshot (tagged stale) instead.
 
 The heartbeat cadence is configurable per deployment via
-``--heartbeat-interval`` / ``REPRO_FLEET_HEARTBEAT`` with the same
-sentinel discipline as ``REPRO_CACHE_MAX``: the ``-1.0`` default
-defers to the environment, and non-positive values are rejected with
-a :class:`~repro.errors.ConfigurationError` naming the knob.
+``--heartbeat-interval`` (default 1 s); non-positive or non-finite
+values are rejected with a :class:`~repro.errors.ConfigurationError`
+naming the field.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
 from ..errors import ConfigurationError
-
-#: Environment variable setting the default heartbeat interval (s).
-ENV_HEARTBEAT = "REPRO_FLEET_HEARTBEAT"
-
-#: Default heartbeat interval when ``REPRO_FLEET_HEARTBEAT`` is unset.
-DEFAULT_HEARTBEAT_S = 1.0
-
-
-def heartbeat_interval_from_env() -> float:
-    """The heartbeat interval declared by the environment.
-
-    Raises:
-        ConfigurationError: for a non-numeric or non-positive value,
-            naming ``REPRO_FLEET_HEARTBEAT``.
-    """
-    raw = os.environ.get(ENV_HEARTBEAT)
-    if raw is None or raw == "":
-        return DEFAULT_HEARTBEAT_S
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"{ENV_HEARTBEAT} must be a number of seconds, got {raw!r}"
-        ) from exc
-    if value <= 0:
-        raise ConfigurationError(
-            f"{ENV_HEARTBEAT} must be positive, got {value!r}"
-        )
-    return value
 
 
 class WorkerState(Enum):
@@ -102,38 +72,39 @@ class SupervisionPolicy:
     """Tunables of the supervision state machine.
 
     Attributes:
-        heartbeat_interval_s: Expected heartbeat cadence.  The
-            ``-1.0`` sentinel (default) defers to
-            ``REPRO_FLEET_HEARTBEAT`` (default 1.0 s); any other
-            non-positive value is rejected.
+        heartbeat_interval_s: Expected heartbeat cadence (positive).
         missed_heartbeats: Consecutive missed beats before a HEALTHY
             worker turns SUSPECT.
         restart_backoff_s: Base of the exponential restart backoff.
         restart_backoff_cap_s: Ceiling of the backoff.
         max_restarts: Restart budget; exceeding it quarantines the
             worker.
+
+    Raises:
+        ConfigurationError: for an out-of-range value, or a non-finite
+            float field (the message names the field).
     """
 
-    heartbeat_interval_s: float = -1.0
+    heartbeat_interval_s: float = 1.0
     missed_heartbeats: int = 3
     restart_backoff_s: float = 0.5
     restart_backoff_cap_s: float = 8.0
     max_restarts: int = 3
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval_s == -1.0:
-            # The -1.0 sentinel defers to the environment; it is the
-            # only negative value with a meaning (REPRO_CACHE_MAX
-            # precedent).
-            object.__setattr__(
-                self,
-                "heartbeat_interval_s",
-                heartbeat_interval_from_env(),
-            )
-        elif self.heartbeat_interval_s <= 0:
+        for name in (
+            "heartbeat_interval_s",
+            "restart_backoff_s",
+            "restart_backoff_cap_s",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {value!r}"
+                )
+        if self.heartbeat_interval_s <= 0:
             raise ConfigurationError(
-                f"heartbeat interval must be positive or the -1.0 "
-                f"sentinel (use {ENV_HEARTBEAT}); got "
+                "heartbeat_interval_s must be positive, got "
                 f"{self.heartbeat_interval_s!r}"
             )
         if self.missed_heartbeats < 1:

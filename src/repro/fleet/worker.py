@@ -23,7 +23,7 @@ import multiprocessing
 import time
 from typing import List, Optional, Tuple
 
-from ..errors import CheckpointCorruptionError
+from ..errors import CheckpointCorruptionError, FleetError
 from ..sim.checkpoint import SweepCheckpoint
 from .compute import (
     WARM_FIELD_CACHE_MAX,
@@ -52,10 +52,9 @@ def worker_main(
     Protocol (all over the duplex pipe ``conn``):
 
     - outbound: ``("hello", cold)`` once, then ``("snapshot", snap)``
-      and ``("heartbeat", seq)`` / ``("answer", rid, payload)`` /
+      and ``("heartbeat", seq)`` /
       ``("answer_batch", batch_id, entries, stats)``;
-    - inbound: ``("request", rid, query)``,
-      ``("request_batch", batch)`` and ``("stop",)``.
+    - inbound: ``("request_batch", batch)`` and ``("stop",)``.
     """
     checkpoint = None
     snapshot: Optional[ChassisSnapshot] = None
@@ -91,18 +90,6 @@ def worker_main(
                 message = conn.recv()
                 if message[0] == "stop":
                     return
-                if message[0] == "request":
-                    _, rid, query = message
-                    payload = compute.answer(query)
-                    conn.send(("answer", rid, payload))
-                    snapshot = compute.snapshot(
-                        getattr(query, "utilization", None)
-                    )
-                    if checkpoint is not None:
-                        checkpoint.save(
-                            snapshot_key(worker_id), snapshot
-                        )
-                    conn.send(("snapshot", snapshot))
                 if message[0] == "request_batch":
                     batch: QueryBatch = message[1]
                     payloads, stats = compute.answer_batch(
@@ -117,8 +104,7 @@ def worker_main(
                         )
                     )
                     # One snapshot per batch, from the last member's
-                    # state — the same end state the serial loop
-                    # would have reported after its final answer.
+                    # state: the state after its final answer.
                     snapshot = compute.snapshot(
                         getattr(
                             batch.queries[-1], "utilization", None
@@ -203,12 +189,13 @@ class ProcessWorkerHandle:
         self._conn = None
 
     def send(self, request_id: int, query, now: float) -> None:
-        if self._conn is None:
-            return
-        try:
-            self._conn.send(("request", request_id, query))
-        except (BrokenPipeError, OSError):
-            pass  # supervision will notice the corpse via poll()
+        # Not a transport: every dispatch is a QueryBatch.  The name
+        # survives only because FleetProbe.install in
+        # benchmarks/e2e/tracing.py wraps it by name; delete it once
+        # that patch is gone.
+        raise FleetError(
+            "ProcessWorkerHandle ships queries only through send_batch"
+        )
 
     def send_batch(self, batch: QueryBatch, now: float) -> None:
         if self._conn is None:

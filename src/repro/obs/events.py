@@ -193,13 +193,15 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "request_id": (int,),
         "reason": (str,),
     },
-    # One event per micro-batch dispatched to a worker (the batching
-    # window path; see repro.fleet.coordinator FleetConfig
-    # batch_window_s/max_batch).  ``size`` is the member count,
-    # ``window_wait_s`` how long the oldest member waited inside the
-    # coalescing window, ``queue_len`` the queue depth right after the
-    # batch left it, and the warm counters are the warm-field cache
-    # hits/misses the batch consumed on the worker.
+    # One event per query batch answered by the worker it was
+    # dispatched to.  Every dispatch is a batch (see
+    # repro.fleet.coordinator FleetConfig batch_window_s/max_batch);
+    # under the defaults each is a one-member batch.  ``size`` is the
+    # member count, ``window_wait_s`` how long the oldest member
+    # waited between becoming dispatchable and dispatch, ``queue_len``
+    # the queue depth right after the batch left it, and the warm
+    # counters are the warm-field cache hits/misses the batch consumed
+    # on the worker.
     "fleet_batch": {
         "t": (float, int),
         "worker": (str,),

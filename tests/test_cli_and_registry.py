@@ -101,6 +101,48 @@ class TestCLI:
         assert line.startswith("error: ")
         assert unknown in line and known in line
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (
+                ["chaos", "--seed", "0", "--heartbeat-interval", "-1"],
+                "heartbeat_interval_s",
+            ),
+            (
+                ["chaos", "--seed", "0", "--heartbeat-interval", "nan"],
+                "heartbeat_interval_s",
+            ),
+            (["chaos", "--seed", "0", "--horizon", "nan"], "horizon_s"),
+            (
+                ["chaos", "--seed", "0", "--batch-window", "-1"],
+                "batch_window_s",
+            ),
+            (["chaos", "--seed", "0", "--max-batch", "0"], "max_batch"),
+            (
+                ["serve", "--heartbeat-interval", "-1"],
+                "heartbeat_interval_s",
+            ),
+            (["serve", "--batch-window", "-1"], "batch_window_s"),
+            (["serve", "--batch-window", "nan"], "batch_window_s"),
+        ],
+    )
+    def test_fleet_rejects_bad_knobs_before_running(
+        self, capsys, monkeypatch, argv, field
+    ):
+        import repro.fleet
+
+        def _reached(*args, **kwargs):
+            raise AssertionError("the fleet ran with an invalid knob")
+
+        monkeypatch.setattr(repro.fleet, "run_chaos", _reached)
+        monkeypatch.setattr(repro.fleet, "FleetService", _reached)
+        assert main(["fleet"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert field in line
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -1,25 +1,22 @@
 """Micro-batching differential and edge-case tests.
 
-The batched dispatch path's contract is that batching is a transport
-and compute grouping only: against the same workload, the batched
-coordinator must produce **bit-identical** answers to the serial
-per-message path, and every per-request guarantee (timeouts, retries,
-shedding, exactly one terminal answer) must hold for members of a
-batch exactly as it does for lone messages.
+Batching is a transport and compute grouping only: against the same
+workload, a coalescing window must produce **bit-identical** answers
+to the default window 0 / max 1 configuration, where every query
+ships as a one-member batch, and every per-request guarantee
+(timeouts, retries, shedding, exactly one terminal answer) must hold
+for members of a batch exactly as it does for lone queries.
 """
 
 import pytest
 
-from repro.errors import ConfigurationError, FleetError
+from repro.errors import FleetError
 from repro.fleet import (
-    DEFAULT_MAX_BATCH,
-    ENV_BATCH,
     ChassisCompute,
     FleetConfig,
     FleetCoordinator,
     QueryBatch,
     WarmFieldCache,
-    batching_from_env,
     check_fleet_events,
     demo_fleet,
     drive_fleet,
@@ -127,7 +124,6 @@ class BatchScriptedHandle:
 
     def __init__(self, worker_id):
         self.worker_id = worker_id
-        self.sent = []
         self.batches = []
         self.inbox = []
 
@@ -136,9 +132,6 @@ class BatchScriptedHandle:
 
     def stop(self, now):
         pass
-
-    def send(self, request_id, query, now):
-        self.sent.append((request_id, query, now))
 
     def send_batch(self, batch, now):
         self.batches.append((batch, now))
@@ -372,42 +365,38 @@ def test_warm_cache_evicts_least_recently_used():
     assert cache.get("c") is c
 
 
-# -- configuration: env sentinel, validation, wire parsing -------------
+# -- configuration: defaults, validation, wire parsing ----------------
 
 
-def test_batching_env_parsing(monkeypatch):
-    monkeypatch.delenv(ENV_BATCH, raising=False)
-    assert batching_from_env() == (0.0, 0)
-    monkeypatch.setenv(ENV_BATCH, "0.25")
-    assert batching_from_env() == (0.25, 0)
-    monkeypatch.setenv(ENV_BATCH, "0.25:16")
-    assert batching_from_env() == (0.25, 16)
-    for bad in ("soon", "0.25:many", "-1.0", "0.25:-2"):
-        monkeypatch.setenv(ENV_BATCH, bad)
-        with pytest.raises(ConfigurationError):
-            batching_from_env()
-
-
-def test_resolve_batching_precedence(monkeypatch):
-    monkeypatch.setenv(ENV_BATCH, "0.25:16")
-    # Explicit values win over the environment.
-    assert FleetConfig(
-        batch_window_s=0.5, max_batch=4
-    ).resolve_batching() == (0.5, 4)
-    # The -1.0 sentinel defers to the environment.
-    assert FleetConfig().resolve_batching() == (0.25, 16)
-    monkeypatch.setenv(ENV_BATCH, "0.25")
-    assert FleetConfig().resolve_batching() == (
-        0.25,
-        DEFAULT_MAX_BATCH,
-    )
-    monkeypatch.delenv(ENV_BATCH)
-    # No env, no explicit values: batching stays off.
-    assert FleetConfig().resolve_batching() == (0.0, 1)
-    with pytest.raises(FleetError):
+def test_resolve_batching_precedence():
+    # Explicit values win; the defaults ship one-member batches.
+    config = FleetConfig(batch_window_s=0.5, max_batch=4)
+    assert (config.batch_window_s, config.max_batch) == (0.5, 4)
+    config = FleetConfig()
+    assert (config.batch_window_s, config.max_batch) == (0.0, 1)
+    with pytest.raises(FleetError, match="batch_window_s"):
         FleetConfig(batch_window_s=-0.5)
-    with pytest.raises(FleetError):
-        FleetConfig(max_batch=-1)
+    with pytest.raises(FleetError, match="batch_window_s"):
+        FleetConfig(batch_window_s=-1.0)
+    for bad in (-1, 0):
+        with pytest.raises(FleetError, match="max_batch"):
+            FleetConfig(max_batch=bad)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "batch_window_s",
+        "request_timeout_s",
+        "queue_timeout_s",
+        "retry_jitter_s",
+        "max_staleness_s",
+    ],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_config_rejected_naming_field(field, value):
+    with pytest.raises(FleetError, match=field):
+        FleetConfig(**{field: value})
 
 
 def test_query_batch_validation():

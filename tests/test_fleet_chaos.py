@@ -68,6 +68,24 @@ class TestSchedule:
             ChaosSchedule((WorkerKill(t=-1.0, worker="w0"),))
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "field", ["horizon_s", "tick_s", "heartbeat_interval_s"]
+    )
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_bad_times_rejected_naming_field(self, field, value):
+        with pytest.raises(FleetError, match=field):
+            ChaosRunConfig(**{field: value})
+
+    def test_bad_batching_knobs_rejected(self):
+        with pytest.raises(FleetError, match="batch_window_s"):
+            ChaosRunConfig(batch_window_s=-1.0)
+        with pytest.raises(FleetError, match="max_batch"):
+            ChaosRunConfig(max_batch=0)
+
+
 class TestDeterminism:
     def test_same_seed_reproduces_log_bit_for_bit(self, tmp_path):
         run_chaos(CFG, out_dir=tmp_path / "a")

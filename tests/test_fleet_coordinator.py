@@ -20,11 +20,16 @@ from repro.fleet.supervision import SupervisionPolicy, WorkerState
 
 
 class ScriptedHandle:
-    """A hand-driven WorkerHandle: tests place messages in ``inbox``."""
+    """A hand-driven WorkerHandle: tests place messages in ``inbox``.
+
+    ``sent`` lists every dispatched batch member as
+    ``(request_id, query, now)``; :meth:`answer` scripts the reply.
+    """
 
     def __init__(self, worker_id, cold_on_start=False):
         self.worker_id = worker_id
         self.cold_on_start = cold_on_start
+        self.batches = []
         self.sent = []
         self.inbox = []
         self.starts = 0
@@ -37,8 +42,18 @@ class ScriptedHandle:
     def stop(self, now):
         self.stops += 1
 
-    def send(self, request_id, query, now):
-        self.sent.append((request_id, query, now))
+    def send_batch(self, batch, now):
+        self.batches.append(batch)
+        self.sent.extend(
+            (rid, q, now) for rid, q in zip(batch.request_ids, batch.queries)
+        )
+
+    def answer(self, rid, payload):
+        """Queue the reply to the latest batch that carried ``rid``."""
+        bid = next(
+            b.batch_id for b in reversed(self.batches) if rid in b.request_ids
+        )
+        self.inbox.append(("answer_batch", bid, [(rid, payload)], {}))
 
     def poll(self, now):
         messages, self.inbox = self.inbox, []
@@ -96,7 +111,7 @@ class TestHappyPath:
         rid = coordinator.submit(query(), 0.0)
         coordinator.tick(0.1)
         assert handles["w0"].sent[0][0] == rid
-        handles["w0"].inbox.append(("answer", rid, {"socket": 1}))
+        handles["w0"].answer(rid, {"socket": 1})
         coordinator.tick(0.2)
         answer = coordinator.answers[rid]
         assert answer.status is AnswerStatus.OK
@@ -110,6 +125,25 @@ class TestHappyPath:
         ]
         assert len(terminals) == 1
         assert coordinator.pending == 0
+
+    def test_default_config_ships_one_member_batches(self):
+        coordinator, handles = make_fleet()
+        rids = [coordinator.submit(query(), 0.0) for _ in range(3)]
+        coordinator.tick(0.0)
+        assert [b.request_ids for b in handles["w0"].batches] == [
+            (rid,) for rid in rids
+        ]
+        for rid in rids:
+            handles["w0"].answer(rid, {"socket": rid})
+        coordinator.tick(0.1)
+        batches = [
+            e for e in coordinator.events if e["type"] == "fleet_batch"
+        ]
+        assert len(batches) == len(rids)
+        assert all(e["size"] == 1 for e in batches)
+        assert all(e["window_wait_s"] == 0.0 for e in batches)
+        for rid in rids:
+            assert coordinator.answers[rid].payload == {"socket": rid}
 
     def test_unknown_chassis_fails_immediately(self):
         coordinator, _ = make_fleet()
@@ -132,7 +166,7 @@ class TestHappyPath:
         seen = []
         rid = coordinator.submit(query(), 0.0, callback=seen.append)
         coordinator.tick(0.1)
-        handles["w0"].inbox.append(("answer", rid, {}))
+        handles["w0"].answer(rid, {})
         coordinator.tick(0.2)
         assert [a.request_id for a in seen] == [rid]
 
@@ -217,7 +251,7 @@ class TestRetriesAndTimeouts:
         coordinator.tick(1.5)  # w0 hung: attempt abandoned
         assert [s[0] for s in handles["w1"].sent] == [rid]
         assert [s[0] for s in handles["w0"].sent] == [rid]
-        handles["w1"].inbox.append(("answer", rid, {"socket": 0}))
+        handles["w1"].answer(rid, {"socket": 0})
         coordinator.tick(1.6)
         answer = coordinator.answers[rid]
         assert answer.status is AnswerStatus.OK
@@ -230,8 +264,8 @@ class TestRetriesAndTimeouts:
         rid = coordinator.submit(query(), 0.0)
         coordinator.tick(0.0)
         coordinator.tick(1.5)  # retried on w1
-        handles["w1"].inbox.append(("answer", rid, {"ok": 1}))
-        handles["w0"].inbox.append(("answer", rid, {"late": 1}))
+        handles["w1"].answer(rid, {"ok": 1})
+        handles["w0"].answer(rid, {"late": 1})
         coordinator.tick(1.6)
         assert coordinator.answers[rid].payload == {"late": 1} or (
             coordinator.answers[rid].payload == {"ok": 1}
@@ -345,7 +379,7 @@ class TestDegradedServing:
         # Recovered onto the replica (no exclusion: work is lost, not
         # hung).
         assert [s[0] for s in handles["w1"].sent] == [rid]
-        handles["w1"].inbox.append(("answer", rid, {}))
+        handles["w1"].answer(rid, {})
         coordinator.tick(0.6)
         assert coordinator.answers[rid].status is AnswerStatus.OK
 

@@ -11,7 +11,7 @@ import pytest
 from repro.errors import FleetError
 from repro.fleet.compute import ChassisSnapshot
 from repro.fleet.coordinator import FleetConfig
-from repro.fleet.messages import PlacementQuery
+from repro.fleet.messages import PlacementQuery, QueryBatch
 from repro.fleet.registry import (
     ChassisSpec,
     FleetRegistry,
@@ -77,15 +77,21 @@ class TestWorkerMain:
         assert "snapshot" in kinds
         parent.send(
             (
-                "request",
-                7,
-                PlacementQuery(chassis="c0", job_power_w=5.0),
+                "request_batch",
+                QueryBatch(
+                    batch_id=3,
+                    chassis="c0",
+                    request_ids=(7,),
+                    queries=(PlacementQuery(chassis="c0", job_power_w=5.0),),
+                ),
             )
         )
-        messages = drain(parent, until=lambda m: m[0] == "answer")
-        answer = messages[-1]
-        assert answer[1] == 7
-        assert answer[2]["socket"] in (0, 1)
+        messages = drain(parent, until=lambda m: m[0] == "answer_batch")
+        _, batch_id, entries, _ = messages[-1]
+        assert batch_id == 3
+        ((rid, payload),) = entries
+        assert rid == 7
+        assert payload["socket"] in (0, 1)
         parent.send(("stop",))
         thread.join(timeout=5.0)
         assert not thread.is_alive()
@@ -151,19 +157,27 @@ class TestProcessWorkerHandle:
                     break
                 time.sleep(0.05)
             assert any(m[0] == "hello" for m in messages)
-            handle.send(
-                1,
-                PlacementQuery(chassis="c0", job_power_w=4.0),
+            handle.send_batch(
+                QueryBatch(
+                    batch_id=0,
+                    chassis="c0",
+                    request_ids=(1,),
+                    queries=(PlacementQuery(chassis="c0", job_power_w=4.0),),
+                ),
                 0.0,
             )
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 messages.extend(handle.poll(0.0))
-                if any(m[0] == "answer" for m in messages):
+                if any(m[0] == "answer_batch" for m in messages):
                     break
                 time.sleep(0.05)
-            answers = [m for m in messages if m[0] == "answer"]
-            assert answers and answers[0][1] == 1
+            answers = [m for m in messages if m[0] == "answer_batch"]
+            assert answers and answers[0][2][0][0] == 1
+            with pytest.raises(FleetError, match="send_batch"):
+                handle.send(
+                    2, PlacementQuery(chassis="c0", job_power_w=4.0), 0.0
+                )
         finally:
             handle.stop(0.0)
         # After stop, poll is inert and safe.

@@ -4,13 +4,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet.supervision import (
-    DEFAULT_HEARTBEAT_S,
-    ENV_HEARTBEAT,
     LEGAL_TRANSITIONS,
     SupervisionPolicy,
     WorkerState,
     WorkerSupervisor,
-    heartbeat_interval_from_env,
 )
 
 
@@ -38,35 +35,16 @@ def make_supervisor(policy=None, events=None):
 
 
 class TestHeartbeatKnob:
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_HEARTBEAT, raising=False)
-        assert heartbeat_interval_from_env() == DEFAULT_HEARTBEAT_S
+    def test_default_without_env(self):
+        assert SupervisionPolicy().heartbeat_interval_s == 1.0
 
-    def test_env_value_used(self, monkeypatch):
-        monkeypatch.setenv(ENV_HEARTBEAT, "0.25")
-        assert heartbeat_interval_from_env() == 0.25
-
-    def test_sentinel_defers_to_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_HEARTBEAT, "2.5")
-        policy = SupervisionPolicy()  # -1.0 sentinel
-        assert policy.heartbeat_interval_s == 2.5
-
-    @pytest.mark.parametrize("raw", ["0", "-3", "nope", "inf_x"])
-    def test_bad_env_values_rejected_naming_knob(
-        self, monkeypatch, raw
-    ):
-        monkeypatch.setenv(ENV_HEARTBEAT, raw)
-        with pytest.raises(ConfigurationError, match=ENV_HEARTBEAT):
-            heartbeat_interval_from_env()
-
-    @pytest.mark.parametrize("value", [0.0, -0.5, -2.0])
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -0.5, -2.0, -1.0, float("nan"), float("inf")],
+    )
     def test_explicit_non_positive_rejected(self, value):
-        with pytest.raises(ConfigurationError, match=ENV_HEARTBEAT):
+        with pytest.raises(ConfigurationError, match="heartbeat_interval_s"):
             SupervisionPolicy(heartbeat_interval_s=value)
-
-    def test_empty_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_HEARTBEAT, "")
-        assert heartbeat_interval_from_env() == DEFAULT_HEARTBEAT_S
 
 
 class TestPolicyValidation:
@@ -94,6 +72,14 @@ class TestPolicyValidation:
                 restart_backoff_s=2.0,
                 restart_backoff_cap_s=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "field", ["restart_backoff_s", "restart_backoff_cap_s"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_backoff_rejected_naming_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SupervisionPolicy(heartbeat_interval_s=1.0, **{field: value})
 
     def test_zero_missed_heartbeats_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,13 +1,12 @@
 """Bit-identity oracle for the vectorised placement/solver kernels.
 
-PR 5 replaced the predictive policies' per-candidate Python scoring
-loop with the batched :class:`~repro.core.kernels.PlacementKernel`
-(plus the batched :func:`~repro.core.prediction.predict_job_powers`)
-and gave the detailed chip model a factorization-cached fast solve
-path.  Every one of those kernels keeps its scalar reference
-implementation in-tree (``use_kernel=False``,
-``DetailedChipModel.solve_via_network``), and this suite pins the
-cardinal contract: kernel and reference produce the *same bits*.
+The predictive policies score placements through the batched
+:class:`~repro.core.kernels.PlacementKernel` (plus the batched
+:func:`~repro.core.prediction.predict_job_powers`).  Their
+per-candidate scalar scoring loops live on only here, as the local
+reference subclasses :class:`_ScalarCP` and :class:`_ScalarPredictive`,
+and this suite pins the cardinal contract: kernel and reference
+produce the *same bits*.
 
 The run-level oracle spans 19 (policy configuration, benchmark set,
 load) combinations — both predictive policies, full-search and
@@ -41,7 +40,7 @@ from repro.core.prediction import (
     predict_job_powers,
     predicted_job_power,
 )
-from repro.core.predictive import Predictive
+from repro.core.predictive import SINK_TIEBREAK_WEIGHT, Predictive
 from repro.sim.engine import Simulation
 from repro.sim.fingerprint import result_fingerprint
 from repro.sim.parallel import config_key
@@ -87,9 +86,56 @@ def _oracle_configs():
     return configs
 
 
-def _make_policy(policy, kwargs, use_kernel):
-    cls = {"CP": CouplingPredictor, "Predictive": Predictive}[policy]
-    return cls(use_kernel=use_kernel, **kwargs)
+class _ScalarCP(CouplingPredictor):
+    """CP scoring one candidate at a time (the pre-kernel reference)."""
+
+    def select_socket(self, job, idle_ids, view):
+        self._require_candidates(idle_ids)
+        candidates = self._candidate_pool(idle_ids, view)
+        freq = predict_job_frequency(view, candidates, job)
+        scores = np.empty(candidates.shape, dtype=float)
+        topology = view.topology
+        for i, (socket, f_mhz) in enumerate(zip(candidates, freq)):
+            socket = int(socket)
+            power = predicted_job_power(view, socket, job, float(f_mhz))
+            slowdown = 0.0
+            if self.coupling_aware:
+                slowdown = predict_downwind_slowdown(view, socket, power)
+            sink_ss = (
+                view.ambient_c[socket]
+                + power * topology.r_ext_array[socket]
+            )
+            scores[i] = (
+                float(f_mhz)
+                - slowdown
+                - SINK_TIEBREAK_WEIGHT
+                * (sink_ss + float(view.sink_c[socket]))
+            )
+        return int(candidates[int(np.argmax(scores))])
+
+
+class _ScalarPredictive(Predictive):
+    """Predictive with per-candidate job powers (the reference)."""
+
+    def _sink_steady_state(self, job, idle_ids, view, freq):
+        powers = np.array(
+            [
+                predicted_job_power(view, int(socket), job, float(f))
+                for socket, f in zip(idle_ids, freq)
+            ]
+        )
+        return (
+            view.ambient_c[idle_ids]
+            + powers * view.topology.r_ext_array[idle_ids]
+        )
+
+
+def _make_policy(policy, kwargs, scalar=False):
+    if scalar:
+        cls = {"CP": _ScalarCP, "Predictive": _ScalarPredictive}[policy]
+    else:
+        cls = {"CP": CouplingPredictor, "Predictive": Predictive}[policy]
+    return cls(**kwargs)
 
 
 def _oracle_id(value):
@@ -142,14 +188,14 @@ def test_kernel_runs_are_bit_identical(
     kernel = run_once(
         small_sut,
         params,
-        _make_policy(policy, kwargs, use_kernel=True),
+        _make_policy(policy, kwargs),
         benchmark_set,
         load,
     )
     scalar = run_once(
         small_sut,
         params,
-        _make_policy(policy, kwargs, use_kernel=False),
+        _make_policy(policy, kwargs, scalar=True),
         benchmark_set,
         load,
     )
@@ -166,7 +212,7 @@ class _ProbingCP(CouplingPredictor):
     flips) before delegating to the normal kernel path."""
 
     def __init__(self):
-        super().__init__(row_restricted=False, use_kernel=True)
+        super().__init__(row_restricted=False)
         self.decisions = 0
         self.pairs_checked = 0
 
@@ -254,7 +300,7 @@ def _regenerate():
         result = run_once(
             topology,
             smoke(seed=ORACLE_SEED),
-            _make_policy(policy, kwargs, use_kernel=True),
+            _make_policy(policy, kwargs),
             benchmark_set,
             load,
         )
