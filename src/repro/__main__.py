@@ -63,10 +63,6 @@ def _cmd_run(args) -> int:
         from .obs.session import ENV_PROFILE
 
         os.environ[ENV_PROFILE] = "1"
-    if args.stepping is not None:
-        from .experiments.common import ENV_STEPPING
-
-        os.environ[ENV_STEPPING] = args.stepping
     if args.all:
         experiments = all_experiments()
     elif args.light:
@@ -96,6 +92,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .config.presets import scaled
+    from .errors import ConfigurationError
     from .obs.session import profile_from_env
     from .server.topology import moonshot_sut
     from .sim.export import save_csv, save_json, sweep_summaries
@@ -117,11 +114,15 @@ def _cmd_sweep(args) -> int:
             return 2
     sets = [BenchmarkSet(name) for name in args.sets]
     topology = moonshot_sut(n_rows=args.rows)
-    params = scaled(
-        sim_time_s=args.sim_time,
-        warmup_s=min(args.sim_time / 3.0, 8.0),
-        seed=args.seed,
-    )
+    try:
+        params = scaled(
+            sim_time_s=args.sim_time,
+            warmup_s=min(args.sim_time / 3.0, 8.0),
+            seed=args.seed,
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     fault_schedule = None
     if args.faults:
         from .faults import parse_fault_spec
@@ -140,13 +141,6 @@ def _cmd_sweep(args) -> int:
         from .obs.session import TelemetryConfig
 
         telemetry = TelemetryConfig.from_env()
-    stepping = args.stepping
-    if stepping is None:
-        import os
-
-        from .experiments.common import ENV_STEPPING
-
-        stepping = os.environ.get(ENV_STEPPING) or "fixed"
     results = run_sweep(
         topology,
         params,
@@ -159,7 +153,6 @@ def _cmd_sweep(args) -> int:
         checkpoint_dir=args.resume,
         telemetry=telemetry,
         profile=args.profile or profile_from_env(),
-        stepping=stepping,
     )
     if args.csv:
         save_csv(results, args.csv)
@@ -438,18 +431,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
             "account per-component wall-clock for every simulation "
             "(<2%% overhead) and attach the profile table to results "
             "and manifests (also: REPRO_PROFILE=1)"
-        ),
-    )
-    parser.add_argument(
-        "--stepping",
-        choices=["fixed", "adaptive"],
-        default=None,
-        help=(
-            "engine stepping mode: 'fixed' ticks every millisecond; "
-            "'adaptive' skips decision-free stretches with an exact "
-            "closed-form thermal advance — all scheduling decisions "
-            "stay bit-identical, temperature traces carry a bounded "
-            "error (also: REPRO_STEPPING)"
         ),
     )
 

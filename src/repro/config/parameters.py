@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import List, Tuple
 
 from ..errors import ConfigurationError
@@ -65,6 +66,12 @@ class SimulationParameters:
     warm_start: bool = True
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{spec.name} must be finite, got {value!r}"
+                )
         # A boost threshold at or below the inlet is legitimate: it
         # means boost is never grantable (e.g. hot-aisle derating
         # studies or the no-boost ablation).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
@@ -25,10 +26,6 @@ ENV_WORKERS = "REPRO_WORKERS"
 #: Environment variable enabling runtime invariant auditing (any
 #: non-empty value other than "0").
 ENV_AUDIT = "REPRO_AUDIT"
-
-#: Environment variable selecting the engine stepping mode
-#: ("fixed" or "adaptive").
-ENV_STEPPING = "REPRO_STEPPING"
 
 
 @dataclass
@@ -56,10 +53,6 @@ class ExperimentConfig:
             disables; also settable via ``REPRO_TELEMETRY``).
         profile: Attach per-component wall-clock profiles to results
             (also settable via ``REPRO_PROFILE``).
-        stepping: Engine stepping mode for every simulation:
-            ``"fixed"`` (default) or ``"adaptive"`` multi-rate
-            stepping (also settable via ``REPRO_STEPPING``; see
-            :class:`~repro.sim.multirate.MultiRateEngine`).
     """
 
     n_rows: int = 3
@@ -76,21 +69,20 @@ class ExperimentConfig:
     audit: bool = False
     telemetry_dir: "str | None" = None
     profile: bool = False
-    stepping: str = "fixed"
 
     def __post_init__(self) -> None:
         from ..obs.session import ENV_TELEMETRY, profile_from_env
 
-        env_rows = os.environ.get(ENV_ROWS)
-        if env_rows:
-            self.n_rows = int(env_rows)
-        env_time = os.environ.get(ENV_SIM_TIME)
-        if env_time:
-            self.sim_time_s = float(env_time)
+        env_rows = _env_number(ENV_ROWS, int)
+        if env_rows is not None:
+            self.n_rows = env_rows
+        env_time = _env_number(ENV_SIM_TIME, float)
+        if env_time is not None:
+            self.sim_time_s = env_time
             self.warmup_s = min(self.warmup_s, self.sim_time_s / 3.0)
-        env_workers = os.environ.get(ENV_WORKERS)
-        if env_workers:
-            self.max_workers = int(env_workers)
+        env_workers = _env_number(ENV_WORKERS, int)
+        if env_workers is not None:
+            self.max_workers = env_workers
         env_audit = os.environ.get(ENV_AUDIT)
         if env_audit is not None and env_audit not in ("", "0"):
             self.audit = True
@@ -99,16 +91,6 @@ class ExperimentConfig:
             self.telemetry_dir = env_telemetry
         if profile_from_env():
             self.profile = True
-        env_stepping = os.environ.get(ENV_STEPPING)
-        if env_stepping:
-            self.stepping = env_stepping
-        from ..sim.multirate import STEPPING_MODES
-
-        if self.stepping not in STEPPING_MODES:
-            raise ConfigurationError(
-                f"stepping must be one of {STEPPING_MODES}, got "
-                f"{self.stepping!r}"
-            )
         if self.n_rows < 1:
             raise ConfigurationError("n_rows must be >= 1")
         if self.max_workers < 1:
@@ -156,8 +138,27 @@ class ExperimentConfig:
             use_cache=True,
             telemetry=self.telemetry_dir,
             profile=self.profile,
-            stepping=self.stepping,
         )
+
+
+def _env_number(name: str, kind: type):
+    """Environment knob ``name`` parsed as ``kind``; ``None`` if unset.
+
+    Raises:
+        ConfigurationError: naming the variable, when the value does not
+            parse or is not finite.
+    """
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        value = kind(raw)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    label = "an integer" if kind is int else "a finite number"
+    raise ConfigurationError(f"{name} must be {label}, got {raw!r}")
 
 
 def format_table(

@@ -31,7 +31,6 @@ bit-identical to the pre-fault engine.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -214,7 +213,6 @@ class FaultInjector(StepComponent):
         self._transitions: Dict[
             int, List[Tuple[bool, FaultEvent]]
         ] = {}
-        self._transition_steps: List[int] = []
 
     def on_run_start(self, ctx: EngineContext) -> None:
         self.schedule.validate(ctx.topology)
@@ -236,22 +234,6 @@ class FaultInjector(StepComponent):
                         (False, event)
                     )
         self._transitions = transitions
-        self._transition_steps = sorted(transitions)
-
-    def next_event_step(self, ctx: EngineContext) -> Optional[int]:
-        # Horizon query for the multi-rate driver: the first scheduled
-        # fault transition at or after the current step.  Windows never
-        # span a transition, so every activation/deactivation is
-        # applied by a plain fixed step exactly as in fixed mode.
-        steps = self._transition_steps
-        index = bisect_left(steps, ctx.step)
-        return steps[index] if index < len(steps) else None
-
-    def is_quiescent(self, ctx: EngineContext) -> bool:
-        # Transition timing is covered by next_event_step; the trip
-        # state machine's per-step work is vetoed by the PowerManager
-        # while any trip is latched.
-        return True
 
     @staticmethod
     def _step_of(time_s: float, dt: float) -> int:

@@ -133,32 +133,6 @@ class FaultSchedule:
         """SHA-256 content hash of the schedule."""
         return hashlib.sha256(self.token()).hexdigest()
 
-    def transition_times(self) -> Tuple[float, ...]:
-        """All activation and deactivation times, sorted ascending.
-
-        The schedule-level horizon query behind the multi-rate
-        driver's next-event scan: every entry is a time at which the
-        engine's fault state may change, so no quiescent window may
-        span one.  Duplicates are collapsed.
-        """
-        times = set()
-        for event in self.events:
-            times.add(float(event.start_s))
-            if event.end_s is not None:
-                times.add(float(event.end_s))
-        return tuple(sorted(times))
-
-    def next_transition_s(self, time_s: float) -> "float | None":
-        """The first transition at or after ``time_s``, or ``None``.
-
-        Args:
-            time_s: Query time, seconds.
-        """
-        for transition in self.transition_times():
-            if transition >= time_s:
-                return transition
-        return None
-
     def validate(self, topology: ServerTopology) -> None:
         """Check every event is realisable on ``topology``.
 

@@ -88,9 +88,7 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "socket": (int,),
         "job_id": (int,),
     },
-    # Emitted by the multi-rate driver (repro.sim.multirate) for each
-    # quiescent window it advanced in closed form: ``n_steps`` fixed
-    # steps were skipped using ``n_substeps`` closed-form substeps.
+    # No writer: logs from earlier builds still contain it.
     "window_skip": {
         "step": (int,),
         "t": (float, int),

@@ -86,13 +86,6 @@ class RunManifest:
             "token_sha256": str, ...scalar geometry...}``.
         fault: Fault schedule content (``fingerprint``, ``response``,
             ``events``), or ``None`` for fault-free runs.
-        stepping: Engine stepping mode of the run (``"fixed"`` or
-            ``"adaptive"``).  Defaults to ``"fixed"``, so manifests
-            written before the mode existed still parse.  Adaptive
-            replays use the *default*
-            :class:`~repro.sim.multirate.MultiRateConfig` — a run
-            under a custom tuning is reproducible from code but not
-            from its manifest alone.
         result_fingerprint: Content fingerprint of the produced result
             (see :func:`repro.sim.fingerprint.result_fingerprint`), or
             ``None`` if the manifest was built before the run.
@@ -113,7 +106,6 @@ class RunManifest:
     params: dict
     topology: dict
     fault: Optional[dict] = None
-    stepping: str = "fixed"
     result_fingerprint: Optional[str] = None
     profile: Optional[dict] = None
     manifest_version: int = MANIFEST_VERSION
@@ -132,6 +124,18 @@ class RunManifest:
             raise ObservabilityError(
                 f"manifest must be an object, got {type(data).__name__}"
             )
+        if "stepping" in data:
+            # Earlier builds recorded the engine stepping mode.  Their
+            # fixed runs are exactly today's runs; the adaptive engine is
+            # gone.
+            data = dict(data)
+            stepping = data.pop("stepping")
+            if stepping != "fixed":
+                raise ObservabilityError(
+                    f"manifest was recorded with stepping {stepping!r}; "
+                    f"the adaptive (multi-rate) engine was removed and "
+                    f"only fixed-step runs can be replayed"
+                )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -384,7 +388,6 @@ def manifest_for_point(
     fault_schedule=None,
     result=None,
     profile=None,
-    stepping: str = "fixed",
 ) -> RunManifest:
     """Build the manifest of one fully specified sweep point.
 
@@ -395,8 +398,6 @@ def manifest_for_point(
             perform one.
         profile: Optional :class:`~repro.obs.profiler.RunProfile` to
             embed.
-        stepping: Engine stepping mode of the run; joins the recorded
-            ``config_key`` when not ``"fixed"``.
     """
     from ..sim.parallel import config_key
 
@@ -414,7 +415,6 @@ def manifest_for_point(
             benchmark_set,
             load,
             fault_schedule=fault_schedule,
-            stepping=stepping,
         ),
         scheduler=scheduler_name,
         benchmark_set=benchmark_value,
@@ -423,7 +423,6 @@ def manifest_for_point(
         params=dataclasses.asdict(params),
         topology=_topology_payload(topology),
         fault=_fault_payload(fault_schedule),
-        stepping=stepping,
         result_fingerprint=fingerprint,
         profile=profile.to_dict() if profile is not None else None,
     )
@@ -466,7 +465,6 @@ def rerun_from_manifest(manifest: RunManifest, audit: bool = False):
         manifest.load,
         auditor=auditor,
         fault_schedule=fault_schedule,
-        stepping=manifest.stepping,
     )
 
 

@@ -186,17 +186,6 @@ class TelemetryRecorder:
     def on_step(self, ctx) -> None:
         """Nothing per step — emission happens at the source phases."""
 
-    def next_event_step(self, ctx):
-        """No scheduled events — recording never constrains windows."""
-        return None
-
-    def is_quiescent(self, ctx) -> bool:
-        """Recording is passive; it never vetoes a quiescent window."""
-        return True
-
-    def on_window(self, ctx, plan) -> None:
-        """Nothing per window — the driver emits ``window_skip``."""
-
     def on_run_end(self, ctx) -> None:
         session = self._session
         if session is None:  # pragma: no cover - engine misuse

@@ -72,56 +72,3 @@ def result_fingerprint(
         digest.update(repr(sorted(result.fault_summary.items())).encode())
     return digest.hexdigest()
 
-
-def decision_fingerprint(
-    result: SimulationResult, include_fault_summary: bool = True
-) -> str:
-    """SHA-256 digest over every *decision-determined* result field.
-
-    The oracle behind the multi-rate stepping driver
-    (:mod:`repro.sim.multirate`): it covers exactly the fields that are
-    a deterministic function of the run's discrete decision stream —
-    placements, frequency selections, migrations, trips, completions.
-    During an all-idle window a fixed-step engine adds exact ``+0.0``
-    to the work / busy / frequency / boost accumulators and touches no
-    completion record, so these fields match *bit-for-bit* between
-    fixed and adaptive stepping iff every discrete decision matched.
-
-    Excluded (relative to :func:`result_fingerprint`) are the
-    continuous-time integrals and extrema that accumulate real-valued
-    contributions inside windows — ``energy_j``, ``cooling_energy_j``,
-    ``mean_airflow_scale`` and ``max_chip_c``.  Those carry the
-    documented bounded error (epsilon) and are pinned separately with
-    tolerances by the differential harness.
-    """
-    digest = hashlib.sha256()
-
-    def scalar(value: float) -> None:
-        digest.update(np.float64(value).tobytes())
-
-    def array(values: np.ndarray) -> None:
-        digest.update(np.ascontiguousarray(values, dtype=float).tobytes())
-
-    digest.update(result.scheduler_name.encode())
-    scalar(result.measured_span_s)
-    digest.update(
-        repr(
-            (
-                result.n_jobs_submitted,
-                result.max_queue_length,
-                result.n_migrations,
-            )
-        ).encode()
-    )
-    array(result.work_done)
-    array(result.busy_time_s)
-    array(result.freq_time_product)
-    array(result.boost_time_s)
-    for job in result.completed_jobs:
-        digest.update(repr((job.job_id, job.socket_id)).encode())
-        scalar(job.arrival_s)
-        scalar(job.start_s)
-        scalar(job.finish_s)
-    if include_fault_summary and result.fault_summary is not None:
-        digest.update(repr(sorted(result.fault_summary.items())).encode())
-    return digest.hexdigest()

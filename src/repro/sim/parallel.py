@@ -108,7 +108,6 @@ def config_key(
     benchmark_set: BenchmarkSet,
     load: float,
     fault_schedule=None,
-    stepping: str = "fixed",
     room=None,
 ) -> str:
     """Memo-cache key for one fully specified sweep point.
@@ -118,11 +117,6 @@ def config_key(
             FaultSchedule` active for the point; its content fingerprint
             joins the key, so faulted and fault-free runs of the same
             grid point never collide in the cache or on disk.
-        stepping: Engine stepping mode; joins the key only when it is
-            not the default ``"fixed"``, so every pre-existing cache
-            and checkpoint key is unchanged while adaptive results can
-            never alias fixed ones (their epsilon-bounded thermal
-            fields differ).
         room: Optional room-layer inputs (an object exposing
             ``token() -> bytes``, e.g. :class:`~repro.room.capacity.
             RoomKey` carrying the room fingerprint — chassis mix plus
@@ -140,8 +134,6 @@ def config_key(
     if fault_schedule is not None:
         digest.update(b"|faults:")
         digest.update(fault_schedule.fingerprint().encode())
-    if stepping != "fixed":
-        digest.update(f"|stepping:{stepping}".encode())
     if room is not None:
         digest.update(b"|room:")
         digest.update(room.token())
@@ -262,8 +254,6 @@ def _run_point(
     telemetry=None,
     profile: bool = False,
     point_key: Optional[str] = None,
-    stepping: str = "fixed",
-    multirate=None,
 ) -> SimulationResult:
     """Execute one sweep point; runs in workers and in the serial path.
 
@@ -298,8 +288,6 @@ def _run_point(
         telemetry=telemetry,
         profile=profile,
         run_name=run_name,
-        stepping=stepping,
-        multirate=multirate,
     )
 
 
@@ -326,8 +314,6 @@ def execute_sweep(
     checkpoint: Optional[SweepCheckpoint] = None,
     telemetry=None,
     profile: bool = False,
-    stepping: str = "fixed",
-    multirate=None,
 ) -> List[SimulationResult]:
     """Run every sweep point, in parallel where possible.
 
@@ -373,12 +359,6 @@ def execute_sweep(
             its own per-run event log and manifest there.
         profile: Attach per-component wall-clock accounting to every
             point's ``result.profile``.
-        stepping: ``"fixed"`` (default) or ``"adaptive"`` — engine
-            stepping mode applied to every point (see
-            :class:`~repro.sim.multirate.MultiRateEngine`).  A
-            non-default mode joins the cache/checkpoint key.
-        multirate: Optional :class:`~repro.sim.multirate.
-            MultiRateConfig` for the adaptive driver.
 
     Returns:
         One :class:`~repro.sim.results.SimulationResult` per point, in
@@ -418,7 +398,6 @@ def execute_sweep(
                 params,
                 *point,
                 fault_schedule=fault_schedule,
-                stepping=stepping,
             )
         if cache is not None:
             hit = cache.get(keys[i])
@@ -473,7 +452,6 @@ def execute_sweep(
                 fault_schedule=fault_schedule,
                 result=result,
                 profile=result.profile,
-                stepping=stepping,
             )
             checkpoint.save(keys[i], result, manifest=manifest)
             if session is not None:
@@ -512,8 +490,6 @@ def execute_sweep(
                     profile=profile,
                     keys=keys,
                     session=session,
-                    stepping=stepping,
-                    multirate=multirate,
                 )
             for i in serial:
                 record(
@@ -528,8 +504,6 @@ def execute_sweep(
                         telemetry=telemetry,
                         profile=profile,
                         point_key=keys[i],
-                        stepping=stepping,
-                        multirate=multirate,
                     ),
                 )
         if session is not None:
@@ -557,8 +531,6 @@ def _run_pool(
     profile: bool = False,
     keys: Optional[Sequence[Optional[str]]] = None,
     session=None,
-    stepping: str = "fixed",
-    multirate=None,
 ) -> List[int]:
     """Fan points out over a fork-based process pool, with recovery.
 
@@ -609,8 +581,6 @@ def _run_pool(
                         telemetry,
                         profile,
                         keys[i] if keys is not None else None,
-                        stepping,
-                        multirate,
                     )
                     for i in remaining
                 }

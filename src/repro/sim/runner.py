@@ -24,8 +24,6 @@ def run_once(
     telemetry=None,
     profile: bool = False,
     run_name: str = "run",
-    stepping: str = "fixed",
-    multirate=None,
 ) -> SimulationResult:
     """Run one (scheduler, benchmark set, load) configuration.
 
@@ -51,10 +49,6 @@ def run_once(
         profile: Attach per-component wall-clock accounting to
             ``result.profile`` (implied by ``telemetry.profile``).
         run_name: Base name for the run's telemetry artifacts.
-        stepping: ``"fixed"`` (default) or ``"adaptive"`` — see
-            :class:`repro.sim.multirate.MultiRateEngine`.
-        multirate: Optional :class:`repro.sim.multirate.
-            MultiRateConfig` for the adaptive driver.
     """
     arrivals = ArrivalProcess(
         benchmark_set=benchmark_set,
@@ -73,8 +67,6 @@ def run_once(
         telemetry=telemetry,
         profile=profile,
         run_name=run_name,
-        stepping=stepping,
-        multirate=multirate,
     )
     result = simulation.run(jobs)
     if simulation.telemetry is not None:
@@ -91,7 +83,6 @@ def run_once(
             fault_schedule=fault_schedule,
             result=result,
             profile=result.profile,
-            stepping=stepping,
         )
         manifest.save(
             Path(simulation.telemetry.directory)
@@ -118,8 +109,6 @@ def run_sweep(
     checkpoint_dir=None,
     telemetry=None,
     profile: bool = False,
-    stepping: str = "fixed",
-    multirate=None,
 ) -> Dict[Tuple[str, BenchmarkSet, float], SimulationResult]:
     """Run the full cross product of schedulers, sets and loads.
 
@@ -164,13 +153,6 @@ def run_sweep(
             harness log plus one per-point event log and manifest.
         profile: Attach per-component wall-clock accounting to every
             point's ``result.profile``.
-        stepping: ``"fixed"`` (default) or ``"adaptive"`` — engine
-            stepping mode applied to every point (see
-            :class:`~repro.sim.multirate.MultiRateEngine`).  A
-            non-default mode joins the cache/checkpoint key, so
-            adaptive results never alias fixed ones.
-        multirate: Optional :class:`~repro.sim.multirate.
-            MultiRateConfig` tuning the adaptive driver.
 
     Returns:
         Mapping from ``(scheduler name, benchmark set, load)`` to the
@@ -205,7 +187,5 @@ def run_sweep(
         checkpoint=checkpoint,
         telemetry=telemetry,
         profile=profile,
-        stepping=stepping,
-        multirate=multirate,
     )
     return dict(zip(points, results))

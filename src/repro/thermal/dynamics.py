@@ -134,23 +134,6 @@ def advance_window_modes(
     return sink_after, chip_after, modes
 
 
-def ema_window_sum(decay: float, ema_beta: float, n_steps: int) -> float:
-    """Exact geometric EMA weight of a decaying mode over a window.
-
-    Returns ``g(r) = sum_{j=1..k} beta**(k-j) * r**j`` for ``r = decay``,
-    ``beta = ema_beta`` and ``k = n_steps`` — the total weight a mode
-    ``r**j`` contributes to an EMA ``h_j = beta * h_{j-1} + (1-beta) * x_j``
-    unrolled across the window (before the ``1-beta`` factor).  Uses the
-    closed form ``r * (r**k - beta**k) / (r - beta)`` with the confluent
-    limit ``k * r**k`` when the two rates coincide.
-    """
-    if n_steps <= 0:
-        return 0.0
-    if abs(decay - ema_beta) <= 1e-12 * max(abs(decay), abs(ema_beta)):
-        return n_steps * decay**n_steps
-    return decay * (decay**n_steps - ema_beta**n_steps) / (decay - ema_beta)
-
-
 def exponential_step(
     current: np.ndarray,
     target: np.ndarray,

@@ -280,8 +280,6 @@ class _FlakyRunPoint:
         telemetry=None,
         profile=False,
         point_key=None,
-        stepping="fixed",
-        multirate=None,
     ):
         from repro.core import get_scheduler
         from repro.sim.runner import run_once
@@ -309,8 +307,6 @@ class _FlakyRunPoint:
             fault_schedule=fault_schedule,
             telemetry=telemetry,
             profile=profile,
-            stepping=stepping,
-            multirate=multirate,
         )
 
 

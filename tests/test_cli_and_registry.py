@@ -83,6 +83,8 @@ class TestCLI:
         [
             (["--schemes", "CF", "NOPE"], "NOPE", "CN"),
             (["--sets", "Nope"], "Nope", "Storage"),
+            (["--sim-time", "inf"], "sim_time_s", "inf"),
+            (["--sim-time", "nan"], "sim_time_s", "nan"),
         ],
     )
     def test_sweep_rejects_unknown_names_before_running(

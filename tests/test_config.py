@@ -1,5 +1,7 @@
 """Tests for repro.config (parameters and presets)."""
 
+import dataclasses
+
 import pytest
 
 from repro.config.parameters import (
@@ -56,6 +58,19 @@ class TestSimulationParameters:
     def test_non_positive_duration_scale_rejected(self):
         with pytest.raises(ConfigurationError):
             SimulationParameters(duration_scale=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            spec.name
+            for spec in dataclasses.fields(SimulationParameters)
+            if spec.type == "float"
+        ],
+    )
+    def test_non_finite_float_field_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            SimulationParameters(**{name: value})
 
     def test_frozen(self):
         params = SimulationParameters()

@@ -13,6 +13,7 @@ from repro.experiments import (
     table2_airflow,
     table3_parameters,
 )
+from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentConfig, format_table
 from repro.workloads.benchmark import BenchmarkSet
 
@@ -39,6 +40,21 @@ class TestExperimentConfig:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_ROWS", "5")
         assert ExperimentConfig().n_rows == 5
+
+    @pytest.mark.parametrize(
+        "name,raw",
+        [
+            ("REPRO_ROWS", "abc"),
+            ("REPRO_WORKERS", "two"),
+            ("REPRO_SIM_TIME", "inf"),
+            ("REPRO_SIM_TIME", "nan"),
+            ("REPRO_SIM_TIME", "soon"),
+        ],
+    )
+    def test_bad_env_knob_rejected(self, monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ConfigurationError, match=name):
+            ExperimentConfig()
 
     def test_parameters_seeded(self):
         assert ExperimentConfig(seed=7).parameters().seed == 7

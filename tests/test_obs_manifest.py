@@ -152,6 +152,35 @@ def test_manifest_reproduces_identical_fingerprint(small_sut):
     assert verify_manifest(manifest)
 
 
+def test_legacy_fixed_stepping_field_replays(tmp_path, small_sut):
+    """Manifests from builds with a stepping mode recorded
+    ``"stepping": "fixed"``; they still read and verify."""
+    params = smoke(seed=4)
+    result = run_once(
+        small_sut, params, get_scheduler("CF"), BenchmarkSet.COMPUTATION, 0.5
+    )
+    manifest = manifest_for_point(
+        small_sut,
+        params,
+        "CF",
+        BenchmarkSet.COMPUTATION,
+        0.5,
+        result=result,
+    )
+    legacy = {**manifest.to_dict(), "stepping": "fixed"}
+    path = tmp_path / "legacy.manifest.json"
+    path.write_text(json.dumps(legacy, indent=2, sort_keys=True) + "\n")
+    loaded = RunManifest.read(path)
+    assert loaded == manifest
+    assert verify_manifest(loaded)
+
+
+def test_legacy_adaptive_stepping_rejected(manifest):
+    legacy = {**manifest.to_dict(), "stepping": "adaptive"}
+    with pytest.raises(ObservabilityError, match="multi-rate"):
+        RunManifest.from_dict(legacy)
+
+
 def test_verify_without_fingerprint_raises(manifest):
     with pytest.raises(ObservabilityError, match="no result fingerprint"):
         verify_manifest(manifest)

@@ -2,8 +2,9 @@
 
 Covers the refactor's contracts: the read-only scheduler view, the
 pipeline's component order, per-run resets (auditor, tracer, engine
-reuse), the ``(arrival_s, job_id)`` admission tie-break, and the
-interval cadence of the optional migration and fan-control phases.
+reuse), the ``(arrival_s, job_id)`` admission tie-break, the
+interval cadence of the optional migration and fan-control phases, and
+the engine's refusal of an empty pipeline.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 from repro.config.presets import smoke
 from repro.core import get_scheduler
 from repro.core.migration import MigrationPolicy
-from repro.sim.engine import Simulation
+from repro.errors import SimulationError
+from repro.sim.engine import Engine, Simulation
 from repro.sim.invariants import InvariantAuditor
 from repro.sim.pipeline import (
     ArrivalAdmitter,
@@ -317,3 +319,8 @@ class TestIntervalCadence:
         result = sim.run(make_jobs(seed=2))
         assert result.n_jobs_completed > 0
         assert auditor.n_audits > 0
+
+
+def test_engine_requires_components():
+    with pytest.raises(SimulationError):
+        Engine([])
