@@ -7,8 +7,10 @@ Coolest Neighbors used to score sockets, and
 
 - **placement_e2e** — a placement-heavy 180-socket Moonshot run under
   full-search CouplingPredictor (``row_restricted=False``: every idle
-  socket scored per decision, the policy's worst case).  The vectorised
-  :class:`~repro.core.kernels.PlacementKernel` must reproduce the
+  socket scored per decision, the policy's worst case).  CP's one-pass
+  pool scoring (:func:`~repro.core.prediction.predict_job_placement`
+  plus the padded downwind tables of
+  :class:`~repro.core.kernels.PlacementKernel`) must reproduce the
   loop's trajectory bit for bit and clear ``BENCH_KERNEL_MIN_SPEEDUP``
   (default 1.5x; the committed artifact shows ~14x).
 - **neighbors_e2e** — the same run under Coolest Neighbors.  Its

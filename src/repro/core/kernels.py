@@ -1,46 +1,34 @@
-"""Vectorised placement-scoring kernels for the predictive policies.
+"""Downwind-slowdown scoring for CouplingPredictor in one array pass.
 
-The per-candidate Python loop in :class:`~repro.core.coupling_predictor.
-CouplingPredictor` dominated placement cost: for every candidate socket
-it predicted the job's power draw, walked the candidate's downwind chain
-(a Python-level scan over ``downwind_of``/``influence_on``), and ran two
-frequency-selection passes per busy victim.  This module batches all of
-that into a handful of numpy calls while reproducing the scalar path
-bit for bit:
+CP charges each candidate socket for the frequency its job would cost
+the busy sockets downwind of it.  Scored one candidate at a time
+(:func:`~repro.core.prediction.predict_downwind_slowdown`), that is a
+Python-level chain scan and two frequency selections per candidate.
+:class:`PlacementKernel` scores a whole candidate pool at once and
+reproduces the per-candidate results bit for bit:
 
-- :func:`~repro.core.prediction.predict_job_powers` evaluates the job's
-  power draw on every candidate at once (the per-element float op order
-  matches :func:`~repro.core.prediction.predicted_job_power` exactly).
-- :class:`PlacementKernel` flattens each topology's downwind chains into
-  contiguous arrays once (``downwind_of`` is a static property of the
-  uni-directional airflow ladder), gathers every (candidate, victim)
-  pair in one shot, and pushes the whole batch through a single
-  :func:`~repro.sim.power_manager.select_frequencies_steady` call.
-- The victims' *current* steady-state frequencies depend only on
-  per-socket state that is frozen for the duration of one engine step
-  (temperatures, utilisation, running-job power curves), so the kernel
-  memoises them per step: the cache is keyed on ``view.time_s``,
-  extended lazily for sockets that become busy mid-step (the Placer
-  drain only ever flips sockets idle -> busy), and dropped whenever the
-  timestamp moves or the scheduler is reset.  This is the incremental
-  half of the optimisation: with D downwind sockets per candidate and
-  N candidates, the per-placement cost of the "now" side drops from
-  O(N * D) frequency selections to O(N) amortised.
-
-Bit-identity notes (the kernel must fingerprint-match the scalar path):
-
-- ``select_frequencies_steady`` is elementwise per column, so batching
-  victims from different candidates into one flat call yields the same
-  bits as N small calls.
-- numpy's pairwise summation splits depend on array length, so the
-  final per-candidate ``(losses * busy_ema).sum()`` reduction is done
-  per contiguous segment with ``ndarray.sum()`` — never with
-  ``reduceat``/axis tricks, which change the reduction tree.
+- ``downwind_of`` is a static property of the uni-directional airflow
+  ladder, so the kernel builds a padded ``(n_sockets, W)`` victim table
+  and the matching coupling-weight table once per topology.  ``W`` is
+  the longest downwind chain.  A pad points at the candidate itself:
+  the candidate is idle, so ``view.busy`` masks every pad.
+- Every victim's *now* and *later* steady-state frequency comes from
+  one :func:`~repro.sim.power_manager.select_frequencies_steady` call
+  over the concatenated pairs.  The selection is elementwise per
+  column, so one call gives the bits of many small ones.
+- Each candidate's weighted losses are summed column by column, left
+  to right, with idle victims and pads contributing ``0.0``.  Below 8
+  elements that is ``ndarray.sum``'s own order (numpy's pairwise
+  summation only splits longer blocks), and adding ``0.0`` leaves a
+  partial sum unchanged.  From 8 elements on, ``ndarray.sum`` runs 8
+  unrolled accumulators, so on a topology whose table is 8 or more
+  wide, rows with 8 or more busy victims are summed as the compacted
+  busy segment the scalar path sums, with ``ndarray.sum`` itself.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,19 +38,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..server.topology import ServerTopology
     from ..sim.view import SchedulerView
 
+#: Shortest array ``ndarray.sum`` splits into unrolled accumulators
+#: instead of adding left to right.
+PAIRWISE_BLOCK = 8
+
 
 class PlacementKernel:
-    """Batched downwind-slowdown evaluation for one topology.
+    """Padded downwind tables of one topology and the pool pass over them.
 
-    The kernel owns two kinds of state with different lifetimes:
-
-    - *Topology-static* flattened downwind chains (``_down_flat`` /
-      ``_down_offsets`` / ``_down_counts``), valid for the lifetime of
-      the :class:`~repro.server.topology.ServerTopology` instance.
-    - A *per-step* cache of each busy socket's current steady-state
-      frequency, keyed on ``view.time_s``.  Callers must
-      :meth:`invalidate` it whenever per-socket state may have changed
-      outside the normal step cadence (scheduler reset / engine reuse).
+    The tables are static for the lifetime of the
+    :class:`~repro.server.topology.ServerTopology` instance; the kernel
+    keeps no per-step state.
     """
 
     def __init__(self, topology: "ServerTopology") -> None:
@@ -70,27 +56,16 @@ class PlacementKernel:
         coupling = topology.coupling
         n = topology.n_sockets
         chains = [coupling.downwind_of(s) for s in range(n)]
-        counts = np.array([c.size for c in chains], dtype=np.intp)
-        offsets = np.zeros(n, dtype=np.intp)
-        if n > 1:
-            np.cumsum(counts[:-1], out=offsets[1:])
-        self._down_counts = counts
-        self._down_offsets = offsets
-        self._down_flat = (
-            np.concatenate(chains)
-            if n
-            else np.empty(0, dtype=np.intp)
-        )
-        #: Read-only (victim, source) coupling-weight matrix.
-        self._weights = coupling.matrix
-        self._freq_now = np.zeros(n)
-        self._freq_valid = np.zeros(n, dtype=bool)
-        self._cache_time: Optional[float] = None
-
-    def invalidate(self) -> None:
-        """Drop the per-step frequency cache (run start / state reset)."""
-        self._cache_time = None
-        self._freq_valid[:] = False
+        width = max(chain.size for chain in chains)
+        victims = np.repeat(np.arange(n)[:, None], width, axis=1)
+        weights = np.zeros((n, width))
+        matrix = coupling.matrix
+        for socket_id, chain in enumerate(chains):
+            victims[socket_id, : chain.size] = chain
+            weights[socket_id, : chain.size] = matrix[chain, socket_id]
+        self._victims = victims
+        self._weights = weights
+        self._exact_long_rows = width >= PAIRWISE_BLOCK
 
     def downwind_losses(
         self,
@@ -102,96 +77,45 @@ class PlacementKernel:
 
         Bit-identical to calling :func:`~repro.core.
         prediction.predict_downwind_slowdown` once per candidate with
-        the matching ``job_powers`` entry.
+        the matching ``job_powers`` entry.  The candidates must be idle,
+        as every socket the Placer offers is: the pads rely on it.
         """
-        candidates = np.asarray(candidates)
-        n_c = candidates.size
-        out = np.zeros(n_c)
-        counts = self._down_counts[candidates]
-        total = int(counts.sum())
-        if total == 0:
-            return out
-
-        # Flatten every (candidate, victim) pair.  Segment order is
-        # candidate order; within a segment, victims appear in the same
-        # ascending-id order the scalar scan uses.
-        seg = np.repeat(np.arange(n_c), counts)
-        starts = np.cumsum(counts) - counts
-        pos = np.arange(total) - np.repeat(starts, counts)
-        victims = self._down_flat[
-            self._down_offsets[candidates][seg] + pos
-        ]
-
-        # Idle victims contribute nothing (gated, future work unknown).
-        busy_pair = np.asarray(view.busy[victims])
-        if not busy_pair.any():
-            return out
-        victims = victims[busy_pair]
-        seg = seg[busy_pair]
-
-        freq_now = self._ensure_freq_now(view, victims)[victims]
+        victims = self._victims[candidates]
+        busy = view.busy[victims]
+        if not busy.any():
+            return np.zeros(victims.shape[0])
 
         topology = self.topology
         heat_delta = job_powers - topology.gated_power_array[candidates]
-        pair_cands = candidates[seg]
-        weights = self._weights[victims, pair_cands]
-        ambient_delta = weights * heat_delta[seg]
-
-        freq_later = select_frequencies_steady(
-            ambient_c=view.ambient_c[victims] + ambient_delta,
-            chip_c=view.chip_c[victims],
-            dyn_max_w=view.dyn_max_w[victims],
-            dyn_exp=view.dyn_exp[victims],
-            tdp_w=topology.tdp_array[victims],
-            r_ext=topology.r_ext_array[victims],
-            theta_offset=topology.theta_offset_array[victims],
-            theta_slope=topology.theta_slope_array[victims],
+        ambient_delta = self._weights[candidates] * heat_delta[:, None]
+        flat = victims.ravel()
+        pairs = np.concatenate((flat, flat))
+        ambient = view.ambient_c[flat]
+        freq = select_frequencies_steady(
+            ambient_c=np.concatenate(
+                (ambient, ambient + ambient_delta.ravel())
+            ),
+            chip_c=view.chip_c[pairs],
+            dyn_max_w=view.dyn_max_w[pairs],
+            dyn_exp=view.dyn_exp[pairs],
+            tdp_w=topology.tdp_array[pairs],
+            r_ext=topology.r_ext_array[pairs],
+            theta_offset=topology.theta_offset_array[pairs],
+            theta_slope=topology.theta_slope_array[pairs],
             ladder=view.ladder,
             params=view.params,
         )
-        losses = np.maximum(freq_now - freq_later, 0.0)
-        weighted = losses * view.busy_ema[victims]
+        m = flat.size
+        losses = np.maximum(freq[:m] - freq[m:], 0.0)
+        weighted = np.where(
+            busy.ravel(), losses * view.busy_ema[flat], 0.0
+        ).reshape(busy.shape)
 
-        # Per-candidate reduction over contiguous segments.  Each slice
-        # is the exact array the scalar path would have summed, so
-        # ndarray.sum() reproduces its pairwise reduction tree.
-        seg_counts = np.bincount(seg, minlength=n_c)
-        stops = np.cumsum(seg_counts)
-        for i in range(n_c):
-            if seg_counts[i]:
-                out[i] = weighted[stops[i] - seg_counts[i] : stops[i]].sum()
-        return out
-
-    def _ensure_freq_now(
-        self, view: "SchedulerView", victims: np.ndarray
-    ) -> np.ndarray:
-        """Return the freq-now cache, filled for every id in ``victims``.
-
-        The cache is valid for one engine timestamp: between two thermal
-        updates the victims' temperatures, utilisation EMA, and power
-        curves are frozen, and placement decisions only flip sockets
-        idle -> busy (which extends, never stales, the valid set).
-        """
-        if self._cache_time != view.time_s:
-            self._cache_time = view.time_s
-            self._freq_valid[:] = False
-        need = np.zeros_like(self._freq_valid)
-        need[victims] = True
-        need &= ~self._freq_valid
-        if need.any():
-            ids = np.nonzero(need)[0]
-            topology = self.topology
-            self._freq_now[ids] = select_frequencies_steady(
-                ambient_c=view.ambient_c[ids],
-                chip_c=view.chip_c[ids],
-                dyn_max_w=view.dyn_max_w[ids],
-                dyn_exp=view.dyn_exp[ids],
-                tdp_w=topology.tdp_array[ids],
-                r_ext=topology.r_ext_array[ids],
-                theta_offset=topology.theta_offset_array[ids],
-                theta_slope=topology.theta_slope_array[ids],
-                ladder=view.ladder,
-                params=view.params,
-            )
-            self._freq_valid[ids] = True
-        return self._freq_now
+        total = weighted[:, 0].copy()
+        for column in range(1, weighted.shape[1]):
+            total += weighted[:, column]
+        if self._exact_long_rows:
+            counts = busy.sum(axis=1)
+            for row in np.flatnonzero(counts >= PAIRWISE_BLOCK):
+                total[row] = weighted[row, busy[row]].sum()
+        return total

@@ -7,11 +7,19 @@ that respects the temperature limit (and the boost governor).  The same
 machinery, pointed at a downwind socket with its entry temperature
 shifted by the coupling weight, predicts how much that socket would slow
 down.
+
+The policies score a whole candidate pool through
+:func:`predict_job_placement`, which gathers each candidate column once
+and returns the job's predicted frequency and power draw together.  The
+scalar helpers (:func:`predict_job_frequency`,
+:func:`predicted_job_power`, :func:`predict_downwind_slowdown`) serve
+the migration policy and are the per-candidate references the pool
+scoring is tested against, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -38,7 +46,6 @@ def predict_job_frequency(
     view: "SchedulerView",
     socket_ids: np.ndarray,
     job: "Job",
-    sink_c: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Predicted frequency (MHz) ``job`` would get on each candidate.
 
@@ -46,8 +53,6 @@ def predict_job_frequency(
         view: Read-only simulation view.
         socket_ids: Candidate socket indices.
         job: The job being placed.
-        sink_c: Optional override of candidate sink temperatures (used
-            for what-if analyses); defaults to current sink state.
 
     Returns:
         Array of predicted MHz, aligned with ``socket_ids``.
@@ -59,7 +64,7 @@ def predict_job_frequency(
     dyn_max = job.app.power_at_max_w - LEAKAGE_TDP_FRACTION * tdp
     dyn_exp = np.full(ids.shape, profile.dynamic_exponent)
     return select_frequencies(
-        sink_c=view.sink_c[ids] if sink_c is None else sink_c,
+        sink_c=view.sink_c[ids],
         chip_c=view.chip_c[ids],
         dyn_max_w=dyn_max,
         dyn_exp=dyn_exp,
@@ -69,6 +74,51 @@ def predict_job_frequency(
         ladder=view.ladder,
         params=view.params,
     )
+
+
+def predict_job_placement(
+    view: "SchedulerView",
+    socket_ids: np.ndarray,
+    job: "Job",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Predicted frequency (MHz) and power draw (W) of ``job`` per candidate.
+
+    Bit-identical to :func:`predict_job_frequency` followed by one
+    :func:`predicted_job_power` call per candidate, from one gather of
+    each candidate column:
+
+    - The frequency comes from :func:`~repro.sim.power_manager.
+      select_frequencies_steady` with ``ambient_c`` set to the sink
+      temperatures and ``r_ext=0.0``.  That is the instantaneous-sink
+      selection op for op: ``r_int + 0.0`` is ``r_int``, and every
+      other step is the same operation in the same order.
+    - The power keeps :func:`predicted_job_power`'s per-element order.
+      Its leakage term is inlined because :func:`~repro.workloads.
+      power_model.leakage_power` validates ``tdp_w`` as a scalar.
+    """
+    topology = view.topology
+    tdp = topology.tdp_array[socket_ids]
+    chip = view.chip_c[socket_ids]
+    exponent = profile_for(job.app.benchmark_set).dynamic_exponent
+    reference_leak = LEAKAGE_TDP_FRACTION * tdp
+    dyn_max = job.app.power_at_max_w - reference_leak
+    ladder = view.ladder
+    freq = select_frequencies_steady(
+        ambient_c=view.sink_c[socket_ids],
+        chip_c=chip,
+        dyn_max_w=dyn_max,
+        dyn_exp=np.full(tdp.shape, exponent),
+        tdp_w=tdp,
+        r_ext=0.0,
+        theta_offset=topology.theta_offset_array[socket_ids],
+        theta_slope=topology.theta_slope_array[socket_ids],
+        ladder=ladder,
+        params=view.params,
+    )
+    factor = 1.0 + LEAKAGE_TEMP_COEFF * (chip - LEAKAGE_REFERENCE_C)
+    factor = np.maximum(factor, LEAKAGE_FLOOR_FRACTION)
+    power = dynamic_power(freq, dyn_max, exponent, ladder.max_mhz)
+    return freq, power + reference_leak * factor
 
 
 def predicted_job_power(
@@ -83,35 +133,6 @@ def predicted_job_power(
     )
     leak = leakage_power(float(view.chip_c[socket_id]), tdp)
     return float(dyn) + float(leak)
-
-
-def predict_job_powers(
-    view: "SchedulerView",
-    socket_ids: np.ndarray,
-    job: "Job",
-    freq_mhz: np.ndarray,
-) -> np.ndarray:
-    """Vectorised :func:`predicted_job_power` over many candidates.
-
-    Bit-identical to calling the scalar helper once per socket: the
-    per-element float op order is preserved, and the leakage law is
-    inlined because :func:`~repro.workloads.power_model.leakage_power`
-    validates ``tdp_w`` as a scalar.
-    """
-    topology = view.topology
-    ids = np.asarray(socket_ids)
-    tdp = topology.tdp_array[ids]
-    profile = profile_for(job.app.benchmark_set)
-    dyn_max = job.app.power_at_max_w - LEAKAGE_TDP_FRACTION * tdp
-    dyn = dynamic_power(
-        freq_mhz, dyn_max, profile.dynamic_exponent, view.ladder.max_mhz
-    )
-    factor = 1.0 + LEAKAGE_TEMP_COEFF * (
-        np.asarray(view.chip_c[ids]) - LEAKAGE_REFERENCE_C
-    )
-    factor = np.maximum(factor, LEAKAGE_FLOOR_FRACTION)
-    leak = (LEAKAGE_TDP_FRACTION * tdp) * factor
-    return dyn + leak
 
 
 def predict_downwind_slowdown(

@@ -8,6 +8,11 @@ heat sink would settle coolest (lowest ``ambient + P * R_ext``), i.e.
 the one that can hold the frequency longest — which is why Predictive
 gravitates to cool sockets with the better 30-fin sink (zone 2 in the
 SUT) at low load.
+
+Every idle socket is scored in one pass: one
+:func:`~repro.core.prediction.predict_job_placement` call, the helper
+CP shares, gives the job's frequency and power on all of them.  The
+per-candidate reference loop lives in ``tests/test_kernel_identity.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Scheduler, register_scheduler
-from .prediction import predict_job_frequency, predict_job_powers
+from .prediction import predict_job_placement
 
 #: MHz-per-degC weight of the sink steady-state tie-breaker; small
 #: enough never to override a 200 MHz state difference.
@@ -30,8 +35,12 @@ class Predictive(Scheduler):
 
     def select_socket(self, job, idle_ids, view) -> int:
         self._require_candidates(idle_ids)
-        freq = predict_job_frequency(view, idle_ids, job)
-        sink_ss = self._sink_steady_state(job, idle_ids, view, freq)
+        freq, powers = predict_job_placement(view, idle_ids, job)
+        # Eventual sink temperature if the job ran indefinitely.
+        sink_ss = (
+            view.ambient_c[idle_ids]
+            + powers * view.topology.r_ext_array[idle_ids]
+        )
         # Among equal predicted states, prefer the socket whose sink
         # would settle coolest (sustains the state longest) and whose
         # sink is currently freshest (longest boost runway).
@@ -39,12 +48,3 @@ class Predictive(Scheduler):
             sink_ss + view.sink_c[idle_ids]
         )
         return int(idle_ids[int(np.argmax(score))])
-
-    def _sink_steady_state(self, job, idle_ids, view, freq) -> np.ndarray:
-        """Eventual sink temperature if the job ran indefinitely."""
-        topology = view.topology
-        powers = predict_job_powers(view, idle_ids, job, freq)
-        return (
-            view.ambient_c[idle_ids]
-            + powers * topology.r_ext_array[idle_ids]
-        )

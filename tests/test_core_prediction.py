@@ -43,13 +43,11 @@ class TestPredictJobFrequency:
         freq = predict_job_frequency(state, np.array([4]), make_job())
         assert freq[0] < 1500.0
 
-    def test_sink_override(self, state):
-        freq_cold = predict_job_frequency(
-            state, np.array([0]), make_job(), sink_c=np.array([20.0])
-        )
-        freq_hot = predict_job_frequency(
-            state, np.array([0]), make_job(), sink_c=np.array([90.0])
-        )
+    def test_hotter_sink_predicts_lower_frequency(self, state):
+        state.thermal.sink_c[0] = 20.0
+        freq_cold = predict_job_frequency(state, np.array([0]), make_job())
+        state.thermal.sink_c[0] = 90.0
+        freq_hot = predict_job_frequency(state, np.array([0]), make_job())
         assert freq_cold[0] > freq_hot[0]
 
     def test_storage_job_predicts_higher_than_computation(self, state):

@@ -1,20 +1,23 @@
-"""Bit-identity oracle for the vectorised placement/solver kernels.
+"""Bit-identity oracle for the CP and Predictive pool scoring.
 
-The predictive policies score placements through the batched
-:class:`~repro.core.kernels.PlacementKernel` (plus the batched
-:func:`~repro.core.prediction.predict_job_powers`).  Their
-per-candidate scalar scoring loops live on only here, as the local
-reference subclasses :class:`_ScalarCP` and :class:`_ScalarPredictive`,
-and this suite pins the cardinal contract: kernel and reference
-produce the *same bits*.
+The predictive policies score a candidate pool in one pass:
+:func:`~repro.core.prediction.predict_job_placement` predicts the
+job's frequency and power on every candidate, and CP's
+:class:`~repro.core.kernels.PlacementKernel` charges each candidate its
+downwind losses from padded per-topology tables.  Their per-candidate
+scalar scoring loops live on only here, as the local reference
+subclasses :class:`_ScalarCP` and :class:`_ScalarPredictive`, built
+from the scalar helpers alone, and this suite pins the cardinal
+contract: pool pass and reference produce the *same bits*.
 
 The run-level oracle spans 19 (policy configuration, benchmark set,
 load) combinations — both predictive policies, full-search and
 row-restricted CP, the coupling-ablated CP, all benchmark sets, and
 the load extremes — comparing full content fingerprints.  Below that,
-function-level probes assert equality inside live scheduling decisions
-(batched powers, batched downwind losses against a cold *and* a warm
-per-step frequency cache).
+a live-decision probe checks the pool pass against the scalar helpers
+inside real runs, and property tests check it on random states and
+idle sets, and on downwind chains long enough for ``ndarray.sum`` to
+switch to its unrolled pairwise order.
 
 The run-level oracle is also pinned to a committed golden,
 ``goldens/kernel_oracle.json``: each configuration's kernel-path
@@ -27,9 +30,13 @@ cache key.  Regenerate it after an intentional model change with::
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.config.presets import smoke
 from repro.core.coupling_predictor import CouplingPredictor
@@ -37,16 +44,19 @@ from repro.core.kernels import PlacementKernel
 from repro.core.prediction import (
     predict_downwind_slowdown,
     predict_job_frequency,
-    predict_job_powers,
+    predict_job_placement,
     predicted_job_power,
 )
 from repro.core.predictive import SINK_TIEBREAK_WEIGHT, Predictive
+from repro.server.topology import ServerTopology, moonshot_sut
 from repro.sim.engine import Simulation
 from repro.sim.fingerprint import result_fingerprint
 from repro.sim.parallel import config_key
 from repro.sim.runner import run_once
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.benchmark import BenchmarkSet
+from repro.workloads.job import Job
+from repro.workloads.pcmark import PCMARK_APPS
 
 COMPUTATION = BenchmarkSet.COMPUTATION
 GENERAL = BenchmarkSet.GENERAL_PURPOSE
@@ -86,8 +96,21 @@ def _oracle_configs():
     return configs
 
 
+def _unique_pool(idle_ids, view, rng):
+    """CP's row-restricted pool as ``np.unique`` picks it (the reference)."""
+    rows = view.topology.row_array[idle_ids]
+    unique_rows = np.unique(rows)
+    chosen = unique_rows[rng.integers(0, unique_rows.size)]
+    return idle_ids[rows == chosen]
+
+
 class _ScalarCP(CouplingPredictor):
     """CP scoring one candidate at a time (the pre-kernel reference)."""
+
+    def _candidate_pool(self, idle_ids, view):
+        if not self.row_restricted:
+            return idle_ids
+        return _unique_pool(idle_ids, view, self.rng)
 
     def select_socket(self, job, idle_ids, view):
         self._require_candidates(idle_ids)
@@ -115,19 +138,24 @@ class _ScalarCP(CouplingPredictor):
 
 
 class _ScalarPredictive(Predictive):
-    """Predictive with per-candidate job powers (the reference)."""
+    """Predictive scoring one candidate at a time (the reference)."""
 
-    def _sink_steady_state(self, job, idle_ids, view, freq):
-        powers = np.array(
-            [
-                predicted_job_power(view, int(socket), job, float(f))
-                for socket, f in zip(idle_ids, freq)
-            ]
-        )
-        return (
-            view.ambient_c[idle_ids]
-            + powers * view.topology.r_ext_array[idle_ids]
-        )
+    def select_socket(self, job, idle_ids, view):
+        self._require_candidates(idle_ids)
+        freq = predict_job_frequency(view, idle_ids, job)
+        scores = np.empty(idle_ids.shape, dtype=float)
+        topology = view.topology
+        for i, (socket, f_mhz) in enumerate(zip(idle_ids, freq)):
+            socket = int(socket)
+            power = predicted_job_power(view, socket, job, float(f_mhz))
+            sink_ss = (
+                view.ambient_c[socket]
+                + power * topology.r_ext_array[socket]
+            )
+            scores[i] = float(f_mhz) - SINK_TIEBREAK_WEIGHT * (
+                sink_ss + float(view.sink_c[socket])
+            )
+        return int(idle_ids[int(np.argmax(scores))])
 
 
 def _make_policy(policy, kwargs, scalar=False):
@@ -206,10 +234,39 @@ def test_kernel_runs_are_bit_identical(
     ) == golden
 
 
+def _assert_losses_match_scalars(view, candidates, powers):
+    losses = PlacementKernel(view.topology).downwind_losses(
+        view, candidates, powers
+    )
+    scalar_losses = [
+        predict_downwind_slowdown(view, int(socket), float(power))
+        for socket, power in zip(candidates, powers)
+    ]
+    assert losses.tobytes() == np.array(scalar_losses).tobytes()
+
+
+def _assert_pool_pass_matches_scalars(view, candidates, job):
+    """The pool pass against the scalar helpers, byte for byte.
+
+    Returns the number of (candidate, downwind socket) pairs checked.
+    """
+    freq, powers = predict_job_placement(view, candidates, job)
+    scalar_freq = predict_job_frequency(view, candidates, job)
+    assert freq.tobytes() == scalar_freq.tobytes()
+    scalar_powers = [
+        predicted_job_power(view, int(socket), job, float(f_mhz))
+        for socket, f_mhz in zip(candidates, scalar_freq)
+    ]
+    assert powers.tobytes() == np.array(scalar_powers).tobytes()
+    _assert_losses_match_scalars(view, candidates, powers)
+    coupling = view.topology.coupling
+    return sum(coupling.downwind_of(int(s)).size for s in candidates)
+
+
 class _ProbingCP(CouplingPredictor):
-    """CP that cross-checks every kernel against its scalar twin inside
-    live decisions (real views, real temperatures, mid-drain busy
-    flips) before delegating to the normal kernel path."""
+    """Full-search CP that checks its pool pass against the scalar
+    helpers inside live decisions (real views, real temperatures,
+    mid-drain busy flips) before delegating to the normal path."""
 
     def __init__(self):
         super().__init__(row_restricted=False)
@@ -217,32 +274,10 @@ class _ProbingCP(CouplingPredictor):
         self.pairs_checked = 0
 
     def select_socket(self, job, idle_ids, view):
-        candidates = idle_ids
-        freq = predict_job_frequency(view, candidates, job)
-        powers = predict_job_powers(view, candidates, job, freq)
-        scalar_powers = np.array(
-            [
-                predicted_job_power(view, int(s), job, float(f))
-                for s, f in zip(candidates, freq)
-            ]
+        self.pairs_checked += _assert_pool_pass_matches_scalars(
+            view, idle_ids, job
         )
-        assert powers.tobytes() == scalar_powers.tobytes()
-
-        # A cold kernel (empty frequency cache) every decision...
-        cold = PlacementKernel(view.topology)
-        cold_losses = cold.downwind_losses(view, candidates, powers)
-        scalar_losses = np.array(
-            [
-                predict_downwind_slowdown(view, int(s), float(p))
-                for s, p in zip(candidates, powers)
-            ]
-        )
-        assert cold_losses.tobytes() == scalar_losses.tobytes()
         self.decisions += 1
-        self.pairs_checked += candidates.size
-        # ...and the policy's own warm kernel (per-step cache reused
-        # across the drain) via the normal path; the run-level oracle
-        # pins that its choices match the scalar policy's.
         return super().select_socket(job, idle_ids, view)
 
 
@@ -263,8 +298,8 @@ def test_kernels_match_scalars_inside_live_decisions(small_sut):
 
 
 def test_kernel_survives_engine_reuse(small_sut):
-    """One Simulation instance re-run twice: the per-step frequency
-    cache must be invalidated by reset(), keeping run 2 identical to a
+    """One Simulation instance re-run twice: the policy and its kernel
+    carry nothing from run 1 into run 2, which stays identical to a
     fresh scheduler's run."""
     params = smoke(seed=4)
 
@@ -290,10 +325,132 @@ def test_kernel_survives_engine_reuse(small_sut):
     assert result_fingerprint(second) == result_fingerprint(fresh)
 
 
+#: The shipped SUT at three sizes (downwind chains of at most 5
+#: sockets) and a chassis of 12-socket chains, whose upwind sockets
+#: have up to 11 downwind sockets: 8 or more busy ones take
+#: ``ndarray.sum``'s unrolled pairwise order.
+_PROPERTY_TOPOLOGIES = ("rows1", "rows3", "rows15", "chain12")
+
+
+@pytest.fixture(scope="module")
+def property_topologies():
+    return {
+        "rows1": moonshot_sut(n_rows=1),
+        "rows3": moonshot_sut(n_rows=3),
+        "rows15": moonshot_sut(n_rows=15),
+        "chain12": ServerTopology(
+            n_rows=2,
+            lanes_per_row=2,
+            chain_length=12,
+            sockets_per_cartridge_depth=2,
+        ),
+    }
+
+
+def _draw_floats(data, n, low, high, **kwargs):
+    values = data.draw(
+        arrays(np.float64, n, elements=st.floats(low, high), **kwargs)
+    )
+    values.flags.writeable = False
+    return values
+
+
+def _draw_busy(data, n):
+    """Busy flags, drawn mostly busy half of the time, never all busy."""
+    flags = st.booleans()
+    if data.draw(st.booleans()):
+        flags = st.sampled_from((True, True, True, False))
+    busy = np.array(data.draw(st.lists(flags, min_size=n, max_size=n)))
+    if busy.all():
+        busy[data.draw(st.integers(0, n - 1))] = False
+    return busy
+
+
+def _draw_view(data, topology, busy):
+    """A random live state around the given busy flags: finite
+    temperatures, EMAs and running-job power curves."""
+    n = topology.n_sockets
+    busy.flags.writeable = False
+    return SimpleNamespace(
+        topology=topology,
+        ladder=topology.processor.ladder,
+        params=smoke(),
+        busy=busy,
+        chip_c=_draw_floats(data, n, 20.0, 110.0),
+        sink_c=_draw_floats(data, n, 20.0, 100.0),
+        ambient_c=_draw_floats(data, n, 15.0, 80.0),
+        # Distinct utilisations give distinct weighted losses, whose
+        # sums depend on the summation order.
+        busy_ema=_draw_floats(data, n, 0.0, 1.0, fill=st.nothing()),
+        dyn_max_w=_draw_floats(data, n, 0.5, 30.0),
+        dyn_exp=_draw_floats(data, n, 1.0, 3.0),
+    )
+
+
+def _choice(cls, view, job, idle_ids, seed, **kwargs):
+    policy = cls(**kwargs)
+    policy.reset(view, np.random.default_rng(seed))
+    return policy.select_socket(job, idle_ids, view)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pool_pass_matches_the_scalar_loop(property_topologies, data):
+    topology = property_topologies[
+        data.draw(st.sampled_from(_PROPERTY_TOPOLOGIES))
+    ]
+    view = _draw_view(data, topology, _draw_busy(data, topology.n_sockets))
+    idle = np.flatnonzero(~view.busy).tolist()
+    idle_ids = np.array(
+        sorted(data.draw(st.sets(st.sampled_from(idle), min_size=1)))
+    )
+    job = Job(
+        job_id=0,
+        app=data.draw(st.sampled_from(PCMARK_APPS)),
+        arrival_s=0.0,
+        work_ms=1.0,
+    )
+
+    _assert_pool_pass_matches_scalars(view, idle_ids, job)
+    # Heavier heat than any job draws slows most busy victims.
+    _assert_losses_match_scalars(
+        view, idle_ids, _draw_floats(data, idle_ids.size, 0.0, 400.0)
+    )
+
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    policy = CouplingPredictor()
+    policy.reset(view, np.random.default_rng(seed))
+    reference_rng = np.random.default_rng(seed)
+    pool = policy._candidate_pool(idle_ids, view)
+    reference = _unique_pool(idle_ids, view, reference_rng)
+    assert pool.tolist() == reference.tolist()
+    assert policy.rng.bit_generator.state == reference_rng.bit_generator.state
+
+    restricted = {"row_restricted": data.draw(st.booleans())}
+    assert _choice(
+        CouplingPredictor, view, job, idle_ids, seed, **restricted
+    ) == _choice(_ScalarCP, view, job, idle_ids, seed, **restricted)
+    assert _choice(Predictive, view, job, idle_ids, seed) == _choice(
+        _ScalarPredictive, view, job, idle_ids, seed
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_long_downwind_chains_keep_the_scalar_sum(property_topologies, data):
+    """The first two sockets of every 12-socket chain idle, the rest
+    busy: each candidate sums 10 weighted losses, past the length at
+    which ``ndarray.sum`` stops adding left to right."""
+    topology = property_topologies["chain12"]
+    view = _draw_view(data, topology, topology.chain_pos_array >= 2)
+    idle_ids = np.flatnonzero(~view.busy)
+    _assert_losses_match_scalars(
+        view, idle_ids, _draw_floats(data, idle_ids.size, 0.0, 400.0)
+    )
+
+
 def _regenerate():
     """Rewrite ``goldens/kernel_oracle.json`` from the kernel path."""
-    from repro.server.topology import moonshot_sut
-
     topology = moonshot_sut(n_rows=2)
     golden = {}
     for policy, kwargs, benchmark_set, load in _oracle_configs():
