@@ -99,7 +99,7 @@ def write_bench_json(filename, payload, merge=False):
 
     Args:
         filename: Artifact name under ``benchmarks/results/`` (with
-            extension, e.g. ``"step_pipeline.json"``).
+            extension, e.g. ``"profiler_overhead.json"``).
         payload: JSON-ready measurement dict.
         merge: Merge ``payload``'s keys into an existing artifact
             instead of replacing it (used when several tests share one

@@ -1,23 +1,21 @@
-"""Step-pipeline engine throughput vs. the pre-refactor monolith.
+"""Step profiling overhead on the full 180-socket SUT.
 
-Runs the identical 180-socket Moonshot workload through the frozen
-pre-refactor engine (``_legacy_engine.LegacySimulation``) and the
-current step-pipeline :class:`repro.sim.engine.Simulation`, and reports
-engine steps per second for both.  The pipeline run must
+Runs the identical 180-socket Moonshot workload through
+:class:`repro.sim.engine.Simulation` with and without the
+:class:`~repro.obs.profiler.StepProfiler`, alternating the two, and
+reports engine steps per second for both.  The profiled run must
 
-- produce bit-identical results to the legacy engine (the refactor's
-  core contract: same RNG draw order, same float op order), and
-- clear the speedup threshold: >= 1.3x locally (the refactor's
-  acceptance target), relaxable through ``BENCH_MIN_SPEEDUP`` for
-  noisy shared CI runners (the CI smoke uses a sanity threshold).
+- produce bit-identical results to the plain one (profiling only reads
+  the clock), and
+- cost less than 2% wall-clock on an idle machine, relaxable through
+  ``BENCH_MAX_PROFILE_OVERHEAD`` for noisy shared CI runners.
 
 The measurement is written as BENCH JSON: one ``BENCH {...}`` line on
-stdout and ``benchmarks/results/step_pipeline.json`` on disk.
+stdout and ``benchmarks/results/profiler_overhead.json`` on disk.
 """
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.config.presets import smoke
@@ -27,20 +25,12 @@ from repro.sim.engine import Simulation
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.benchmark import BenchmarkSet
 
-from _legacy_engine import LegacySimulation
 from _timing import (
     ADAPTIVE_ROUNDS_MAX,
     ADAPTIVE_ROUNDS_MIN,
-    ROUNDS,
     alternating_best_of,
-    best_of,
     write_bench_json,
 )
-
-#: Required pipeline-vs-legacy speedup.  The refactor targets >= 1.3x
-#: on an idle machine; CI smoke overrides this with a lower sanity
-#: threshold because shared runners time noisily.
-MIN_SPEEDUP = float(os.environ.get("BENCH_MIN_SPEEDUP", "1.3"))
 
 #: Maximum tolerated profiling slowdown (fraction).  The chained
 #: timestamp scheme costs about one clock read per component hook per
@@ -67,62 +57,6 @@ def _workload():
     jobs = arrivals.generate(params.sim_time_s)
     n_steps = int(round(params.sim_time_s / params.power_manager_interval_s))
     return topology, params, jobs, n_steps
-
-
-def _best_rate(factory, jobs, n_steps):
-    """Best-of-N steps/sec for one engine, plus its (stable) result."""
-    best_s, result = best_of(lambda: factory().run(list(jobs)))
-    return n_steps / best_s, result
-
-
-def test_step_pipeline_speedup(record_artifact):
-    topology, params, jobs, n_steps = _workload()
-
-    legacy_rate, legacy_result = _best_rate(
-        lambda: LegacySimulation(topology, params, get_scheduler("CF")),
-        jobs,
-        n_steps,
-    )
-    pipeline_rate, pipeline_result = _best_rate(
-        lambda: Simulation(topology, params, get_scheduler("CF")),
-        jobs,
-        n_steps,
-    )
-
-    # The refactor's contract: not merely statistically close — the
-    # pipeline replays the exact trajectory of the monolith.
-    assert pipeline_result.energy_j == legacy_result.energy_j
-    assert (
-        pipeline_result.n_jobs_completed == legacy_result.n_jobs_completed
-    )
-    assert np.array_equal(
-        pipeline_result.max_chip_c, legacy_result.max_chip_c
-    )
-    assert np.array_equal(
-        pipeline_result.work_done, legacy_result.work_done
-    )
-
-    speedup = pipeline_rate / legacy_rate
-    payload = {
-        "benchmark": "step_pipeline",
-        "n_sockets": topology.n_sockets,
-        "n_steps": n_steps,
-        "scheduler": "CF",
-        "load": LOAD,
-        "seed": SEED,
-        "rounds": ROUNDS,
-        "legacy_steps_per_s": round(legacy_rate, 1),
-        "pipeline_steps_per_s": round(pipeline_rate, 1),
-        "speedup": round(speedup, 3),
-        "min_speedup": MIN_SPEEDUP,
-    }
-    line = write_bench_json("step_pipeline.json", payload)
-    record_artifact("step_pipeline", line + "\n")
-
-    assert speedup >= MIN_SPEEDUP, (
-        f"step pipeline reached only {speedup:.2f}x over the legacy "
-        f"engine (required {MIN_SPEEDUP}x): {line}"
-    )
 
 
 def test_profiling_overhead(record_artifact):

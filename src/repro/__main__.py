@@ -92,11 +92,12 @@ def _cmd_report(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .config.presets import scaled
-    from .errors import ConfigurationError
+    from .errors import ConfigurationError, TopologyError, WorkloadError
     from .obs.session import profile_from_env
     from .server.topology import moonshot_sut
     from .sim.export import save_csv, save_json, sweep_summaries
     from .sim.runner import run_sweep
+    from .workloads.arrivals import check_load
     from .workloads.benchmark import BenchmarkSet
 
     known_sets = [member.value for member in BenchmarkSet]
@@ -113,25 +114,28 @@ def _cmd_sweep(args) -> int:
             )
             return 2
     sets = [BenchmarkSet(name) for name in args.sets]
-    topology = moonshot_sut(n_rows=args.rows)
+    fault_schedule = None
     try:
+        topology = moonshot_sut(n_rows=args.rows)
         params = scaled(
             sim_time_s=args.sim_time,
             warmup_s=min(args.sim_time / 3.0, 8.0),
             seed=args.seed,
         )
-    except ConfigurationError as exc:
+        for load in args.loads:
+            check_load(load)
+        if args.faults:
+            from .faults import parse_fault_spec
+
+            fault_schedule = parse_fault_spec(
+                args.faults,
+                topology=topology,
+                horizon_s=args.sim_time,
+            )
+    except (ConfigurationError, TopologyError, WorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fault_schedule = None
-    if args.faults:
-        from .faults import parse_fault_spec
-
-        fault_schedule = parse_fault_spec(
-            args.faults,
-            topology=topology,
-            horizon_s=args.sim_time,
-        )
+    if fault_schedule is not None:
         print(
             f"fault schedule: {len(fault_schedule)} event(s), "
             f"fingerprint {fault_schedule.fingerprint()[:16]}"
@@ -205,6 +209,9 @@ def _cmd_fleet_serve(args) -> int:
             batch_window_s=args.batch_window,
             max_batch=_max_batch(args),
         )
+        registry = demo_fleet(
+            n_chassis=args.chassis, replicas=args.replicas
+        )
     except (ConfigurationError, FleetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -217,9 +224,6 @@ def _cmd_fleet_serve(args) -> int:
         session = TelemetrySession(
             Path(args.telemetry) / "fleet.jsonl"
         )
-    registry = demo_fleet(
-        n_chassis=args.chassis, replicas=args.replicas
-    )
     service = FleetService(
         registry,
         policy=policy,
@@ -264,15 +268,24 @@ def _cmd_fleet_query(args) -> int:
             "job_power_w": args.power,
         }
     else:
-        obj = {
-            "kind": "what_if",
-            "chassis": args.chassis,
-            "scenarios": [
+        try:
+            scenarios = [
                 [float(u), float(p)]
                 for u, p in (
                     pair.split(":") for pair in args.scenarios
                 )
-            ],
+            ]
+        except ValueError:
+            print(
+                "error: --scenarios takes UTIL:POWER pairs of numbers, "
+                f"got {' '.join(args.scenarios)}",
+                file=sys.stderr,
+            )
+            return 2
+        obj = {
+            "kind": "what_if",
+            "chassis": args.chassis,
+            "scenarios": scenarios,
         }
     try:
         answer = asyncio.run(

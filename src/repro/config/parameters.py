@@ -103,6 +103,10 @@ class SimulationParameters:
             raise ConfigurationError("duration scale must be positive")
         if self.history_tau_s <= 0:
             raise ConfigurationError("history tau must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be non-negative, got {self.seed!r}"
+            )
 
     def with_overrides(self, **kwargs) -> "SimulationParameters":
         """A copy with the given fields replaced."""

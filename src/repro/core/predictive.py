@@ -12,7 +12,7 @@ SUT) at low load.
 Every idle socket is scored in one pass: one
 :func:`~repro.core.prediction.predict_job_placement` call, the helper
 CP shares, gives the job's frequency and power on all of them.  The
-per-candidate reference loop lives in ``tests/test_kernel_identity.py``.
+per-candidate reference loop lives in ``tests/test_oracle.py``.
 """
 
 from __future__ import annotations

@@ -32,6 +32,16 @@ from .job import Job
 from .pcmark import Application, apps_in_set
 
 
+def check_load(load: float) -> None:
+    """Reject an offered load outside (0, 1]; NaN is outside too.
+
+    Raises:
+        WorkloadError: for an out-of-range load.
+    """
+    if not 0.0 < load <= 1.0:
+        raise WorkloadError(f"load must lie in (0, 1], got {load}")
+
+
 def load_to_arrival_rate(
     load: float, n_sockets: int, mean_duration_ms: float
 ) -> float:
@@ -40,8 +50,7 @@ def load_to_arrival_rate(
     Raises:
         WorkloadError: for out-of-range inputs.
     """
-    if not 0.0 < load <= 1.0:
-        raise WorkloadError(f"load must lie in (0, 1], got {load}")
+    check_load(load)
     if n_sockets <= 0:
         raise WorkloadError(f"n_sockets must be positive, got {n_sockets}")
     if mean_duration_ms <= 0:
@@ -76,8 +85,7 @@ class ArrivalProcess:
     duration_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.load <= 1.0:
-            raise WorkloadError(f"load must lie in (0, 1], got {self.load}")
+        check_load(self.load)
         if self.n_sockets <= 0:
             raise WorkloadError("n_sockets must be positive")
         if not self.apps:

@@ -85,6 +85,12 @@ class TestCLI:
             (["--sets", "Nope"], "Nope", "Storage"),
             (["--sim-time", "inf"], "sim_time_s", "inf"),
             (["--sim-time", "nan"], "sim_time_s", "nan"),
+            (["--rows", "0"], "rows", ">= 1"),
+            (["--loads", "0.5", "0"], "load", "got 0.0"),
+            (["--loads", "1.5"], "load", "got 1.5"),
+            (["--loads", "nan"], "load", "got nan"),
+            (["--seed", "-1"], "seed", "-1"),
+            (["--faults", "garbage"], "garbage", "known: fan"),
         ],
     )
     def test_sweep_rejects_unknown_names_before_running(
@@ -126,24 +132,44 @@ class TestCLI:
             ),
             (["serve", "--batch-window", "-1"], "batch_window_s"),
             (["serve", "--batch-window", "nan"], "batch_window_s"),
+            (["serve", "--chassis", "0"], "chassis"),
+            (["query", "what_if", "--scenarios", "0.5"], "UTIL:POWER"),
+            (["query", "what_if", "--scenarios", "a:b"], "UTIL:POWER"),
         ],
     )
     def test_fleet_rejects_bad_knobs_before_running(
         self, capsys, monkeypatch, argv, field
     ):
         import repro.fleet
+        import repro.fleet.service
 
         def _reached(*args, **kwargs):
             raise AssertionError("the fleet ran with an invalid knob")
 
         monkeypatch.setattr(repro.fleet, "run_chaos", _reached)
         monkeypatch.setattr(repro.fleet, "FleetService", _reached)
+        monkeypatch.setattr(repro.fleet.service, "query_fleet", _reached)
         assert main(["fleet"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ")
         assert field in line
+
+    def test_rejected_serve_leaves_no_telemetry(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import repro.fleet
+
+        def _reached(*args, **kwargs):
+            raise AssertionError("the fleet ran with an invalid knob")
+
+        monkeypatch.setattr(repro.fleet, "FleetService", _reached)
+        directory = tmp_path / "telemetry"
+        argv = ["serve", "--chassis", "0", "--telemetry", str(directory)]
+        assert main(["fleet"] + argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not directory.exists()
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

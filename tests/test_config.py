@@ -59,6 +59,10 @@ class TestSimulationParameters:
         with pytest.raises(ConfigurationError):
             SimulationParameters(duration_scale=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            SimulationParameters(seed=-1)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize(
         "name",
