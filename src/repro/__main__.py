@@ -576,8 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=0.0,
             metavar="S",
             help=(
-                "micro-batching coalescing window in seconds; 0 "
-                "(default) batches only same-tick arrivals"
+                "micro-batching coalescing window in seconds; with 0 "
+                "(default) only queries queued behind a full worker "
+                "coalesce"
             ),
         )
         p.add_argument(

@@ -3,11 +3,27 @@
 :class:`FleetCoordinator` is the deterministic core shared by the
 asyncio service (:mod:`repro.fleet.service`) and the chaos harness
 (:mod:`repro.fleet.chaos`).  It is a *clock-driven* state machine: all
-behaviour happens inside :meth:`submit` and :meth:`tick` calls that
-receive ``now`` explicitly, nothing reads wall-clock or OS entropy,
-and workers are reached only through the :class:`WorkerHandle`
-protocol — so the same registry, seed, chaos schedule and tick cadence
-reproduce the same supervision event sequence bit-for-bit.
+behaviour happens inside :meth:`submit`, :meth:`dispatch` and
+:meth:`tick` calls that receive ``now`` explicitly, nothing reads
+wall-clock or OS entropy, and workers are reached only through the
+:class:`WorkerHandle` protocol — so the same registry, seed, chaos
+schedule and tick cadence reproduce the same supervision event
+sequence bit-for-bit.
+
+The drive contract:
+
+- :meth:`submit` admits (or sheds, or fails) one query; it never
+  ships anything;
+- :meth:`dispatch` ships dispatchable queued queries to workers with
+  a free slot;
+- :meth:`tick` drains worker messages (answers, heartbeats,
+  snapshots), supervises, expires timed-out requests, restarts
+  workers whose backoff is over, and ends with :meth:`dispatch`.
+
+The asyncio service calls :meth:`dispatch` right after each admission,
+so a query leaves for a worker without waiting for a tick; the
+virtual-time drive loops (chaos harness, load generator) submit only
+on tick instants and let the tick dispatch.
 
 Guarantees (checked by :mod:`repro.fleet.invariants` under chaos):
 
@@ -38,7 +54,8 @@ budget, exclusion set and exactly-one-terminal-answer guarantee, and
 held members remain ordinary queue entries (still subject to queue
 timeouts and class-based shedding).  With the defaults
 (``batch_window_s=0``, ``max_batch=1``) each query ships as a
-one-member batch on the tick it becomes dispatchable.
+one-member batch on the first dispatch after it becomes dispatchable:
+at admission in the asyncio service, when a worker has a free slot.
 """
 
 from __future__ import annotations
@@ -364,7 +381,9 @@ class FleetCoordinator:
     ) -> int:
         """Admit (or shed) one query; returns its request id.
 
-        The answer arrives through ``callback`` (and
+        Admission ships nothing: an admitted query waits in the queue
+        for the next :meth:`dispatch` or :meth:`tick`.  The answer
+        arrives through ``callback`` (and
         :attr:`answers`) once terminal — possibly within this very
         call, when the request is shed at admission or fails it (an
         unknown chassis, or a utilization vector whose length is not
@@ -495,7 +514,7 @@ class FleetCoordinator:
         self._expire_inflight(now)
         self._expire_queue(now)
         self._run_restarts(now)
-        self._dispatch(now)
+        self.dispatch(now)
 
     def _drain_workers(self, now: float) -> None:
         for wid in self._worker_order:
@@ -702,12 +721,12 @@ class FleetCoordinator:
             else:
                 sup.on_restarted(now, cold=bool(cold))
 
-    def _dispatch(self, now: float) -> None:
+    def dispatch(self, now: float) -> None:
         """Coalesce dispatchable queries per worker; flush by window.
 
         Worker eligibility is decided per query: replica exclusions,
         serving state and the inflight cap, counting members
-        tentatively grouped this tick.  A worker's
+        tentatively grouped in this call.  A worker's
         group flushes in ``max_batch``-sized chunks; a partial chunk
         flushes only once its oldest member has waited
         ``batch_window_s`` since becoming dispatchable, and otherwise

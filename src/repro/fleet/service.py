@@ -2,11 +2,13 @@
 
 :class:`FleetService` owns a
 :class:`~repro.fleet.coordinator.FleetCoordinator` over real
-:class:`~repro.fleet.worker.ProcessWorkerHandle` workers and drives it
-with wall-clock ticks on the event loop.  All determinism-sensitive
-logic lives in the coordinator; this module only supplies time, process
-transport and an optional JSON-lines TCP front end (``repro fleet
-serve`` / ``repro fleet query``).
+:class:`~repro.fleet.worker.ProcessWorkerHandle` workers.  Each query
+leaves for a worker as soon as it is admitted; answers, supervision,
+timeouts and restarts run on wall-clock ticks at a fixed cadence on the
+event loop.  All determinism-sensitive logic lives in the coordinator;
+this module only supplies time, process transport and an optional
+JSON-lines TCP front end (``repro fleet serve`` / ``repro fleet
+query``).
 
 Wire protocol (one JSON object per line, newline-terminated)::
 
@@ -28,13 +30,16 @@ and the connection stays open.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import math
 import time
 from typing import Dict, Optional
 
 from ..errors import FleetError
 from .coordinator import FleetConfig, FleetCoordinator
 from .messages import (
+    AnswerStatus,
     FleetAnswer,
     PlacementQuery,
     RequestClass,
@@ -106,6 +111,18 @@ def query_from_json(obj: dict):
     )
 
 
+def _next_tick(tick: int, now: float, interval_s: float) -> int:
+    """The index of the tick to run after tick ``tick``.
+
+    Tick ``k`` is due ``k * interval_s`` after the service started.
+    The next tick is normally ``tick + 1``.  If ``now`` is already past
+    its deadline (the last tick overran), the missed deadlines are
+    skipped rather than run back to back: the next tick is the first
+    whose deadline is not before ``now``.
+    """
+    return max(tick + 1, math.ceil(now / interval_s))
+
+
 class FleetService:
     """Drive a fleet of process workers on the asyncio event loop.
 
@@ -123,8 +140,14 @@ class FleetService:
         session=None,
         tick_interval_s: float = 0.05,
     ) -> None:
+        if not math.isfinite(tick_interval_s):
+            raise FleetError(
+                f"tick_interval_s must be finite, got {tick_interval_s!r}"
+            )
         if tick_interval_s <= 0:
-            raise FleetError("tick interval must be positive")
+            raise FleetError(
+                f"tick_interval_s must be positive, got {tick_interval_s!r}"
+            )
         self.registry = registry
         self.policy = policy or SupervisionPolicy()
         # Long-running service: heartbeat events would dominate the
@@ -136,7 +159,10 @@ class FleetService:
         self.coordinator: Optional[FleetCoordinator] = None
         self._epoch: Optional[float] = None
         self._tick_task: Optional[asyncio.Task] = None
+        # Futures of admitted callers still waiting, by request id.
         self._waiters: Dict[int, asyncio.Future] = {}
+        # The exception that ended the tick loop, if one did.
+        self._failure: Optional[Exception] = None
 
     def _now(self) -> float:
         if self._epoch is None:
@@ -168,37 +194,73 @@ class FleetService:
         self._tick_task = asyncio.ensure_future(self._tick_loop())
 
     async def _tick_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.tick_interval_s)
-            self.coordinator.tick(self._now())
+        """Run tick ``k`` at ``k * tick_interval_s`` after start.
+
+        A tick that raises ends the loop: every waiting caller gets a
+        FAILED answer naming the error, and :meth:`stop` re-raises it.
+        """
+        tick = 0
+        try:
+            while True:
+                tick = _next_tick(tick, self._now(), self.tick_interval_s)
+                await asyncio.sleep(
+                    tick * self.tick_interval_s - self._now()
+                )
+                self.coordinator.tick(self._now())
+        except Exception as exc:
+            self._failure = exc
+            waiters, self._waiters = self._waiters, {}
+            for rid, future in waiters.items():
+                if not future.done():
+                    future.set_result(
+                        FleetAnswer(
+                            request_id=rid,
+                            status=AnswerStatus.FAILED,
+                            reason=f"service tick failed: {exc!r}",
+                        )
+                    )
+            raise
 
     async def submit(self, query) -> FleetAnswer:
-        """Admit one query and await its terminal answer."""
+        """Admit one query, ship it if a worker slot is free, and await
+        its terminal answer."""
         if self.coordinator is None:
             raise FleetError("service not started")
-        loop = asyncio.get_event_loop()
-        future: asyncio.Future = loop.create_future()
+        if self._failure is not None:
+            raise FleetError(f"service tick failed: {self._failure!r}")
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
 
         def resolve(answer: FleetAnswer) -> None:
+            self._waiters.pop(answer.request_id, None)
             if not future.done():
                 future.set_result(answer)
 
-        self.coordinator.submit(query, self._now(), callback=resolve)
+        now = self._now()
+        rid = self.coordinator.submit(query, now, callback=resolve)
+        if not future.done():  # neither shed nor failed at admission
+            self._waiters[rid] = future
+            self.coordinator.dispatch(now)
         return await future
 
     async def stop(self) -> None:
-        """Resolve stragglers, stop workers, close the log."""
-        if self._tick_task is not None:
-            self._tick_task.cancel()
+        """Resolve stragglers, stop workers, close the log.
+
+        The coordinator is finished and the log closed even when the
+        tick loop died; its exception is re-raised after that.
+        """
+        task, self._tick_task = self._tick_task, None
+        try:
+            if task is not None:
+                task.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await task
+        finally:
             try:
-                await self._tick_task
-            except asyncio.CancelledError:
-                pass
-            self._tick_task = None
-        if self.coordinator is not None:
-            self.coordinator.finish(self._now())
-        if self.session is not None:
-            self.session.close()
+                if self.coordinator is not None:
+                    self.coordinator.finish(self._now())
+            finally:
+                if self.session is not None:
+                    self.session.close()
 
     async def handle_connection(self, reader, writer) -> None:
         """Serve one JSON-lines client connection."""
@@ -230,6 +292,11 @@ class FleetService:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            # A worker restarted while this connection was open was
+            # forked with a copy of its socket, so close() alone sends
+            # no FIN: shut the socket down so the client sees the end.
+            with contextlib.suppress(OSError):
+                writer.write_eof()
             writer.close()
 
     async def serve(self, host: str = "127.0.0.1", port: int = 7781):

@@ -34,6 +34,13 @@ from .messages import QueryBatch
 from .registry import ChassisSpec
 
 
+#: How long ``ProcessWorkerHandle.stop`` waits for SIGTERM to end a
+#: worker before it sends SIGKILL.  A stopped (SIGSTOP) process acts on
+#: SIGTERM only once continued, and ``stop`` runs inside the
+#: coordinator's tick, so every client waits with it.
+_STOP_GRACE_S = 0.1
+
+
 def snapshot_key(worker_id: str) -> str:
     """Checkpoint key under which a worker persists its snapshot."""
     return f"fleet-snapshot-{worker_id}"
@@ -179,7 +186,10 @@ class ProcessWorkerHandle:
     def stop(self, now: float) -> None:
         if self._proc is not None and self._proc.is_alive():
             self._proc.terminate()
-            self._proc.join(timeout=2.0)
+            self._proc.join(timeout=_STOP_GRACE_S)
+            if self._proc.is_alive():
+                self._proc.kill()
+                self._proc.join()
         if self._conn is not None:
             try:
                 self._conn.close()

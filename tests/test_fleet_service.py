@@ -2,7 +2,10 @@
 
 import asyncio
 import json
+import math
 import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -11,7 +14,8 @@ import pytest
 from repro.errors import FleetError
 from repro.fleet.compute import ChassisSnapshot
 from repro.fleet.coordinator import FleetConfig
-from repro.fleet.messages import PlacementQuery, QueryBatch
+from repro.fleet.invariants import check_fleet_log
+from repro.fleet.messages import AnswerStatus, PlacementQuery, QueryBatch
 from repro.fleet.registry import (
     ChassisSpec,
     FleetRegistry,
@@ -20,6 +24,7 @@ from repro.fleet.registry import (
 )
 from repro.fleet.service import (
     FleetService,
+    _next_tick,
     _read_line,
     query_fleet,
     query_from_json,
@@ -30,6 +35,7 @@ from repro.fleet.worker import (
     snapshot_key,
     worker_main,
 )
+from repro.obs.session import TelemetrySession
 
 SPEC = ChassisSpec(
     chassis_id="c0",
@@ -183,6 +189,25 @@ class TestProcessWorkerHandle:
         # After stop, poll is inert and safe.
         assert handle.poll(0.0) == []
 
+    def test_stop_kills_a_stopped_worker_quickly(self):
+        """A SIGSTOPped worker ignores SIGTERM, so stop escalates."""
+        handle = ProcessWorkerHandle(
+            spec=SPEC, worker_id="c0-w0", heartbeat_interval_s=0.2
+        )
+        handle.start(0.0)
+        proc = handle._proc
+        os.kill(proc.pid, signal.SIGSTOP)
+        try:
+            started = time.monotonic()
+            handle.stop(0.0)
+            elapsed = time.monotonic() - started
+            assert proc.exitcode is not None  # dead and reaped
+        finally:
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+        assert elapsed < 0.5
+
 
 class TestQueryFromJson:
     def test_placement_parsed(self):
@@ -232,6 +257,12 @@ def _service(registry):
         ),
         tick_interval_s=0.02,
     )
+
+
+@pytest.mark.parametrize("interval", [0.0, -0.05, math.nan, math.inf])
+def test_bad_tick_interval_rejected(interval):
+    with pytest.raises(FleetError, match="tick_interval_s"):
+        FleetService(REGISTRY, tick_interval_s=interval)
 
 
 @pytest.mark.skipif(
@@ -401,3 +432,167 @@ def test_over_long_line_is_skipped_even_when_split_across_reads():
         return lines
 
     assert asyncio.run(scenario()) == [None, b'{"k": 1}\n', b"tail", b""]
+
+
+def _untimed_service(**config):
+    """A service whose first tick would come only after an hour."""
+    return FleetService(
+        REGISTRY,
+        policy=SupervisionPolicy(heartbeat_interval_s=0.2),
+        config=FleetConfig(log_heartbeats=False, **config),
+        tick_interval_s=3600.0,
+    )
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs process workers",
+)
+class TestDispatchAtAdmission:
+    """A query leaves for a worker when admitted, not at the next tick."""
+
+    def test_admitted_query_is_inflight_before_any_tick(self):
+        async def scenario():
+            service = _untimed_service()
+            await service.start()
+            try:
+                caller = asyncio.ensure_future(
+                    service.submit(
+                        PlacementQuery(chassis="c0", job_power_w=3.0)
+                    )
+                )
+                await asyncio.sleep(0)  # run submit up to its await
+                inflight = dict(service.coordinator.inflight)
+                queued = list(service.coordinator.queue)
+            finally:
+                await service.stop()
+            return inflight, queued, await caller
+
+        inflight, queued, answer = asyncio.run(scenario())
+        assert list(inflight) == [answer.request_id]
+        assert inflight[answer.request_id].worker_id == "c0-w0"
+        assert queued == []
+
+    def test_terminal_admission_dispatches_nothing(self):
+        """Shed and admission failures answer at once and ship nothing."""
+
+        async def scenario():
+            service = _untimed_service(max_queue=1)
+            await service.start()
+            dispatched = []
+            # Record dispatches without shipping, so the queue fills.
+            service.coordinator.dispatch = dispatched.append
+            try:
+                first = asyncio.ensure_future(
+                    service.submit(
+                        PlacementQuery(chassis="c0", job_power_w=3.0)
+                    )
+                )
+                await asyncio.sleep(0)
+                after_admit = len(dispatched)
+                shed = await service.submit(
+                    PlacementQuery(chassis="c0", job_power_w=4.0)
+                )
+                failed = await service.submit(
+                    PlacementQuery(chassis="nowhere", job_power_w=4.0)
+                )
+                after_terminal = len(dispatched)
+            finally:
+                await service.stop()
+            await first
+            return after_admit, shed, failed, after_terminal
+
+        after_admit, shed, failed, after_terminal = asyncio.run(scenario())
+        assert after_admit == 1
+        assert shed.status is AnswerStatus.SHED
+        assert failed.status is AnswerStatus.FAILED
+        assert after_terminal == 1
+
+
+@pytest.mark.parametrize(
+    "tick, now, expected",
+    [
+        (0, 0.0, 1),  # the first tick is one interval after start
+        (1, 0.0535, 2),  # tick 1 ended before tick 2 was due
+        (3, 0.2, 4),  # tick 3 ended just as tick 4 fell due
+        (3, 0.28, 6),  # tick 3 overran ticks 4 and 5: both skipped
+    ],
+)
+def test_next_tick_follows_the_grid(tick, now, expected):
+    assert _next_tick(tick, now, 0.05) == expected
+
+
+def test_tick_loop_keeps_a_fixed_cadence(monkeypatch):
+    """Ticks land on the start + k * interval grid, and the deadlines a
+    slow tick overran are skipped, not run in a burst."""
+    clock = [0.0]
+    ticks = []
+    costs = [0.004, 0.004, 0.13, 0.004]
+
+    class Done(Exception):
+        pass
+
+    class Coordinator:
+        def tick(self, now):
+            ticks.append(round(now, 9))
+            if len(ticks) == len(costs):
+                raise Done
+            clock[0] += costs[len(ticks) - 1]
+
+    async def fake_sleep(delay):
+        clock[0] += max(delay, 0.0)
+
+    service = FleetService(REGISTRY, tick_interval_s=0.05)
+    service.coordinator = Coordinator()
+    monkeypatch.setattr(service, "_now", lambda: clock[0])
+    monkeypatch.setattr(asyncio, "sleep", fake_sleep)
+    with pytest.raises(Done):
+        asyncio.run(service._tick_loop())
+    assert ticks == [0.05, 0.1, 0.15, 0.3]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs process workers",
+)
+def test_raising_tick_fails_callers_and_stop_still_cleans_up(tmp_path):
+    """A tick that raises answers every waiting caller FAILED; stop()
+    still finishes the coordinator and closes the log, then re-raises."""
+    log = tmp_path / "fleet.jsonl"
+
+    async def scenario():
+        session = TelemetrySession(log)
+        service = FleetService(
+            REGISTRY,
+            policy=SupervisionPolicy(heartbeat_interval_s=0.2),
+            config=FleetConfig(log_heartbeats=False),
+            session=session,
+            tick_interval_s=0.01,
+        )
+        await service.start()
+        tick = service.coordinator.tick
+        calls = []
+
+        def tick_raising_once(now):
+            calls.append(now)
+            if len(calls) == 1:
+                raise RuntimeError("tick exploded")
+            tick(now)
+
+        service.coordinator.tick = tick_raising_once
+        query = PlacementQuery(chassis="c0", job_power_w=3.0)
+        answer = await asyncio.wait_for(service.submit(query), timeout=30.0)
+        with pytest.raises(FleetError, match="tick exploded"):
+            await service.submit(query)
+        with pytest.raises(RuntimeError, match="tick exploded"):
+            await service.stop()
+        return answer, session, service
+
+    answer, session, service = asyncio.run(scenario())
+    assert answer.status is AnswerStatus.FAILED
+    assert "tick exploded" in answer.reason
+    assert session.closed
+    assert service.coordinator.pending == 0
+    assert check_fleet_log(log) == []
+    last = json.loads(log.read_text().splitlines()[-1])
+    assert last["type"] == "fleet_end"
