@@ -34,7 +34,7 @@ from ..errors import RoomError
 from ..sim.parallel import config_key, shared_cache
 from ..workloads.benchmark import BenchmarkSet
 from .model import Room, RoomSolution, _topology_for, solve_room
-from .placement import place_room_load
+from .placement import _standalone_caps, place_room_load
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,13 @@ def max_sustainable_room_load(
     params = scaled(seed=seed)
     ceiling = params.temperature_limit_c if limit_c is None else limit_c
     dynamic = sustained_dynamic_power_w(benchmark_set)
+    # MinHR's caps sit at the CRAC supply, which no probe moves: bisect
+    # them once here rather than once per probe.
+    supply_caps = (
+        _standalone_caps(room, crac_supply_c, dynamic, seed)
+        if placement == "minhr"
+        else None
+    )
 
     def hottest(room_util: float) -> float:
         util = place_room_load(
@@ -194,6 +201,7 @@ def max_sustainable_room_load(
             crac_supply_c=crac_supply_c,
             dyn_max_w=dynamic,
             seed=seed,
+            supply_caps=supply_caps,
         )
         solution = solve_room_cached(
             room,

@@ -20,8 +20,11 @@ Each iteration evaluates the chassis steady states through one path:
 chassis sharing a topology recipe are stacked into one
 :func:`~repro.sim.batched.evaluate_fleet` fleet-tensor call, each
 chassis a :class:`~repro.sim.batched.FleetPoint` with its inlet as the
-per-point override.  The room reads only the steady fields, so the
-evaluator's deferred DVFS selection and window advance never run.
+per-point override.  Only chassis whose operating point (recipe,
+utilisation, power, inlet) is new within the solve go to the
+evaluator; one whose inlet did not move reuses its field.  The room
+reads only the steady fields, so the evaluator's deferred DVFS
+selection and window advance never run.
 Every converged chassis field is bit-identical to
 :func:`~repro.sim.steady_state.solve_steady_state` at that chassis'
 converged inlet (``tests/test_room_differential.py``).
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -252,37 +255,81 @@ def _recipe_groups(room: Room) -> List[List[int]]:
     return list(groups.values())
 
 
+#: A chassis operating point: topology recipe, utilisation, dynamic
+#: power and inlet.  Equal keys give bit-identical steady fields.
+ChassisKey = Tuple[Tuple[int, int, int, int], float, float, float]
+
+
+class _Solved(NamedTuple):
+    """A solved chassis field and the two reductions each iteration reads."""
+
+    field: SteadyStateField
+    exhaust_w: float
+    max_chip_c: float
+
+
 def _solve_chassis(
     room: Room,
     params: SimulationParameters,
     utilization: np.ndarray,
     dyn_max_w: np.ndarray,
     inlet_c: np.ndarray,
-) -> List[SteadyStateField]:
+    solved: Dict[ChassisKey, _Solved],
+) -> List[_Solved]:
     """One chassis-solve pass through the fleet-tensor evaluator.
 
-    Chassis sharing a topology recipe stack into one
-    :func:`~repro.sim.batched.evaluate_fleet` call, each as a
-    :class:`~repro.sim.batched.FleetPoint` whose ``inlet_c`` override
-    carries the room iteration's inlet.  Each field is bit-identical
-    to :func:`~repro.sim.steady_state.solve_steady_state` at that
-    inlet (the batched evaluator's own oracle guarantees it per point).
+    ``solved`` holds the chassis already solved in this room solve; a
+    chassis whose :data:`ChassisKey` is in it reuses that entry, and
+    the rest are solved and added.  New chassis sharing a topology
+    recipe stack into one :func:`~repro.sim.batched.evaluate_fleet`
+    call, each as a :class:`~repro.sim.batched.FleetPoint` whose
+    ``inlet_c`` override carries the room iteration's inlet.  Each
+    field is bit-identical to
+    :func:`~repro.sim.steady_state.solve_steady_state` at that inlet
+    (the batched evaluator's own oracle guarantees it per point).
     """
-    fields: List[Optional[SteadyStateField]] = [None] * room.n_chassis
+    keys = [
+        (
+            _chassis_recipe(spec),
+            float(utilization[i]),
+            float(dyn_max_w[i]),
+            float(inlet_c[i]),
+        )
+        for i, spec in enumerate(room.chassis)
+    ]
     for indices in _recipe_groups(room):
-        topology = _topology_for(room.chassis[indices[0]])
+        # Identical new chassis both go: evaluate_fleet solves each
+        # distinct row once.
+        new = [keys[i] for i in indices if keys[i] not in solved]
+        if not new:
+            continue
         points = [
-            FleetPoint(
-                utilization=float(utilization[i]),
-                dyn_max_w=float(dyn_max_w[i]),
-                inlet_c=float(inlet_c[i]),
-            )
-            for i in indices
+            FleetPoint(utilization=u, dyn_max_w=dyn, inlet_c=inlet)
+            for _, u, dyn, inlet in new
         ]
+        topology = _topology_for(room.chassis[indices[0]])
         result = evaluate_fleet(topology, params, points, window_steps=0)
-        for k, i in enumerate(indices):
-            fields[i] = result.field(k)
-    return fields  # type: ignore[return-value]
+        for k, key in enumerate(new):
+            field = result.field(k)
+            solved[key] = _Solved(
+                field, float(np.sum(field.power_w)), float(field.chip_c.max())
+            )
+    return [solved[key] for key in keys]
+
+
+def _owned(field: SteadyStateField) -> SteadyStateField:
+    """A copy of ``field`` whose arrays own their data.
+
+    Solved fields are rows of stacked evaluator tensors, some from
+    earlier iterations; copying each row lets those stacks go when the
+    solve returns, however long the solution is kept.
+    """
+    return SteadyStateField(
+        power_w=field.power_w.copy(),
+        ambient_c=field.ambient_c.copy(),
+        sink_c=field.sink_c.copy(),
+        chip_c=field.chip_c.copy(),
+    )
 
 
 def solve_room(
@@ -327,11 +374,15 @@ def solve_room(
     """
     utilization = _as_chassis_vector(room, utilization, "utilization")
     dyn_max_w = _as_chassis_vector(room, dyn_max_w, "dyn_max_w")
-    if ((utilization < 0) | (utilization > 1)).any():
+    if not ((utilization >= 0) & (utilization <= 1)).all():
         raise RoomError("utilisation must lie in [0, 1]")
+    if not np.isfinite(dyn_max_w).all():
+        raise RoomError("dyn_max_w must be finite")
     if (dyn_max_w < 0).any():
         raise RoomError("dynamic power must be non-negative")
-    if tolerance_c <= 0:
+    if not np.isfinite(crac_supply_c):
+        raise RoomError(f"crac_supply_c must be finite, got {crac_supply_c}")
+    if not tolerance_c > 0:
         raise RoomError("tolerance must be positive")
     if max_iterations < 1:
         raise RoomError("max_iterations must be >= 1")
@@ -352,8 +403,7 @@ def solve_room(
         recirculation=matrix.fingerprint(),
     )
     residuals: List[float] = []
-    fields: List[SteadyStateField] = []
-    exhaust = np.zeros(room.n_chassis)
+    solved: Dict[ChassisKey, _Solved] = {}
 
     def diverged(reason: str) -> RoomConvergenceError:
         # The event schema forbids non-finite floats; a non-finite
@@ -368,16 +418,14 @@ def solve_room(
         return RoomConvergenceError(residuals, tolerance_c, reason)
 
     for _ in range(max_iterations):
-        fields = _solve_chassis(
-            room, params, utilization, dyn_max_w, inlet
+        chassis = _solve_chassis(
+            room, params, utilization, dyn_max_w, inlet, solved
         )
-        exhaust = np.array(
-            [float(np.sum(field.power_w)) for field in fields]
-        )
+        exhaust = np.array([c.exhaust_w for c in chassis])
         target = crac_supply_c + matrix.inlet_rise(exhaust)
         residual = float(np.max(np.abs(target - inlet)))
         residuals.append(residual)
-        hottest = float(max(f.chip_c.max() for f in fields))
+        hottest = max(c.max_chip_c for c in chassis)
         if not np.isfinite(residual) or not np.isfinite(hottest):
             raise diverged("non-finite inlet residual")
         send(
@@ -410,7 +458,7 @@ def solve_room(
                 dyn_max_w=dyn_max_w,
                 inlet_c=inlet,
                 exhaust_w=exhaust,
-                fields=tuple(fields),
+                fields=tuple(_owned(c.field) for c in chassis),
                 residuals_c=tuple(residuals),
             )
         inlet = target

@@ -37,7 +37,7 @@ demand: ``sum(util * sockets) == room_utilization * total_sockets``
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -216,15 +216,22 @@ def place_minhr(
     crac_supply_c: float = 18.0,
     dyn_max_w: float = 0.0,
     seed: int = 0,
+    supply_caps: Optional[np.ndarray] = None,
     **_kwargs,
 ) -> np.ndarray:
     """Bias load towards the chassis that recirculate the least heat.
 
     The pressure is each chassis' room-wide heat-recirculation
-    contribution per watt of exhaust (Sun et al.'s MinHR ratio).
+    contribution per watt of exhaust (Sun et al.'s MinHR ratio).  The
+    caps are the standalone caps at the CRAC supply: ``supply_caps``
+    when given, else bisected here.
     """
     contribution = room.recirculation.hr_contribution()
-    caps = _standalone_caps(room, crac_supply_c, dyn_max_w, seed)
+    caps = (
+        _standalone_caps(room, crac_supply_c, dyn_max_w, seed)
+        if supply_caps is None
+        else supply_caps
+    )
     return _weighted_fill(
         room,
         _inverse_weights(contribution),
@@ -248,6 +255,7 @@ def place_room_load(
     crac_supply_c: float = 18.0,
     dyn_max_w: float = 0.0,
     seed: int = 0,
+    supply_caps: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Distribute a total room load over chassis under one policy.
 
@@ -259,6 +267,10 @@ def place_room_load(
             solves the idle room at this setpoint).
         dyn_max_w: Busy dynamic power per socket, W (idle-room solve).
         seed: Parameter seed threaded to any internal room solve.
+        supply_caps: ``_standalone_caps(room, crac_supply_c, dyn_max_w,
+            seed)`` when the caller already holds them, so ``"minhr"``
+            does not bisect them again; ``None`` computes them.  The
+            other policies ignore it.
 
     Returns:
         Per-chassis utilisation vector, demand-conserving.
@@ -281,5 +293,6 @@ def place_room_load(
         crac_supply_c=crac_supply_c,
         dyn_max_w=dyn_max_w,
         seed=seed,
+        supply_caps=supply_caps,
     )
     return np.clip(util, 0.0, 1.0)

@@ -25,8 +25,9 @@ parallelism there).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,6 +69,10 @@ class FleetPoint:
     def __post_init__(self) -> None:
         if not 0.0 <= self.utilization <= 1.0:
             raise SimulationError("utilisation must lie in [0, 1]")
+        for name in ("dyn_max_w", "dyn_exp", "inlet_c"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SimulationError(f"{name} must be finite, got {value}")
         if self.dyn_max_w < 0:
             raise SimulationError("dynamic power must be non-negative")
         if self.dyn_exp <= 0:
@@ -314,6 +319,12 @@ def evaluate_fleet(
     window advance are deferred to the first read of the result's
     ``freq_mhz`` or window fields (see :class:`FleetSweepResult`).
 
+    The steady field of a point depends only on its ``(utilization,
+    dyn_max_w, inlet)``, so the fixed point runs once per distinct
+    triple and its rows are repeated into the ``(N, n)`` tensors.  The
+    deferred fields run on those expanded tensors: points that differ
+    only in ``dyn_exp`` share a steady row but not a frequency.
+
     Args:
         topology: The shared server geometry.
         params: Shared simulation parameters; per-point ``inlet_c``
@@ -331,25 +342,36 @@ def evaluate_fleet(
     n = topology.n_sockets
     n_points = len(points)
 
-    def columns(values: List[float]) -> np.ndarray:
-        """One value per point, repeated over that point's sockets."""
+    def columns(values: Sequence[float]) -> np.ndarray:
+        """One value per row, repeated over that row's sockets."""
         return np.repeat(np.array(values, dtype=float), n).reshape(
-            n_points, n
+            len(values), n
         )
 
-    util = columns([point.utilization for point in points])
-    dynamic = columns([point.dyn_max_w for point in points])
+    inlets = [
+        params.inlet_c if point.inlet_c is None else float(point.inlet_c)
+        for point in points
+    ]
+    dyn_max = [point.dyn_max_w for point in points]
     dyn_exp = [point.dyn_exp for point in points]
-    inlet = np.array(
-        [
-            params.inlet_c if point.inlet_c is None else float(point.inlet_c)
-            for point in points
-        ]
+    # FleetPoint admits only finite values, so equal keys mean equal
+    # inputs (0.0 and -0.0 merge, and give the same steady field).
+    rows: Dict[Tuple[float, float, float], int] = {}
+    row_of = [
+        rows.setdefault((point.utilization, point.dyn_max_w, t), len(rows))
+        for point, t in zip(points, inlets)
+    ]
+    util, dynamic, row_inlet = zip(*rows)
+    steady = _steady_fleet(
+        topology,
+        params,
+        columns(util),
+        columns(dynamic),
+        np.array(row_inlet),
     )
-
-    power, ambient, sink, chip = _steady_fleet(
-        topology, params, util, dynamic, inlet
-    )
+    if len(rows) < n_points:
+        steady = tuple(tensor[row_of] for tensor in steady)
+    power, ambient, sink, chip = steady
 
     def frequencies() -> np.ndarray:
         # DVFS selection is elementwise per socket column, so the
@@ -360,7 +382,7 @@ def evaluate_fleet(
         return select_frequencies_steady(
             ambient_c=ambient.reshape(flat),
             chip_c=chip.reshape(flat),
-            dyn_max_w=dynamic.reshape(flat),
+            dyn_max_w=columns(dyn_max).reshape(flat),
             dyn_exp=columns(dyn_exp).reshape(flat),
             tdp_w=np.tile(topology.tdp_array, n_points),
             r_ext=np.tile(topology.r_ext_array, n_points),
@@ -374,7 +396,7 @@ def evaluate_fleet(
         # Cold-start transient: both nodes start at the point's inlet
         # equilibrium and advance under the frozen steady field,
         # exactly as TwoNodeThermalState.advance_window does per point.
-        start = np.broadcast_to(inlet[:, None], (n_points, n))
+        start = np.broadcast_to(np.array(inlets)[:, None], (n_points, n))
         theta = (
             topology.theta_offset_array
             + topology.theta_slope_array * power

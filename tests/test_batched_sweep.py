@@ -13,6 +13,7 @@ import pytest
 
 from repro.config.presets import smoke
 from repro.errors import SimulationError
+from repro.sim import batched
 from repro.sim.batched import (
     FleetPoint,
     FleetSweepResult,
@@ -127,6 +128,53 @@ def test_point_validation():
         FleetPoint(0.5, -1.0)
     with pytest.raises(SimulationError):
         FleetPoint(0.5, 10.0, dyn_exp=0.0)
+    # Non-finite values would otherwise come back as NaN or -inf
+    # fields, and a NaN never equals itself as a distinct-row key.
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(SimulationError, match="dyn_max_w"):
+            FleetPoint(0.5, value)
+    with pytest.raises(SimulationError, match="dyn_exp"):
+        FleetPoint(0.5, 10.0, dyn_exp=float("nan"))
+    for value in (float("nan"), float("-inf")):
+        with pytest.raises(SimulationError, match="inlet_c"):
+            FleetPoint(0.5, 10.0, inlet_c=value)
+
+
+def test_repeated_points_solve_each_distinct_row_once(
+    small_sut, params, monkeypatch
+):
+    """Repeats share one steady row; points that differ only in
+    ``dyn_exp`` share it too but keep their own frequencies."""
+    points = (
+        MIXED_POINTS[1],
+        MIXED_POINTS[2],
+        MIXED_POINTS[1],
+        FleetPoint(0.5, 15.0, 1.7, inlet_c=22.0),  # MIXED_POINTS[2]'s row
+        FleetPoint(0.3, 12.0, 1.8, inlet_c=params.inlet_c),  # row 0
+        MIXED_POINTS[5],
+        MIXED_POINTS[2],
+    )
+    rows = []
+    steady = batched._steady_fleet
+
+    def recording(topology, params_, util, dynamic, inlet):
+        rows.append(list(zip(util[:, 0], dynamic[:, 0], inlet)))
+        return steady(topology, params_, util, dynamic, inlet)
+
+    monkeypatch.setattr(batched, "_steady_fleet", recording)
+    result = evaluate_fleet(small_sut, params, points, window_steps=256)
+    assert rows == [
+        [
+            (0.3, 12.0, params.inlet_c),
+            (0.5, 15.0, 22.0),
+            (1.0, 21.0, 30.0),
+        ]
+    ]
+    _assert_bit_identical(
+        result,
+        evaluate_fleet_serial(small_sut, params, points, window_steps=256),
+    )
+    assert not np.array_equal(result.freq_mhz[1], result.freq_mhz[3])
 
 
 def test_empty_batch_rejected(small_sut, params):

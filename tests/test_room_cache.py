@@ -16,16 +16,24 @@ import pytest
 from repro.config.presets import scaled
 from repro.fleet.registry import ChassisSpec
 from repro.room import (
+    ROOM_PLACEMENTS,
     Room,
     RoomKey,
     downwind_recirculation,
+    optimize_crac_setpoint,
+    room_derating_curve,
     room_solve_key,
     row_layout_recirculation,
     solve_room_cached,
     zero_recirculation,
 )
 from repro.room.model import _topology_for
-from repro.sim.parallel import SweepCache, config_key
+from repro.sim.parallel import (
+    SweepCache,
+    clear_shared_cache,
+    config_key,
+    shared_cache,
+)
 from repro.workloads.benchmark import BenchmarkSet
 
 
@@ -188,3 +196,19 @@ class TestSharedCacheRoundTrip:
         assert len(cache) == 0
         assert a is not b
         assert a.fingerprint() == b.fingerprint()
+
+
+def test_cold_planning_pass_cache_traffic_is_pinned():
+    """The reuse inside one room solve or one load search never touches
+    the shared cache: a cold planning pass (every placement's curve,
+    then the setpoint search) makes the same lookups as a pass that
+    re-solves every chassis and re-bisects every cap."""
+    room = small_room(downwind_recirculation(2))
+    clear_shared_cache()
+    try:
+        for policy in ROOM_PLACEMENTS:
+            room_derating_curve(room, (18.0, 26.0, 34.0), placement=policy)
+        optimize_crac_setpoint(room, (18.0, 22.0, 26.0, 30.0, 34.0), 0.5)
+        assert (shared_cache.hits, shared_cache.misses) == (64, 104)
+    finally:
+        clear_shared_cache()

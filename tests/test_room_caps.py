@@ -16,7 +16,13 @@ import pytest
 from repro.config.presets import scaled
 from repro.errors import ConfigurationError
 from repro.fleet.registry import ChassisSpec
-from repro.room import Room, downwind_recirculation
+from repro.room import (
+    Room,
+    capacity,
+    downwind_recirculation,
+    max_sustainable_room_load,
+    placement,
+)
 from repro.room.model import _topology_for
 from repro.room.placement import CAP_TOLERANCE, _standalone_caps
 from repro.sim.steady_state import uniform_load_field
@@ -113,3 +119,29 @@ def test_inlet_at_the_dvfs_limit_is_rejected():
     limit = scaled(seed=0).temperature_limit_c
     with pytest.raises(ConfigurationError, match="inlet"):
         _standalone_caps(caps_room(), [22.0, 22.0, limit, 22.0], DYN_W, 0)
+
+
+def test_minhr_bisects_its_supply_caps_once_per_load_search(monkeypatch):
+    """MinHR's caps sit at the CRAC supply, which no probe of the load
+    bisection moves: one ``_standalone_caps`` call serves them all."""
+    inlets = []
+
+    def counting(room, inlets_c, dyn_max_w, seed):
+        inlets.append(inlets_c)
+        return _standalone_caps(room, inlets_c, dyn_max_w, seed)
+
+    monkeypatch.setattr(capacity, "_standalone_caps", counting)
+    monkeypatch.setattr(placement, "_standalone_caps", counting)
+    probes = []
+    place = capacity.place_room_load
+
+    def counting_place(*args, **kwargs):
+        probes.append(args[2])
+        return place(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "place_room_load", counting_place)
+    max_sustainable_room_load(
+        caps_room(), 22.0, placement="minhr", use_cache=False
+    )
+    assert len(probes) > 2
+    assert inlets == [22.0]

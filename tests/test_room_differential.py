@@ -18,12 +18,14 @@ import pytest
 from repro.config.presets import scaled
 from repro.fleet.registry import ChassisSpec, spec_from_catalog
 from repro.room import (
+    RecirculationMatrix,
     Room,
     downwind_recirculation,
     row_layout_recirculation,
     solve_room,
     uniform_recirculation,
 )
+from repro.room import model
 from repro.room.model import _topology_for
 from repro.server.catalog import TABLE_I_SYSTEMS
 from repro.sim.steady_state import solve_steady_state
@@ -124,3 +126,59 @@ def test_per_chassis_utilization_vector_matches_too():
     solution = solve_room(room, utilization, dyn, 21.0)
     assert solution.n_iterations > 1
     _assert_fields_match_chassis_solver(room, solution)
+
+
+def test_downwind_solve_sends_only_the_chassis_whose_inlet_moved(
+    monkeypatch,
+):
+    """Within one solve a chassis is solved again only when its inlet
+    moved; the upwind chassis of a downwind aisle never does after
+    iteration 1.  The solution's arrays own their data, so a kept
+    solution holds no stacked evaluator tensors."""
+    room = Room(
+        chassis=catalog_mix(4).chassis,
+        recirculation=downwind_recirculation(4),
+    )
+    # Distinct utilisations tell the chassis apart in the sent points.
+    utilization = np.array([0.9, 0.3, 0.6, 0.75])
+    crac = 20.0
+    sent = [[]]
+    rises = []
+    evaluate = model.evaluate_fleet
+    inlet_rise = RecirculationMatrix.inlet_rise
+
+    def recording_evaluate(topology, params, points, window_steps=0):
+        sent[-1].extend((p.utilization, p.inlet_c) for p in points)
+        return evaluate(topology, params, points, window_steps=window_steps)
+
+    def recording_rise(self, exhaust_w):
+        rises.append(inlet_rise(self, exhaust_w))
+        return rises[-1]
+
+    def emit(event):
+        if event["type"] == "room_iteration":
+            sent.append([])
+
+    monkeypatch.setattr(model, "evaluate_fleet", recording_evaluate)
+    monkeypatch.setattr(RecirculationMatrix, "inlet_rise", recording_rise)
+    solution = solve_room(room, utilization, 12.0, crac, emit=emit)
+    sent.pop()
+    assert solution.n_iterations > 2
+    inlets = [np.full(4, crac)] + [crac + rise for rise in rises[:-1]]
+    assert len(sent) == len(inlets) == solution.n_iterations
+    moved = [range(4)] + [
+        np.flatnonzero(now != before)
+        for before, now in zip(inlets, inlets[1:])
+    ]
+    for k, chassis in enumerate(moved):
+        expected = [(utilization[i], inlets[k][i]) for i in chassis]
+        assert sorted(sent[k]) == sorted(expected), f"iteration {k + 1}"
+    assert all(0 not in chassis for chassis in moved[1:])
+    _assert_fields_match_chassis_solver(room, solution)
+    arrays = [
+        solution.utilization,
+        solution.dyn_max_w,
+        solution.inlet_c,
+        solution.exhaust_w,
+    ] + [getattr(f, name) for f in solution.fields for name in FIELDS]
+    assert all(array.base is None for array in arrays)

@@ -329,12 +329,39 @@ class TestTypedRejections:
             solve_room(room, np.array([0.5, 0.5]), 10.0, 20.0)
         with pytest.raises(RoomError, match=r"\[0, 1\]"):
             solve_room(room, 1.5, 10.0, 20.0)
+        with pytest.raises(RoomError, match=r"\[0, 1\]"):
+            solve_room(room, float("nan"), 10.0, 20.0)
         with pytest.raises(RoomError, match="non-negative"):
             solve_room(room, 0.5, -1.0, 20.0)
         with pytest.raises(RoomError, match="tolerance"):
             solve_room(room, 0.5, 10.0, 20.0, tolerance_c=0.0)
+        with pytest.raises(RoomError, match="tolerance must"):
+            solve_room(room, 0.5, 10.0, 20.0, tolerance_c=float("nan"))
         with pytest.raises(RoomError, match="max_iterations"):
             solve_room(room, 0.5, 10.0, 20.0, max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "dyn_max_w, crac_supply_c, name",
+        [
+            (float("nan"), 20.0, "dyn_max_w"),
+            (float("inf"), 20.0, "dyn_max_w"),
+            (10.0, float("nan"), "crac_supply_c"),
+            (10.0, float("inf"), "crac_supply_c"),
+            (10.0, float("-inf"), "crac_supply_c"),
+        ],
+    )
+    def test_non_finite_solve_input_is_an_input_error(
+        self, dyn_max_w, crac_supply_c, name
+    ):
+        """Rejected as malformed input before the first iteration, not
+        reported as a physics failure of the fixed point."""
+        events = []
+        with pytest.raises(RoomError, match=name) as excinfo:
+            solve_room(
+                tiny_room(), 0.5, dyn_max_w, crac_supply_c, emit=events.append
+            )
+        assert not isinstance(excinfo.value, RoomConvergenceError)
+        assert events == []
 
     def test_budget_exhaustion_is_a_typed_divergence(self):
         room = Room(
