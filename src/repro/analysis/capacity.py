@@ -59,10 +59,15 @@ def max_sustainable_utilization(
     Returns:
         Utilisation in [0, 1]; 1.0 means the limit never binds, 0.0
         means even an idle (gated) server violates it.
+
+    Raises:
+        ReproError: for a non-finite ``limit_c``.
     """
     ceiling = (
         params.temperature_limit_c if limit_c is None else limit_c
     )
+    if not np.isfinite(ceiling):
+        raise ReproError(f"limit_c must be finite, got {limit_c!r}")
     dynamic = sustained_dynamic_power_w(benchmark_set)
 
     def hottest(util: float) -> float:
@@ -138,7 +143,7 @@ def room_capacity_curve(room, crac_setpoints_c, **kwargs):
         room: A :class:`repro.room.Room`.
         crac_setpoints_c: CRAC supply temperatures to sweep, degC.
         **kwargs: Forwarded (``placement``, ``benchmark_set``,
-            ``limit_c``, ``seed``, ``use_cache``, ``emit``).
+            ``limit_c``, ``seed``, ``emit``).
 
     Returns:
         ``List[repro.room.RoomDeratingPoint]``.

@@ -400,8 +400,9 @@ class ChaosRunConfig:
 
     Raises:
         FleetError: for a non-positive or non-finite horizon, tick or
-            heartbeat interval (naming the field), too small a fleet
-            or workload, or batching knobs ``FleetConfig`` rejects.
+            heartbeat interval or a negative burst (naming the field),
+            too small a fleet or workload, or batching knobs
+            ``FleetConfig`` rejects.
     """
 
     seed: int = 0
@@ -424,6 +425,10 @@ class ChaosRunConfig:
                 )
         if min(self.n_chassis, self.n_requests) < 1:
             raise FleetError("need at least one chassis and request")
+        if self.burst_size < 0:
+            raise FleetError(
+                f"burst_size must be >= 0, got {self.burst_size!r}"
+            )
         # Reject bad batching knobs here, before any run starts.
         FleetConfig(
             batch_window_s=self.batch_window_s, max_batch=self.max_batch

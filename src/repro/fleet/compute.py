@@ -362,9 +362,7 @@ class ChassisCompute:
         }
 
     def _what_if_key(self, query: WhatIfQuery) -> str:
-        digest = hashlib.sha256()
-        digest.update(repr(self.spec).encode())
-        digest.update(repr(self.params).encode())
+        digest = self._state_prefix.copy()
         digest.update(
             repr((query.scenarios, query.window_steps)).encode()
         )

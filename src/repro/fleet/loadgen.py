@@ -54,6 +54,10 @@ def generate_workload(
     """
     if n_requests < 1:
         raise FleetError("workload needs at least one request")
+    if not (math.isfinite(horizon_s) and horizon_s >= 0):
+        raise FleetError(
+            f"horizon_s must be finite and >= 0, got {horizon_s!r}"
+        )
     if not 0.0 <= what_if_fraction <= 1.0:
         raise FleetError("what_if_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -126,9 +130,20 @@ def drive_fleet(
     warm-field cache.
 
     Returns the finished coordinator (answers, events, state).
+
+    Raises:
+        FleetError: for a non-positive or non-finite ``tick_s``, or a
+            negative or non-finite ``drain_s`` (naming the field),
+            before any worker starts.
     """
-    if tick_s <= 0:
-        raise FleetError("tick_s must be positive")
+    if not (math.isfinite(tick_s) and tick_s > 0):
+        raise FleetError(
+            f"tick_s must be positive and finite, got {tick_s!r}"
+        )
+    if not (math.isfinite(drain_s) and drain_s >= 0):
+        raise FleetError(
+            f"drain_s must be finite and >= 0, got {drain_s!r}"
+        )
     computes = {
         chassis_id: ChassisCompute(spec, warm_capacity=warm_capacity)
         for chassis_id, spec in registry.chassis.items()

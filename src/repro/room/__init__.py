@@ -13,7 +13,6 @@ the formulations of Sun et al. (arXiv 1410.3104) and Van Damme et al.
 from .capacity import (
     CracSetpointChoice,
     RoomDeratingPoint,
-    RoomKey,
     max_sustainable_room_load,
     optimize_crac_setpoint,
     room_derating_curve,
@@ -49,7 +48,6 @@ __all__ = [
     "RoomDeratingPoint",
     "RoomInvariantAuditor",
     "RoomInvariantViolation",
-    "RoomKey",
     "RoomSolution",
     "downwind_recirculation",
     "max_sustainable_room_load",

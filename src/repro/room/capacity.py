@@ -9,11 +9,10 @@ CRAC supply temperature (Van Damme et al., arXiv 1611.00522 frames
 exactly this joint placement + cooling-setpoint problem).
 
 Room solves memoise into the process-wide sweep cache
-(:data:`repro.sim.parallel.shared_cache`) under keys built by
-:func:`repro.sim.parallel.config_key` with the *room inputs* — the
-room fingerprint (chassis mix + recirculation matrix), the CRAC
-setpoint and the placement vector — folded into the digest, so a room
-sweep can never alias a chassis-only cache entry
+(:data:`repro.sim.parallel.shared_cache`) under :func:`room_solve_key`:
+a ``room-`` prefixed digest of the room fingerprint (chassis mix +
+recirculation matrix), the CRAC setpoint, the seed and the placement
+vector, so a room solve can never alias a chassis-only cache entry
 (``tests/test_room_cache.py`` pins the collision behaviour).
 """
 
@@ -31,38 +30,10 @@ from ..analysis.capacity import (
 )
 from ..config.presets import scaled
 from ..errors import RoomError
-from ..sim.parallel import config_key, shared_cache
+from ..sim.parallel import shared_cache
 from ..workloads.benchmark import BenchmarkSet
-from .model import Room, RoomSolution, _topology_for, solve_room
+from .model import Room, RoomSolution, _as_chassis_vector, solve_room
 from .placement import _standalone_caps, place_room_load
-
-
-@dataclass(frozen=True)
-class RoomKey:
-    """Room-layer inputs that join a sweep-cache key.
-
-    Passed as ``config_key(..., room=...)``; :meth:`token` is the
-    digest contribution.  Carries everything the chassis-level key
-    cannot see: the room fingerprint (chassis mix + recirculation
-    coefficients), the CRAC setpoint, and the exact per-chassis
-    placement the solve ran under.
-
-    Attributes:
-        fingerprint: :meth:`Room.fingerprint` of the room.
-        crac_supply_c: CRAC supply temperature of the solve, degC.
-        detail: Extra distinguishing content (placement vector digest,
-            seed).
-    """
-
-    fingerprint: str
-    crac_supply_c: float
-    detail: str = ""
-
-    def token(self) -> bytes:
-        return (
-            f"{self.fingerprint}|crac:{self.crac_supply_c!r}|"
-            f"{self.detail}"
-        ).encode()
 
 
 def room_solve_key(
@@ -74,31 +45,21 @@ def room_solve_key(
 ) -> str:
     """The shared-cache key for one fully specified room solve.
 
-    Built on :func:`~repro.sim.parallel.config_key` over the lead
-    chassis' topology and the shared parameter set, with the room
-    inputs joined through :class:`RoomKey` — distinct from every
-    chassis-only key by construction.
+    One sha256 over exactly what :func:`~repro.room.model.solve_room`
+    depends on: the room fingerprint (chassis recipes plus
+    recirculation matrix), the CRAC setpoint, the parameter seed and
+    the per-chassis utilisation and ``dyn_max_w`` bytes.  The
+    ``room-`` prefix keeps it apart from every chassis-only key, which
+    is bare hex.
     """
-    placement_digest = hashlib.sha256()
-    placement_digest.update(
-        np.ascontiguousarray(utilization, dtype=float).tobytes()
+    digest = hashlib.sha256()
+    digest.update(
+        f"{room.fingerprint()}|crac:{float(crac_supply_c)!r}|"
+        f"seed:{seed}|".encode()
     )
-    placement_digest.update(
-        np.ascontiguousarray(dyn_max_w, dtype=float).tobytes()
-    )
-    detail = f"seed:{seed}|placement:{placement_digest.hexdigest()}"
-    return config_key(
-        _topology_for(room.chassis[0]),
-        scaled(seed=seed),
-        "room",
-        BenchmarkSet.COMPUTATION,
-        float(np.mean(utilization)),
-        room=RoomKey(
-            fingerprint=room.fingerprint(),
-            crac_supply_c=float(crac_supply_c),
-            detail=detail,
-        ),
-    )
+    digest.update(np.ascontiguousarray(utilization, dtype=float).tobytes())
+    digest.update(np.ascontiguousarray(dyn_max_w, dtype=float).tobytes())
+    return "room-" + digest.hexdigest()
 
 
 def solve_room_cached(
@@ -107,9 +68,7 @@ def solve_room_cached(
     dyn_max_w,
     crac_supply_c: float,
     seed: int = 0,
-    use_cache: bool = True,
     emit=None,
-    **solve_kwargs,
 ) -> RoomSolution:
     """A :func:`~repro.room.model.solve_room` with shared-cache memoing.
 
@@ -117,28 +76,17 @@ def solve_room_cached(
     across curve points and repeated experiment runs; the cache makes
     those free.  Cached solutions are keyed on the full room inputs
     (see :func:`room_solve_key`), never aliasing chassis sweep results.
+    Every solve runs at the solver's default tolerances, which is why
+    they need not join the key.
     """
-    util = np.asarray(utilization, dtype=float)
-    if util.ndim == 0:
-        util = np.full(room.n_chassis, float(util))
-    dyn = np.asarray(dyn_max_w, dtype=float)
-    if dyn.ndim == 0:
-        dyn = np.full(room.n_chassis, float(dyn))
+    util = _as_chassis_vector(room, utilization, "utilization")
+    dyn = _as_chassis_vector(room, dyn_max_w, "dyn_max_w")
     key = room_solve_key(room, util, dyn, crac_supply_c, seed=seed)
-    if use_cache:
-        cached = shared_cache.get(key)
-        if cached is not None:
-            return cached
-    solution = solve_room(
-        room,
-        util,
-        dyn,
-        crac_supply_c,
-        seed=seed,
-        emit=emit,
-        **solve_kwargs,
-    )
-    if use_cache:
+    solution = shared_cache.get(key)
+    if solution is None:
+        solution = solve_room(
+            room, util, dyn, crac_supply_c, seed=seed, emit=emit
+        )
         shared_cache.put(key, solution)
     return solution
 
@@ -150,7 +98,6 @@ def max_sustainable_room_load(
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
     limit_c: Optional[float] = None,
     seed: int = 0,
-    use_cache: bool = True,
     emit=None,
 ) -> float:
     """Largest room utilisation with every steady chip under the limit.
@@ -170,7 +117,6 @@ def max_sustainable_room_load(
         limit_c: Temperature ceiling; defaults to the DVFS limit of
             the shared parameter set.
         seed: Parameter seed.
-        use_cache: Memoise probes into the shared sweep cache.
         emit: Optional telemetry sink threaded to every room solve.
 
     Returns:
@@ -178,12 +124,15 @@ def max_sustainable_room_load(
         0.0 means even the idle room violates it.
 
     Raises:
+        RoomError: for a non-finite ``limit_c``.
         RoomConvergenceError: when any probe's fixed point diverges —
             an unsustainable room configuration is reported loudly,
             not as a silently clipped curve.
     """
     params = scaled(seed=seed)
     ceiling = params.temperature_limit_c if limit_c is None else limit_c
+    if not np.isfinite(ceiling):
+        raise RoomError(f"limit_c must be finite, got {limit_c!r}")
     dynamic = sustained_dynamic_power_w(benchmark_set)
     # MinHR's caps sit at the CRAC supply, which no probe moves: bisect
     # them once here rather than once per probe.
@@ -209,7 +158,6 @@ def max_sustainable_room_load(
             dynamic,
             crac_supply_c,
             seed=seed,
-            use_cache=use_cache,
             emit=emit,
         )
         return float(solution.max_chip_c.max())
@@ -248,7 +196,6 @@ def room_derating_curve(
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
     limit_c: Optional[float] = None,
     seed: int = 0,
-    use_cache: bool = True,
     emit=None,
 ) -> List[RoomDeratingPoint]:
     """Sustainable room load as a function of CRAC supply temperature.
@@ -271,7 +218,6 @@ def room_derating_curve(
                 benchmark_set=benchmark_set,
                 limit_c=limit_c,
                 seed=seed,
-                use_cache=use_cache,
                 emit=emit,
             ),
         )
@@ -303,7 +249,6 @@ def optimize_crac_setpoint(
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
     limit_c: Optional[float] = None,
     seed: int = 0,
-    use_cache: bool = True,
     emit=None,
 ) -> CracSetpointChoice:
     """The warmest CRAC setpoint that still sustains a target load.
@@ -332,7 +277,6 @@ def optimize_crac_setpoint(
         benchmark_set=benchmark_set,
         limit_c=limit_c,
         seed=seed,
-        use_cache=use_cache,
         emit=emit,
     )
     sustaining = [

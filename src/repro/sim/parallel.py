@@ -108,22 +108,18 @@ def config_key(
     benchmark_set: BenchmarkSet,
     load: float,
     fault_schedule=None,
-    room=None,
 ) -> str:
-    """Memo-cache key for one fully specified sweep point.
+    """Memo-cache and checkpoint key for one fully specified sweep point.
+
+    A bare sha256 hex digest.  Other layers that share a
+    :class:`SweepCache` prefix their own keys, so they never collide
+    with these.
 
     Args:
         fault_schedule: Optional :class:`~repro.faults.schedule.
             FaultSchedule` active for the point; its content fingerprint
             joins the key, so faulted and fault-free runs of the same
             grid point never collide in the cache or on disk.
-        room: Optional room-layer inputs (an object exposing
-            ``token() -> bytes``, e.g. :class:`~repro.room.capacity.
-            RoomKey` carrying the room fingerprint — chassis mix plus
-            recirculation matrix — and the CRAC setpoint).  Joins the
-            key only when present, so every chassis-only key is
-            unchanged while room sweeps can never alias chassis-only
-            cache or checkpoint entries.
     """
     digest = hashlib.sha256()
     digest.update(topology_token(topology))
@@ -134,9 +130,6 @@ def config_key(
     if fault_schedule is not None:
         digest.update(b"|faults:")
         digest.update(fault_schedule.fingerprint().encode())
-    if room is not None:
-        digest.update(b"|room:")
-        digest.update(room.token())
     return digest.hexdigest()
 
 
@@ -157,9 +150,9 @@ def _env_cache_max() -> Optional[int]:
 class SweepCache:
     """Bounded, process-local LRU memo cache for sweep results.
 
-    Entries are keyed by :func:`config_key`, so engine sweep results
-    and room-layer solutions (:mod:`repro.room.capacity`, keyed with
-    the ``room=`` inputs) share the bound without ever aliasing.
+    Engine sweep results are keyed by :func:`config_key`; any other
+    layer that stores results here brings its own prefixed keys, so
+    all entries share the bound without ever aliasing.
 
     Holds at most ``max_entries`` results, evicting the least recently
     *used* entry (both hits and inserts refresh recency) when full — a

@@ -68,6 +68,15 @@ class TestMaxSustainableUtilization:
         )
         assert util == 0.0
 
+    @pytest.mark.parametrize(
+        "limit", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_limit_rejected(self, small_sut, limit):
+        """Every ``<=`` against a NaN limit is false, so it used to
+        read as "nothing is sustainable" (0.0)."""
+        with pytest.raises(ReproError, match="limit_c"):
+            max_sustainable_utilization(small_sut, PARAMS, limit_c=limit)
+
 
 class TestDeratingCurve:
     def test_monotone_in_inlet(self, small_sut):

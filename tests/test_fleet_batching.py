@@ -399,6 +399,42 @@ def test_non_finite_config_rejected_naming_field(field, value):
         FleetConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tick_s", float("nan")),
+        ("tick_s", float("inf")),
+        ("tick_s", 0.0),
+        ("drain_s", -5.0),
+        ("drain_s", float("nan")),
+        ("drain_s", float("inf")),
+    ],
+)
+def test_drive_fleet_rejects_bad_times_before_any_worker_starts(
+    monkeypatch, field, value
+):
+    """A NaN tick used to loop forever, an infinite one died at the
+    first submit, and a negative drain submitted nothing."""
+
+    def started(self, now):
+        raise AssertionError("a worker started")
+
+    monkeypatch.setattr(FleetCoordinator, "start", started)
+    registry = demo_fleet(n_chassis=1, n_rows=1, replicas=1)
+    workload = generate_workload(
+        registry, seed=0, n_requests=4, horizon_s=0.1
+    )
+    with pytest.raises(FleetError, match=field):
+        drive_fleet(registry, workload, _config(), **{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_generate_workload_rejects_bad_horizon(value):
+    registry = demo_fleet(n_chassis=1, n_rows=1, replicas=1)
+    with pytest.raises(FleetError, match="horizon_s"):
+        generate_workload(registry, seed=0, n_requests=4, horizon_s=value)
+
+
 def test_query_batch_validation():
     ok = PlacementQuery(chassis="c0", job_power_w=5.0)
     with pytest.raises(FleetError):

@@ -79,6 +79,11 @@ class TestRunConfig:
         with pytest.raises(FleetError, match=field):
             ChaosRunConfig(**{field: value})
 
+    def test_negative_burst_rejected_naming_field(self):
+        with pytest.raises(FleetError, match="burst_size"):
+            ChaosRunConfig(burst_size=-3)
+        assert ChaosRunConfig(burst_size=0).burst_size == 0
+
     def test_bad_batching_knobs_rejected(self):
         with pytest.raises(FleetError, match="batch_window_s"):
             ChaosRunConfig(batch_window_s=-1.0)

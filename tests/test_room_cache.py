@@ -1,24 +1,25 @@
-"""Room inputs in the sweep-cache key: no aliasing, ever.
+"""Room solves in the shared sweep cache: no aliasing, ever.
 
-The regression this suite pins: ``config_key`` historically hashed
-only chassis-level inputs (topology, params, scheduler, workload,
-load), so two room solves differing *only* in recirculation matrix or
-CRAC setpoint — or a room solve and a chassis-only sweep point over
-the same topology — would have collided in the process-wide
-``shared_cache`` and served each other's results.  The ``room=``
-parameter folds the room fingerprint, the CRAC setpoint and the exact
-placement vector into the digest; chassis-only keys are unchanged.
+Room solves and chassis sweep points share the process-wide
+``shared_cache``.  ``room_solve_key`` hashes exactly the inputs a room
+solve depends on (the room fingerprint, which covers the chassis
+recipes and the recirculation matrix, plus the CRAC setpoint, the seed
+and the per-chassis utilisation and ``dyn_max_w``) under a ``room-``
+prefix.  So two room solves differing only in recirculation matrix,
+CRAC setpoint or placement never serve each other's results, and no
+room solve can collide with a chassis-only ``config_key``, which is
+bare hex.
 """
 
 import numpy as np
 import pytest
 
 from repro.config.presets import scaled
+from repro.errors import RoomError
 from repro.fleet.registry import ChassisSpec
 from repro.room import (
     ROOM_PLACEMENTS,
     Room,
-    RoomKey,
     downwind_recirculation,
     optimize_crac_setpoint,
     room_derating_curve,
@@ -35,6 +36,9 @@ from repro.sim.parallel import (
     shared_cache,
 )
 from repro.workloads.benchmark import BenchmarkSet
+
+UTIL = np.array([0.5, 0.5])
+DYN = np.array([10.0, 10.0])
 
 
 def small_room(recirculation) -> Room:
@@ -59,49 +63,31 @@ def small_room(recirculation) -> Room:
     )
 
 
-def chassis_key(room: Room, load: float, room_key=None) -> str:
-    """A key over the room's lead topology, with/without room inputs."""
-    return config_key(
-        _topology_for(room.chassis[0]),
-        scaled(seed=0),
-        "room",
-        BenchmarkSet.COMPUTATION,
-        load,
-        room=room_key,
-    )
-
-
 class TestConfigKeyRoomInputs:
-    def test_room_key_never_aliases_chassis_key(self):
-        """The regression: same topology/params/load, with and without
-        room inputs, must produce different keys."""
-        room = small_room(zero_recirculation(2))
-        bare = chassis_key(room, 0.5)
-        roomed = chassis_key(
-            room,
-            0.5,
-            RoomKey(fingerprint=room.fingerprint(), crac_supply_c=18.0),
-        )
-        assert bare != roomed
+    """The room inputs a chassis ``config_key`` cannot see each join
+    the room key, and the two key spaces never meet."""
 
-    def test_chassis_only_keys_are_unchanged_by_the_feature(self):
-        """``room=None`` is the default: pre-existing cache and
-        checkpoint keys survive the signature extension."""
+    def test_room_key_never_aliases_chassis_key(self):
+        """The regression: a room solve and a chassis sweep point over
+        the room's lead topology, parameters and mean load must produce
+        different keys."""
         room = small_room(zero_recirculation(2))
-        assert chassis_key(room, 0.5) == config_key(
+        chassis = config_key(
             _topology_for(room.chassis[0]),
             scaled(seed=0),
             "room",
             BenchmarkSet.COMPUTATION,
             0.5,
         )
+        roomed = room_solve_key(room, UTIL, DYN, 18.0)
+        assert roomed != chassis
+        assert roomed.startswith("room-")
+        int(chassis, 16)  # chassis keys are bare hex
 
     def test_crac_setpoint_distinguishes_keys(self):
         room = small_room(zero_recirculation(2))
-        cool = RoomKey(room.fingerprint(), crac_supply_c=18.0)
-        warm = RoomKey(room.fingerprint(), crac_supply_c=26.0)
-        assert chassis_key(room, 0.5, cool) != chassis_key(
-            room, 0.5, warm
+        assert room_solve_key(room, UTIL, DYN, 18.0) != room_solve_key(
+            room, UTIL, DYN, 26.0
         )
 
     def test_recirculation_matrix_distinguishes_keys(self):
@@ -109,38 +95,42 @@ class TestConfigKeyRoomInputs:
         isolated = small_room(zero_recirculation(2))
         coupled = small_room(downwind_recirculation(2))
         assert isolated.fingerprint() != coupled.fingerprint()
-        assert chassis_key(
-            isolated, 0.5, RoomKey(isolated.fingerprint(), 18.0)
-        ) != chassis_key(
-            coupled, 0.5, RoomKey(coupled.fingerprint(), 18.0)
+        assert room_solve_key(isolated, UTIL, DYN, 18.0) != room_solve_key(
+            coupled, UTIL, DYN, 18.0
         )
-
-    def test_detail_distinguishes_keys(self):
-        room = small_room(zero_recirculation(2))
-        a = RoomKey(room.fingerprint(), 18.0, detail="placement:a")
-        b = RoomKey(room.fingerprint(), 18.0, detail="placement:b")
-        assert chassis_key(room, 0.5, a) != chassis_key(room, 0.5, b)
 
 
 class TestRoomSolveKey:
+    def test_equal_inputs_give_equal_keys(self):
+        """Separately built but identical rooms and vectors share a
+        key, so repeated probes hit."""
+        a = room_solve_key(
+            small_room(row_layout_recirculation(2)), UTIL, DYN, 18.0
+        )
+        b = room_solve_key(
+            small_room(row_layout_recirculation(2)),
+            UTIL.copy(),
+            DYN.copy(),
+            18.0,
+        )
+        assert a == b
+
     def test_placement_vector_joins_the_key(self):
-        """Same mean load, different placement: distinct keys (the
-        mean-utilisation argument alone would collide)."""
+        """Same mean load, different placement: distinct keys (a key
+        over the mean utilisation alone would collide)."""
         room = small_room(row_layout_recirculation(2))
-        uniform = room_solve_key(
-            room, np.array([0.5, 0.5]), np.array([10.0, 10.0]), 18.0
-        )
-        skewed = room_solve_key(
-            room, np.array([0.2, 0.8]), np.array([10.0, 10.0]), 18.0
-        )
-        assert uniform != skewed
+        skewed = room_solve_key(room, np.array([0.2, 0.8]), DYN, 18.0)
+        assert room_solve_key(room, UTIL, DYN, 18.0) != skewed
+
+    def test_dyn_max_w_joins_the_key(self):
+        room = small_room(row_layout_recirculation(2))
+        hotter = room_solve_key(room, UTIL, np.array([10.0, 12.0]), 18.0)
+        assert room_solve_key(room, UTIL, DYN, 18.0) != hotter
 
     def test_seed_joins_the_key(self):
         room = small_room(row_layout_recirculation(2))
-        util = np.array([0.5, 0.5])
-        dyn = np.array([10.0, 10.0])
-        base = room_solve_key(room, util, dyn, 18.0, seed=0)
-        assert base != room_solve_key(room, util, dyn, 18.0, seed=1)
+        base = room_solve_key(room, UTIL, DYN, 18.0, seed=0)
+        assert base != room_solve_key(room, UTIL, DYN, 18.0, seed=1)
 
 
 class TestSharedCacheRoundTrip:
@@ -185,17 +175,17 @@ class TestSharedCacheRoundTrip:
         )
         assert coupled.inlet_c[1] > 18.0
 
-    def test_use_cache_false_bypasses_the_cache(self, monkeypatch):
+    def test_malformed_vector_is_rejected_before_the_lookup(
+        self, monkeypatch
+    ):
         cache = SweepCache(max_entries=8)
         monkeypatch.setattr(
             "repro.room.capacity.shared_cache", cache
         )
         room = small_room(row_layout_recirculation(2))
-        a = solve_room_cached(room, 0.6, 12.0, 18.0, use_cache=False)
-        b = solve_room_cached(room, 0.6, 12.0, 18.0, use_cache=False)
-        assert len(cache) == 0
-        assert a is not b
-        assert a.fingerprint() == b.fingerprint()
+        with pytest.raises(RoomError, match="utilization"):
+            solve_room_cached(room, np.full(3, 0.5), 12.0, 18.0)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
 
 def test_cold_planning_pass_cache_traffic_is_pinned():

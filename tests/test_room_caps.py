@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from repro.config.presets import scaled
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RoomError
 from repro.fleet.registry import ChassisSpec
 from repro.room import (
     Room,
     capacity,
     downwind_recirculation,
     max_sustainable_room_load,
+    optimize_crac_setpoint,
     placement,
 )
 from repro.room.model import _topology_for
@@ -140,8 +141,28 @@ def test_minhr_bisects_its_supply_caps_once_per_load_search(monkeypatch):
         return place(*args, **kwargs)
 
     monkeypatch.setattr(capacity, "place_room_load", counting_place)
-    max_sustainable_room_load(
-        caps_room(), 22.0, placement="minhr", use_cache=False
-    )
+    max_sustainable_room_load(caps_room(), 22.0, placement="minhr")
     assert len(probes) > 2
     assert inlets == [22.0]
+
+
+def _no_probe(*args, **kwargs):
+    raise AssertionError("a room was probed under a non-finite redline")
+
+
+@pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+def test_non_finite_redline_is_rejected_before_the_first_probe(
+    monkeypatch, limit
+):
+    """Every ``<=`` against a NaN redline is false, so it used to read
+    as "nothing is sustainable" (load 0.0, ``meets_target=False``)."""
+    monkeypatch.setattr(capacity, "_standalone_caps", _no_probe)
+    monkeypatch.setattr(capacity, "place_room_load", _no_probe)
+    with pytest.raises(RoomError, match="limit_c"):
+        max_sustainable_room_load(
+            caps_room(), 22.0, placement="minhr", limit_c=limit
+        )
+    with pytest.raises(RoomError, match="limit_c"):
+        optimize_crac_setpoint(
+            caps_room(), (18.0, 22.0), 0.5, limit_c=limit
+        )
