@@ -664,7 +664,13 @@ class FleetCoordinator:
     def _retry_or_resolve(
         self, record: _Inflight, now: float, exclude: Tuple[str, ...]
     ) -> None:
-        if record.attempts < self.config.max_attempts:
+        """Put a lost attempt back at the head of the queue, or resolve
+        it: out of attempts, or with the queue at ``max_queue``."""
+        if record.attempts >= self.config.max_attempts:
+            reason = "retries_exhausted"
+        elif len(self.queue) >= self.config.max_queue:
+            reason = "queue_full"
+        else:
             jitter = float(
                 self._rng.uniform(0.0, self.config.retry_jitter_s)
             )
@@ -686,14 +692,10 @@ class FleetCoordinator:
             self.peak_queue_len = max(
                 self.peak_queue_len, len(self.queue)
             )
-        else:
-            self._resolve_unservable(
-                record.request_id,
-                record.query,
-                record.attempts,
-                now,
-                "retries_exhausted",
-            )
+            return
+        self._resolve_unservable(
+            record.request_id, record.query, record.attempts, now, reason
+        )
 
     def _expire_queue(self, now: float) -> None:
         for queued in [
