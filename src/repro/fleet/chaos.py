@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,7 +33,7 @@ import numpy as np
 
 from ..errors import CheckpointCorruptionError, FleetError
 from ..sim.checkpoint import SweepCheckpoint
-from .compute import ChassisCompute, ChassisSnapshot
+from .compute import WARM_FIELD_CACHE_MAX, ChassisCompute, ChassisSnapshot
 from .coordinator import FleetConfig, FleetCoordinator
 from .messages import PlacementQuery, RequestClass, WhatIfQuery
 from .registry import FleetRegistry, demo_fleet
@@ -51,6 +52,9 @@ class WorkerKill:
 
     kind = "kill"
 
+    def apply(self, handle: "SimWorkerHandle", now: float) -> None:
+        handle.chaos_kill(now)
+
 
 @dataclass(frozen=True)
 class WorkerHang:
@@ -61,6 +65,9 @@ class WorkerHang:
     duration_s: float
 
     kind = "hang"
+
+    def apply(self, handle: "SimWorkerHandle", now: float) -> None:
+        handle.chaos_hang(now, self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,9 @@ class AnswerDelay:
 
     kind = "delay"
 
+    def apply(self, handle: "SimWorkerHandle", now: float) -> None:
+        handle.chaos_delay(now, self.extra_s, self.duration_s)
+
 
 @dataclass(frozen=True)
 class CheckpointCorruption:
@@ -83,6 +93,9 @@ class CheckpointCorruption:
     worker: str
 
     kind = "corrupt"
+
+    def apply(self, handle: "SimWorkerHandle", now: float) -> None:
+        handle.chaos_corrupt(now)
 
 
 ChaosEvent = (WorkerKill, WorkerHang, AnswerDelay, CheckpointCorruption)
@@ -188,6 +201,14 @@ class SimWorkerHandle:
     protocol.  ``start`` performs genuine checkpoint recovery (when a
     checkpoint directory is configured) and returns the cold flag
     synchronously.
+
+    ``chaos`` is this worker's part of a :class:`ChaosSchedule`, in
+    schedule order.  The handle replays it itself: the first time the
+    coordinator touches it (``start``, ``send_batch`` or ``poll``) at
+    or after an event's time, the event applies at that instant, before
+    the call does anything else.  A drive loop that polls every handle
+    on every tick therefore applies each failure at the first tick
+    instant at or after its time, and needs no chaos hook of its own.
     """
 
     def __init__(
@@ -196,6 +217,7 @@ class SimWorkerHandle:
         compute: ChassisCompute,
         heartbeat_interval_s: float,
         checkpoint_dir: Optional[str] = None,
+        chaos: Sequence = (),
     ) -> None:
         self.worker_id = worker_id
         self.compute = compute
@@ -217,6 +239,7 @@ class SimWorkerHandle:
         self._counter = 0
         self._exit_pending = False
         self.kills = 0
+        self._chaos = deque(chaos)
 
     # -- chaos inputs ---------------------------------------------------
 
@@ -261,6 +284,7 @@ class SimWorkerHandle:
     # -- WorkerHandle protocol ------------------------------------------
 
     def start(self, now: float) -> Optional[bool]:
+        self._replay(now)
         self.alive = True
         self.started_t = now
         self._next_beat_t = now
@@ -298,6 +322,7 @@ class SimWorkerHandle:
         """One batch costs its slowest member plus a small per-member
         marshalling overhead — not the sum of service times; that gap
         is exactly what the throughput benchmark measures."""
+        self._replay(now)
         if not self.alive:
             return  # writing into a dead pipe
         taken = max(now, self._hang_end(now))
@@ -328,6 +353,7 @@ class SimWorkerHandle:
         )
 
     def poll(self, now: float) -> List[tuple]:
+        self._replay(now)
         if self.alive:
             self._flush_sent(now)
         messages = [
@@ -340,6 +366,11 @@ class SimWorkerHandle:
         return messages
 
     # -- internals ------------------------------------------------------
+
+    def _replay(self, now: float) -> None:
+        """Apply every scheduled failure due by ``now``, at ``now``."""
+        while self._chaos and self._chaos[0].t <= now:
+            self._chaos.popleft().apply(self, now)
 
     def _hang_end(self, t: float) -> float:
         """When the hang covering instant ``t`` ends (or ``t``)."""
@@ -522,6 +553,93 @@ def _workload(
     return requests
 
 
+def run_virtual(
+    registry: FleetRegistry,
+    workload: Sequence[Tuple[float, object]],
+    config: FleetConfig,
+    policy: SupervisionPolicy,
+    tick_s: float,
+    horizon_s: float = 0.0,
+    drain_s: float = 0.0,
+    schedule: ChaosSchedule = ChaosSchedule(),
+    warm_capacity: int = WARM_FIELD_CACHE_MAX,
+    checkpoint_dir: Optional[str] = None,
+    session=None,
+) -> FleetCoordinator:
+    """Drive one workload through a simulated fleet in virtual time.
+
+    The one drive loop of the chaos harness and the load generator.
+    Every chassis gets one :class:`~repro.fleet.compute.ChassisCompute`,
+    shared by its replicas, and every worker a :class:`SimWorkerHandle`
+    that replays its part of ``schedule``.  Tick ``k`` runs at
+    ``k * tick_s``, after the requests due by then are submitted.  The
+    loop ticks through ``horizon_s``, then on until every request is
+    terminal or the last submission is more than ``drain_s`` behind,
+    and finishes one tick later.
+
+    Returns the finished coordinator (answers, events, state).
+
+    Raises:
+        FleetError: for a non-positive or non-finite ``tick_s``, a
+            negative or non-finite ``drain_s`` (naming the field), or a
+            chaos event naming no worker of the registry, before any
+            worker starts.
+    """
+    if not (math.isfinite(tick_s) and tick_s > 0):
+        raise FleetError(
+            f"tick_s must be positive and finite, got {tick_s!r}"
+        )
+    if not (math.isfinite(drain_s) and drain_s >= 0):
+        raise FleetError(
+            f"drain_s must be finite and >= 0, got {drain_s!r}"
+        )
+    worker_ids = {w.worker_id for w in registry.workers}
+    strays = sorted({e.worker for e in schedule.events} - worker_ids)
+    if strays:
+        raise FleetError(f"chaos events for unknown workers {strays}")
+    computes = {
+        chassis_id: ChassisCompute(spec, warm_capacity=warm_capacity)
+        for chassis_id, spec in registry.chassis.items()
+    }
+    handles = {
+        w.worker_id: SimWorkerHandle(
+            worker_id=w.worker_id,
+            compute=computes[w.chassis_id],
+            heartbeat_interval_s=policy.heartbeat_interval_s,
+            checkpoint_dir=checkpoint_dir,
+            chaos=[e for e in schedule.events if e.worker == w.worker_id],
+        )
+        for w in registry.workers
+    }
+    coordinator = FleetCoordinator(
+        registry=registry,
+        handles=handles,
+        policy=policy,
+        config=config,
+        session=session,
+    )
+    pending = sorted(workload, key=lambda pair: pair[0])
+    deadline = (pending[-1][0] if pending else 0.0) + drain_s
+    n_ticks = math.ceil(horizon_s / tick_s)
+    coordinator.start(0.0)
+    k = next_request = 0
+    while True:
+        k += 1
+        now = k * tick_s
+        while (
+            next_request < len(pending)
+            and pending[next_request][0] <= now
+        ):
+            coordinator.submit(pending[next_request][1], now)
+            next_request += 1
+        coordinator.tick(now)
+        drained = next_request == len(pending) and coordinator.pending == 0
+        if k >= n_ticks and (drained or now > deadline):
+            break
+    coordinator.finish((k + 1) * tick_s)
+    return coordinator
+
+
 def run_chaos(
     config: ChaosRunConfig,
     out_dir=None,
@@ -552,11 +670,10 @@ def run_chaos(
     registry = registry or demo_fleet(
         n_chassis=config.n_chassis, n_rows=1, replicas=1
     )
-    worker_ids = [w.worker_id for w in registry.workers]
     schedule = schedule or ChaosSchedule.random(
         seed=config.seed,
         horizon_s=config.horizon_s,
-        workers=worker_ids,
+        workers=[w.worker_id for w in registry.workers],
         n_events=config.n_chaos_events,
     )
     checkpoint_dir = None
@@ -569,19 +686,6 @@ def run_chaos(
         log_path = out_dir / "fleet.jsonl"
         session = TelemetrySession(log_path)
 
-    computes = {
-        chassis_id: ChassisCompute(spec)
-        for chassis_id, spec in registry.chassis.items()
-    }
-    handles = {
-        w.worker_id: SimWorkerHandle(
-            worker_id=w.worker_id,
-            compute=computes[w.chassis_id],
-            heartbeat_interval_s=config.heartbeat_interval_s,
-            checkpoint_dir=checkpoint_dir,
-        )
-        for w in registry.workers
-    }
     policy = SupervisionPolicy(
         heartbeat_interval_s=config.heartbeat_interval_s,
         missed_heartbeats=2,
@@ -602,48 +706,18 @@ def run_chaos(
         batch_window_s=config.batch_window_s,
         max_batch=config.max_batch,
     )
-    coordinator = FleetCoordinator(
-        registry=registry,
-        handles=handles,
-        policy=policy,
-        config=fleet_config,
-        session=session,
-    )
-
-    workload = _workload(config, sorted(registry.chassis))
-    chaos_events = list(schedule.events)
     try:
-        coordinator.start(0.0)
-        n_ticks = int(math.ceil(config.horizon_s / config.tick_s))
-        next_request = 0
-        next_chaos = 0
-        for k in range(1, n_ticks + 1):
-            now = k * config.tick_s
-            while (
-                next_chaos < len(chaos_events)
-                and chaos_events[next_chaos].t <= now
-            ):
-                event = chaos_events[next_chaos]
-                next_chaos += 1
-                handle = handles[event.worker]
-                if isinstance(event, WorkerKill):
-                    handle.chaos_kill(now)
-                elif isinstance(event, WorkerHang):
-                    handle.chaos_hang(now, event.duration_s)
-                elif isinstance(event, AnswerDelay):
-                    handle.chaos_delay(
-                        now, event.extra_s, event.duration_s
-                    )
-                else:
-                    handle.chaos_corrupt(now)
-            while (
-                next_request < len(workload)
-                and workload[next_request][0] <= now
-            ):
-                coordinator.submit(workload[next_request][1], now)
-                next_request += 1
-            coordinator.tick(now)
-        coordinator.finish((n_ticks + 1) * config.tick_s)
+        coordinator = run_virtual(
+            registry,
+            _workload(config, sorted(registry.chassis)),
+            fleet_config,
+            policy,
+            tick_s=config.tick_s,
+            horizon_s=config.horizon_s,
+            schedule=schedule,
+            checkpoint_dir=checkpoint_dir,
+            session=session,
+        )
     finally:
         if session is not None:
             session.close()

@@ -4,10 +4,9 @@ Shared by the throughput benchmark
 (``benchmarks/bench_fleet_throughput.py``) and the batching test suite
 (``tests/test_fleet_batching.py``): :func:`generate_workload` samples
 a reproducible mixed interactive/batch query stream,
-:func:`drive_fleet` pushes it through a
-:class:`~repro.fleet.coordinator.FleetCoordinator` over virtual-time
-:class:`~repro.fleet.chaos.SimWorkerHandle` workers (the chaos
-harness's drive loop, minus the chaos), and :func:`latency_stats`
+:func:`drive_fleet` pushes it through the chaos harness's virtual-time
+runner (:func:`~repro.fleet.chaos.run_virtual`) with no chaos, so it
+runs the schedule the chaos proofs run, and :func:`latency_stats`
 digests the resulting event stream into queries/sec and
 admission-to-answer latency percentiles.
 
@@ -26,8 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import FleetError
-from .chaos import SimWorkerHandle
-from .compute import ChassisCompute
+from .chaos import run_virtual
 from .coordinator import FleetConfig, FleetCoordinator
 from .messages import PlacementQuery, RequestClass, WhatIfQuery
 from .registry import FleetRegistry
@@ -113,16 +111,15 @@ def drive_fleet(
     workload: Sequence[Tuple[float, object]],
     config: FleetConfig,
     tick_s: float = 0.02,
-    heartbeat_interval_s: float = 0.5,
     warm_capacity: int = 0,
-    session=None,
     drain_s: float = 60.0,
 ) -> FleetCoordinator:
     """Run one workload to completion over simulated workers.
 
-    The drive loop is the chaos harness's, minus the chaos: virtual
-    time advances in ``tick_s`` steps, due requests are submitted,
-    and after the last submission the loop keeps ticking until every
+    The chaos harness's drive loop
+    (:func:`~repro.fleet.chaos.run_virtual`) without chaos: virtual
+    time advances in ``tick_s`` steps, due requests are submitted, and
+    after the last submission the loop keeps ticking until every
     request is terminal (bounded by ``drain_s``).  ``warm_capacity``
     is handed to every chassis'
     :class:`~repro.fleet.compute.ChassisCompute` — 0 is the cold
@@ -136,60 +133,15 @@ def drive_fleet(
             negative or non-finite ``drain_s`` (naming the field),
             before any worker starts.
     """
-    if not (math.isfinite(tick_s) and tick_s > 0):
-        raise FleetError(
-            f"tick_s must be positive and finite, got {tick_s!r}"
-        )
-    if not (math.isfinite(drain_s) and drain_s >= 0):
-        raise FleetError(
-            f"drain_s must be finite and >= 0, got {drain_s!r}"
-        )
-    computes = {
-        chassis_id: ChassisCompute(spec, warm_capacity=warm_capacity)
-        for chassis_id, spec in registry.chassis.items()
-    }
-    handles = {
-        w.worker_id: SimWorkerHandle(
-            worker_id=w.worker_id,
-            compute=computes[w.chassis_id],
-            heartbeat_interval_s=heartbeat_interval_s,
-        )
-        for w in registry.workers
-    }
-    policy = SupervisionPolicy(
-        heartbeat_interval_s=heartbeat_interval_s,
-        missed_heartbeats=3,
+    return run_virtual(
+        registry,
+        workload,
+        config,
+        SupervisionPolicy(heartbeat_interval_s=0.5, missed_heartbeats=3),
+        tick_s=tick_s,
+        drain_s=drain_s,
+        warm_capacity=warm_capacity,
     )
-    coordinator = FleetCoordinator(
-        registry=registry,
-        handles=handles,
-        policy=policy,
-        config=config,
-        session=session,
-    )
-    pending = sorted(workload, key=lambda pair: pair[0])
-    last_t = pending[-1][0] if pending else 0.0
-    deadline = last_t + drain_s
-    coordinator.start(0.0)
-    next_request = 0
-    k = 0
-    now = 0.0
-    while True:
-        k += 1
-        now = k * tick_s
-        while (
-            next_request < len(pending)
-            and pending[next_request][0] <= now
-        ):
-            coordinator.submit(pending[next_request][1], now)
-            next_request += 1
-        coordinator.tick(now)
-        if next_request >= len(pending) and coordinator.pending == 0:
-            break
-        if now > deadline:
-            break
-    coordinator.finish(now + tick_s)
-    return coordinator
 
 
 def latency_stats(events: Sequence[dict]) -> dict:

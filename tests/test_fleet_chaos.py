@@ -84,6 +84,11 @@ class TestRunConfig:
             ChaosRunConfig(burst_size=-3)
         assert ChaosRunConfig(burst_size=0).burst_size == 0
 
+    def test_chaos_for_an_unknown_worker_rejected_before_the_run(self):
+        schedule = ChaosSchedule((WorkerKill(t=1.0, worker="c7-w0"),))
+        with pytest.raises(FleetError, match="c7-w0"):
+            run_chaos(CFG, schedule=schedule)
+
     def test_bad_batching_knobs_rejected(self):
         with pytest.raises(FleetError, match="batch_window_s"):
             ChaosRunConfig(batch_window_s=-1.0)
