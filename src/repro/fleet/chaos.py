@@ -422,7 +422,9 @@ class ChaosRunConfig:
         n_chassis: Fleet width (each chassis gets one replica worker).
         n_requests: Poisson-ish background request count.
         burst_size: BATCH requests injected in one tick mid-run to
-            force backpressure sheds.
+            force backpressure sheds.  Queries ship at admission, so a
+            burst sheds only beyond the queue (8) plus every worker's
+            in-flight slots (2 each): 16 at 2 chassis, 20 at 3.
         n_chaos_events: Failures sampled into the schedule.
         heartbeat_interval_s: Virtual heartbeat cadence.
         batch_window_s: Micro-batching window passed through to
@@ -441,7 +443,7 @@ class ChaosRunConfig:
     tick_s: float = 0.05
     n_chassis: int = 2
     n_requests: int = 40
-    burst_size: int = 12
+    burst_size: int = 24
     n_chaos_events: int = 6
     heartbeat_interval_s: float = 0.25
     batch_window_s: float = 0.0

@@ -1,29 +1,27 @@
 """The fleet coordinator: bounded queueing, dispatch, degraded serving.
 
 :class:`FleetCoordinator` is the deterministic core shared by the
-asyncio service (:mod:`repro.fleet.service`) and the chaos harness
-(:mod:`repro.fleet.chaos`).  It is a *clock-driven* state machine: all
-behaviour happens inside :meth:`submit`, :meth:`dispatch` and
-:meth:`tick` calls that receive ``now`` explicitly, nothing reads
-wall-clock or OS entropy, and workers are reached only through the
+asyncio service (:mod:`repro.fleet.service`) and the virtual-time
+runner of the chaos harness and load generator
+(:func:`repro.fleet.chaos.run_virtual`).  It is a *clock-driven* state
+machine: all behaviour happens inside :meth:`submit` and :meth:`tick`
+calls that receive ``now`` explicitly, nothing reads wall-clock or OS
+entropy, and workers are reached only through the
 :class:`WorkerHandle` protocol — so the same registry, seed, chaos
 schedule and tick cadence reproduce the same supervision event
 sequence bit-for-bit.
 
-The drive contract:
+The drive contract, the same for every driver:
 
-- :meth:`submit` admits (or sheds, or fails) one query; it never
-  ships anything;
-- :meth:`dispatch` ships dispatchable queued queries to workers with
-  a free slot;
+- :meth:`submit` admits (or sheds, or fails) one query.  With no
+  batching window (``batch_window_s == 0``, the default) it also ships
+  the query to a worker with a free slot before returning; a query
+  that a window can hold waits in the queue for a tick;
 - :meth:`tick` drains worker messages (answers, heartbeats,
   snapshots), supervises, expires timed-out requests, restarts
-  workers whose backoff is over, and ends with :meth:`dispatch`.
-
-The asyncio service calls :meth:`dispatch` right after each admission,
-so a query leaves for a worker without waiting for a tick; the
-virtual-time drive loops (chaos harness, load generator) submit only
-on tick instants and let the tick dispatch.
+  workers whose backoff is over, and ends by shipping whatever queued
+  queries can go: those that waited for a free slot, retries, and
+  batching chunks that are full or whose window expired.
 
 Guarantees (checked by :mod:`repro.fleet.invariants` under chaos):
 
@@ -31,10 +29,11 @@ Guarantees (checked by :mod:`repro.fleet.invariants` under chaos):
   shed request ends in precisely one ``fleet_answer`` or
   ``fleet_shed`` event; late answers from abandoned attempts are
   dropped (``fleet_drop``), never double-delivered.
-- **Bounded queue.**  Admission never grows the queue beyond
-  ``max_queue``; overflow sheds by request class (BATCH first — an
-  INTERACTIVE arrival evicts queued BATCH work before being shed
-  itself).
+- **Bounded queue.**  Neither admission nor a retry grows the queue
+  beyond ``max_queue``; overflow sheds by request class (BATCH first —
+  an INTERACTIVE arrival evicts queued BATCH work before being shed
+  itself), and a retry that finds the queue full is resolved from the
+  snapshot (or FAILED) with reason ``queue_full``.
 - **Bounded staleness.**  Degraded answers carry the age of the
   serving snapshot, and are refused (FAILED) beyond
   ``max_staleness_s``.
@@ -54,8 +53,8 @@ budget, exclusion set and exactly-one-terminal-answer guarantee, and
 held members remain ordinary queue entries (still subject to queue
 timeouts and class-based shedding).  With the defaults
 (``batch_window_s=0``, ``max_batch=1``) each query ships as a
-one-member batch on the first dispatch after it becomes dispatchable:
-at admission in the asyncio service, when a worker has a free slot.
+one-member batch as soon as it is dispatchable and a worker has a free
+slot: at admission, or at the first tick after that.
 """
 
 from __future__ import annotations
@@ -247,6 +246,12 @@ class _BatchMeta:
 class FleetCoordinator:
     """Deterministic fleet coordination over abstract worker handles.
 
+    Every driver runs one schedule: :meth:`start`, then :meth:`submit`
+    as queries arrive and :meth:`tick` at a fixed cadence, then
+    :meth:`finish`.  A query with no batching window ships inside
+    :meth:`submit`; everything else ships at a tick.  The queue never
+    holds more than ``config.max_queue`` requests, retries included.
+
     Attributes:
         registry: The fleet layout.
         handles: Worker transports keyed by worker id (one per
@@ -381,13 +386,16 @@ class FleetCoordinator:
     ) -> int:
         """Admit (or shed) one query; returns its request id.
 
-        Admission ships nothing: an admitted query waits in the queue
-        for the next :meth:`dispatch` or :meth:`tick`.  The answer
-        arrives through ``callback`` (and
-        :attr:`answers`) once terminal — possibly within this very
-        call, when the request is shed at admission or fails it (an
-        unknown chassis, or a utilization vector whose length is not
-        the chassis' socket count).
+        With no batching window (``batch_window_s == 0``) an admitted
+        query ships within this call when a worker has a free slot;
+        otherwise it waits in the queue for a :meth:`tick`.  A query
+        that a window can hold never leaves at admission: its chunk
+        ships at the first tick that finds it full or expired.  The
+        answer arrives through ``callback`` (and :attr:`answers`) once
+        terminal — possibly within this very call, when the request is
+        shed at admission or fails it (an unknown chassis, or a
+        utilization vector whose length is not the chassis' socket
+        count).
         """
         rid = self._next_id
         self._next_id += 1
@@ -458,6 +466,8 @@ class FleetCoordinator:
             chassis=chassis,
             queue_len=len(self.queue),
         )
+        if self.config.batch_window_s == 0:
+            self._dispatch(now)
         return rid
 
     def _admission_failure(self, query) -> Optional[str]:
@@ -514,7 +524,7 @@ class FleetCoordinator:
         self._expire_inflight(now)
         self._expire_queue(now)
         self._run_restarts(now)
-        self.dispatch(now)
+        self._dispatch(now)
 
     def _drain_workers(self, now: float) -> None:
         for wid in self._worker_order:
@@ -723,7 +733,7 @@ class FleetCoordinator:
             else:
                 sup.on_restarted(now, cold=bool(cold))
 
-    def dispatch(self, now: float) -> None:
+    def _dispatch(self, now: float) -> None:
         """Coalesce dispatchable queries per worker; flush by window.
 
         Worker eligibility is decided per query: replica exclusions,

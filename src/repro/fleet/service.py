@@ -222,8 +222,11 @@ class FleetService:
             raise
 
     async def submit(self, query) -> FleetAnswer:
-        """Admit one query, ship it if a worker slot is free, and await
-        its terminal answer."""
+        """Admit one query and await its terminal answer.
+
+        The coordinator ships an admitted query at once when a worker
+        slot is free and no batching window holds it.
+        """
         if self.coordinator is None:
             raise FleetError("service not started")
         if self._failure is not None:
@@ -235,11 +238,9 @@ class FleetService:
             if not future.done():
                 future.set_result(answer)
 
-        now = self._now()
-        rid = self.coordinator.submit(query, now, callback=resolve)
-        if not future.done():  # neither shed nor failed at admission
+        rid = self.coordinator.submit(query, self._now(), callback=resolve)
+        if not future.done():  # not yet answered
             self._waiters[rid] = future
-            self.coordinator.dispatch(now)
         return await future
 
     async def stop(self) -> None:

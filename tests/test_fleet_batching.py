@@ -195,6 +195,7 @@ def test_full_batch_flushes_before_window():
     )
     for _ in range(4):
         coordinator.submit(place(), 0.0)
+    assert handles["w0"].batches == []  # a window ships only at ticks
     coordinator.tick(0.1)
     # One full chunk ships immediately; the leftover member waits.
     assert [len(b) for b, _ in handles["w0"].batches] == [3]
@@ -204,14 +205,15 @@ def test_full_batch_flushes_before_window():
 def test_member_timeout_retries_on_replica_only():
     coordinator, handles = make_batching_fleet(
         replicas=1,
-        batch_window_s=0.0,
+        batch_window_s=0.1,
         max_batch=8,
         request_timeout_s=1.0,
         max_attempts=2,
     )
     rid_a = coordinator.submit(place(), 0.0)
     rid_b = coordinator.submit(place(), 0.0)
-    coordinator.tick(0.1)
+    assert handles["w0"].batches == []  # the window holds both
+    coordinator.tick(0.1)  # window expired: both ship as one batch
     batch, _ = handles["w0"].batches[0]
     assert set(batch.request_ids) == {rid_a, rid_b}
     # The worker answers only member A, then hangs on B.
@@ -221,8 +223,10 @@ def test_member_timeout_retries_on_replica_only():
     coordinator.tick(0.2)
     assert coordinator.answers[rid_a].status is AnswerStatus.OK
     assert rid_b not in coordinator.answers
-    # B times out inside the batch and retries on the replica only.
+    # B times out inside the batch and retries on the replica only,
+    # once the window that holds the retry has passed.
     coordinator.tick(1.5)
+    coordinator.tick(1.6)
     assert len(handles["w1"].batches) == 1
     retry_batch, _ = handles["w1"].batches[0]
     assert retry_batch.request_ids == (rid_b,)
@@ -235,14 +239,14 @@ def test_member_timeout_retries_on_replica_only():
             {},
         )
     )
-    coordinator.tick(1.6)
+    coordinator.tick(1.7)
     assert coordinator.answers[rid_b].status is AnswerStatus.OK
     assert coordinator.answers[rid_b].attempts == 2
     # A late answer from the abandoned first attempt is dropped.
     handles["w0"].inbox.append(
         ("answer_batch", batch.batch_id, [(rid_b, {"ok": 3})], {})
     )
-    coordinator.tick(1.7)
+    coordinator.tick(1.8)
     assert coordinator.answers[rid_b].payload == {"ok": 2}
     drops = [
         e for e in coordinator.events if e["type"] == "fleet_drop"

@@ -26,7 +26,7 @@ CFG = ChaosRunConfig(
     horizon_s=12.0,
     n_chassis=2,
     n_requests=18,
-    burst_size=10,
+    burst_size=24,
     n_chaos_events=5,
 )
 
@@ -146,7 +146,8 @@ class TestInvariantsUnderChaos:
     def test_queue_bound_never_exceeded(self):
         report = run_chaos(CFG)
         max_queue = report.coordinator.config.max_queue
-        assert report.coordinator.peak_queue_len <= max_queue
+        # The burst outruns the queue plus every worker's free slots.
+        assert report.coordinator.peak_queue_len == max_queue
         for event in report.coordinator.events:
             if event["type"] == "fleet_submit":
                 assert event["queue_len"] <= max_queue

@@ -126,6 +126,13 @@ class TestHappyPath:
         assert len(terminals) == 1
         assert coordinator.pending == 0
 
+    def test_submit_ships_at_once_without_a_window(self):
+        coordinator, handles = make_fleet()
+        rid = coordinator.submit(query(), 0.0)
+        assert [s[0] for s in handles["w0"].sent] == [rid]
+        assert coordinator.queue == []
+        assert coordinator.inflight[rid].worker_id == "w0"
+
     def test_default_config_ships_one_member_batches(self):
         coordinator, handles = make_fleet()
         rids = [coordinator.submit(query(), 0.0) for _ in range(3)]

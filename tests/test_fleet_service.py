@@ -477,36 +477,40 @@ class TestDispatchAtAdmission:
         """Shed and admission failures answer at once and ship nothing."""
 
         async def scenario():
-            service = _untimed_service(max_queue=1)
+            # One slot on the one worker, one queue place: the first
+            # query ships, the second waits, the third is shed.
+            service = _untimed_service(max_queue=1, max_inflight_per_worker=1)
             await service.start()
-            dispatched = []
-            # Record dispatches without shipping, so the queue fills.
-            service.coordinator.dispatch = dispatched.append
+            coordinator = service.coordinator
             try:
-                first = asyncio.ensure_future(
-                    service.submit(
-                        PlacementQuery(chassis="c0", job_power_w=3.0)
+                callers = [
+                    asyncio.ensure_future(
+                        service.submit(
+                            PlacementQuery(chassis="c0", job_power_w=power)
+                        )
                     )
-                )
+                    for power in (3.0, 4.0)
+                ]
                 await asyncio.sleep(0)
-                after_admit = len(dispatched)
+                before = (dict(coordinator.inflight), list(coordinator.queue))
                 shed = await service.submit(
-                    PlacementQuery(chassis="c0", job_power_w=4.0)
+                    PlacementQuery(chassis="c0", job_power_w=5.0)
                 )
                 failed = await service.submit(
-                    PlacementQuery(chassis="nowhere", job_power_w=4.0)
+                    PlacementQuery(chassis="nowhere", job_power_w=5.0)
                 )
-                after_terminal = len(dispatched)
+                after = (dict(coordinator.inflight), list(coordinator.queue))
             finally:
                 await service.stop()
-            await first
-            return after_admit, shed, failed, after_terminal
+            await asyncio.gather(*callers)
+            return before, shed, failed, after
 
-        after_admit, shed, failed, after_terminal = asyncio.run(scenario())
-        assert after_admit == 1
+        before, shed, failed, after = asyncio.run(scenario())
+        inflight, queued = before
+        assert len(inflight) == 1 and len(queued) == 1
         assert shed.status is AnswerStatus.SHED
         assert failed.status is AnswerStatus.FAILED
-        assert after_terminal == 1
+        assert after == before
 
 
 @pytest.mark.parametrize(
