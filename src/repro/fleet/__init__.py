@@ -12,12 +12,14 @@ bounded-queue backpressure with class-aware load shedding, per-request
 timeouts with replica retry, and bounded-staleness degraded serving
 from the last telemetry snapshot.
 
-Two drivers share that core: the asyncio service
-(:mod:`repro.fleet.service`, behind ``repro fleet serve``) supplies
-wall-clock time and real processes, while the seeded chaos harness
-(:mod:`repro.fleet.chaos`) supplies virtual time and scheduled
-failures — and :mod:`repro.fleet.invariants` audits the resulting
-event logs for the coordinator's liveness/safety guarantees.
+Two drivers share that core and run one schedule on it: the asyncio
+service (:mod:`repro.fleet.service`, behind ``repro fleet serve``)
+supplies wall-clock time and real processes, while one virtual-time
+runner (:func:`repro.fleet.chaos.run_virtual`) supplies simulated
+workers, scheduled failures and a fixed tick grid to both the seeded
+chaos harness and the load generator (:mod:`repro.fleet.loadgen`).
+:mod:`repro.fleet.invariants` audits the resulting event logs for
+the coordinator's liveness/safety guarantees.
 """
 
 from .chaos import (

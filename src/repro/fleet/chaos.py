@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import shutil
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -433,9 +434,9 @@ class ChaosRunConfig:
 
     Raises:
         FleetError: for a non-positive or non-finite horizon, tick or
-            heartbeat interval or a negative burst (naming the field),
-            too small a fleet or workload, or batching knobs
-            ``FleetConfig`` rejects.
+            heartbeat interval, a negative burst or chaos event count
+            (naming the field), too small a fleet or workload, or
+            batching knobs ``FleetConfig`` rejects.
     """
 
     seed: int = 0
@@ -458,10 +459,10 @@ class ChaosRunConfig:
                 )
         if min(self.n_chassis, self.n_requests) < 1:
             raise FleetError("need at least one chassis and request")
-        if self.burst_size < 0:
-            raise FleetError(
-                f"burst_size must be >= 0, got {self.burst_size!r}"
-            )
+        for name in ("burst_size", "n_chaos_events"):
+            value = getattr(self, name)
+            if value < 0:
+                raise FleetError(f"{name} must be >= 0, got {value!r}")
         # Reject bad batching knobs here, before any run starts.
         FleetConfig(
             batch_window_s=self.batch_window_s, max_batch=self.max_batch
@@ -655,7 +656,9 @@ def run_chaos(
         out_dir: Optional directory receiving ``fleet.jsonl`` (the
             supervision event log) and real on-disk worker
             checkpoints (so corruption events exercise the typed
-            recovery path).
+            recovery path).  ``out_dir/checkpoints`` is the harness's
+            own state: every run empties it first, so a reused
+            directory gives the same log as a fresh one.
         registry: Optional fleet layout override; defaults to
             :func:`~repro.fleet.registry.demo_fleet` with one replica
             per chassis.
@@ -685,6 +688,7 @@ def run_chaos(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_dir = str(out_dir / "checkpoints")
+        shutil.rmtree(checkpoint_dir, ignore_errors=True)
         log_path = out_dir / "fleet.jsonl"
         session = TelemetrySession(log_path)
 
@@ -725,6 +729,11 @@ def run_chaos(
             session.close()
 
     problems = check_fleet_events(coordinator.events)
+    if coordinator.peak_queue_len > fleet_config.max_queue:
+        problems.append(
+            f"queue peaked at {coordinator.peak_queue_len}, above "
+            f"max_queue {fleet_config.max_queue}"
+        )
     if coordinator.pending:
         problems.append(
             f"{coordinator.pending} request(s) never reached a "

@@ -54,9 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config.parameters import SimulationParameters
 from ..errors import FleetError
-from ..server.topology import ServerTopology
 from ..sim.batched import FleetPoint, evaluate_fleet
 from ..sim.parallel import SweepCache
 from ..sim.steady_state import SteadyStateField, solve_steady_state
@@ -194,9 +192,8 @@ class ChassisCompute:
 
     Attributes:
         spec: The chassis recipe.
-        topology: Built geometry (constructed from the spec unless
-            injected).
-        params: Simulation parameters (likewise).
+        topology: Geometry built from the spec.
+        params: Simulation parameters built from the spec.
         cache: What-if memo cache (a bounded
             :class:`~repro.sim.parallel.SweepCache`).
         warm: The warm-field cache (``warm_capacity=0`` disables it).
@@ -205,15 +202,12 @@ class ChassisCompute:
     def __init__(
         self,
         spec: ChassisSpec,
-        topology: Optional[ServerTopology] = None,
-        params: Optional[SimulationParameters] = None,
-        cache: Optional[SweepCache] = None,
         warm_capacity: int = WARM_FIELD_CACHE_MAX,
     ) -> None:
         self.spec = spec
-        self.topology = topology or spec.build_topology()
-        self.params = params or spec.build_params()
-        self.cache = cache if cache is not None else SweepCache()
+        self.topology = spec.build_topology()
+        self.params = spec.build_params()
+        self.cache = SweepCache()
         self.warm = WarmFieldCache(warm_capacity)
         self._state_prefix = self._fingerprint_prefix()
         self._last_state_fp: Optional[str] = None

@@ -25,11 +25,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import CheckpointCorruptionError, FleetError
 from ..sim.checkpoint import SweepCheckpoint
-from .compute import (
-    WARM_FIELD_CACHE_MAX,
-    ChassisCompute,
-    ChassisSnapshot,
-)
+from .compute import ChassisCompute, ChassisSnapshot
 from .messages import QueryBatch
 from .registry import ChassisSpec
 
@@ -52,7 +48,6 @@ def worker_main(
     worker_id: str,
     heartbeat_interval_s: float,
     checkpoint_dir: Optional[str] = None,
-    warm_capacity: int = WARM_FIELD_CACHE_MAX,
 ) -> None:
     """Worker process entry point (runs until ``stop`` or EOF).
 
@@ -77,7 +72,7 @@ def worker_main(
             # tell the supervisor so (the alternative — crashing — is
             # exactly the flap loop this path exists to break).
             cold = True
-    compute = ChassisCompute(spec, warm_capacity=warm_capacity)
+    compute = ChassisCompute(spec)
     try:
         conn.send(("hello", cold))
         if snapshot is None:
@@ -144,13 +139,11 @@ class ProcessWorkerHandle:
         worker_id: str,
         heartbeat_interval_s: float,
         checkpoint_dir: Optional[str] = None,
-        warm_capacity: int = WARM_FIELD_CACHE_MAX,
     ) -> None:
         self.spec = spec
         self.worker_id = worker_id
         self.heartbeat_interval_s = heartbeat_interval_s
         self.checkpoint_dir = checkpoint_dir
-        self.warm_capacity = warm_capacity
         self._proc: Optional[multiprocessing.Process] = None
         self._conn = None
         self._exit_reported = False
@@ -175,7 +168,6 @@ class ProcessWorkerHandle:
                 self.worker_id,
                 self.heartbeat_interval_s,
                 self.checkpoint_dir,
-                self.warm_capacity,
             ),
             daemon=True,
         )

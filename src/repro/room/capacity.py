@@ -124,11 +124,13 @@ def max_sustainable_room_load(
         0.0 means even the idle room violates it.
 
     Raises:
-        RoomError: for a non-finite ``limit_c``.
+        RoomError: for a non-finite ``crac_supply_c`` or ``limit_c``.
         RoomConvergenceError: when any probe's fixed point diverges —
             an unsustainable room configuration is reported loudly,
             not as a silently clipped curve.
     """
+    if not np.isfinite(crac_supply_c):
+        raise RoomError(f"crac_supply_c must be finite, got {crac_supply_c!r}")
     params = scaled(seed=seed)
     ceiling = params.temperature_limit_c if limit_c is None else limit_c
     if not np.isfinite(ceiling):

@@ -276,10 +276,13 @@ def place_room_load(
         Per-chassis utilisation vector, demand-conserving.
 
     Raises:
-        RoomError: for unknown policies or out-of-range loads.
+        RoomError: for unknown policies, out-of-range loads or a
+            non-finite ``crac_supply_c``.
     """
     if not 0.0 <= room_utilization <= 1.0:
         raise RoomError("room utilisation must lie in [0, 1]")
+    if not np.isfinite(crac_supply_c):
+        raise RoomError(f"crac_supply_c must be finite, got {crac_supply_c!r}")
     try:
         fn = ROOM_PLACEMENTS[policy]
     except KeyError as exc:

@@ -84,6 +84,11 @@ class TestRunConfig:
             ChaosRunConfig(burst_size=-3)
         assert ChaosRunConfig(burst_size=0).burst_size == 0
 
+    def test_negative_chaos_event_count_rejected_naming_field(self):
+        with pytest.raises(FleetError, match="n_chaos_events"):
+            ChaosRunConfig(n_chaos_events=-3)
+        assert ChaosRunConfig(n_chaos_events=0).n_chaos_events == 0
+
     def test_chaos_for_an_unknown_worker_rejected_before_the_run(self):
         schedule = ChaosSchedule((WorkerKill(t=1.0, worker="c7-w0"),))
         with pytest.raises(FleetError, match="c7-w0"):
@@ -104,6 +109,16 @@ class TestDeterminism:
         log_b = (tmp_path / "b" / "fleet.jsonl").read_bytes()
         assert log_a == log_b
         assert len(log_a) > 0
+
+    def test_reused_out_dir_reproduces_log_bit_for_bit(self, tmp_path):
+        """Workers must not recover the previous run's snapshots."""
+        config = ChaosRunConfig(seed=7)
+        run_chaos(config, out_dir=tmp_path / "fresh")
+        run_chaos(config, out_dir=tmp_path / "reused")
+        run_chaos(config, out_dir=tmp_path / "reused")
+        assert (tmp_path / "reused" / "fleet.jsonl").read_bytes() == (
+            tmp_path / "fresh" / "fleet.jsonl"
+        ).read_bytes()
 
     def test_different_seed_differs(self, tmp_path):
         import dataclasses
@@ -151,6 +166,22 @@ class TestInvariantsUnderChaos:
         for event in report.coordinator.events:
             if event["type"] == "fleet_submit":
                 assert event["queue_len"] <= max_queue
+
+    def test_queue_breach_is_reported(self, monkeypatch):
+        """The log checker sees admissions only; the run checks the
+        coordinator's own peak, which retries also count."""
+        from repro.fleet.coordinator import FleetCoordinator
+
+        finish = FleetCoordinator.finish
+
+        def overfilled(self, now):
+            finish(self, now)
+            self.peak_queue_len = self.config.max_queue + 1
+
+        monkeypatch.setattr(FleetCoordinator, "finish", overfilled)
+        report = run_chaos(CFG)
+        assert not report.ok
+        assert any("above max_queue" in p for p in report.problems)
 
     def test_log_passes_checker_from_disk(self, tmp_path):
         report = run_chaos(CFG, out_dir=tmp_path)

@@ -8,7 +8,8 @@ checks the coordinator's guarantees after every step:
 
 - the admission queue never outgrows ``max_queue``;
 - no worker holds more than ``max_inflight_per_worker`` requests;
-- no caller hears back twice;
+- no request gets a second terminal event, and no caller hears back
+  twice;
 - every OK answer is bit-identical to ``ChassisCompute.answer`` on the
   same query.
 
@@ -120,6 +121,8 @@ class FleetModel(RuleBasedStateMachine):
         self.now = 0.0
         self.queries = {}
         self.heard = Counter()
+        self.terminals = Counter()
+        self.n_seen = 0
         self.checked = set()
 
     # -- rules ------------------------------------------------------------
@@ -202,6 +205,17 @@ class FleetModel(RuleBasedStateMachine):
         per_worker = Counter(r.worker_id for r in self.coordinator.inflight.values())
         cap = self.coordinator.config.max_inflight_per_worker
         assert all(n <= cap for n in per_worker.values()), per_worker
+
+    @invariant()
+    def at_most_one_terminal_per_request(self):
+        events = self.coordinator.events
+        self.terminals.update(
+            e["request_id"]
+            for e in events[self.n_seen:]
+            if e["type"] in ("fleet_answer", "fleet_shed")
+        )
+        self.n_seen = len(events)
+        assert all(n == 1 for n in self.terminals.values()), self.terminals
 
     @invariant()
     def callbacks_fire_at_most_once(self):

@@ -166,3 +166,19 @@ def test_non_finite_redline_is_rejected_before_the_first_probe(
         optimize_crac_setpoint(
             caps_room(), (18.0, 22.0), 0.5, limit_c=limit
         )
+
+
+@pytest.mark.parametrize("crac_supply_c", [float("nan"), float("inf")])
+@pytest.mark.parametrize("policy", ["paper", "coolest", "minhr"])
+def test_non_finite_crac_setpoint_is_one_typed_error(policy, crac_supply_c):
+    """``minhr`` used to raise ``ConfigurationError`` naming ``inlet_c``
+    from its caps, and ``place_room_load(..., "paper")`` returned a
+    vector for a NaN setpoint."""
+    with pytest.raises(RoomError, match="crac_supply_c"):
+        max_sustainable_room_load(
+            caps_room(), crac_supply_c, placement=policy
+        )
+    with pytest.raises(RoomError, match="crac_supply_c"):
+        placement.place_room_load(
+            caps_room(), policy, 0.5, crac_supply_c=crac_supply_c
+        )
