@@ -51,8 +51,6 @@ class WorkerKill:
     t: float
     worker: str
 
-    kind = "kill"
-
     def apply(self, handle: "SimWorkerHandle", now: float) -> None:
         handle.chaos_kill(now)
 
@@ -64,8 +62,6 @@ class WorkerHang:
     t: float
     worker: str
     duration_s: float
-
-    kind = "hang"
 
     def apply(self, handle: "SimWorkerHandle", now: float) -> None:
         handle.chaos_hang(now, self.duration_s)
@@ -80,8 +76,6 @@ class AnswerDelay:
     extra_s: float
     duration_s: float
 
-    kind = "delay"
-
     def apply(self, handle: "SimWorkerHandle", now: float) -> None:
         handle.chaos_delay(now, self.extra_s, self.duration_s)
 
@@ -92,8 +86,6 @@ class CheckpointCorruption:
 
     t: float
     worker: str
-
-    kind = "corrupt"
 
     def apply(self, handle: "SimWorkerHandle", now: float) -> None:
         handle.chaos_corrupt(now)
@@ -203,13 +195,10 @@ class SimWorkerHandle:
     checkpoint directory is configured) and returns the cold flag
     synchronously.
 
-    ``chaos`` is this worker's part of a :class:`ChaosSchedule`, in
-    schedule order.  The handle replays it itself: the first time the
-    coordinator touches it (``start``, ``send_batch`` or ``poll``) at
-    or after an event's time, the event applies at that instant, before
-    the call does anything else.  A drive loop that polls every handle
-    on every tick therefore applies each failure at the first tick
-    instant at or after its time, and needs no chaos hook of its own.
+    ``chaos`` is this worker's part of a :class:`ChaosSchedule`, which
+    the handle replays itself: an event applies at the first ``start``,
+    ``send_batch`` or ``poll`` at or after its time, before that call
+    does anything else.
     """
 
     def __init__(
@@ -572,20 +561,17 @@ def run_virtual(
     """Drive one workload through a simulated fleet in virtual time.
 
     The one drive loop of the chaos harness and the load generator.
-    Every chassis gets one :class:`~repro.fleet.compute.ChassisCompute`,
-    shared by its replicas, and every worker a :class:`SimWorkerHandle`
-    that replays its part of ``schedule``.  Tick ``k`` runs at
-    ``k * tick_s``, after the requests due by then are submitted.  The
-    loop ticks through ``horizon_s``, then on until every request is
-    terminal or the last submission is more than ``drain_s`` behind,
-    and finishes one tick later.
-
-    Returns the finished coordinator (answers, events, state).
+    Each chassis gets one :class:`~repro.fleet.compute.ChassisCompute`,
+    shared by its replicas, and each worker a :class:`SimWorkerHandle`
+    replaying its part of ``schedule``.  Tick ``k`` runs at
+    ``k * tick_s``, after the requests due by then are submitted,
+    through ``horizon_s`` and then until every request is terminal or
+    the last submission is more than ``drain_s`` behind.  Returns the
+    finished coordinator.
 
     Raises:
-        FleetError: for a non-positive or non-finite ``tick_s``, a
-            negative or non-finite ``drain_s`` (naming the field), or a
-            chaos event naming no worker of the registry, before any
+        FleetError: for a bad ``tick_s`` or ``drain_s`` (naming the
+            field) or a chaos event for an unknown worker, before any
             worker starts.
     """
     if not (math.isfinite(tick_s) and tick_s > 0):

@@ -15,13 +15,11 @@ The drive contract, the same for every driver:
 
 - :meth:`submit` admits (or sheds, or fails) one query.  With no
   batching window (``batch_window_s == 0``, the default) it also ships
-  the query to a worker with a free slot before returning; a query
-  that a window can hold waits in the queue for a tick;
+  the query if a worker has a free slot;
 - :meth:`tick` drains worker messages (answers, heartbeats,
   snapshots), supervises, expires timed-out requests, restarts
-  workers whose backoff is over, and ends by shipping whatever queued
-  queries can go: those that waited for a free slot, retries, and
-  batching chunks that are full or whose window expired.
+  workers whose backoff is over, and ships whatever queued queries can
+  go, including batching chunks that are full or whose window expired.
 
 Guarantees (checked by :mod:`repro.fleet.invariants` under chaos):
 
@@ -246,10 +244,9 @@ class _BatchMeta:
 class FleetCoordinator:
     """Deterministic fleet coordination over abstract worker handles.
 
-    Every driver runs one schedule: :meth:`start`, then :meth:`submit`
-    as queries arrive and :meth:`tick` at a fixed cadence, then
-    :meth:`finish`.  A query with no batching window ships inside
-    :meth:`submit`; everything else ships at a tick.  The queue never
+    Every driver runs one schedule: :meth:`start`, :meth:`submit` as
+    queries arrive (shipping at once when no window holds them),
+    :meth:`tick` at a fixed cadence, :meth:`finish`.  The queue never
     holds more than ``config.max_queue`` requests, retries included.
 
     Attributes:
@@ -386,16 +383,13 @@ class FleetCoordinator:
     ) -> int:
         """Admit (or shed) one query; returns its request id.
 
-        With no batching window (``batch_window_s == 0``) an admitted
-        query ships within this call when a worker has a free slot;
-        otherwise it waits in the queue for a :meth:`tick`.  A query
-        that a window can hold never leaves at admission: its chunk
-        ships at the first tick that finds it full or expired.  The
-        answer arrives through ``callback`` (and :attr:`answers`) once
-        terminal — possibly within this very call, when the request is
-        shed at admission or fails it (an unknown chassis, or a
-        utilization vector whose length is not the chassis' socket
-        count).
+        With no batching window an admitted query ships within this
+        call if a worker has a free slot; otherwise it waits in the
+        queue for a :meth:`tick`.  The answer arrives through
+        ``callback`` (and :attr:`answers`) once terminal — possibly
+        within this very call, when the request is shed at admission or
+        fails it (an unknown chassis, or a utilization vector whose
+        length is not the chassis' socket count).
         """
         rid = self._next_id
         self._next_id += 1

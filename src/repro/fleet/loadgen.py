@@ -117,21 +117,16 @@ def drive_fleet(
     """Run one workload to completion over simulated workers.
 
     The chaos harness's drive loop
-    (:func:`~repro.fleet.chaos.run_virtual`) without chaos: virtual
-    time advances in ``tick_s`` steps, due requests are submitted, and
-    after the last submission the loop keeps ticking until every
-    request is terminal (bounded by ``drain_s``).  ``warm_capacity``
-    is handed to every chassis'
+    (:func:`~repro.fleet.chaos.run_virtual`) without chaos, ticking
+    until every request is terminal or ``drain_s`` has passed since the
+    last submission.  ``warm_capacity`` is handed to every chassis'
     :class:`~repro.fleet.compute.ChassisCompute` — 0 is the cold
     one-member-batch baseline, a positive bound enables the
-    warm-field cache.
-
-    Returns the finished coordinator (answers, events, state).
+    warm-field cache.  Returns the finished coordinator.
 
     Raises:
-        FleetError: for a non-positive or non-finite ``tick_s``, or a
-            negative or non-finite ``drain_s`` (naming the field),
-            before any worker starts.
+        FleetError: for a bad ``tick_s`` or ``drain_s`` (naming the
+            field), before any worker starts.
     """
     return run_virtual(
         registry,
