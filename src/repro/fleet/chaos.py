@@ -648,8 +648,9 @@ def run_chaos(
         registry: Optional fleet layout override; defaults to
             :func:`~repro.fleet.registry.demo_fleet` with one replica
             per chassis.
-        schedule: Optional explicit chaos schedule; defaults to
-            :meth:`ChaosSchedule.random` under ``config.seed``.
+        schedule: Optional explicit chaos schedule (an empty one runs
+            no chaos); defaults to :meth:`ChaosSchedule.random` under
+            ``config.seed``.
 
     Returns:
         The :class:`ChaosReport`, with
@@ -661,12 +662,13 @@ def run_chaos(
     registry = registry or demo_fleet(
         n_chassis=config.n_chassis, n_rows=1, replicas=1
     )
-    schedule = schedule or ChaosSchedule.random(
-        seed=config.seed,
-        horizon_s=config.horizon_s,
-        workers=[w.worker_id for w in registry.workers],
-        n_events=config.n_chaos_events,
-    )
+    if schedule is None:
+        schedule = ChaosSchedule.random(
+            seed=config.seed,
+            horizon_s=config.horizon_s,
+            workers=[w.worker_id for w in registry.workers],
+            n_events=config.n_chaos_events,
+        )
     checkpoint_dir = None
     log_path = None
     session = None

@@ -94,6 +94,15 @@ class TestRunConfig:
         with pytest.raises(FleetError, match="c7-w0"):
             run_chaos(CFG, schedule=schedule)
 
+    def test_explicit_empty_schedule_runs_no_chaos(self):
+        """An empty schedule is falsy; it must not read as "none given"."""
+        report = run_chaos(CFG, schedule=ChaosSchedule())
+        assert len(report.schedule) == 0
+        assert report.ok, report.problems
+        assert not any(
+            e["type"] == "fleet_restart" for e in report.coordinator.events
+        )
+
     def test_bad_batching_knobs_rejected(self):
         with pytest.raises(FleetError, match="batch_window_s"):
             ChaosRunConfig(batch_window_s=-1.0)
