@@ -127,8 +127,8 @@ def test_fleet_throughput(record_artifact):
         variants, stop=_cleared
     )
 
-    serial = results["per_message"]
-    batched = results["batched"]
+    serial, serial_events = results["per_message"]
+    batched, batched_events = results["batched"]
 
     # Differential oracle: batching must not change a single answer.
     assert _answers(serial) == _answers(batched)
@@ -136,7 +136,7 @@ def test_fleet_throughput(record_artifact):
 
     batch_events = [
         event
-        for event in batched.events
+        for event in batched_events
         if event["type"] == "fleet_batch"
     ]
     assert batch_events, "batched run dispatched no batches"
@@ -144,8 +144,8 @@ def test_fleet_throughput(record_artifact):
     warm_hits = sum(e["warm_hits"] for e in batch_events)
     warm_misses = sum(e["warm_misses"] for e in batch_events)
 
-    serial_latency = latency_stats(serial.events)
-    batched_latency = latency_stats(batched.events)
+    serial_latency = latency_stats(serial_events)
+    batched_latency = latency_stats(batched_events)
     speedup = best["per_message"] / best["batched"]
 
     payload = {

@@ -215,21 +215,22 @@ def _cmd_fleet_serve(args) -> int:
     except (ConfigurationError, FleetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    session = None
+    bus = writer = None
     if args.telemetry:
         from pathlib import Path
 
-        from .obs.session import TelemetrySession
+        from .obs.events import EventBus
+        from .obs.writer import JsonlWriter
 
-        session = TelemetrySession(
-            Path(args.telemetry) / "fleet.jsonl"
-        )
+        writer = JsonlWriter(Path(args.telemetry) / "fleet.jsonl")
+        bus = EventBus()
+        bus.subscribe(writer.emit)
     service = FleetService(
         registry,
         policy=policy,
         config=config,
         checkpoint_dir=args.checkpoints,
-        session=session,
+        bus=bus,
     )
 
     async def _serve() -> None:
@@ -251,6 +252,9 @@ def _cmd_fleet_serve(args) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         print("fleet: stopped")
+    finally:
+        if writer is not None:
+            writer.close()
     return 0
 
 

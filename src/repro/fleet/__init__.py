@@ -18,8 +18,10 @@ supplies wall-clock time and real processes, while one virtual-time
 runner (:func:`repro.fleet.chaos.run_virtual`) supplies simulated
 workers, scheduled failures and a fixed tick grid to both the seeded
 chaos harness and the load generator (:mod:`repro.fleet.loadgen`).
-:mod:`repro.fleet.invariants` audits the resulting event logs for
-the coordinator's liveness/safety guarantees.
+The coordinator publishes its events to an
+:class:`~repro.obs.events.EventBus` and keeps none: callers subscribe a
+``fleet.jsonl`` writer or a list, and :mod:`repro.fleet.invariants`
+audits those streams for the coordinator's liveness/safety guarantees.
 """
 
 from .chaos import (
@@ -45,7 +47,6 @@ from .loadgen import drive_fleet, generate_workload, latency_stats
 from .messages import (
     AnswerStatus,
     FleetAnswer,
-    FleetBusy,
     FleetQuery,
     PlacementQuery,
     QueryBatch,
@@ -73,7 +74,6 @@ __all__ = [
     "ChassisSpec",
     "CheckpointCorruption",
     "FleetAnswer",
-    "FleetBusy",
     "FleetConfig",
     "FleetCoordinator",
     "FleetQuery",

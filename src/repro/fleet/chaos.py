@@ -33,6 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CheckpointCorruptionError, FleetError
+from ..obs.events import EventBus
+from ..obs.writer import JsonlWriter
 from ..sim.checkpoint import SweepCheckpoint
 from .compute import WARM_FIELD_CACHE_MAX, ChassisCompute, ChassisSnapshot
 from .coordinator import FleetConfig, FleetCoordinator
@@ -465,7 +467,8 @@ class ChaosReport:
     Attributes:
         config: The run configuration.
         schedule: The chaos schedule that was replayed.
-        coordinator: The driven coordinator (answers, events, state).
+        coordinator: The driven coordinator (answers, state).
+        events: Every event the run published, in order.
         problems: Invariant violations (empty means the run is clean).
         log_path: The ``fleet.jsonl`` event log, when written.
     """
@@ -473,6 +476,7 @@ class ChaosReport:
     config: ChaosRunConfig
     schedule: ChaosSchedule
     coordinator: FleetCoordinator
+    events: List[dict]
     problems: List[str]
     log_path: Optional[Path] = None
 
@@ -492,7 +496,7 @@ class ChaosReport:
             "chaos_fingerprint": self.schedule.fingerprint(),
             "n_requests": len(self.coordinator.answers),
             "statuses": statuses,
-            "n_events": len(self.coordinator.events),
+            "n_events": len(self.events),
             "peak_queue_len": self.coordinator.peak_queue_len,
             "worker_states": self.coordinator.worker_states(),
             "problems": list(self.problems),
@@ -556,7 +560,7 @@ def run_virtual(
     schedule: ChaosSchedule = ChaosSchedule(),
     warm_capacity: int = WARM_FIELD_CACHE_MAX,
     checkpoint_dir: Optional[str] = None,
-    session=None,
+    bus: Optional[EventBus] = None,
 ) -> FleetCoordinator:
     """Drive one workload through a simulated fleet in virtual time.
 
@@ -567,7 +571,7 @@ def run_virtual(
     ``k * tick_s``, after the requests due by then are submitted,
     through ``horizon_s`` and then until every request is terminal or
     the last submission is more than ``drain_s`` behind.  Returns the
-    finished coordinator.
+    finished coordinator, which published to ``bus``.
 
     Raises:
         FleetError: for a bad ``tick_s`` or ``drain_s`` (naming the
@@ -605,7 +609,7 @@ def run_virtual(
         handles=handles,
         policy=policy,
         config=config,
-        session=session,
+        bus=bus,
     )
     pending = sorted(workload, key=lambda pair: pair[0])
     deadline = (pending[-1][0] if pending else 0.0) + drain_s
@@ -656,7 +660,6 @@ def run_chaos(
         The :class:`ChaosReport`, with
         :mod:`repro.fleet.invariants` already evaluated.
     """
-    from ..obs.session import TelemetrySession
     from .invariants import check_fleet_events
 
     registry = registry or demo_fleet(
@@ -669,16 +672,18 @@ def run_chaos(
             workers=[w.worker_id for w in registry.workers],
             n_events=config.n_chaos_events,
         )
-    checkpoint_dir = None
-    log_path = None
-    session = None
+    events: List[dict] = []
+    bus = EventBus()
+    bus.subscribe(events.append)
+    checkpoint_dir = log_path = writer = None
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_dir = str(out_dir / "checkpoints")
         shutil.rmtree(checkpoint_dir, ignore_errors=True)
         log_path = out_dir / "fleet.jsonl"
-        session = TelemetrySession(log_path)
+        writer = JsonlWriter(log_path)
+        bus.subscribe(writer.emit)
 
     policy = SupervisionPolicy(
         heartbeat_interval_s=config.heartbeat_interval_s,
@@ -710,13 +715,13 @@ def run_chaos(
             horizon_s=config.horizon_s,
             schedule=schedule,
             checkpoint_dir=checkpoint_dir,
-            session=session,
+            bus=bus,
         )
     finally:
-        if session is not None:
-            session.close()
+        if writer is not None:
+            writer.close()
 
-    problems = check_fleet_events(coordinator.events)
+    problems = check_fleet_events(events)
     if coordinator.peak_queue_len > fleet_config.max_queue:
         problems.append(
             f"queue peaked at {coordinator.peak_queue_len}, above "
@@ -731,6 +736,7 @@ def run_chaos(
         config=config,
         schedule=schedule,
         coordinator=coordinator,
+        events=events,
         problems=problems,
         log_path=log_path,
     )

@@ -64,7 +64,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple
 import numpy as np
 
 from ..errors import FleetError
-from ..obs.events import make_event
+from ..obs.events import EventBus
 from .compute import ChassisSnapshot, degraded_payload
 from .messages import (
     AnswerStatus,
@@ -255,8 +255,10 @@ class FleetCoordinator:
             registry worker).
         policy: Supervision tunables shared by all workers.
         config: Coordinator tunables.
-        session: Optional :class:`~repro.obs.session.TelemetrySession`
-            mirroring the event stream to a ``fleet.jsonl`` log.
+        bus: :class:`~repro.obs.events.EventBus` of the coordinator's
+            and its supervisors' events (default: no subscriber).  The
+            coordinator keeps no event history.
+        finished: Set by :meth:`finish`; no call takes work after it.
     """
 
     registry: FleetRegistry
@@ -265,7 +267,7 @@ class FleetCoordinator:
         default_factory=SupervisionPolicy
     )
     config: FleetConfig = dataclass_field(default_factory=FleetConfig)
-    session: Optional[object] = None
+    bus: Optional[EventBus] = None
 
     def __post_init__(self) -> None:
         missing = [
@@ -275,12 +277,13 @@ class FleetCoordinator:
         ]
         if missing:
             raise FleetError(f"no handle for workers {missing}")
-        self.events: List[dict] = []
+        if self.bus is None:
+            self.bus = EventBus()
         self.supervisors: Dict[str, WorkerSupervisor] = {
             w.worker_id: WorkerSupervisor(
                 worker_id=w.worker_id,
                 policy=self.policy,
-                emit=self.emit,
+                emit=self.bus.emit,
             )
             for w in self.registry.workers
         }
@@ -297,18 +300,10 @@ class FleetCoordinator:
         self._next_id = 0
         self._awaiting_hello: set = set()
         self._started = False
+        self.finished = False
         self.peak_queue_len = 0
         self._next_batch_id = 0
         self._batches: Dict[int, _BatchMeta] = {}
-
-    # -- events ---------------------------------------------------------
-
-    def emit(self, type_: str, **fields) -> None:
-        """Validate, record and (optionally) log one event."""
-        event = make_event(type_, **fields)
-        self.events.append(event)
-        if self.session is not None:
-            self.session.emit(type_, **fields)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -317,7 +312,7 @@ class FleetCoordinator:
         if self._started:
             raise FleetError("coordinator already started")
         self._started = True
-        self.emit(
+        self.bus.emit(
             "fleet_start",
             n_workers=self.registry.n_workers,
             n_chassis=self.registry.n_chassis,
@@ -334,9 +329,14 @@ class FleetCoordinator:
             self.handles[wid].start(now)
 
     def finish(self, now: float) -> None:
-        """Resolve everything still pending and close the stream."""
+        """Resolve everything still pending and close the stream.
+
+        Raises:
+            FleetError: if not started, or already finished.
+        """
         # Drain one last time so answers racing the shutdown land.
         self.tick(now)
+        self.finished = True
         for record in [
             self.inflight[rid] for rid in sorted(self.inflight)
         ]:
@@ -364,7 +364,7 @@ class FleetCoordinator:
             for a in self.answers.values()
             if a.status is AnswerStatus.SHED
         )
-        self.emit(
+        self.bus.emit(
             "fleet_end",
             t=float(now),
             n_answered=len(self.answers) - n_shed,
@@ -390,7 +390,12 @@ class FleetCoordinator:
         within this very call, when the request is shed at admission or
         fails it (an unknown chassis, or a utilization vector whose
         length is not the chassis' socket count).
+
+        Raises:
+            FleetError: if the coordinator is finished.
         """
+        if self.finished:
+            raise FleetError("coordinator finished")
         rid = self._next_id
         self._next_id += 1
         if callback is not None:
@@ -399,7 +404,7 @@ class FleetCoordinator:
         chassis = query.chassis
         failure = self._admission_failure(query)
         if failure is not None:
-            self.emit(
+            self.bus.emit(
                 "fleet_submit",
                 t=float(now),
                 request_id=rid,
@@ -421,8 +426,8 @@ class FleetCoordinator:
         if len(self.queue) >= self.config.max_queue:
             victim = self._shed_victim(cls)
             if victim is None:
-                # Shed the arrival itself: FleetBusy.
-                self.emit(
+                # Shed the arrival itself: a SHED answer.
+                self.bus.emit(
                     "fleet_submit",
                     t=float(now),
                     request_id=rid,
@@ -451,7 +456,7 @@ class FleetCoordinator:
             )
         )
         self.peak_queue_len = max(self.peak_queue_len, len(self.queue))
-        self.emit(
+        self.bus.emit(
             "fleet_submit",
             t=float(now),
             request_id=rid,
@@ -489,7 +494,7 @@ class FleetCoordinator:
     def _shed(
         self, rid: int, cls: RequestClass, reason: str, now: float
     ) -> None:
-        self.emit(
+        self.bus.emit(
             "fleet_shed",
             t=float(now),
             request_id=rid,
@@ -510,9 +515,15 @@ class FleetCoordinator:
     # -- the drive loop -------------------------------------------------
 
     def tick(self, now: float) -> None:
-        """Advance coordination to ``now`` (idempotent per instant)."""
+        """Advance coordination to ``now`` (idempotent per instant).
+
+        Raises:
+            FleetError: if not started, or finished.
+        """
         if not self._started:
             raise FleetError("coordinator not started")
+        if self.finished:
+            raise FleetError("coordinator finished")
         self._drain_workers(now)
         self._check_supervision(now)
         self._expire_inflight(now)
@@ -531,7 +542,7 @@ class FleetCoordinator:
                         self.config.log_heartbeats
                         and not sup.down
                     ):
-                        self.emit(
+                        self.bus.emit(
                             "fleet_heartbeat",
                             t=float(now),
                             worker=wid,
@@ -565,7 +576,7 @@ class FleetCoordinator:
             # A late answer from an abandoned attempt (timeout/retry)
             # or a previous incarnation: exactly-once delivery means
             # it is dropped, visibly.
-            self.emit(
+            self.bus.emit(
                 "fleet_drop",
                 t=float(now),
                 request_id=int(rid),
@@ -609,7 +620,7 @@ class FleetCoordinator:
             and meta.worker_id == wid
             and meta.incarnation == sup.incarnation
         ):
-            self.emit(
+            self.bus.emit(
                 "fleet_batch",
                 t=float(now),
                 worker=wid,
@@ -861,7 +872,7 @@ class FleetCoordinator:
             snap, received_t = held
             staleness = now - received_t
             if staleness <= self.config.max_staleness_s:
-                self.emit(
+                self.bus.emit(
                     "fleet_degraded",
                     t=float(now),
                     request_id=rid,
@@ -908,7 +919,7 @@ class FleetCoordinator:
             )
         self.answers[rid] = answer
         if emit_answer:
-            self.emit(
+            self.bus.emit(
                 "fleet_answer",
                 t=float(now),
                 request_id=rid,

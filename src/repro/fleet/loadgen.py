@@ -6,8 +6,8 @@ Shared by the throughput benchmark
 a reproducible mixed interactive/batch query stream,
 :func:`drive_fleet` pushes it through the chaos harness's virtual-time
 runner (:func:`~repro.fleet.chaos.run_virtual`) with no chaos, so it
-runs the schedule the chaos proofs run, and :func:`latency_stats`
-digests the resulting event stream into queries/sec and
+runs the schedule the chaos proofs run, and collects its event stream,
+and :func:`latency_stats` digests that stream into queries/sec and
 admission-to-answer latency percentiles.
 
 Everything here is deterministic under its seed: the same seed,
@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import FleetError
+from ..obs.events import EventBus
 from .chaos import run_virtual
 from .coordinator import FleetConfig, FleetCoordinator
 from .messages import PlacementQuery, RequestClass, WhatIfQuery
@@ -113,7 +114,7 @@ def drive_fleet(
     tick_s: float = 0.02,
     warm_capacity: int = 0,
     drain_s: float = 60.0,
-) -> FleetCoordinator:
+) -> Tuple[FleetCoordinator, List[dict]]:
     """Run one workload to completion over simulated workers.
 
     The chaos harness's drive loop
@@ -122,13 +123,17 @@ def drive_fleet(
     last submission.  ``warm_capacity`` is handed to every chassis'
     :class:`~repro.fleet.compute.ChassisCompute` — 0 is the cold
     one-member-batch baseline, a positive bound enables the
-    warm-field cache.  Returns the finished coordinator.
+    warm-field cache.  Returns the finished coordinator and every event
+    it published.
 
     Raises:
         FleetError: for a bad ``tick_s`` or ``drain_s`` (naming the
             field), before any worker starts.
     """
-    return run_virtual(
+    events: List[dict] = []
+    bus = EventBus()
+    bus.subscribe(events.append)
+    coordinator = run_virtual(
         registry,
         workload,
         config,
@@ -136,7 +141,9 @@ def drive_fleet(
         tick_s=tick_s,
         drain_s=drain_s,
         warm_capacity=warm_capacity,
+        bus=bus,
     )
+    return coordinator, events
 
 
 def latency_stats(events: Sequence[dict]) -> dict:

@@ -14,8 +14,8 @@ it:
 - ``DEGRADED`` — served from the chassis' last telemetry snapshot
   because no healthy worker was available; ``staleness_s`` bounds how
   old that state is;
-- ``SHED`` — rejected under backpressure (a ``503``-style
-  :class:`FleetBusy` outcome) without being executed;
+- ``SHED`` — rejected under backpressure without being executed (the
+  ``503`` of the wire protocol);
 - ``FAILED`` — no worker, no fresh-enough snapshot, or the retry
   budget ran out.
 """
@@ -232,17 +232,3 @@ class FleetAnswer:
             "reason": self.reason,
         }
 
-
-class FleetBusy(FleetError):
-    """Raised by blocking submit paths when a request was shed.
-
-    Carries the terminal :class:`FleetAnswer` (status ``SHED``) so
-    callers can distinguish queue-full sheds from other failures —
-    the moral equivalent of an HTTP 503 with a Retry-After.
-    """
-
-    def __init__(self, answer: "FleetAnswer"):
-        self.answer = answer
-        super().__init__(
-            f"fleet is shedding load: {answer.reason or 'queue full'}"
-        )

@@ -37,6 +37,7 @@ import time
 from typing import Dict, Optional
 
 from ..errors import FleetError
+from ..obs.events import EventBus
 from .coordinator import FleetConfig, FleetCoordinator
 from .messages import (
     AnswerStatus,
@@ -128,6 +129,8 @@ class FleetService:
 
     Attributes:
         registry: The fleet layout to serve.
+        bus: Optional :class:`~repro.obs.events.EventBus` for the
+            coordinator's events; the caller owns its subscribers.
         coordinator: The deterministic core (constructed on start).
     """
 
@@ -137,7 +140,7 @@ class FleetService:
         policy: Optional[SupervisionPolicy] = None,
         config: Optional[FleetConfig] = None,
         checkpoint_dir: Optional[str] = None,
-        session=None,
+        bus: Optional[EventBus] = None,
         tick_interval_s: float = 0.05,
     ) -> None:
         if not math.isfinite(tick_interval_s):
@@ -154,7 +157,7 @@ class FleetService:
         # log, so they default off here (chaos runs keep them on).
         self.config = config or FleetConfig(log_heartbeats=False)
         self.checkpoint_dir = checkpoint_dir
-        self.session = session
+        self.bus = bus
         self.tick_interval_s = tick_interval_s
         self.coordinator: Optional[FleetCoordinator] = None
         self._epoch: Optional[float] = None
@@ -188,7 +191,7 @@ class FleetService:
             handles=handles,
             policy=self.policy,
             config=self.config,
-            session=self.session,
+            bus=self.bus,
         )
         self.coordinator.start(self._now())
         self._tick_task = asyncio.ensure_future(self._tick_loop())
@@ -226,6 +229,9 @@ class FleetService:
 
         The coordinator ships an admitted query at once when a worker
         slot is free and no batching window holds it.
+
+        Raises:
+            FleetError: if not started, stopped, or the tick loop failed.
         """
         if self.coordinator is None:
             raise FleetError("service not started")
@@ -244,10 +250,10 @@ class FleetService:
         return await future
 
     async def stop(self) -> None:
-        """Resolve stragglers, stop workers, close the log.
+        """Resolve stragglers and stop workers; a second call returns.
 
-        The coordinator is finished and the log closed even when the
-        tick loop died; its exception is re-raised after that.
+        The coordinator is finished even when the tick loop died; its
+        exception is re-raised after that.
         """
         task, self._tick_task = self._tick_task, None
         try:
@@ -256,12 +262,8 @@ class FleetService:
                 with contextlib.suppress(asyncio.CancelledError):
                     await task
         finally:
-            try:
-                if self.coordinator is not None:
-                    self.coordinator.finish(self._now())
-            finally:
-                if self.session is not None:
-                    self.session.close()
+            if self.coordinator is not None and not self.coordinator.finished:
+                self.coordinator.finish(self._now())
 
     async def handle_connection(self, reader, writer) -> None:
         """Serve one JSON-lines client connection."""

@@ -31,7 +31,7 @@ naming the field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -157,7 +157,6 @@ class WorkerSupervisor:
     incarnation: int = 0
     next_restart_t: Optional[float] = None
     started_t: float = 0.0
-    pending_cold: bool = field(default=False, repr=False)
 
     def _transition(self, now: float, new: WorkerState) -> None:
         old = self.state

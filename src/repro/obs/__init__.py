@@ -5,11 +5,11 @@ any of them enabled is bit-identical to a run with none — pinned by
 the fingerprint oracle tests):
 
 - **Structured telemetry** (:mod:`~repro.obs.events`,
-  :mod:`~repro.obs.writer`, :mod:`~repro.obs.session`): schema-stable
-  JSONL event streams of scheduling decisions, DVFS throttles, thermal
-  trips, fault activations and sweep-harness actions, written by a
-  buffered non-blocking writer that leaves parseable logs even when
-  the process is SIGKILLed.
+  :mod:`~repro.obs.writer`, :mod:`~repro.obs.session`): an
+  :class:`~repro.obs.events.EventBus` validates each event of every
+  layer (engine, sweep harness, room solver, fleet) once and fans it
+  out to subscribers, such as a buffered non-blocking JSONL writer
+  that leaves parseable logs even when the process is SIGKILLed.
 - **Per-step profiling** (:mod:`~repro.obs.profiler`): per-component
   wall-clock accounting of the step pipeline at <2% overhead.
 - **Run manifests** (:mod:`~repro.obs.manifest`): per-run provenance
@@ -22,7 +22,7 @@ artifacts with ``python -m repro.obs.check DIR``; summarise with
 ``python -m repro.metrics.obs_report DIR``.
 """
 
-from .events import EVENT_TYPES, SCHEMA_VERSION, make_event, validate_event
+from .events import EVENT_TYPES, SCHEMA_VERSION, EventBus, make_event, validate_event
 from .manifest import (
     MANIFEST_SUFFIX,
     MANIFEST_VERSION,
@@ -37,7 +37,6 @@ from .session import (
     ENV_TELEMETRY,
     TelemetryConfig,
     TelemetryRecorder,
-    TelemetrySession,
     profile_from_env,
 )
 from .writer import (
@@ -51,6 +50,7 @@ from .writer import (
 __all__ = [
     "SCHEMA_VERSION",
     "EVENT_TYPES",
+    "EventBus",
     "make_event",
     "validate_event",
     "DEFAULT_BUFFER_LINES",
@@ -64,7 +64,6 @@ __all__ = [
     "ENV_TELEMETRY",
     "ENV_PROFILE",
     "TelemetryConfig",
-    "TelemetrySession",
     "TelemetryRecorder",
     "profile_from_env",
     "MANIFEST_VERSION",

@@ -21,13 +21,16 @@ Events carry *simulation* timestamps (``step``, ``t``) — never
 wall-clock readings — so a telemetry-enabled run stays bit-for-bit
 reproducible and two runs of the same configuration produce identical
 event streams.
+
+Every layer publishes through an :class:`EventBus`, which validates
+each event once and hands it to its subscribers.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping as _MappingABC
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from ..errors import ObservabilityError
 
@@ -251,6 +254,32 @@ def make_event(type_: str, **fields) -> dict:
     event.update(fields)
     validate_event(event)
     return event
+
+
+class EventBus:
+    """Validate each event once and hand it to every subscriber.
+
+    A subscriber is any ``Callable[[dict], None]`` (``JsonlWriter.emit``,
+    ``list.append``, a room ``emit=`` sink); all receive the same dict
+    and must not mutate it.  The bus closes nothing.
+    """
+
+    def __init__(self) -> None:
+        self._subscribers: List[Callable[[dict], None]] = []
+
+    def subscribe(self, handler: Callable[[dict], None]) -> None:
+        """Deliver every later event to ``handler``."""
+        self._subscribers.append(handler)
+
+    def emit(self, type_: str, **fields) -> None:
+        """Validate one event, even with no subscriber, and deliver it.
+
+        Raises:
+            ObservabilityError: as :func:`make_event`.
+        """
+        event = make_event(type_, **fields)
+        for handler in self._subscribers:
+            handler(event)
 
 
 def validate_event(event: Mapping) -> None:

@@ -1,20 +1,17 @@
-"""Telemetry configuration, per-run sessions and the pipeline recorder.
+"""Telemetry configuration and the pipeline recorder.
 
-Three layers:
+Two layers:
 
 - :class:`TelemetryConfig` is the *declaration* — a frozen, picklable
   value (directory, profiling flag, buffer depth) that travels across
   process boundaries into sweep workers and is parsed from the
   ``REPRO_TELEMETRY`` / ``REPRO_PROFILE`` environment variables.
-- :class:`TelemetrySession` is one run's *open event stream*: a
-  :class:`~repro.obs.writer.JsonlWriter` plus the schema-checked
-  ``emit`` used by engine components via ``ctx.telemetry``.
 - :class:`TelemetryRecorder` is the :class:`~repro.sim.pipeline.
-  StepComponent` that owns session lifecycle: each ``on_run_start``
+  StepComponent` that owns one run's event log: each ``on_run_start``
   opens a fresh ``<base>-r<k>.jsonl`` (the ``-r<k>`` suffix counts runs
   on the reused engine, so back-to-back runs can never interleave or
-  concatenate their logs) and binds it to the context; ``on_run_end``
-  emits the run summary and closes the stream.
+  concatenate their logs) on a new bus bound to ``ctx.telemetry``;
+  ``on_run_end`` emits the run summary and closes the log.
 
 Determinism: events carry only simulation-clock fields, and every
 emission site in the engine is gated on ``ctx.telemetry is not None``
@@ -30,7 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import ObservabilityError
-from .events import make_event
+from .events import EventBus
 from .writer import DEFAULT_BUFFER_LINES, JsonlWriter
 
 #: Environment variable naming the telemetry output directory.
@@ -106,43 +103,8 @@ def profile_from_env() -> bool:
     return raw is not None and raw not in ("", "0")
 
 
-class TelemetrySession:
-    """One run's (or one sweep's) open, schema-checked event stream."""
-
-    def __init__(
-        self,
-        path,
-        buffer_lines: int = DEFAULT_BUFFER_LINES,
-        append: bool = False,
-    ) -> None:
-        self.path = Path(path)
-        # Sweep streams survive resume: append mode re-opens after
-        # whatever an interrupted attempt managed to flush.
-        self._writer = JsonlWriter(
-            self.path, buffer_lines, append=append
-        )
-
-    def emit(self, type_: str, **fields) -> None:
-        """Validate and enqueue one event."""
-        self._writer.emit(make_event(type_, **fields))
-
-    @property
-    def closed(self) -> bool:
-        return self._writer._closed
-
-    def close(self) -> None:
-        """Flush and close the underlying writer (idempotent)."""
-        self._writer.close()
-
-    def __enter__(self) -> "TelemetrySession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 class TelemetryRecorder:
-    """Pipeline component owning per-run telemetry session lifecycle.
+    """Pipeline component owning one event log per run.
 
     Appended at the end of the standard pipeline (it is a pure
     observer; other components emit through ``ctx.telemetry`` during
@@ -159,8 +121,7 @@ class TelemetryRecorder:
         self.config = config
         self.base_name = base_name
         self.run_index = 0
-        self.last_path: Optional[Path] = None
-        self._session: Optional[TelemetrySession] = None
+        self._writer: Optional[JsonlWriter] = None
 
     # -- StepComponent protocol -----------------------------------------
 
@@ -168,13 +129,13 @@ class TelemetryRecorder:
         self.reset()
         name = f"{self.base_name}-r{self.run_index}"
         self.run_index += 1
-        path = Path(self.config.directory) / f"{name}.jsonl"
-        self.last_path = path
-        self._session = TelemetrySession(
-            path, buffer_lines=self.config.buffer_lines
+        self._writer = JsonlWriter(
+            Path(self.config.directory) / f"{name}.jsonl",
+            self.config.buffer_lines,
         )
-        ctx.telemetry = self._session
-        self._session.emit(
+        ctx.telemetry = EventBus()
+        ctx.telemetry.subscribe(self._writer.emit)
+        ctx.telemetry.emit(
             "run_start",
             run=name,
             scheduler=getattr(ctx.scheduler, "name", "unknown"),
@@ -187,10 +148,9 @@ class TelemetryRecorder:
         """Nothing per step — emission happens at the source phases."""
 
     def on_run_end(self, ctx) -> None:
-        session = self._session
-        if session is None:  # pragma: no cover - engine misuse
+        if self._writer is None:  # pragma: no cover - engine misuse
             return
-        session.emit(
+        ctx.telemetry.emit(
             "run_end",
             run=f"{self.base_name}-r{self.run_index - 1}",
             n_completed=len(ctx.result.completed_jobs),
@@ -198,13 +158,12 @@ class TelemetryRecorder:
             max_queue_length=int(ctx.result.max_queue_length),
         )
         ctx.telemetry = None
-        self._session = None
-        session.close()
+        self.reset()
 
     # -- engine-reuse contract ------------------------------------------
 
     def reset(self) -> None:
-        """Close any straggling session from an aborted previous run."""
-        if self._session is not None:
-            self._session.close()
-            self._session = None
+        """Close any straggling log from an aborted previous run."""
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None

@@ -46,6 +46,7 @@ from ..config.parameters import SimulationParameters
 from ..config.presets import scaled
 from ..errors import RoomConvergenceError, RoomError
 from ..fleet.registry import ChassisSpec
+from ..obs.events import EventBus
 from ..server.topology import ServerTopology
 from ..sim.batched import FleetPoint, evaluate_fleet
 from ..sim.steady_state import SteadyStateField
@@ -358,8 +359,8 @@ def solve_room(
         max_iterations: Fixed-point iteration budget.
         divergence_limit_c: Residual above which the solve aborts as
             divergent without spending the rest of the budget.
-        emit: Optional sink for ``room_*`` telemetry events (already
-            validated dicts, e.g. ``JsonlWriter.emit``).
+        emit: Optional subscriber for the solve's ``room_*`` events
+            (validated dicts, e.g. ``JsonlWriter.emit``).
 
     Returns:
         The converged :class:`RoomSolution`.
@@ -387,16 +388,13 @@ def solve_room(
     if max_iterations < 1:
         raise RoomError("max_iterations must be >= 1")
 
-    from ..obs.events import make_event
-
-    def send(type_: str, **payload) -> None:
-        if emit is not None:
-            emit(make_event(type_, **payload))
-
+    bus = EventBus()
+    if emit is not None:
+        bus.subscribe(emit)
     params = scaled(seed=seed)
     matrix = room.recirculation
     inlet = np.full(room.n_chassis, float(crac_supply_c))
-    send(
+    bus.emit(
         "room_solve_start",
         n_chassis=room.n_chassis,
         crac_supply_c=float(crac_supply_c),
@@ -409,7 +407,7 @@ def solve_room(
         # The event schema forbids non-finite floats; a non-finite
         # residual is already named in ``reason``.
         finite = [r for r in residuals if np.isfinite(r)]
-        send(
+        bus.emit(
             "room_diverged",
             n_iterations=len(residuals),
             residual_c=finite[-1] if finite else 0.0,
@@ -428,7 +426,7 @@ def solve_room(
         hottest = max(c.max_chip_c for c in chassis)
         if not np.isfinite(residual) or not np.isfinite(hottest):
             raise diverged("non-finite inlet residual")
-        send(
+        bus.emit(
             "room_iteration",
             iteration=len(residuals),
             residual_c=residual,
@@ -446,7 +444,7 @@ def solve_room(
         ):
             raise diverged("residuals growing (loop gain above 1)")
         if residual <= tolerance_c:
-            send(
+            bus.emit(
                 "room_converged",
                 n_iterations=len(residuals),
                 residual_c=residual,

@@ -53,6 +53,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config.parameters import SimulationParameters
 from ..errors import ConfigurationError, ReproError, SimulationError
+from ..obs.events import EventBus
+from ..obs.writer import JsonlWriter
 from ..server.topology import ServerTopology
 from ..workloads.benchmark import BenchmarkSet
 from .checkpoint import SweepCheckpoint
@@ -406,27 +408,27 @@ def execute_sweep(
                 continue
         pending.append(i)
 
-    session = None
+    bus = EventBus()
+    writer = None
     if telemetry is not None:
         from pathlib import Path
 
-        from ..obs.session import TelemetrySession
-
         # One continuous harness log per directory: append mode keeps
         # a killed-and-resumed sweep's rounds in a single stream.
-        session = TelemetrySession(
+        writer = JsonlWriter(
             Path(telemetry.directory) / "sweep.jsonl",
-            buffer_lines=telemetry.buffer_lines,
+            telemetry.buffer_lines,
             append=True,
         )
-        session.emit(
-            "sweep_start",
-            n_points=len(points),
-            n_resolved=len(points) - len(pending),
-        )
-        for i in range(len(points)):
-            if results[i] is not None:
-                session.emit("cache_hit", index=i, key=keys[i])
+        bus.subscribe(writer.emit)
+    bus.emit(
+        "sweep_start",
+        n_points=len(points),
+        n_resolved=len(points) - len(pending),
+    )
+    for i in range(len(points)):
+        if results[i] is not None:
+            bus.emit("cache_hit", index=i, key=keys[i])
 
     def record(i: int, result: SimulationResult) -> None:
         results[i] = result
@@ -447,19 +449,17 @@ def execute_sweep(
                 profile=result.profile,
             )
             checkpoint.save(keys[i], result, manifest=manifest)
-            if session is not None:
-                session.emit("checkpoint_write", index=i, key=keys[i])
+            bus.emit("checkpoint_write", index=i, key=keys[i])
         if cache is not None:
             cache.put(keys[i], result)
-        if session is not None:
-            name, benchmark_set, load = points[i]
-            session.emit(
-                "point_done",
-                index=i,
-                scheduler=name,
-                benchmark_set=benchmark_set.value,
-                load=float(load),
-            )
+        name, benchmark_set, load = points[i]
+        bus.emit(
+            "point_done",
+            index=i,
+            scheduler=name,
+            benchmark_set=benchmark_set.value,
+            load=float(load),
+        )
 
     try:
         if pending:
@@ -482,7 +482,7 @@ def execute_sweep(
                     telemetry=telemetry,
                     profile=profile,
                     keys=keys,
-                    session=session,
+                    bus=bus,
                 )
             for i in serial:
                 record(
@@ -499,11 +499,10 @@ def execute_sweep(
                         point_key=keys[i],
                     ),
                 )
-        if session is not None:
-            session.emit("sweep_end", n_points=len(points))
+        bus.emit("sweep_end", n_points=len(points))
     finally:
-        if session is not None:
-            session.close()
+        if writer is not None:
+            writer.close()
     return results  # type: ignore[return-value]
 
 
@@ -520,10 +519,10 @@ def _run_pool(
     max_retries: int,
     retry_backoff_s: float,
     record: Callable[[int, SimulationResult], None],
+    bus,
     telemetry=None,
     profile: bool = False,
     keys: Optional[Sequence[Optional[str]]] = None,
-    session=None,
 ) -> List[int]:
     """Fan points out over a fork-based process pool, with recovery.
 
@@ -544,12 +543,11 @@ def _run_pool(
         if not remaining:
             break
         if round_no:
-            if session is not None:
-                session.emit(
-                    "pool_retry",
-                    round=round_no,
-                    remaining=len(remaining),
-                )
+            bus.emit(
+                "pool_retry",
+                round=round_no,
+                remaining=len(remaining),
+            )
             if retry_backoff_s > 0:
                 time.sleep(retry_backoff_s * 2 ** (round_no - 1))
         try:
@@ -598,12 +596,11 @@ def _run_pool(
                     timed_out[i] = timed_out.get(i, 0) + 1
                     hung = True
                     still.append(i)
-                    if session is not None:
-                        session.emit(
-                            "pool_timeout",
-                            index=i,
-                            attempt=timed_out[i],
-                        )
+                    bus.emit(
+                        "pool_timeout",
+                        index=i,
+                        attempt=timed_out[i],
+                    )
                     # The pool is wedged on the hung worker.  Harvest
                     # whatever already finished, requeue the rest, and
                     # abandon the round.

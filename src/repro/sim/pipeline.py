@@ -160,8 +160,8 @@ class EngineContext:
     # bit-identical to the pre-fault engine.
     fault_state: Optional[object] = None
 
-    # Telemetry stream (a repro.obs.session.TelemetrySession while a
-    # run records telemetry, bound by the TelemetryRecorder component).
+    # Telemetry stream (a repro.obs.events.EventBus while a run
+    # records telemetry, bound by the TelemetryRecorder component).
     # Every emission site is gated on this being non-None and only
     # *reads* state, which keeps telemetry-off runs bit-identical to
     # telemetry-on runs.

@@ -35,6 +35,7 @@ from repro.fleet.registry import (
     WorkerSpec,
 )
 from repro.fleet.supervision import SupervisionPolicy
+from repro.obs.events import EventBus
 
 
 def _answers(coordinator):
@@ -63,13 +64,13 @@ def test_batched_answers_bit_identical_to_serial(seed):
         horizon_s=1.0,
         what_if_fraction=0.3,
     )
-    serial = drive_fleet(
+    serial, serial_events = drive_fleet(
         registry,
         workload,
         _config(batch_window_s=0.0, max_batch=1),
         warm_capacity=0,
     )
-    batched = drive_fleet(
+    batched, batched_events = drive_fleet(
         registry,
         workload,
         _config(batch_window_s=0.2, max_batch=16),
@@ -77,10 +78,10 @@ def test_batched_answers_bit_identical_to_serial(seed):
     )
     assert len(serial.answers) == 60
     assert _answers(serial) == _answers(batched)
-    assert check_fleet_events(serial.events) == []
-    assert check_fleet_events(batched.events) == []
+    assert check_fleet_events(serial_events) == []
+    assert check_fleet_events(batched_events) == []
     batch_events = [
-        e for e in batched.events if e["type"] == "fleet_batch"
+        e for e in batched_events if e["type"] == "fleet_batch"
     ]
     assert batch_events
     assert sum(e["size"] for e in batch_events) >= 60
@@ -153,9 +154,13 @@ def make_batching_fleet(replicas=0, **config_kw):
         w.worker_id: BatchScriptedHandle(w.worker_id)
         for w in registry.workers
     }
+    events = []
+    bus = EventBus()
+    bus.subscribe(events.append)
     coordinator = FleetCoordinator(
         registry=registry,
         handles=handles,
+        bus=bus,
         policy=SupervisionPolicy(
             heartbeat_interval_s=1.0,
             missed_heartbeats=1000,  # supervision is not under test
@@ -163,7 +168,7 @@ def make_batching_fleet(replicas=0, **config_kw):
         config=_config(**config_kw),
     )
     coordinator.start(0.0)
-    return coordinator, handles
+    return coordinator, handles, events
 
 
 def place(cls=RequestClass.INTERACTIVE):
@@ -173,7 +178,7 @@ def place(cls=RequestClass.INTERACTIVE):
 
 
 def test_partial_batch_held_until_window_expires():
-    coordinator, handles = make_batching_fleet(
+    coordinator, handles, events = make_batching_fleet(
         batch_window_s=1.0, max_batch=4
     )
     coordinator.submit(place(), 0.0)
@@ -190,7 +195,7 @@ def test_partial_batch_held_until_window_expires():
 
 
 def test_full_batch_flushes_before_window():
-    coordinator, handles = make_batching_fleet(
+    coordinator, handles, events = make_batching_fleet(
         batch_window_s=10.0, max_batch=3
     )
     for _ in range(4):
@@ -203,7 +208,7 @@ def test_full_batch_flushes_before_window():
 
 
 def test_member_timeout_retries_on_replica_only():
-    coordinator, handles = make_batching_fleet(
+    coordinator, handles, events = make_batching_fleet(
         replicas=1,
         batch_window_s=0.1,
         max_batch=8,
@@ -249,15 +254,15 @@ def test_member_timeout_retries_on_replica_only():
     coordinator.tick(1.8)
     assert coordinator.answers[rid_b].payload == {"ok": 2}
     drops = [
-        e for e in coordinator.events if e["type"] == "fleet_drop"
+        e for e in events if e["type"] == "fleet_drop"
     ]
     assert [e["request_id"] for e in drops] == [rid_b]
-    problems = check_fleet_events(coordinator.events)
+    problems = check_fleet_events(events)
     assert problems == []
 
 
 def test_shed_evicts_held_batch_member():
-    coordinator, handles = make_batching_fleet(
+    coordinator, handles, events = make_batching_fleet(
         batch_window_s=3.0, max_batch=8, max_queue=2
     )
     rid_batch = coordinator.submit(place(RequestClass.BATCH), 0.0)
@@ -268,7 +273,7 @@ def test_shed_evicts_held_batch_member():
     # BATCH member even though it was already grouped once.
     rid_int = coordinator.submit(place(), 0.2)
     shed = [
-        e for e in coordinator.events if e["type"] == "fleet_shed"
+        e for e in events if e["type"] == "fleet_shed"
     ]
     assert len(shed) == 1
     assert shed[0]["reason"] == "evicted_for_interactive"
@@ -292,11 +297,11 @@ def test_shed_evicts_held_batch_member():
         )
     )
     coordinator.tick(3.6)
-    assert check_fleet_events(coordinator.events) == []
+    assert check_fleet_events(events) == []
 
 
 def test_queue_timeout_inside_window():
-    coordinator, handles = make_batching_fleet(
+    coordinator, handles, events = make_batching_fleet(
         batch_window_s=100.0, max_batch=8, queue_timeout_s=1.0
     )
     rid = coordinator.submit(place(), 0.0)
@@ -309,7 +314,7 @@ def test_queue_timeout_inside_window():
         AnswerStatus.DEGRADED,
         AnswerStatus.FAILED,
     )
-    assert check_fleet_events(coordinator.events) == []
+    assert check_fleet_events(events) == []
 
 
 # -- warm-field cache --------------------------------------------------

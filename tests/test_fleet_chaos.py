@@ -1,5 +1,6 @@
 """Chaos-harness tests: determinism, invariants, degraded serving."""
 
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from repro.fleet.invariants import (
     check_fleet_log,
     has_fleet_events,
 )
+from repro.fleet.messages import WhatIfQuery
 from repro.fleet.registry import demo_fleet
 
 CFG = ChaosRunConfig(
@@ -29,6 +31,13 @@ CFG = ChaosRunConfig(
     burst_size=24,
     n_chaos_events=5,
 )
+
+#: Line count and sha256 of the ``fleet.jsonl`` that ``repro fleet chaos
+#: --seed S`` writes (3 chassis, every other setting at its default).
+PINNED_LOGS = {
+    7: (920, "d429b95282c5a4d6a4c354552d8b92d6833adba1c005372c175658334cb8fb6b"),
+    23: (931, "4addbb9e4be3ce566aefbe77c58585914f79bec41a89e8596dedf9ce75250722"),
+}
 
 
 class TestSchedule:
@@ -100,7 +109,7 @@ class TestRunConfig:
         assert len(report.schedule) == 0
         assert report.ok, report.problems
         assert not any(
-            e["type"] == "fleet_restart" for e in report.coordinator.events
+            e["type"] == "fleet_restart" for e in report.events
         )
 
     def test_bad_batching_knobs_rejected(self):
@@ -129,6 +138,16 @@ class TestDeterminism:
             tmp_path / "fresh" / "fleet.jsonl"
         ).read_bytes()
 
+    @pytest.mark.parametrize("seed", sorted(PINNED_LOGS))
+    def test_cli_default_logs_are_pinned(self, tmp_path, seed):
+        """``repro fleet chaos --seed S`` writes the same bytes from one
+        commit to the next, not only from one run to the next."""
+        n_lines, sha256 = PINNED_LOGS[seed]
+        run_chaos(ChaosRunConfig(seed=seed, n_chassis=3), out_dir=tmp_path)
+        log = (tmp_path / "fleet.jsonl").read_bytes()
+        assert log.count(b"\n") == n_lines
+        assert hashlib.sha256(log).hexdigest() == sha256
+
     def test_different_seed_differs(self, tmp_path):
         import dataclasses
 
@@ -152,7 +171,7 @@ class TestInvariantsUnderChaos:
     def test_every_request_reaches_exactly_one_terminal(self):
         report = run_chaos(CFG)
         assert report.ok, report.problems
-        events = report.coordinator.events
+        events = report.events
         submits = [
             e["request_id"]
             for e in events
@@ -172,7 +191,7 @@ class TestInvariantsUnderChaos:
         max_queue = report.coordinator.config.max_queue
         # The burst outruns the queue plus every worker's free slots.
         assert report.coordinator.peak_queue_len == max_queue
-        for event in report.coordinator.events:
+        for event in report.events:
             if event["type"] == "fleet_submit":
                 assert event["queue_len"] <= max_queue
 
@@ -191,6 +210,20 @@ class TestInvariantsUnderChaos:
         report = run_chaos(CFG)
         assert not report.ok
         assert any("above max_queue" in p for p in report.problems)
+
+    def test_finished_coordinator_takes_no_more_work(self):
+        report = run_chaos(CFG)
+        coordinator = report.coordinator
+        n_events = len(report.events)
+        query = WhatIfQuery(chassis="c0", scenarios=((0.5, 10.0),))
+        with pytest.raises(FleetError, match="finished"):
+            coordinator.submit(query, 99.0)
+        with pytest.raises(FleetError, match="finished"):
+            coordinator.tick(99.0)
+        with pytest.raises(FleetError, match="finished"):
+            coordinator.finish(99.0)
+        assert len(report.events) == n_events
+        assert coordinator.pending == 0
 
     def test_log_passes_checker_from_disk(self, tmp_path):
         report = run_chaos(CFG, out_dir=tmp_path)
@@ -263,7 +296,7 @@ class TestTargetedScenarios:
         assert report.ok, report.problems
         restarts = [
             e
-            for e in report.coordinator.events
+            for e in report.events
             if e["type"] == "fleet_restart"
         ]
         assert restarts and restarts[0]["cold"] is True
@@ -288,7 +321,7 @@ class TestTargetedScenarios:
         assert report.ok, report.problems
         states = [
             (e["worker"], e["old"], e["new"])
-            for e in report.coordinator.events
+            for e in report.events
             if e["type"] == "fleet_worker_state"
         ]
         assert ("c0-w0", "healthy", "suspect") in states

@@ -11,7 +11,6 @@ from repro.fleet.compute import (
 )
 from repro.fleet.messages import (
     FleetAnswer,
-    FleetBusy,
     AnswerStatus,
     PlacementQuery,
     RequestClass,
@@ -69,14 +68,6 @@ class TestMessages:
         assert wire["status"] == "degraded"
         assert wire["staleness_s"] == 2.5
         assert wire["payload"] == {"socket": 1}
-
-    def test_fleet_busy_carries_the_shed_answer(self):
-        answer = FleetAnswer(
-            request_id=0, status=AnswerStatus.SHED, reason="queue_full"
-        )
-        exc = FleetBusy(answer)
-        assert exc.answer is answer
-        assert "queue_full" in str(exc)
 
 
 class TestRegistry:

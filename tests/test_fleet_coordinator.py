@@ -17,6 +17,7 @@ from repro.fleet.registry import (
     WorkerSpec,
 )
 from repro.fleet.supervision import SupervisionPolicy, WorkerState
+from repro.obs.events import EventBus
 
 
 class ScriptedHandle:
@@ -73,9 +74,13 @@ def make_fleet(replicas=0, **config_kw):
         for w in registry.workers
     }
     config_kw.setdefault("retry_jitter_s", 0.0)
+    events = []
+    bus = EventBus()
+    bus.subscribe(events.append)
     coordinator = FleetCoordinator(
         registry=registry,
         handles=handles,
+        bus=bus,
         policy=SupervisionPolicy(
             heartbeat_interval_s=1.0,
             missed_heartbeats=2,
@@ -86,7 +91,7 @@ def make_fleet(replicas=0, **config_kw):
         config=FleetConfig(**config_kw),
     )
     coordinator.start(0.0)
-    return coordinator, handles
+    return coordinator, handles, events
 
 
 def snapshot(chassis="c0", t=0.0):
@@ -107,7 +112,7 @@ def query(cls=RequestClass.INTERACTIVE):
 
 class TestHappyPath:
     def test_answer_round_trip_exactly_once(self):
-        coordinator, handles = make_fleet()
+        coordinator, handles, events = make_fleet()
         rid = coordinator.submit(query(), 0.0)
         coordinator.tick(0.1)
         assert handles["w0"].sent[0][0] == rid
@@ -119,7 +124,7 @@ class TestHappyPath:
         assert answer.attempts == 1
         terminals = [
             e
-            for e in coordinator.events
+            for e in events
             if e["type"] in ("fleet_answer", "fleet_shed")
             and e["request_id"] == rid
         ]
@@ -127,14 +132,14 @@ class TestHappyPath:
         assert coordinator.pending == 0
 
     def test_submit_ships_at_once_without_a_window(self):
-        coordinator, handles = make_fleet()
+        coordinator, handles, events = make_fleet()
         rid = coordinator.submit(query(), 0.0)
         assert [s[0] for s in handles["w0"].sent] == [rid]
         assert coordinator.queue == []
         assert coordinator.inflight[rid].worker_id == "w0"
 
     def test_default_config_ships_one_member_batches(self):
-        coordinator, handles = make_fleet()
+        coordinator, handles, events = make_fleet()
         rids = [coordinator.submit(query(), 0.0) for _ in range(3)]
         coordinator.tick(0.0)
         assert [b.request_ids for b in handles["w0"].batches] == [
@@ -144,7 +149,7 @@ class TestHappyPath:
             handles["w0"].answer(rid, {"socket": rid})
         coordinator.tick(0.1)
         batches = [
-            e for e in coordinator.events if e["type"] == "fleet_batch"
+            e for e in events if e["type"] == "fleet_batch"
         ]
         assert len(batches) == len(rids)
         assert all(e["size"] == 1 for e in batches)
@@ -153,7 +158,7 @@ class TestHappyPath:
             assert coordinator.answers[rid].payload == {"socket": rid}
 
     def test_unknown_chassis_fails_immediately(self):
-        coordinator, _ = make_fleet()
+        coordinator, _, events = make_fleet()
         rid = coordinator.submit(
             PlacementQuery(chassis="nope", job_power_w=5.0), 0.0
         )
@@ -161,7 +166,7 @@ class TestHappyPath:
         assert "nope" in coordinator.answers[rid].reason
 
     def test_snapshot_messages_update_cache(self):
-        coordinator, handles = make_fleet()
+        coordinator, handles, events = make_fleet()
         handles["w0"].inbox.append(("snapshot", snapshot()))
         coordinator.tick(0.5)
         snap, received_t = coordinator.snapshots["c0"]
@@ -169,7 +174,7 @@ class TestHappyPath:
         assert received_t == 0.5
 
     def test_callback_fires_on_completion(self):
-        coordinator, handles = make_fleet()
+        coordinator, handles, events = make_fleet()
         seen = []
         rid = coordinator.submit(query(), 0.0, callback=seen.append)
         coordinator.tick(0.1)
@@ -180,7 +185,7 @@ class TestHappyPath:
 
 class TestBackpressure:
     def test_queue_bound_sheds_batch_arrivals(self):
-        coordinator, _ = make_fleet(
+        coordinator, _, events = make_fleet(
             max_queue=2, max_inflight_per_worker=1
         )
         # One request goes inflight; two more fill the queue.
@@ -202,7 +207,7 @@ class TestBackpressure:
             assert rid not in coordinator.answers
 
     def test_interactive_evicts_youngest_batch(self):
-        coordinator, _ = make_fleet(
+        coordinator, _, events = make_fleet(
             max_queue=2, max_inflight_per_worker=1
         )
         blocker = coordinator.submit(query(RequestClass.BATCH), 0.0)
@@ -221,7 +226,7 @@ class TestBackpressure:
         assert len(coordinator.queue) == 2
 
     def test_interactive_full_queue_sheds_the_arrival(self):
-        coordinator, _ = make_fleet(
+        coordinator, _, events = make_fleet(
             max_queue=1, max_inflight_per_worker=1
         )
         coordinator.submit(query(), 0.0)
@@ -232,7 +237,7 @@ class TestBackpressure:
         assert coordinator.answers[shed].reason == "queue_full"
 
     def test_shed_emits_no_answer_event(self):
-        coordinator, _ = make_fleet(
+        coordinator, _, events = make_fleet(
             max_queue=1, max_inflight_per_worker=1
         )
         coordinator.submit(query(), 0.0)
@@ -241,7 +246,7 @@ class TestBackpressure:
         shed = coordinator.submit(query(), 0.2)
         kinds = [
             e["type"]
-            for e in coordinator.events
+            for e in events
             if e.get("request_id") == shed
         ]
         assert kinds == ["fleet_submit", "fleet_shed"]
@@ -249,7 +254,7 @@ class TestBackpressure:
 
 class TestRetriesAndTimeouts:
     def test_timeout_retries_on_replica_only(self):
-        coordinator, handles = make_fleet(
+        coordinator, handles, events = make_fleet(
             replicas=1, request_timeout_s=1.0, max_attempts=2
         )
         rid = coordinator.submit(query(), 0.0)
@@ -265,7 +270,7 @@ class TestRetriesAndTimeouts:
         assert answer.attempts == 2
 
     def test_late_answer_from_abandoned_attempt_dropped(self):
-        coordinator, handles = make_fleet(
+        coordinator, handles, events = make_fleet(
             replicas=1, request_timeout_s=1.0, max_attempts=2
         )
         rid = coordinator.submit(query(), 0.0)
@@ -278,20 +283,20 @@ class TestRetriesAndTimeouts:
             coordinator.answers[rid].payload == {"ok": 1}
         )
         drops = [
-            e for e in coordinator.events if e["type"] == "fleet_drop"
+            e for e in events if e["type"] == "fleet_drop"
         ]
         assert len(drops) == 1
         assert drops[0]["reason"] == "late_answer"
         terminals = [
             e
-            for e in coordinator.events
+            for e in events
             if e["type"] == "fleet_answer"
             and e["request_id"] == rid
         ]
         assert len(terminals) == 1
 
     def test_retries_exhausted_fails_without_snapshot(self):
-        coordinator, handles = make_fleet(
+        coordinator, handles, events = make_fleet(
             request_timeout_s=1.0, max_attempts=1
         )
         rid = coordinator.submit(query(), 0.0)
@@ -303,7 +308,7 @@ class TestRetriesAndTimeouts:
         assert "no snapshot" in answer.reason
 
     def test_retries_exhausted_degrades_with_snapshot(self):
-        coordinator, handles = make_fleet(
+        coordinator, handles, events = make_fleet(
             request_timeout_s=1.0,
             max_attempts=1,
             max_staleness_s=60.0,
@@ -321,7 +326,7 @@ class TestRetriesAndTimeouts:
         assert answer.payload["socket"] == 1
 
     def test_queue_timeout_resolves_waiting_request(self):
-        coordinator, _ = make_fleet(
+        coordinator, _, events = make_fleet(
             max_inflight_per_worker=1,
             queue_timeout_s=2.0,
         )
@@ -348,7 +353,7 @@ class TestDegradedServing:
         assert sup.state is WorkerState.QUARANTINED
 
     def test_quarantined_chassis_serves_tagged_stale_answers(self):
-        coordinator, handles = make_fleet(max_staleness_s=60.0)
+        coordinator, handles, events = make_fleet(max_staleness_s=60.0)
         handles["w0"].inbox.append(("snapshot", snapshot()))
         coordinator.tick(0.0)
         self.quarantine_w0(coordinator, handles, 0.1)
@@ -360,13 +365,13 @@ class TestDegradedServing:
         assert answer.staleness_s == pytest.approx(5.0)
         degraded = [
             e
-            for e in coordinator.events
+            for e in events
             if e["type"] == "fleet_degraded"
         ]
         assert degraded[-1]["staleness_s"] == pytest.approx(5.0)
 
     def test_stale_snapshot_beyond_bound_fails(self):
-        coordinator, handles = make_fleet(max_staleness_s=2.0)
+        coordinator, handles, events = make_fleet(max_staleness_s=2.0)
         handles["w0"].inbox.append(("snapshot", snapshot()))
         coordinator.tick(0.0)
         self.quarantine_w0(coordinator, handles, 0.1)
@@ -377,7 +382,7 @@ class TestDegradedServing:
         assert "snapshot stale" in answer.reason
 
     def test_worker_death_requeues_inflight(self):
-        coordinator, handles = make_fleet(replicas=1)
+        coordinator, handles, events = make_fleet(replicas=1)
         rid = coordinator.submit(query(), 0.0)
         coordinator.tick(0.0)
         assert [s[0] for s in handles["w0"].sent] == [rid]
@@ -393,7 +398,7 @@ class TestDegradedServing:
 
 class TestLifecycle:
     def test_finish_resolves_stragglers_as_shutdown(self):
-        coordinator, handles = make_fleet(max_inflight_per_worker=1)
+        coordinator, handles, events = make_fleet(max_inflight_per_worker=1)
         inflight = coordinator.submit(query(), 0.0)
         coordinator.tick(0.0)
         queued = coordinator.submit(query(), 0.1)
@@ -404,10 +409,10 @@ class TestLifecycle:
             assert "shutdown" in answer.reason
         assert coordinator.pending == 0
         assert handles["w0"].stops == 1
-        assert coordinator.events[-1]["type"] == "fleet_end"
+        assert events[-1]["type"] == "fleet_end"
 
     def test_double_start_rejected(self):
-        coordinator, _ = make_fleet()
+        coordinator, _, events = make_fleet()
         with pytest.raises(FleetError):
             coordinator.start(1.0)
 
@@ -437,7 +442,7 @@ class TestLifecycle:
             )
 
     def test_restart_with_cold_flag_emits_restart_event(self):
-        coordinator, handles = make_fleet()
+        coordinator, handles, events = make_fleet()
         handles["w0"].cold_on_start = True
         handles["w0"].inbox.append(("exit",))
         coordinator.tick(0.0)
@@ -445,7 +450,7 @@ class TestLifecycle:
         coordinator.tick(sup.next_restart_t)
         restarts = [
             e
-            for e in coordinator.events
+            for e in events
             if e["type"] == "fleet_restart"
         ]
         assert restarts[-1]["cold"] is True

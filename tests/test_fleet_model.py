@@ -44,6 +44,7 @@ from repro.fleet import (
     check_fleet_events,
     demo_fleet,
 )
+from repro.obs.events import EventBus
 
 REGISTRY = demo_fleet(2, n_rows=1, replicas=1)
 WORKERS = [w.worker_id for w in REGISTRY.workers]
@@ -67,7 +68,8 @@ def _utilization(chassis, shape):
 
 
 def make_fleet(batch_window_s=0.0, max_batch=1, max_queue=4):
-    """The modelled fleet: real compute, scripted failures, no log."""
+    """The modelled fleet: real compute, scripted failures, its events
+    collected in a list."""
     computes = {
         cid: ChassisCompute(spec) for cid, spec in REGISTRY.chassis.items()
     }
@@ -79,9 +81,13 @@ def make_fleet(batch_window_s=0.0, max_batch=1, max_queue=4):
         )
         for w in REGISTRY.workers
     }
+    events = []
+    bus = EventBus()
+    bus.subscribe(events.append)
     coordinator = FleetCoordinator(
         registry=REGISTRY,
         handles=handles,
+        bus=bus,
         policy=SupervisionPolicy(
             heartbeat_interval_s=HEARTBEAT_S,
             missed_heartbeats=2,
@@ -102,7 +108,7 @@ def make_fleet(batch_window_s=0.0, max_batch=1, max_queue=4):
         ),
     )
     coordinator.start(0.0)
-    return coordinator, handles
+    return coordinator, handles, events
 
 
 class FleetModel(RuleBasedStateMachine):
@@ -115,7 +121,7 @@ class FleetModel(RuleBasedStateMachine):
         max_batch=st.one_of(st.just(1), st.integers(min_value=2, max_value=6)),
     )
     def start(self, batch_window_s, max_batch):
-        self.coordinator, self.handles = make_fleet(
+        self.coordinator, self.handles, self.events = make_fleet(
             batch_window_s=batch_window_s, max_batch=max_batch
         )
         self.now = 0.0
@@ -208,7 +214,7 @@ class FleetModel(RuleBasedStateMachine):
 
     @invariant()
     def at_most_one_terminal_per_request(self):
-        events = self.coordinator.events
+        events = self.events
         self.terminals.update(
             e["request_id"]
             for e in events[self.n_seen:]
@@ -239,7 +245,7 @@ class FleetModel(RuleBasedStateMachine):
         assert coordinator.pending == 0
         assert set(self.heard) == set(self.queries)
         assert all(n == 1 for n in self.heard.values())
-        assert check_fleet_events(coordinator.events) == []
+        assert check_fleet_events(self.events) == []
 
 
 FleetModel.TestCase.settings = settings(
@@ -255,7 +261,7 @@ TestFleetModel = FleetModel.TestCase
 def test_retry_never_overfills_the_queue():
     """A dead worker's work goes back into a full queue only within its
     bound; otherwise it is resolved from the snapshot."""
-    coordinator, handles = make_fleet()
+    coordinator, handles, _ = make_fleet()
     handles["c0-w0"].chaos_kill(0.05)
     coordinator.tick(0.05)  # c0-w0's exit is seen: c0-w1 serves alone
     first = coordinator.submit(

@@ -20,7 +20,8 @@ from repro.fleet.invariants import check_fleet_log
 from repro.fleet.registry import demo_fleet
 from repro.fleet.service import FleetService
 from repro.fleet.supervision import SupervisionPolicy
-from repro.obs.session import TelemetrySession
+from repro.obs.events import EventBus
+from repro.obs.writer import JsonlWriter
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -51,12 +52,12 @@ def _worker_pids(service) -> set:
     }
 
 
-async def _chaos_run(log):
+async def _chaos_run(bus):
     service = FleetService(
         demo_fleet(2, replicas=1),
         policy=SupervisionPolicy(heartbeat_interval_s=0.1),
         config=FleetConfig(request_timeout_s=1.0),
-        session=TelemetrySession(log),
+        bus=bus,
     )
     server = await service.serve(host="127.0.0.1", port=0)
     port = server.sockets[0].getsockname()[1]
@@ -107,7 +108,10 @@ async def _chaos_run(log):
 
 def test_workers_killed_and_stopped_under_tcp_load(tmp_path):
     log = tmp_path / "fleet.jsonl"
-    service, replies, tails, pids = asyncio.run(_chaos_run(log))
+    bus = EventBus()
+    with JsonlWriter(log) as writer:
+        bus.subscribe(writer.emit)
+        service, replies, tails, pids = asyncio.run(_chaos_run(bus))
     leftover = sorted(pid for pid in pids if _alive(pid))
     for pid in leftover:  # never leave a stopped process behind
         os.kill(pid, signal.SIGKILL)

@@ -5,16 +5,20 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import FleetError
 from repro.fleet.compute import ChassisSnapshot
 from repro.fleet.coordinator import FleetConfig
-from repro.fleet.invariants import check_fleet_log
+from repro.fleet.invariants import check_fleet_events, check_fleet_log
 from repro.fleet.messages import AnswerStatus, PlacementQuery, QueryBatch
 from repro.fleet.registry import (
     ChassisSpec,
@@ -35,7 +39,9 @@ from repro.fleet.worker import (
     snapshot_key,
     worker_main,
 )
-from repro.obs.session import TelemetrySession
+from repro.obs.check import check_directory
+from repro.obs.events import EventBus
+from repro.obs.writer import JsonlWriter
 
 SPEC = ChassisSpec(
     chassis_id="c0",
@@ -246,7 +252,7 @@ class TestQueryFromJson:
             query_from_json(obj)
 
 
-def _service(registry):
+def _service(registry, bus=None):
     return FleetService(
         registry,
         policy=SupervisionPolicy(heartbeat_interval_s=0.2),
@@ -255,8 +261,17 @@ def _service(registry):
             queue_timeout_s=30.0,
             log_heartbeats=False,
         ),
+        bus=bus,
         tick_interval_s=0.02,
     )
+
+
+def _collector():
+    """A bus and the list its events land in."""
+    events = []
+    bus = EventBus()
+    bus.subscribe(events.append)
+    return bus, events
 
 
 @pytest.mark.parametrize("interval", [0.0, -0.05, math.nan, math.inf])
@@ -314,6 +329,95 @@ class TestFleetService:
 
         answer = asyncio.run(scenario())
         assert answer.status.value == "ok"
+
+    def test_stopped_service_answers_one_error_line(self):
+        """A stopped service refuses work at once: a client still
+        connected gets one error line, and nothing is logged after
+        ``fleet_end``."""
+        bus, events = _collector()
+        query = {"kind": "placement", "chassis": "c0", "job_power_w": 3.0}
+
+        async def scenario():
+            service = _service(REGISTRY, bus=bus)
+            server = await service.serve(host="127.0.0.1", port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                await service.stop()
+                writer.write(json.dumps(query).encode() + b"\n")
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.readline(), timeout=3.0)
+                with pytest.raises(FleetError, match="finished"):
+                    await asyncio.wait_for(
+                        service.submit(query_from_json(query)), timeout=3.0
+                    )
+            finally:
+                writer.close()
+                server.close()
+                await server.wait_closed()
+            return json.loads(reply)
+
+        reply = asyncio.run(scenario())
+        assert reply["status"] == "error"
+        assert "finished" in reply["reason"]
+        assert events[-1]["type"] == "fleet_end"
+        assert check_fleet_events(events) == []
+
+    def test_second_stop_returns_at_once(self):
+        bus, events = _collector()
+
+        async def scenario():
+            service = _service(REGISTRY, bus=bus)
+            await service.start()
+            await service.stop()
+            await asyncio.wait_for(service.stop(), timeout=3.0)
+
+        asyncio.run(scenario())
+        assert [e["type"] for e in events].count("fleet_end") == 1
+        assert check_fleet_events(events) == []
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs process workers",
+)
+def test_serve_cli_closes_its_log_on_sigint(tmp_path):
+    """``repro fleet serve --telemetry DIR`` answers a placement, exits 0
+    on SIGINT and leaves a complete, checked ``fleet.jsonl``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "fleet", "serve", "--port", "0",
+            "--chassis", "1", "--telemetry", str(tmp_path),
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        port = int(re.search(r", (\d+)\)", proc.stdout.readline()).group(1))
+        answer = asyncio.run(
+            asyncio.wait_for(
+                query_fleet(
+                    {"kind": "placement", "chassis": "c0", "job_power_w": 6.0},
+                    port=port,
+                ),
+                timeout=30.0,
+            )
+        )
+        proc.send_signal(signal.SIGINT)
+        proc.communicate(timeout=30.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert answer["status"] == "ok"
+    assert proc.returncode == 0
+    lines = (tmp_path / "fleet.jsonl").read_text().splitlines()
+    assert json.loads(lines[-1])["type"] == "fleet_end"
+    assert check_directory(tmp_path) == []
 
 
 async def _exchange(service, lines):
@@ -561,16 +665,18 @@ def test_tick_loop_keeps_a_fixed_cadence(monkeypatch):
 )
 def test_raising_tick_fails_callers_and_stop_still_cleans_up(tmp_path):
     """A tick that raises answers every waiting caller FAILED; stop()
-    still finishes the coordinator and closes the log, then re-raises."""
+    still finishes the coordinator, then re-raises."""
     log = tmp_path / "fleet.jsonl"
+    writer = JsonlWriter(log)
+    bus = EventBus()
+    bus.subscribe(writer.emit)
 
     async def scenario():
-        session = TelemetrySession(log)
         service = FleetService(
             REGISTRY,
             policy=SupervisionPolicy(heartbeat_interval_s=0.2),
             config=FleetConfig(log_heartbeats=False),
-            session=session,
+            bus=bus,
             tick_interval_s=0.01,
         )
         await service.start()
@@ -590,12 +696,15 @@ def test_raising_tick_fails_callers_and_stop_still_cleans_up(tmp_path):
             await service.submit(query)
         with pytest.raises(RuntimeError, match="tick exploded"):
             await service.stop()
-        return answer, session, service
+        return answer, service
 
-    answer, session, service = asyncio.run(scenario())
+    try:
+        answer, service = asyncio.run(scenario())
+    finally:
+        writer.close()
     assert answer.status is AnswerStatus.FAILED
     assert "tick exploded" in answer.reason
-    assert session.closed
+    assert service.coordinator.finished
     assert service.coordinator.pending == 0
     assert check_fleet_log(log) == []
     last = json.loads(log.read_text().splitlines()[-1])

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs import events as obs_events
 from repro.obs.events import (
     EVENT_TYPES,
     SCHEMA_VERSION,
+    EventBus,
     make_event,
     validate_event,
 )
@@ -94,3 +96,30 @@ def test_version_mismatch_rejected():
 def test_non_mapping_rejected():
     with pytest.raises(ObservabilityError, match="must be an object"):
         validate_event(["not", "an", "event"])
+
+
+def test_bus_validates_once_and_shares_one_dict(monkeypatch):
+    """Two subscribers: one make_event call per event, and both get the
+    same dict."""
+    calls = []
+
+    def counting(type_, **fields):
+        calls.append(type_)
+        return make_event(type_, **fields)
+
+    monkeypatch.setattr(obs_events, "make_event", counting)
+    first, second = [], []
+    bus = EventBus()
+    bus.subscribe(first.append)
+    bus.subscribe(second.append)
+    bus.emit("placement", step=1, t=0.001, job_id=4, socket=2)
+    bus.emit("sweep_end", n_points=3)
+    assert calls == ["placement", "sweep_end"]
+    assert len(first) == 2
+    assert all(a is b for a, b in zip(first, second))
+    assert first[1] == {"v": SCHEMA_VERSION, "type": "sweep_end", "n_points": 3}
+
+
+def test_bus_validates_with_no_subscriber():
+    with pytest.raises(ObservabilityError, match="missing required"):
+        EventBus().emit("placement", step=3, t=0.003, job_id=7)
