@@ -4,7 +4,7 @@ Measures the three ways to answer a decision-free capacity sweep over
 one shared topology (``repro.sim.batched``):
 
 - **per_point_serial** — the historical loop: every point runs the
-  ``(n,)`` steady solve, DVFS selection and window advance on its own.
+  ``(n,)`` steady solve and DVFS selection on its own.
 - **process_pool** — the same per-point work fanned over a fork-based
   process pool, the way :func:`repro.sim.runner.run_sweep` scales the
   *engine* sweeps.  For decision-free math the points are far too
@@ -44,14 +44,10 @@ BATCHED_MIN_SPEEDUP = float(
 POOL_ROUNDS = int(os.environ.get("BENCH_POOL_ROUNDS", "3"))
 
 #: Every tensor of a sweep result; the timed batched call reads them all.
-FIELDS = (
-    "power_w", "ambient_c", "sink_c", "chip_c", "freq_mhz",
-    "window_sink_c", "window_chip_c",
-)
+FIELDS = ("power_w", "ambient_c", "sink_c", "chip_c", "freq_mhz")
 
 N_ROWS = 3
 N_POINTS = 64
-WINDOW_STEPS = 4096
 POOL_WORKERS = 4
 
 _TOPOLOGY = None
@@ -82,9 +78,7 @@ def _points():
 
 def _pool_chunk(chunk):
     """One worker's share of the per-point sweep (fork boundary)."""
-    return evaluate_fleet_serial(
-        _topology(), _PARAMS, chunk, window_steps=WINDOW_STEPS
-    )
+    return evaluate_fleet_serial(_topology(), _PARAMS, chunk)
 
 
 def _run_pool(points):
@@ -98,16 +92,12 @@ def test_batched_sweep_speedup(record_artifact):
     points = _points()
 
     def _serial():
-        return evaluate_fleet_serial(
-            topology, _PARAMS, points, window_steps=WINDOW_STEPS
-        )
+        return evaluate_fleet_serial(topology, _PARAMS, points)
 
     def _batched():
-        result = evaluate_fleet(
-            topology, _PARAMS, points, window_steps=WINDOW_STEPS
-        )
-        # The DVFS selection and window advance are deferred to the
-        # first read; reading every field keeps them inside the timing.
+        result = evaluate_fleet(topology, _PARAMS, points)
+        # The DVFS selection is deferred to the first read; reading
+        # every field keeps it inside the timing.
         for field in FIELDS:
             getattr(result, field)
         return result
@@ -144,7 +134,6 @@ def test_batched_sweep_speedup(record_artifact):
         "benchmark": "backend_sweep",
         "n_points": N_POINTS,
         "n_sockets": topology.n_sockets,
-        "window_steps": WINDOW_STEPS,
         "rounds": rounds,
         "serial_points_per_s": round(N_POINTS / serial_s, 1),
         "batched_numpy_points_per_s": round(N_POINTS / batched_s, 1),

@@ -43,11 +43,49 @@ def _cmd_schedulers(_args) -> int:
     return 0
 
 
+def _make_output_dirs(*dirs, files=()) -> bool:
+    """Create the output directories and the output files' parents.
+
+    Commands call this after checking their inputs and before any work,
+    so an unusable path (one under a regular file, say) costs nothing.
+    Returns False after one ``error:`` line; the caller exits 2.
+    """
+    from pathlib import Path
+
+    paths = [Path(d) for d in dirs if d]
+    paths += [Path(f).parent for f in files if f]
+    for path in paths:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(
+                f"error: cannot create directory {path}: "
+                f"{exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return False
+    return True
+
+
 def _cmd_run(args) -> int:
     import os
 
     from .experiments.common import ENV_AUDIT, ENV_WORKERS
 
+    if args.all:
+        experiments = all_experiments()
+    elif args.light:
+        experiments = all_experiments(include_heavy=False)
+    else:
+        if not args.names:
+            print(
+                "specify artifact names, or --all / --light",
+                file=sys.stderr,
+            )
+            return 2
+        experiments = [get_experiment(name) for name in args.names]
+    if not _make_output_dirs(args.telemetry):
+        return 2
     # Experiments read their scale knobs from ExperimentConfig, which
     # honours these environment variables; the flags are a convenience
     # spelling of the same contract.
@@ -63,18 +101,6 @@ def _cmd_run(args) -> int:
         from .obs.session import ENV_PROFILE
 
         os.environ[ENV_PROFILE] = "1"
-    if args.all:
-        experiments = all_experiments()
-    elif args.light:
-        experiments = all_experiments(include_heavy=False)
-    else:
-        if not args.names:
-            print(
-                "specify artifact names, or --all / --light",
-                file=sys.stderr,
-            )
-            return 2
-        experiments = [get_experiment(name) for name in args.names]
     for experiment in experiments:
         print(f"==> {experiment.name}: {experiment.title}")
         experiment.main()
@@ -85,6 +111,8 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     from .experiments.report import write_report
 
+    if not _make_output_dirs(files=(args.out,)):
+        return 2
     path = write_report(args.out, include_heavy=args.heavy)
     print(f"wrote {path}")
     return 0
@@ -134,6 +162,10 @@ def _cmd_sweep(args) -> int:
             )
     except (ConfigurationError, TopologyError, WorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not _make_output_dirs(
+        args.telemetry, args.resume, files=(args.csv, args.json)
+    ):
         return 2
     if fault_schedule is not None:
         print(
@@ -214,6 +246,8 @@ def _cmd_fleet_serve(args) -> int:
         )
     except (ConfigurationError, FleetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not _make_output_dirs(args.telemetry, args.checkpoints):
         return 2
     bus = writer = None
     if args.telemetry:
@@ -319,6 +353,8 @@ def _cmd_fleet_chaos(args) -> int:
             max_batch=_max_batch(args),
             **_heartbeat(args),
         )
+        if not _make_output_dirs(args.out):
+            return 2
         report = run_chaos(config, out_dir=args.out)
     except (ConfigurationError, FleetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -343,6 +379,8 @@ def _cmd_room(args) -> int:
     from .experiments.room_scenarios import run
     from .workloads.benchmark import BenchmarkSet
 
+    if not _make_output_dirs(args.telemetry, files=(args.out,)):
+        return 2
     try:
         config = ExperimentConfig(
             seed=args.seed,

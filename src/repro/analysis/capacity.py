@@ -129,42 +129,6 @@ def derating_curve(
     return points
 
 
-def room_capacity_curve(room, crac_setpoints_c, **kwargs):
-    """Room-level analogue of :func:`derating_curve`.
-
-    The chassis curve derates against the *inlet* temperature the
-    operator is assumed to deliver; the room curve derates against the
-    *CRAC supply* temperature and lets recirculated exhaust set each
-    chassis' actual inlet.  Delegates to
-    :func:`repro.room.capacity.room_derating_curve` (imported lazily —
-    the room layer builds on this module, not the other way round).
-
-    Args:
-        room: A :class:`repro.room.Room`.
-        crac_setpoints_c: CRAC supply temperatures to sweep, degC.
-        **kwargs: Forwarded (``placement``, ``benchmark_set``,
-            ``limit_c``, ``seed``, ``emit``).
-
-    Returns:
-        ``List[repro.room.RoomDeratingPoint]``.
-    """
-    from ..room.capacity import room_derating_curve
-
-    return room_derating_curve(room, crac_setpoints_c, **kwargs)
-
-
-def room_sustainable_load(room, crac_supply_c, **kwargs):
-    """Room-level analogue of :func:`max_sustainable_utilization`.
-
-    Delegates to
-    :func:`repro.room.capacity.max_sustainable_room_load`; see
-    :func:`room_capacity_curve` for the layering note.
-    """
-    from ..room.capacity import max_sustainable_room_load
-
-    return max_sustainable_room_load(room, crac_supply_c, **kwargs)
-
-
 def throttle_onset_zone(
     topology: ServerTopology,
     params: SimulationParameters,

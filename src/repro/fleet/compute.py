@@ -323,18 +323,9 @@ class ChassisCompute:
         if cached is not None:
             return cached
         points = [
-            FleetPoint(
-                utilization=u,
-                dyn_max_w=p,
-            )
-            for u, p in query.scenarios
+            FleetPoint(utilization=u, dyn_max_w=p) for u, p in query.scenarios
         ]
-        result = evaluate_fleet(
-            self.topology,
-            self.params,
-            points,
-            window_steps=query.window_steps,
-        )
+        result = evaluate_fleet(self.topology, self.params, points)
         payload = self._what_if_payload(result, 0, len(points))
         self.cache.put(key, payload)
         return payload
@@ -357,9 +348,7 @@ class ChassisCompute:
 
     def _what_if_key(self, query: WhatIfQuery) -> str:
         digest = self._state_prefix.copy()
-        digest.update(
-            repr((query.scenarios, query.window_steps)).encode()
-        )
+        digest.update(repr(query.scenarios).encode())
         return digest.hexdigest()
 
     def answer(self, query) -> dict:
@@ -385,8 +374,7 @@ class ChassisCompute:
         socket of every member sharing that state is scored in one
         stacked broadcast over the member axis.  What-if members'
         uncached scenarios stack into one
-        :func:`~repro.sim.batched.evaluate_fleet` call per distinct
-        ``window_steps``.
+        :func:`~repro.sim.batched.evaluate_fleet` call.
 
         Every payload is bit-identical to the corresponding
         :meth:`answer` call — all stacked operations are elementwise
@@ -492,50 +480,36 @@ class ChassisCompute:
         indices: List[int],
         payloads: List[Optional[dict]],
     ) -> int:
-        """Answer what-if members with stacked fleet-tensor calls.
+        """Answer what-if members with one stacked fleet-tensor call.
 
         Members whose memo key is already cached are served from the
-        :class:`~repro.sim.parallel.SweepCache`; the misses are
-        grouped by ``window_steps`` (the only per-query evaluator
-        argument) and each group's scenarios concatenate into one
-        :func:`~repro.sim.batched.evaluate_fleet` call.  Returns the
-        number of stacked evaluator calls made.
+        :class:`~repro.sim.parallel.SweepCache`; the misses' scenarios
+        concatenate into one :func:`~repro.sim.batched.evaluate_fleet`
+        call.  Returns the number of evaluator calls made (0 or 1).
         """
-        groups: Dict[int, List[int]] = {}
+        misses: List[int] = []
         for index in indices:
-            query = queries[index]
-            cached = self.cache.get(self._what_if_key(query))
+            cached = self.cache.get(self._what_if_key(queries[index]))
             if cached is not None:
                 payloads[index] = cached
             else:
-                groups.setdefault(query.window_steps, []).append(index)
-        n_evaluations = 0
-        for window_steps, members in sorted(groups.items()):
-            n_evaluations += 1
-            points: List[FleetPoint] = []
-            counts: List[int] = []
-            for index in members:
-                scenarios = queries[index].scenarios
-                counts.append(len(scenarios))
-                points.extend(
-                    FleetPoint(utilization=u, dyn_max_w=p)
-                    for u, p in scenarios
-                )
-            result = evaluate_fleet(
-                self.topology,
-                self.params,
-                points,
-                window_steps=window_steps,
-            )
-            start = 0
-            for index, count in zip(members, counts):
-                payload = self._what_if_payload(result, start, count)
-                start += count
-                self.cache.put(
-                    self._what_if_key(queries[index]), payload
-                )
-                payloads[index] = payload
-        return n_evaluations
+                misses.append(index)
+        if not misses:
+            return 0
+        points = [
+            FleetPoint(utilization=u, dyn_max_w=p)
+            for index in misses
+            for u, p in queries[index].scenarios
+        ]
+        result = evaluate_fleet(self.topology, self.params, points)
+        start = 0
+        for index in misses:
+            count = len(queries[index].scenarios)
+            payload = self._what_if_payload(result, start, count)
+            start += count
+            self.cache.put(self._what_if_key(queries[index]), payload)
+            payloads[index] = payload
+        return 1
 
 
 def degraded_payload(snapshot: ChassisSnapshot, query) -> dict:

@@ -373,6 +373,12 @@ class FleetCoordinator:
         for wid in self._worker_order:
             self.handles[wid].stop(now)
 
+    def _check_running(self) -> None:
+        if not self._started:
+            raise FleetError("coordinator not started")
+        if self.finished:
+            raise FleetError("coordinator finished")
+
     # -- submission & backpressure --------------------------------------
 
     def submit(
@@ -392,10 +398,9 @@ class FleetCoordinator:
         length is not the chassis' socket count).
 
         Raises:
-            FleetError: if the coordinator is finished.
+            FleetError: if not started, or finished.
         """
-        if self.finished:
-            raise FleetError("coordinator finished")
+        self._check_running()
         rid = self._next_id
         self._next_id += 1
         if callback is not None:
@@ -520,10 +525,7 @@ class FleetCoordinator:
         Raises:
             FleetError: if not started, or finished.
         """
-        if not self._started:
-            raise FleetError("coordinator not started")
-        if self.finished:
-            raise FleetError("coordinator finished")
+        self._check_running()
         self._drain_workers(now)
         self._check_supervision(now)
         self._expire_inflight(now)

@@ -32,8 +32,8 @@ Invariants checked:
   queue depth within ``max_queue`` — and batching never weakens the
   one-terminal-per-request guarantee above (members answer
   individually).
-- **Ordering**: events appear in non-decreasing time order and nothing
-  follows ``fleet_end``.
+- **Ordering**: events appear in non-decreasing time order, nothing
+  precedes ``fleet_start`` and nothing follows ``fleet_end``.
 """
 
 from __future__ import annotations
@@ -65,12 +65,17 @@ def check_fleet_events(events: Iterable[Mapping]) -> List[str]:
     worker_state: Dict[str, WorkerState] = {}
     last_seq: Dict[str, int] = {}
     last_t: Optional[float] = None
+    started = False
     ended_at: Optional[int] = None
 
     for lineno, event in enumerate(events, start=1):
         type_ = str(event.get("type", ""))
         if not type_.startswith(FLEET_EVENT_PREFIX):
             continue
+        if type_ == "fleet_start":
+            started = True
+        elif not started:
+            problems.append(f"event {lineno}: {type_} before fleet_start")
         if ended_at is not None:
             problems.append(
                 f"event {lineno}: {type_} after fleet_end "

@@ -6,6 +6,12 @@ both sides must survive the fork boundary and a JSON round-trip (the
 ``repro fleet serve`` TCP protocol ships :meth:`FleetAnswer.to_dict`
 lines).
 
+A :class:`PlacementQuery` asks which socket of a chassis should take a
+job; a :class:`WhatIfQuery` asks what a hypothetical load would do to
+it.  Both are answered from steady thermal fields: a what-if reports
+each scenario's peak chip temperature, lowest DVFS frequency and total
+power, and no query carries a transient.
+
 The coordinator promises every admitted request exactly one *terminal*
 answer, whose :class:`AnswerStatus` tells the caller how much to trust
 it:
@@ -100,17 +106,14 @@ class WhatIfQuery:
         chassis: Target chassis id.
         scenarios: ``(utilization, dyn_max_w)`` pairs to evaluate;
             utilization in [0, 1], power finite and non-negative.
-        window_steps: Cold-start transient steps to advance per point.
         request_class: Shedding priority (what-ifs default to BATCH).
 
     Raises:
-        FleetError: for an empty or out-of-range scenario list or a
-            negative window.
+        FleetError: for an empty or out-of-range scenario list.
     """
 
     chassis: str
     scenarios: Tuple[Tuple[float, float], ...]
-    window_steps: int = 0
     request_class: RequestClass = RequestClass.BATCH
 
     kind = "what_if"
@@ -128,8 +131,6 @@ class WhatIfQuery:
                 raise FleetError(
                     "what-if power must be finite and non-negative"
                 )
-        if self.window_steps < 0:
-            raise FleetError("window steps must be >= 0")
         object.__setattr__(self, "scenarios", scenarios)
 
 

@@ -102,7 +102,6 @@ def query_from_json(obj: dict):
                     (float(u), float(p))
                     for u, p in obj["scenarios"]
                 ),
-                window_steps=int(obj.get("window_steps", 0)),
                 request_class=cls,
             )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -24,7 +24,7 @@ per-point override.  Only chassis whose operating point (recipe,
 utilisation, power, inlet) is new within the solve go to the
 evaluator; one whose inlet did not move reuses its field.  The room
 reads only the steady fields, so the evaluator's deferred DVFS
-selection and window advance never run.
+selection never runs.
 Every converged chassis field is bit-identical to
 :func:`~repro.sim.steady_state.solve_steady_state` at that chassis'
 converged inlet (``tests/test_room_differential.py``).
@@ -309,7 +309,7 @@ def _solve_chassis(
             for _, u, dyn, inlet in new
         ]
         topology = _topology_for(room.chassis[indices[0]])
-        result = evaluate_fleet(topology, params, points, window_steps=0)
+        result = evaluate_fleet(topology, params, points)
         for k, key in enumerate(new):
             field = result.field(k)
             solved[key] = _Solved(

@@ -2,10 +2,9 @@
 
 Capacity-planning sweeps ask the same decision-free questions at many
 operating points of one server: "at utilisation u and per-socket
-dynamic power P, where does the steady thermal field settle, which
-DVFS state survives it, and how far along is the transient after a
-cold-start window?".  The per-point path answers each question with a
-fresh set of ``(n,)`` kernel calls; this module stacks ``N`` such
+dynamic power P, where does the steady thermal field settle, and which
+DVFS state survives it?".  The per-point path answers each question
+with a fresh set of ``(n,)`` kernel calls; this module stacks ``N`` such
 points into leading-axis ``(N, n)`` fleet tensors and evaluates every
 point per kernel call instead.
 
@@ -34,7 +33,6 @@ import numpy as np
 from ..config.parameters import SimulationParameters
 from ..errors import SimulationError
 from ..server.topology import ServerTopology
-from ..thermal.dynamics import TwoNodeThermalState, advance_window_modes
 from ..workloads.power_model import leakage_power
 from .power_manager import select_frequencies_steady
 from .steady_state import (
@@ -42,9 +40,6 @@ from .steady_state import (
     SteadyStateField,
     solve_steady_state,
 )
-
-#: The cold-start window pair ``(window_sink_c, window_chip_c)``.
-Window = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -85,14 +80,12 @@ class FleetSweepResult:
     The point axis leads and is aligned with the input sequence.
 
     The four steady tensors are always computed.  The DVFS selection
-    (``freq_mhz``) and the cold-start window (``window_sink_c``,
-    ``window_chip_c``) may be *deferred*: :func:`evaluate_fleet` passes
-    them as zero-argument callables over the steady tensors, run on the
+    (``freq_mhz``) may be *deferred*: :func:`evaluate_fleet` passes it
+    as a zero-argument callable over the steady tensors, run on the
     first read and cached on the result.  A caller that reads only the
-    steady fields — the room solver — never pays for them; fleet
-    what-ifs read ``freq_mhz`` but never the window.  Pickling
-    materialises every tensor, so a result crosses a process boundary
-    whole.
+    steady fields — the room solver — never pays for it; fleet
+    what-ifs read it.  Pickling materialises it, so a result crosses a
+    process boundary whole.
 
     Attributes:
         power_w: Steady per-socket total power, W.
@@ -100,9 +93,6 @@ class FleetSweepResult:
         sink_c: Steady heat-sink temperatures, degC.
         chip_c: Steady chip temperatures, degC.
         freq_mhz: Steady-state DVFS selection per socket, MHz.
-        window_sink_c: Sink temperatures after ``window_steps`` decayed
-            steps from inlet equilibrium under the frozen steady field.
-        window_chip_c: Chip temperatures after the same window.
     """
 
     def __init__(
@@ -112,33 +102,18 @@ class FleetSweepResult:
         sink_c: np.ndarray,
         chip_c: np.ndarray,
         freq_mhz: Union[np.ndarray, Callable[[], np.ndarray]],
-        window_c: Union[Window, Callable[[], Window]],
     ) -> None:
         self.power_w = power_w
         self.ambient_c = ambient_c
         self.sink_c = sink_c
         self.chip_c = chip_c
         self._freq_mhz = freq_mhz
-        self._window_c = window_c
-
-    def _materialise(self, name: str):
-        value = getattr(self, name)
-        if callable(value):
-            value = value()
-            setattr(self, name, value)
-        return value
 
     @property
     def freq_mhz(self) -> np.ndarray:
-        return self._materialise("_freq_mhz")
-
-    @property
-    def window_sink_c(self) -> np.ndarray:
-        return self._materialise("_window_c")[0]
-
-    @property
-    def window_chip_c(self) -> np.ndarray:
-        return self._materialise("_window_c")[1]
+        if callable(self._freq_mhz):
+            self._freq_mhz = self._freq_mhz()
+        return self._freq_mhz
 
     def __reduce__(self):
         return (
@@ -149,7 +124,6 @@ class FleetSweepResult:
                 self.sink_c,
                 self.chip_c,
                 self.freq_mhz,
-                self._materialise("_window_c"),
             ),
         )
 
@@ -177,28 +151,18 @@ def _point_params(
     return dataclasses.replace(params, inlet_c=float(point.inlet_c))
 
 
-def _decays(params: SimulationParameters) -> tuple:
-    """Per-step decay factors at the engine's power-manager cadence."""
-    dt = params.power_manager_interval_s
-    return (
-        float(np.exp(-dt / params.socket_tau_s)),
-        float(np.exp(-dt / params.chip_tau_s)),
-    )
-
-
 def evaluate_fleet_serial(
     topology: ServerTopology,
     params: SimulationParameters,
     points: Sequence[FleetPoint],
-    window_steps: int = 0,
 ) -> FleetSweepResult:
     """Per-point reference evaluation through the serial kernels.
 
     Runs each point independently through the exact historical entry
-    points (:func:`~repro.sim.steady_state.solve_steady_state`, the
-    steady DVFS selector, the closed-form window advance) and stacks
-    the results.  :func:`evaluate_fleet` must match this bit for bit —
-    it is the batched evaluator's oracle.
+    points (:func:`~repro.sim.steady_state.solve_steady_state` and the
+    steady DVFS selector) and stacks the results.
+    :func:`evaluate_fleet` must match this bit for bit — it is the
+    batched evaluator's oracle.
     """
     if not points:
         raise SimulationError("fleet sweep needs at least one point")
@@ -208,12 +172,9 @@ def evaluate_fleet_serial(
     r_ext = topology.r_ext_array
     theta_off = topology.theta_offset_array
     theta_slope = topology.theta_slope_array
-    sink_decay, chip_decay = _decays(params)
 
     fields: List[SteadyStateField] = []
     freqs: List[np.ndarray] = []
-    window_sink: List[np.ndarray] = []
-    window_chip: List[np.ndarray] = []
     for point in points:
         p = _point_params(params, point)
         field = solve_steady_state(
@@ -237,32 +198,12 @@ def evaluate_fleet_serial(
                 params=p,
             )
         )
-        state = TwoNodeThermalState.at_ambient(
-            n,
-            p.inlet_c,
-            chip_tau_s=p.chip_tau_s,
-            socket_tau_s=p.socket_tau_s,
-        )
-        theta = theta_off + theta_slope * field.power_w
-        state.advance_window(
-            sink_decay,
-            chip_decay,
-            window_steps,
-            field.ambient_c,
-            field.power_w,
-            p.r_int,
-            r_ext,
-            theta,
-        )
-        window_sink.append(state.sink_c)
-        window_chip.append(state.chip_c)
     return FleetSweepResult(
         power_w=np.stack([f.power_w for f in fields]),
         ambient_c=np.stack([f.ambient_c for f in fields]),
         sink_c=np.stack([f.sink_c for f in fields]),
         chip_c=np.stack([f.chip_c for f in fields]),
         freq_mhz=np.stack(freqs),
-        window_c=(np.stack(window_sink), np.stack(window_chip)),
     )
 
 
@@ -311,27 +252,24 @@ def evaluate_fleet(
     topology: ServerTopology,
     params: SimulationParameters,
     points: Sequence[FleetPoint],
-    window_steps: int = 0,
 ) -> FleetSweepResult:
     """Evaluate a batch of fleet points with stacked kernel calls.
 
-    The steady tensors are computed here; the DVFS selection and the
-    window advance are deferred to the first read of the result's
-    ``freq_mhz`` or window fields (see :class:`FleetSweepResult`).
+    The steady tensors are computed here; the DVFS selection is
+    deferred to the first read of the result's ``freq_mhz`` (see
+    :class:`FleetSweepResult`).
 
     The steady field of a point depends only on its ``(utilization,
     dyn_max_w, inlet)``, so the fixed point runs once per distinct
     triple and its rows are repeated into the ``(N, n)`` tensors.  The
-    deferred fields run on those expanded tensors: points that differ
-    only in ``dyn_exp`` share a steady row but not a frequency.
+    deferred selection runs on those expanded tensors: points that
+    differ only in ``dyn_exp`` share a steady row but not a frequency.
 
     Args:
         topology: The shared server geometry.
         params: Shared simulation parameters; per-point ``inlet_c``
             overrides apply on top.
         points: The sweep points; all evaluate in one pass.
-        window_steps: Decayed engine steps of cold-start transient to
-            advance (0 reports the inlet-equilibrium start state).
 
     Returns:
         The stacked :class:`FleetSweepResult`, bit-identical to
@@ -392,35 +330,10 @@ def evaluate_fleet(
             params=params,
         ).reshape((n_points, n))
 
-    def window() -> Window:
-        # Cold-start transient: both nodes start at the point's inlet
-        # equilibrium and advance under the frozen steady field,
-        # exactly as TwoNodeThermalState.advance_window does per point.
-        start = np.broadcast_to(np.array(inlets)[:, None], (n_points, n))
-        theta = (
-            topology.theta_offset_array
-            + topology.theta_slope_array * power
-        )
-        sink_decay, chip_decay = _decays(params)
-        window_sink, window_chip, _ = advance_window_modes(
-            start,
-            start,
-            sink_decay,
-            chip_decay,
-            window_steps,
-            ambient,
-            power,
-            params.r_int,
-            topology.r_ext_array,
-            theta,
-        )
-        return window_sink, window_chip
-
     return FleetSweepResult(
         power_w=power,
         ambient_c=ambient,
         sink_c=sink,
         chip_c=chip,
         freq_mhz=frequencies,
-        window_c=window,
     )

@@ -62,7 +62,6 @@ def solve_steady_state(
     params: SimulationParameters,
     dynamic_power_w: np.ndarray,
     utilization: Optional[np.ndarray] = None,
-    initial_chip_c: Optional[np.ndarray] = None,
 ) -> SteadyStateField:
     """Solve the equilibrium field for a power distribution.
 
@@ -74,12 +73,6 @@ def solve_steady_state(
         utilization: Optional per-socket busy fraction in [0, 1];
             sockets draw the gated power while idle.  Defaults to fully
             busy.
-        initial_chip_c: Optional chip-temperature field to start the
-            leakage fixed-point iteration from (warm start).  Sweeps
-            that step through nearby power vectors converge from a
-            neighbouring solution in fewer effective iterations.  The
-            default (a uniform 60 degC field) preserves the historical
-            results bit for bit.
 
     Returns:
         The converged :class:`SteadyStateField`.
@@ -112,15 +105,7 @@ def solve_steady_state(
     gated = topology.gated_power_array
     coupling = topology.coupling
 
-    if initial_chip_c is None:
-        chip = np.full(n, 60.0)
-    else:
-        chip = np.asarray(initial_chip_c, dtype=float)
-        if chip.shape != (n,):
-            raise SimulationError(
-                f"expected initial chip field of shape ({n},), got "
-                f"{chip.shape}"
-            )
+    chip = np.full(n, 60.0)
     power = gated.copy()
     ambient = np.full(n, params.inlet_c)
     sink = ambient.copy()

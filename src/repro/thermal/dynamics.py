@@ -18,7 +18,6 @@ take 1 ms power-manager steps or coarser steps without error growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,109 +28,6 @@ DEFAULT_CHIP_TAU_S = 0.005
 
 #: Socket / heat-sink thermal time constant (Table III), seconds.
 DEFAULT_SOCKET_TAU_S = 30.0
-
-
-class WindowModes(NamedTuple):
-    """Mode decomposition of a closed-form window advance.
-
-    With frozen inputs, ``j`` decayed steps evolve the nodes as::
-
-        sink_j = sink_const + sink_amp * sink_decay**j
-        chip_j = chip_const + chip_amp * chip_decay**j
-                            + cross_amp * sink_decay**j      (non-resonant)
-        chip_j = chip_const + chip_amp * chip_decay**j
-                            + cross_amp * j * sink_decay**j  (resonant)
-
-    The decomposition lets callers evaluate exact exponentially-weighted
-    sums over the window (e.g. the scheduler history EMA) without
-    iterating the per-step recurrence.
-
-    Attributes:
-        sink_const: Sink steady state ``ambient + power * r_ext``.
-        sink_amp: Sink deviation from steady state at window entry.
-        chip_const: Chip steady state ``sink_const + power * r_int + theta``.
-        chip_amp: Coefficient on ``chip_decay**j``.
-        cross_amp: Coefficient on the sink-driven mode (see above).
-        resonant: True when the two decay factors coincide and the
-            sink-driven chip mode is ``j * sink_decay**j``-weighted.
-    """
-
-    sink_const: np.ndarray
-    sink_amp: np.ndarray
-    chip_const: np.ndarray
-    chip_amp: np.ndarray
-    cross_amp: np.ndarray
-    resonant: bool
-
-
-def advance_window_modes(
-    sink_c,
-    chip_c,
-    sink_decay: float,
-    chip_decay: float,
-    n_steps: int,
-    ambient_c,
-    power_w,
-    r_int,
-    r_ext,
-    theta,
-):
-    """Closed-form window advance, without mutating its inputs.
-
-    The functional core of :meth:`TwoNodeThermalState.advance_window`:
-    elementwise operator math only, so it runs unchanged on per-socket
-    arrays and on stacked ``(N, n)`` fleet tensors (leading batch axis).
-
-    Returns:
-        ``(sink_after, chip_after, modes)`` — the node arrays after
-        ``n_steps`` decayed steps plus the :class:`WindowModes`
-        decomposition evaluated at window entry.  ``n_steps == 0``
-        returns the input arrays unchanged.
-
-    Raises:
-        ThermalModelError: if ``n_steps`` is negative or either decay
-            factor is outside ``(0, 1)``.
-    """
-    n_steps = int(n_steps)
-    if n_steps < 0:
-        raise ThermalModelError(
-            f"n_steps must be non-negative, got {n_steps}"
-        )
-    for name, decay in (("sink", sink_decay), ("chip", chip_decay)):
-        if not 0.0 < decay < 1.0:
-            raise ThermalModelError(
-                f"{name}_decay must lie in (0, 1), got {decay}"
-            )
-    sink_const = ambient_c + power_w * r_ext
-    sink_amp = sink_c - sink_const
-    chip_const = sink_const + power_w * r_int + theta
-    resonant = abs(sink_decay - chip_decay) <= 1e-12 * max(
-        sink_decay, chip_decay
-    )
-    if resonant:
-        cross_amp = sink_amp * (1.0 - sink_decay)
-        chip_amp = chip_c - chip_const
-    else:
-        cross_amp = (
-            sink_amp
-            * ((1.0 - chip_decay) * sink_decay / (sink_decay - chip_decay))
-        )
-        chip_amp = chip_c - chip_const - cross_amp
-    modes = WindowModes(
-        sink_const, sink_amp, chip_const, chip_amp, cross_amp, resonant
-    )
-    if n_steps == 0:
-        return sink_c, chip_c, modes
-    rs_k = sink_decay**n_steps
-    rc_k = chip_decay**n_steps
-    if resonant:
-        chip_after = (
-            chip_const + chip_amp * rc_k + cross_amp * (n_steps * rs_k)
-        )
-    else:
-        chip_after = chip_const + chip_amp * rc_k + cross_amp * rs_k
-    sink_after = sink_const + sink_amp * rs_k
-    return sink_after, chip_after, modes
 
 
 def exponential_step(
@@ -281,67 +177,6 @@ class TwoNodeThermalState:
         chip -= target
         chip *= chip_decay
         chip += target
-
-    def advance_window(
-        self,
-        sink_decay: float,
-        chip_decay: float,
-        n_steps: int,
-        ambient_c: np.ndarray,
-        power_w: np.ndarray,
-        r_int: np.ndarray,
-        r_ext: np.ndarray,
-        theta: np.ndarray,
-    ) -> WindowModes:
-        """Advance both nodes by ``n_steps`` decayed steps in closed form.
-
-        Equivalent (in exact arithmetic) to calling :meth:`step_decayed`
-        ``n_steps`` times with the same frozen inputs, but in O(1) work
-        per socket instead of O(n_steps).  The two-node ladder is lower
-        triangular — the sink ignores the chip — so the sink mode is a
-        single geometric decay toward ``S = ambient + power * r_ext``
-        and the chip superposes its own decay with the sink's::
-
-            sink_k = S + D * rs**k                     D  = sink_0 - S
-            chip_k = P + Q * rc**k + Dp * rs**k        P  = S + power * r_int + theta
-                                                       Dp = D * (1-rc) * rs / (rs-rc)
-                                                       Q  = chip_0 - P - Dp
-
-        When the decay factors coincide (``rs == rc = r``) the partial
-        fraction degenerates to the confluent (resonant) form
-        ``chip_k = P + (chip_0 - P) * r**k + D * (1-r) * k * r**k``.
-
-        Args:
-            sink_decay: ``exp(-dt / socket_tau_s)`` for one engine step.
-            chip_decay: ``exp(-dt / chip_tau_s)`` for one engine step.
-            n_steps: Number of engine steps to advance (``>= 0``).
-            ambient_c: Per-socket entry air temperature, degC (frozen).
-            power_w: Per-socket total power, W (frozen).
-            r_int: Per-socket internal resistance, degC/W.
-            r_ext: Per-socket external (sink) resistance, degC/W.
-            theta: Per-socket Equation 1 correction, degC (frozen).
-
-        Returns:
-            The :class:`WindowModes` decomposition (evaluated at window
-            entry, i.e. ``j = 0``), for exact EMA updates over the window.
-
-        Raises:
-            ThermalModelError: if ``n_steps`` is negative or either decay
-                factor is outside ``(0, 1)``.
-        """
-        self.sink_c, self.chip_c, modes = advance_window_modes(
-            self.sink_c,
-            self.chip_c,
-            sink_decay,
-            chip_decay,
-            n_steps,
-            ambient_c,
-            power_w,
-            r_int,
-            r_ext,
-            theta,
-        )
-        return modes
 
     def sink_heat_output_w(
         self,

@@ -27,8 +27,6 @@ FIELDS = (
     "sink_c",
     "chip_c",
     "freq_mhz",
-    "window_sink_c",
-    "window_chip_c",
 )
 
 #: The acceptance sweep: 8 mixed points — utilisation extremes, power
@@ -58,43 +56,10 @@ def _assert_bit_identical(a: FleetSweepResult, b: FleetSweepResult):
 
 
 def test_mixed_eight_point_sweep_is_bit_identical(small_sut, params):
-    serial = evaluate_fleet_serial(
-        small_sut, params, MIXED_POINTS, window_steps=2048
-    )
-    batched = evaluate_fleet(
-        small_sut, params, MIXED_POINTS, window_steps=2048
-    )
+    serial = evaluate_fleet_serial(small_sut, params, MIXED_POINTS)
+    batched = evaluate_fleet(small_sut, params, MIXED_POINTS)
     assert serial.n_points == batched.n_points == 8
     _assert_bit_identical(serial, batched)
-
-
-def test_zero_window_reports_inlet_equilibrium(small_sut, params):
-    result = evaluate_fleet(
-        small_sut, params, MIXED_POINTS[:3], window_steps=0
-    )
-    for i, point in enumerate(MIXED_POINTS[:3]):
-        inlet = params.inlet_c if point.inlet_c is None else point.inlet_c
-        np.testing.assert_array_equal(
-            result.window_sink_c[i],
-            np.full(small_sut.n_sockets, inlet),
-        )
-        np.testing.assert_array_equal(
-            result.window_chip_c[i],
-            np.full(small_sut.n_sockets, inlet),
-        )
-
-
-def test_long_window_converges_to_steady_field(small_sut, params):
-    """Enough decayed steps land on the steady sink/chip temperatures."""
-    result = evaluate_fleet(
-        small_sut, params, MIXED_POINTS, window_steps=10_000_000
-    )
-    np.testing.assert_allclose(
-        result.window_sink_c, result.sink_c, rtol=1e-6, atol=1e-6
-    )
-    np.testing.assert_allclose(
-        result.window_chip_c, result.chip_c, rtol=1e-6, atol=1e-6
-    )
 
 
 def test_field_accessor_matches_serial_solver(small_sut, params):
@@ -108,17 +73,12 @@ def test_field_accessor_matches_serial_solver(small_sut, params):
 
 
 def test_deferred_fields_are_cached_and_pickle_whole(small_sut, params):
-    """The DVFS and window tensors are computed once, on first read,
-    and pickling materialises them (results cross process pools)."""
-    batched = evaluate_fleet(
-        small_sut, params, MIXED_POINTS, window_steps=64
-    )
-    serial = evaluate_fleet_serial(
-        small_sut, params, MIXED_POINTS, window_steps=64
-    )
+    """The DVFS tensor is computed once, on first read, and pickling
+    materialises it (results cross process pools)."""
+    batched = evaluate_fleet(small_sut, params, MIXED_POINTS)
+    serial = evaluate_fleet_serial(small_sut, params, MIXED_POINTS)
     _assert_bit_identical(pickle.loads(pickle.dumps(batched)), serial)
     assert batched.freq_mhz is batched.freq_mhz
-    assert batched.window_chip_c is batched.window_chip_c
 
 
 def test_point_validation():
@@ -162,7 +122,7 @@ def test_repeated_points_solve_each_distinct_row_once(
         return steady(topology, params_, util, dynamic, inlet)
 
     monkeypatch.setattr(batched, "_steady_fleet", recording)
-    result = evaluate_fleet(small_sut, params, points, window_steps=256)
+    result = evaluate_fleet(small_sut, params, points)
     assert rows == [
         [
             (0.3, 12.0, params.inlet_c),
@@ -172,7 +132,7 @@ def test_repeated_points_solve_each_distinct_row_once(
     ]
     _assert_bit_identical(
         result,
-        evaluate_fleet_serial(small_sut, params, points, window_steps=256),
+        evaluate_fleet_serial(small_sut, params, points),
     )
     assert not np.array_equal(result.freq_mhz[1], result.freq_mhz[3])
 

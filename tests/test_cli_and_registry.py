@@ -1,5 +1,7 @@
 """Tests for the experiment registry and the CLI."""
 
+import os
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -186,3 +188,90 @@ class TestCLI:
         import repro
 
         assert repro.__version__ == __version__
+
+
+class TestUnusableOutputPaths:
+    """An output path under a regular file fails before any work, with
+    one ``error:`` line and exit 2."""
+
+    @pytest.fixture
+    def bad_dir(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        return blocker / "x"
+
+    @staticmethod
+    def forbid(monkeypatch, module, name):
+        def _reached(*args, **kwargs):
+            raise AssertionError(f"{name} ran with an unusable output path")
+
+        monkeypatch.setattr(module, name, _reached)
+
+    @staticmethod
+    def assert_one_error_line(capsys, bad_dir):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot create directory {bad_dir}: ")
+
+    @pytest.mark.parametrize(
+        "flag,leaf",
+        [
+            ("--telemetry", None),
+            ("--resume", None),
+            ("--csv", "s.csv"),
+            ("--json", "s.json"),
+        ],
+    )
+    def test_sweep(self, capsys, monkeypatch, bad_dir, flag, leaf):
+        import repro.sim.runner
+
+        self.forbid(monkeypatch, repro.sim.runner, "run_sweep")
+        path = bad_dir if leaf is None else bad_dir / leaf
+        argv = ["sweep", "--rows", "1", "--sim-time", "1", flag, str(path)]
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys, bad_dir)
+
+    @pytest.mark.parametrize(
+        "flag,leaf", [("--telemetry", None), ("--out", "f.json")]
+    )
+    def test_room(self, capsys, monkeypatch, bad_dir, flag, leaf):
+        import repro.experiments.room_scenarios
+
+        self.forbid(monkeypatch, repro.experiments.room_scenarios, "run")
+        path = bad_dir if leaf is None else bad_dir / leaf
+        assert main(["room", flag, str(path)]) == 2
+        self.assert_one_error_line(capsys, bad_dir)
+
+    @pytest.mark.parametrize("flag", ["--telemetry", "--checkpoints"])
+    def test_fleet_serve(self, capsys, monkeypatch, bad_dir, flag):
+        import repro.fleet
+
+        self.forbid(monkeypatch, repro.fleet, "FleetService")
+        argv = ["fleet", "serve", "--port", "0", flag, str(bad_dir)]
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys, bad_dir)
+
+    def test_run(self, capsys, monkeypatch, bad_dir):
+        import repro.experiments.registry
+
+        experiment = repro.experiments.registry.get_experiment("table2")
+        self.forbid(monkeypatch, experiment.module, "main")
+        before = os.environ.get("REPRO_TELEMETRY")
+        assert main(["run", "table2", "--telemetry", str(bad_dir)]) == 2
+        self.assert_one_error_line(capsys, bad_dir)
+        assert os.environ.get("REPRO_TELEMETRY") == before
+
+    def test_report(self, capsys, monkeypatch, bad_dir):
+        import repro.experiments.report
+
+        self.forbid(monkeypatch, repro.experiments.report, "write_report")
+        assert main(["report", "--out", str(bad_dir / "r.md")]) == 2
+        self.assert_one_error_line(capsys, bad_dir)
+
+    def test_fleet_chaos(self, capsys, monkeypatch, bad_dir):
+        import repro.fleet
+
+        self.forbid(monkeypatch, repro.fleet, "run_chaos")
+        assert main(["fleet", "chaos", "--out", str(bad_dir)]) == 2
+        self.assert_one_error_line(capsys, bad_dir)

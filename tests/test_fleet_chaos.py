@@ -508,6 +508,11 @@ class TestCheckerCatchesViolations:
         problems = check_fleet_events(events)
         assert any("after fleet_end" in p for p in problems)
 
+    def test_event_before_start_detected(self):
+        start, submit = self.base()
+        problems = check_fleet_events([submit, start, self.answer()])
+        assert problems == ["event 1: fleet_submit before fleet_start"]
+
     def test_time_regression_detected(self):
         events = self.base() + [self.answer(t=1.0)]
         events.append(

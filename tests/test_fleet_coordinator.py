@@ -416,18 +416,38 @@ class TestLifecycle:
         with pytest.raises(FleetError):
             coordinator.start(1.0)
 
-    def test_tick_before_start_rejected(self):
+    def unstarted_fleet(self):
         registry = FleetRegistry(
             chassis={"c0": ChassisSpec(chassis_id="c0")},
             workers=(WorkerSpec(worker_id="w0", chassis_id="c0"),),
         )
+        handle = ScriptedHandle("w0")
+        events = []
+        bus = EventBus()
+        bus.subscribe(events.append)
         coordinator = FleetCoordinator(
             registry=registry,
-            handles={"w0": ScriptedHandle("w0")},
+            handles={"w0": handle},
+            bus=bus,
             policy=SupervisionPolicy(heartbeat_interval_s=1.0),
         )
-        with pytest.raises(FleetError):
+        return coordinator, handle, events
+
+    def test_tick_before_start_rejected(self):
+        coordinator, _, _ = self.unstarted_fleet()
+        with pytest.raises(FleetError, match="not started"):
             coordinator.tick(0.0)
+
+    def test_submit_before_start_rejected(self):
+        """A batch shipped to a worker that was never started is lost,
+        so a submit before start() is refused with nothing sent or
+        logged."""
+        coordinator, handle, events = self.unstarted_fleet()
+        with pytest.raises(FleetError, match="not started"):
+            coordinator.submit(query(), 0.0)
+        assert handle.sent == []
+        assert events == []
+        assert coordinator.pending == 0
 
     def test_missing_handle_rejected(self):
         registry = FleetRegistry(

@@ -147,9 +147,9 @@ def test_downwind_solve_sends_only_the_chassis_whose_inlet_moved(
     evaluate = model.evaluate_fleet
     inlet_rise = RecirculationMatrix.inlet_rise
 
-    def recording_evaluate(topology, params, points, window_steps=0):
+    def recording_evaluate(topology, params, points):
         sent[-1].extend((p.utilization, p.inlet_c) for p in points)
-        return evaluate(topology, params, points, window_steps=window_steps)
+        return evaluate(topology, params, points)
 
     def recording_rise(self, exhaust_w):
         rises.append(inlet_rise(self, exhaust_w))

@@ -14,10 +14,6 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.capacity import (
-    room_capacity_curve,
-    room_sustainable_load,
-)
 from repro.errors import RoomConvergenceError, RoomError
 from repro.fleet.registry import ChassisSpec
 from repro.room import (
@@ -280,19 +276,6 @@ class TestCracSetpointSearch:
             )
             == 0.0
         )
-
-    def test_analysis_delegators_agree_with_room_layer(self):
-        """repro.analysis.capacity's thin wrappers are the same math."""
-        room = tiny_room()
-        assert room_sustainable_load(
-            room, 22.0, benchmark_set=BenchmarkSet.COMPUTATION
-        ) == max_sustainable_room_load(
-            room, 22.0, benchmark_set=BenchmarkSet.COMPUTATION
-        )
-        curve = room_capacity_curve(
-            room, (18.0, 26.0), benchmark_set=BenchmarkSet.COMPUTATION
-        )
-        assert [p.crac_supply_c for p in curve] == [18.0, 26.0]
 
 
 class TestTypedRejections:

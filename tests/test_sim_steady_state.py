@@ -127,50 +127,3 @@ class TestSolveSteadyState:
         back_harm = back_only.ambient_c[front].mean()
         assert front_harm > back_harm + 10.0
 
-
-class TestWarmStart:
-    @staticmethod
-    def _power(small_sut, w):
-        return np.full(small_sut.n_sockets, w)
-
-    def test_explicit_default_start_is_bit_identical(self, small_sut):
-        """Passing the historical 60 degC uniform start explicitly must
-        reproduce the default bit for bit."""
-        power = self._power(small_sut, 9.0)
-        default = solve_steady_state(small_sut, PARAMS, power)
-        explicit = solve_steady_state(
-            small_sut,
-            PARAMS,
-            power,
-            initial_chip_c=np.full(small_sut.n_sockets, 60.0),
-        )
-        assert np.array_equal(default.chip_c, explicit.chip_c)
-        assert np.array_equal(default.ambient_c, explicit.ambient_c)
-        assert np.array_equal(default.power_w, explicit.power_w)
-
-    def test_warm_start_from_neighbour_converges_close(self, small_sut):
-        cold = solve_steady_state(
-            small_sut, PARAMS, self._power(small_sut, 10.0)
-        )
-        warm = solve_steady_state(
-            small_sut,
-            PARAMS,
-            self._power(small_sut, 10.0),
-            initial_chip_c=solve_steady_state(
-                small_sut, PARAMS, self._power(small_sut, 9.5)
-            ).chip_c,
-        )
-        # Both runs stop at the fixed-point tolerance, from different
-        # starts — agreement is bounded by that tolerance, not exact.
-        np.testing.assert_allclose(
-            warm.chip_c, cold.chip_c, rtol=0, atol=1e-2
-        )
-
-    def test_wrong_shape_rejected(self, small_sut):
-        with pytest.raises(SimulationError):
-            solve_steady_state(
-                small_sut,
-                PARAMS,
-                self._power(small_sut, 8.0),
-                initial_chip_c=np.zeros(small_sut.n_sockets + 1),
-            )
