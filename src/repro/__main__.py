@@ -67,6 +67,24 @@ def _make_output_dirs(*dirs, files=()) -> bool:
     return True
 
 
+def _unknown_names(*checks) -> bool:
+    """Whether a ``(kind, names, known)`` check names an unknown value.
+
+    Prints one ``error:`` line for the first such check; the caller
+    exits 2.
+    """
+    for kind, names, known in checks:
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            print(
+                f"error: unknown {kind}(s) {', '.join(unknown)}; "
+                f"known: {', '.join(known)}",
+                file=sys.stderr,
+            )
+            return True
+    return False
+
+
 def _cmd_run(args) -> int:
     import os
 
@@ -128,19 +146,11 @@ def _cmd_sweep(args) -> int:
     from .workloads.arrivals import check_load
     from .workloads.benchmark import BenchmarkSet
 
-    known_sets = [member.value for member in BenchmarkSet]
-    for kind, names, known in (
+    if _unknown_names(
         ("scheduler", args.schemes, all_scheduler_names()),
-        ("benchmark set", args.sets, known_sets),
+        ("benchmark set", args.sets, [m.value for m in BenchmarkSet]),
     ):
-        unknown = [name for name in names if name not in known]
-        if unknown:
-            print(
-                f"error: unknown {kind}(s) {', '.join(unknown)}; "
-                f"known: {', '.join(known)}",
-                file=sys.stderr,
-            )
-            return 2
+        return 2
     sets = [BenchmarkSet(name) for name in args.sets]
     fault_schedule = None
     try:
@@ -373,12 +383,30 @@ def _cmd_fleet_chaos(args) -> int:
 
 def _cmd_room(args) -> int:
     import json
+    import math
 
     from .errors import ReproError
     from .experiments.common import ExperimentConfig
-    from .experiments.room_scenarios import run
+    from .experiments.room_scenarios import DEFAULT_MIXES, run
+    from .room.placement import ROOM_PLACEMENTS
     from .workloads.benchmark import BenchmarkSet
 
+    if _unknown_names(
+        ("chassis mix", args.mixes, DEFAULT_MIXES),
+        ("room placement", args.placements, sorted(ROOM_PLACEMENTS)),
+        ("benchmark set", [args.set], [m.value for m in BenchmarkSet]),
+    ):
+        return 2
+    problem = None
+    if not all(math.isfinite(c) for c in args.setpoints):
+        problem = f"setpoints must be finite, got {args.setpoints}"
+    elif args.chassis < 1:
+        problem = f"chassis must be >= 1, got {args.chassis}"
+    elif args.diurnal_step < 1:
+        problem = f"diurnal step must be >= 1, got {args.diurnal_step}"
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     if not _make_output_dirs(args.telemetry, files=(args.out,)):
         return 2
     try:
@@ -630,7 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help=(
                 "most queries per batch message (default 8 with a "
-                "positive --batch-window, else 1)"
+                "positive --batch-window, else 1); a batch is full, "
+                "and ships without waiting out the window, at this "
+                "or at the per-worker in-flight cap, whichever is less"
             ),
         )
 

@@ -255,7 +255,15 @@ def run(
         diurnal_mix: Mix for the diurnal envelope.
         diurnal_step_h: Hour stride of the diurnal trace (2 keeps the
             default run light; 1 gives the full 24-point envelope).
+
+    Raises:
+        ConfigurationError: for a ``diurnal_step_h`` below 1, or an
+            unknown mix (before any solve).
     """
+    if diurnal_step_h < 1:
+        raise ConfigurationError(
+            f"diurnal_step_h must be >= 1, got {diurnal_step_h!r}"
+        )
     config = config or ExperimentConfig()
     writer = None
     emit = None
@@ -305,6 +313,11 @@ def run(
 
     try:
         rooms = {name: build_mix(name, n_chassis) for name in mixes}
+        diurnal_room = (
+            rooms[diurnal_mix]
+            if diurnal_mix in rooms
+            else build_mix(diurnal_mix, n_chassis)
+        )
         curves: Dict[str, Tuple[RoomDeratingPoint, ...]] = {}
         for name, room in rooms.items():
             curves[name] = tuple(
@@ -327,7 +340,6 @@ def run(
                     room, REFERENCE_CRAC_C, policy
                 )
         hours = range(0, 24, diurnal_step_h)
-        diurnal_room = rooms[diurnal_mix]
         diurnal = tuple(
             DiurnalPoint(
                 hour=hour,

@@ -39,16 +39,25 @@ Guarantees (checked by :mod:`repro.fleet.invariants` under chaos):
   against a replica cannot double-execute anything observable; the
   coordinator still guarantees the *answer* is delivered once.
 
+**One record per request.**  An admitted request is one record from
+admission to its terminal answer: it waits in ``queue``, moves to
+``inflight`` when shipped and back to the head of the queue on a
+retry.  The record carries the caller's callback and, once shipped,
+its worker, that worker's incarnation, its attempt deadline and the
+small batch record it shares with its batch-mates.
+
 **Micro-batching.**  Every dispatch ships a
 :class:`~repro.fleet.messages.QueryBatch`, answered in a single
 :meth:`~repro.fleet.compute.ChassisCompute.answer_batch` pass.  The
 dispatch step coalesces compatible queued queries per target worker:
 a query may be *held* in the queue for up to ``batch_window_s`` after
-becoming dispatchable, and whatever coalesced — up to ``max_batch``
-members — ships as one batch.  The batch is purely a transport/compute
-grouping: every member keeps its own inflight record, deadline, retry
-budget, exclusion set and exactly-one-terminal-answer guarantee, and
-held members remain ordinary queue entries (still subject to queue
+becoming dispatchable, and whatever coalesced ships as one batch.  A
+chunk is full, and ships at once, at ``min(max_batch,
+max_inflight_per_worker)`` members: the in-flight cap counts members,
+so no chunk grows past it.  The batch is purely a transport/compute
+grouping: every member keeps its own record, deadline, retry budget,
+exclusion set and exactly-one-terminal-answer guarantee, and held
+members remain ordinary queue entries (still subject to queue
 timeouts and class-based shedding).  With the defaults
 (``batch_window_s=0``, ``max_batch=1``) each query ships as a
 one-member batch as soon as it is dispatchable and a worker has a free
@@ -183,61 +192,56 @@ class FleetConfig:
             )
 
 
-@dataclass
-class _Queued:
-    """One request waiting for dispatch.
+@dataclass(eq=False)
+class _Batch:
+    """What one shipped batch reports, shared by its members' records.
 
-    ``ready_t`` is when the request became dispatchable (admission, or
-    retry eligibility) — the reference point the batching window
-    measures waiting against.
-    """
-
-    request_id: int
-    query: object
-    request_class: RequestClass
-    submitted_t: float
-    deadline_t: float
-    not_before: float = 0.0
-    attempts: int = 0
-    exclude: Tuple[str, ...] = ()
-    ready_t: float = 0.0
-
-
-@dataclass
-class _Inflight:
-    """One request executing on a worker."""
-
-    request_id: int
-    query: object
-    request_class: RequestClass
-    worker_id: str
-    incarnation: int
-    submitted_t: float
-    deadline_t: float
-    attempts: int
-    batch_id: Optional[int] = None
-
-
-@dataclass
-class _BatchMeta:
-    """Dispatch record of one query batch, awaiting its reply.
-
-    ``members`` tracks which member requests are still attributed to
-    the batch; abandoning a member (timeout, worker death, shutdown)
-    removes it, and a meta whose members all vanished is discarded so
-    the table stays bounded.  The ``fleet_batch`` event is emitted
-    when (and only when) the matching reply arrives from the same
-    worker incarnation.
+    Its ``fleet_batch`` event is emitted once (``reported``), on the
+    first reply that still finds a member in flight on this batch from
+    the dispatching incarnation.  Only its members reach it, so it goes
+    with the last of them.
     """
 
     batch_id: int
-    worker_id: str
-    chassis: str
-    incarnation: int
     size: int
     window_wait_s: float
-    members: Set[int]
     queue_len: int = 0
+    reported: bool = False
+
+
+@dataclass(eq=False)
+class _Request:
+    """One admitted request, from admission to its terminal answer.
+
+    Attributes:
+        request_id: Coordinator-assigned id.
+        query: The caller's query.
+        submitted_t: Admission time; the queue deadline is
+            ``submitted_t + queue_timeout_s``, retries included.
+        callback: Called once with the terminal answer, if given.
+        ready_t: When the request became dispatchable (admission, or
+            retry eligibility): the reference point the batching window
+            measures waiting against.
+        attempts: Worker dispatch attempts so far, the one in flight
+            included.
+        exclude: Workers the next dispatch must avoid.
+        worker_id: Worker of the latest attempt.
+        incarnation: That worker's incarnation when it was sent.
+        deadline_t: Answer deadline of the latest attempt.
+        batch: The batch of the latest attempt.
+    """
+
+    request_id: int
+    query: object
+    submitted_t: float
+    callback: Optional[Callable[[FleetAnswer], None]] = None
+    ready_t: float = 0.0
+    attempts: int = 0
+    exclude: Tuple[str, ...] = ()
+    worker_id: str = ""
+    incarnation: int = 0
+    deadline_t: float = 0.0
+    batch: Optional[_Batch] = None
 
 
 @dataclass
@@ -249,6 +253,11 @@ class FleetCoordinator:
     :meth:`tick` at a fixed cadence, :meth:`finish`.  The queue never
     holds more than ``config.max_queue`` requests, retries included.
 
+    Each admitted request is one record, in exactly one place until it
+    is terminal: ``queue`` (waiting, in dispatch order) or ``inflight``
+    (keyed by request id; ``inflight[rid].worker_id`` names the worker
+    running it).  Its terminal answer then stays in ``answers``.
+
     Attributes:
         registry: The fleet layout.
         handles: Worker transports keyed by worker id (one per
@@ -259,6 +268,7 @@ class FleetCoordinator:
             and its supervisors' events (default: no subscriber).  The
             coordinator keeps no event history.
         finished: Set by :meth:`finish`; no call takes work after it.
+        peak_queue_len: The longest the queue has been.
     """
 
     registry: FleetRegistry
@@ -291,11 +301,10 @@ class FleetCoordinator:
         self._chassis_of = {
             w.worker_id: w.chassis_id for w in self.registry.workers
         }
-        self.queue: List[_Queued] = []
-        self.inflight: Dict[int, _Inflight] = {}
+        self.queue: List[_Request] = []
+        self.inflight: Dict[int, _Request] = {}
         self.answers: Dict[int, FleetAnswer] = {}
         self.snapshots: Dict[str, Tuple[ChassisSnapshot, float]] = {}
-        self._callbacks: Dict[int, Callable[[FleetAnswer], None]] = {}
         self._rng = np.random.default_rng(self.config.seed)
         self._next_id = 0
         self._awaiting_hello: set = set()
@@ -303,7 +312,6 @@ class FleetCoordinator:
         self.finished = False
         self.peak_queue_len = 0
         self._next_batch_id = 0
-        self._batches: Dict[int, _BatchMeta] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -337,28 +345,12 @@ class FleetCoordinator:
         # Drain one last time so answers racing the shutdown land.
         self.tick(now)
         self.finished = True
-        for record in [
-            self.inflight[rid] for rid in sorted(self.inflight)
-        ]:
-            del self.inflight[record.request_id]
-            self._drop_batch_member(record)
-            self._resolve_unservable(
-                record.request_id,
-                record.query,
-                record.attempts,
-                now,
-                "shutdown",
-            )
-        for queued in sorted(self.queue, key=lambda q: q.request_id):
-            self._resolve_unservable(
-                queued.request_id,
-                queued.query,
-                queued.attempts,
-                now,
-                "shutdown",
-            )
+        stranded = [self.inflight[rid] for rid in sorted(self.inflight)]
+        stranded += sorted(self.queue, key=lambda r: r.request_id)
+        self.inflight.clear()
         self.queue.clear()
-        self._batches.clear()
+        for record in stranded:
+            self._resolve_unservable(record, now, "shutdown")
         n_shed = sum(
             1
             for a in self.answers.values()
@@ -401,78 +393,46 @@ class FleetCoordinator:
             FleetError: if not started, or finished.
         """
         self._check_running()
-        rid = self._next_id
+        record = _Request(
+            request_id=self._next_id,
+            query=query,
+            submitted_t=now,
+            callback=callback,
+            ready_t=now,
+        )
         self._next_id += 1
-        if callback is not None:
-            self._callbacks[rid] = callback
-        cls = query.request_class
-        chassis = query.chassis
         failure = self._admission_failure(query)
         if failure is not None:
-            self.bus.emit(
-                "fleet_submit",
-                t=float(now),
-                request_id=rid,
-                kind=query.kind,
-                request_class=cls.value,
-                chassis=str(chassis),
-                queue_len=len(self.queue),
-            )
-            self._complete(
-                rid,
-                FleetAnswer(
-                    request_id=rid,
-                    status=AnswerStatus.FAILED,
-                    reason=failure,
-                ),
-                now,
-            )
-            return rid
+            self._log_submit(record, now)
+            self._complete(record, AnswerStatus.FAILED, now, reason=failure)
+            return record.request_id
         if len(self.queue) >= self.config.max_queue:
-            victim = self._shed_victim(cls)
+            victim = self._shed_victim(query.request_class)
             if victim is None:
                 # Shed the arrival itself: a SHED answer.
-                self.bus.emit(
-                    "fleet_submit",
-                    t=float(now),
-                    request_id=rid,
-                    kind=query.kind,
-                    request_class=cls.value,
-                    chassis=chassis,
-                    queue_len=len(self.queue),
-                )
-                self._shed(rid, cls, "queue_full", now)
-                return rid
+                self._log_submit(record, now)
+                self._shed(record, "queue_full", now)
+                return record.request_id
             self.queue.remove(victim)
-            self._shed(
-                victim.request_id,
-                victim.request_class,
-                "evicted_for_interactive",
-                now,
-            )
-        self.queue.append(
-            _Queued(
-                request_id=rid,
-                query=query,
-                request_class=cls,
-                submitted_t=now,
-                deadline_t=now + self.config.queue_timeout_s,
-                ready_t=now,
-            )
-        )
+            self._shed(victim, "evicted_for_interactive", now)
+        self.queue.append(record)
         self.peak_queue_len = max(self.peak_queue_len, len(self.queue))
+        self._log_submit(record, now)
+        if self.config.batch_window_s == 0:
+            self._dispatch(now)
+        return record.request_id
+
+    def _log_submit(self, record: _Request, now: float) -> None:
+        query = record.query
         self.bus.emit(
             "fleet_submit",
             t=float(now),
-            request_id=rid,
+            request_id=record.request_id,
             kind=query.kind,
-            request_class=cls.value,
-            chassis=chassis,
+            request_class=query.request_class.value,
+            chassis=str(query.chassis),
             queue_len=len(self.queue),
         )
-        if self.config.batch_window_s == 0:
-            self._dispatch(now)
-        return rid
 
     def _admission_failure(self, query) -> Optional[str]:
         """Why ``query`` can never be answered, or None if it can."""
@@ -487,35 +447,24 @@ class FleetCoordinator:
             )
         return None
 
-    def _shed_victim(self, incoming: RequestClass) -> Optional[_Queued]:
+    def _shed_victim(self, incoming: RequestClass) -> Optional[_Request]:
         """The queued BATCH request an INTERACTIVE arrival may evict."""
         if incoming is not RequestClass.INTERACTIVE:
             return None
-        for queued in reversed(self.queue):
-            if queued.request_class is RequestClass.BATCH:
-                return queued
+        for record in reversed(self.queue):
+            if record.query.request_class is RequestClass.BATCH:
+                return record
         return None
 
-    def _shed(
-        self, rid: int, cls: RequestClass, reason: str, now: float
-    ) -> None:
+    def _shed(self, record: _Request, reason: str, now: float) -> None:
         self.bus.emit(
             "fleet_shed",
             t=float(now),
-            request_id=rid,
-            request_class=cls.value,
+            request_id=record.request_id,
+            request_class=record.query.request_class.value,
             reason=reason,
         )
-        self._complete(
-            rid,
-            FleetAnswer(
-                request_id=rid,
-                status=AnswerStatus.SHED,
-                reason=reason,
-            ),
-            now,
-            emit_answer=False,
-        )
+        self._complete(record, AnswerStatus.SHED, now, reason=reason)
 
     # -- the drive loop -------------------------------------------------
 
@@ -565,38 +514,17 @@ class FleetCoordinator:
                     if sup.note_exit(now):
                         self._recover_inflight(wid, now)
 
-    def _on_answer(
-        self, wid: str, rid: int, payload: dict, now: float
-    ) -> None:
+    def _running_on(self, wid: str, rid: int) -> Optional[_Request]:
+        """Request ``rid`` if its attempt runs on ``wid``'s current
+        incarnation, else None."""
         record = self.inflight.get(rid)
-        sup = self.supervisors[wid]
         if (
             record is None
             or record.worker_id != wid
-            or record.incarnation != sup.incarnation
+            or record.incarnation != self.supervisors[wid].incarnation
         ):
-            # A late answer from an abandoned attempt (timeout/retry)
-            # or a previous incarnation: exactly-once delivery means
-            # it is dropped, visibly.
-            self.bus.emit(
-                "fleet_drop",
-                t=float(now),
-                request_id=int(rid),
-                reason="late_answer",
-            )
-            return
-        del self.inflight[rid]
-        self._drop_batch_member(record)
-        self._complete(
-            rid,
-            FleetAnswer(
-                request_id=rid,
-                status=AnswerStatus.OK,
-                payload=payload,
-                attempts=record.attempts,
-            ),
-            now,
-        )
+            return None
+        return record
 
     def _on_answer_batch(
         self,
@@ -606,46 +534,53 @@ class FleetCoordinator:
         stats: dict,
         now: float,
     ) -> None:
-        """One batch reply: emit its telemetry, then deliver members.
+        """One batch reply: report the batch once, then deliver members.
 
-        Members route through :meth:`_on_answer` individually, so the
-        per-request exactly-once guarantee (late answers dropped
-        visibly) is untouched by batching.  The ``fleet_batch`` event
-        is emitted only for a reply from the dispatching incarnation —
-        a batch whose worker died or whose members were all abandoned
-        emits nothing.
+        The batch's ``fleet_batch`` event goes out on the first reply
+        that still finds a member in flight on it from the dispatching
+        incarnation, so a batch whose worker died or whose members were
+        all abandoned emits nothing.  Each member's answer counts only
+        while its request runs on this incarnation of ``wid``; a late
+        answer from an abandoned attempt or a previous incarnation is
+        dropped, visibly, so batching leaves exactly-once delivery
+        untouched.
         """
-        meta = self._batches.pop(bid, None)
-        sup = self.supervisors[wid]
-        if (
-            meta is not None
-            and meta.worker_id == wid
-            and meta.incarnation == sup.incarnation
-        ):
+        live = (self._running_on(wid, int(rid)) for rid, _ in entries)
+        batch = next(
+            (r.batch for r in live if r is not None and r.batch.batch_id == bid),
+            None,
+        )
+        if batch is not None and not batch.reported:
+            batch.reported = True
             self.bus.emit(
                 "fleet_batch",
                 t=float(now),
                 worker=wid,
-                chassis=meta.chassis,
-                size=int(meta.size),
-                window_wait_s=float(meta.window_wait_s),
-                queue_len=int(meta.queue_len),
+                chassis=self._chassis_of[wid],
+                size=int(batch.size),
+                window_wait_s=float(batch.window_wait_s),
+                queue_len=int(batch.queue_len),
                 warm_hits=int(stats.get("warm_hits", 0)),
                 warm_misses=int(stats.get("warm_misses", 0)),
             )
         for rid, payload in entries:
-            self._on_answer(wid, int(rid), payload, now)
-
-    def _drop_batch_member(self, record: _Inflight) -> None:
-        """Release one member's attribution in its batch record."""
-        if record.batch_id is None:
-            return
-        meta = self._batches.get(record.batch_id)
-        if meta is None:
-            return
-        meta.members.discard(record.request_id)
-        if not meta.members:
-            del self._batches[record.batch_id]
+            record = self._running_on(wid, int(rid))
+            if record is None:
+                self.bus.emit(
+                    "fleet_drop",
+                    t=float(now),
+                    request_id=int(rid),
+                    reason="late_answer",
+                )
+                continue
+            del self.inflight[record.request_id]
+            self._complete(
+                record,
+                AnswerStatus.OK,
+                now,
+                payload=payload,
+                attempts=record.attempts,
+            )
 
     def _check_supervision(self, now: float) -> None:
         for wid in self._worker_order:
@@ -658,31 +593,25 @@ class FleetCoordinator:
         """Requeue (or resolve) the requests a dead worker was running."""
         for rid in sorted(self.inflight):
             record = self.inflight[rid]
-            if record.worker_id != wid:
-                continue
-            del self.inflight[rid]
-            self._drop_batch_member(record)
-            self._retry_or_resolve(record, now, exclude=())
+            if record.worker_id == wid:
+                self._abandon(record, now, exclude=())
 
     def _expire_inflight(self, now: float) -> None:
         for rid in sorted(self.inflight):
             record = self.inflight[rid]
-            if now <= record.deadline_t:
-                continue
-            # The worker is presumably hung on this request; abandon
-            # the attempt (a late answer will be dropped) and retry on
-            # a replica only — never the same worker.
-            del self.inflight[rid]
-            self._drop_batch_member(record)
-            self._retry_or_resolve(
-                record, now, exclude=(record.worker_id,)
-            )
+            if now > record.deadline_t:
+                # The worker is presumably hung on this request; abandon
+                # the attempt (a late answer will be dropped) and retry
+                # on a replica only — never the same worker.
+                self._abandon(record, now, exclude=(record.worker_id,))
 
-    def _retry_or_resolve(
-        self, record: _Inflight, now: float, exclude: Tuple[str, ...]
+    def _abandon(
+        self, record: _Request, now: float, exclude: Tuple[str, ...]
     ) -> None:
-        """Put a lost attempt back at the head of the queue, or resolve
-        it: out of attempts, or with the queue at ``max_queue``."""
+        """Take a lost attempt out of flight and put it back at the head
+        of the queue, or resolve it: out of attempts, or with the queue
+        at ``max_queue``."""
+        del self.inflight[record.request_id]
         if record.attempts >= self.config.max_attempts:
             reason = "retries_exhausted"
         elif len(self.queue) >= self.config.max_queue:
@@ -691,41 +620,22 @@ class FleetCoordinator:
             jitter = float(
                 self._rng.uniform(0.0, self.config.retry_jitter_s)
             )
-            self.queue.insert(
-                0,
-                _Queued(
-                    request_id=record.request_id,
-                    query=record.query,
-                    request_class=record.request_class,
-                    submitted_t=record.submitted_t,
-                    deadline_t=record.submitted_t
-                    + self.config.queue_timeout_s,
-                    not_before=now + jitter,
-                    attempts=record.attempts,
-                    exclude=exclude,
-                    ready_t=now + jitter,
-                ),
-            )
+            record.ready_t = now + jitter
+            record.exclude = exclude
+            self.queue.insert(0, record)
             self.peak_queue_len = max(
                 self.peak_queue_len, len(self.queue)
             )
             return
-        self._resolve_unservable(
-            record.request_id, record.query, record.attempts, now, reason
-        )
+        self._resolve_unservable(record, now, reason)
 
     def _expire_queue(self, now: float) -> None:
-        for queued in [
-            q for q in self.queue if now > q.deadline_t
+        timeout = self.config.queue_timeout_s
+        for record in [
+            r for r in self.queue if now > r.submitted_t + timeout
         ]:
-            self.queue.remove(queued)
-            self._resolve_unservable(
-                queued.request_id,
-                queued.query,
-                queued.attempts,
-                now,
-                "queue_timeout",
-            )
+            self.queue.remove(record)
+            self._resolve_unservable(record, now, "queue_timeout")
 
     def _run_restarts(self, now: float) -> None:
         for wid in self._worker_order:
@@ -745,31 +655,35 @@ class FleetCoordinator:
 
         Worker eligibility is decided per query: replica exclusions,
         serving state and the inflight cap, counting members
-        tentatively grouped in this call.  A worker's
-        group flushes in ``max_batch``-sized chunks; a partial chunk
-        flushes only once its oldest member has waited
+        tentatively grouped in this call.  A worker's group flushes in
+        full chunks of ``min(max_batch, max_inflight_per_worker)``
+        members (the cap counts members, so no chunk grows past it); a
+        partial chunk flushes only once its oldest member has waited
         ``batch_window_s`` since becoming dispatchable, and otherwise
         stays in the queue (in order, still governed by queue timeouts
         and shedding).
         """
+        full = min(
+            self.config.max_batch, self.config.max_inflight_per_worker
+        )
         inflight_count: Dict[str, int] = {
             wid: 0 for wid in self._worker_order
         }
         for record in self.inflight.values():
             inflight_count[record.worker_id] += 1
-        groups: Dict[str, List[_Queued]] = {}
+        groups: Dict[str, List[_Request]] = {}
         gone: Set[int] = set()
-        for queued in self.queue:
-            if queued.not_before > now:
+        for record in self.queue:
+            if record.ready_t > now:
                 continue
-            workers = self.registry.workers_for(queued.query.chassis)
+            workers = self.registry.workers_for(record.query.chassis)
             target = None
             all_quarantined = True
             for worker in workers:
                 sup = self.supervisors[worker.worker_id]
                 if sup.state is not WorkerState.QUARANTINED:
                     all_quarantined = False
-                if worker.worker_id in queued.exclude:
+                if worker.worker_id in record.exclude:
                     continue
                 if not sup.serving:
                     continue
@@ -781,95 +695,73 @@ class FleetCoordinator:
                 target = worker.worker_id
                 break
             if target is not None:
-                groups.setdefault(target, []).append(queued)
+                groups.setdefault(target, []).append(record)
                 inflight_count[target] += 1
             elif all_quarantined:
-                gone.add(queued.request_id)
-                self._resolve_unservable(
-                    queued.request_id,
-                    queued.query,
-                    queued.attempts,
-                    now,
-                    "chassis_quarantined",
-                )
-        flushed_bids: List[int] = []
+                gone.add(record.request_id)
+                self._resolve_unservable(record, now, "chassis_quarantined")
+        sent: List[_Batch] = []
         for wid in self._worker_order:
             members = groups.get(wid)
             while members:
-                chunk = members[: self.config.max_batch]
+                chunk = members[:full]
                 oldest_wait = now - min(m.ready_t for m in chunk)
                 if (
-                    len(chunk) < self.config.max_batch
+                    len(chunk) < full
                     and oldest_wait < self.config.batch_window_s
                 ):
                     break  # hold the partial chunk for companions
-                flushed_bids.append(
-                    self._send_batch(chunk, wid, oldest_wait, now)
-                )
+                sent.append(self._send_batch(chunk, wid, oldest_wait, now))
                 gone.update(m.request_id for m in chunk)
-                members = members[self.config.max_batch:]
+                members = members[full:]
         if gone:
             self.queue = [
-                q for q in self.queue if q.request_id not in gone
+                r for r in self.queue if r.request_id not in gone
             ]
-        for bid in flushed_bids:
-            self._batches[bid].queue_len = len(self.queue)
+        for batch in sent:
+            batch.queue_len = len(self.queue)
 
     def _send_batch(
         self,
-        members: List[_Queued],
+        members: List[_Request],
         wid: str,
         window_wait_s: float,
         now: float,
-    ) -> int:
-        """Record per-member inflight state and ship one QueryBatch."""
-        sup = self.supervisors[wid]
-        chassis = self._chassis_of[wid]
-        bid = self._next_batch_id
-        self._next_batch_id += 1
-        for queued in members:
-            self.inflight[queued.request_id] = _Inflight(
-                request_id=queued.request_id,
-                query=queued.query,
-                request_class=queued.request_class,
-                worker_id=wid,
-                incarnation=sup.incarnation,
-                submitted_t=queued.submitted_t,
-                deadline_t=now + self.config.request_timeout_s,
-                attempts=queued.attempts + 1,
-                batch_id=bid,
-            )
-        self._batches[bid] = _BatchMeta(
-            batch_id=bid,
-            worker_id=wid,
-            chassis=chassis,
-            incarnation=sup.incarnation,
+    ) -> _Batch:
+        """Move the members in flight on ``wid`` and ship one QueryBatch."""
+        incarnation = self.supervisors[wid].incarnation
+        batch = _Batch(
+            batch_id=self._next_batch_id,
             size=len(members),
             window_wait_s=float(window_wait_s),
-            members={m.request_id for m in members},
         )
-        batch = QueryBatch(
-            batch_id=bid,
-            chassis=chassis,
-            request_ids=tuple(m.request_id for m in members),
-            queries=tuple(m.query for m in members),
+        self._next_batch_id += 1
+        for record in members:
+            record.worker_id = wid
+            record.incarnation = incarnation
+            record.deadline_t = now + self.config.request_timeout_s
+            record.attempts += 1
+            record.batch = batch
+            self.inflight[record.request_id] = record
+        self.handles[wid].send_batch(
+            QueryBatch(
+                batch_id=batch.batch_id,
+                chassis=self._chassis_of[wid],
+                request_ids=tuple(m.request_id for m in members),
+                queries=tuple(m.query for m in members),
+            ),
+            now,
         )
-        self.handles[wid].send_batch(batch, now)
-        return bid
+        return batch
 
     # -- terminal resolution --------------------------------------------
 
     def _resolve_unservable(
-        self,
-        rid: int,
-        query,
-        attempts: int,
-        now: float,
-        reason: str,
+        self, record: _Request, now: float, reason: str
     ) -> None:
         """No live worker can answer: degrade from snapshot, or fail."""
-        chassis = query.chassis
-        held = self.snapshots.get(chassis)
+        query = record.query
+        held = self.snapshots.get(query.chassis)
         if held is not None:
             snap, received_t = held
             staleness = now - received_t
@@ -877,60 +769,53 @@ class FleetCoordinator:
                 self.bus.emit(
                     "fleet_degraded",
                     t=float(now),
-                    request_id=rid,
-                    chassis=chassis,
+                    request_id=record.request_id,
+                    chassis=query.chassis,
                     staleness_s=float(staleness),
                 )
                 self._complete(
-                    rid,
-                    FleetAnswer(
-                        request_id=rid,
-                        status=AnswerStatus.DEGRADED,
-                        payload=degraded_payload(snap, query),
-                        staleness_s=float(staleness),
-                        attempts=attempts,
-                        reason=reason,
-                    ),
+                    record,
+                    AnswerStatus.DEGRADED,
                     now,
+                    payload=degraded_payload(snap, query),
+                    staleness_s=float(staleness),
+                    attempts=record.attempts,
+                    reason=reason,
                 )
                 return
             reason = f"{reason}; snapshot stale ({staleness:.1f}s)"
         else:
             reason = f"{reason}; no snapshot"
         self._complete(
-            rid,
-            FleetAnswer(
-                request_id=rid,
-                status=AnswerStatus.FAILED,
-                attempts=attempts,
-                reason=reason,
-            ),
+            record,
+            AnswerStatus.FAILED,
             now,
+            attempts=record.attempts,
+            reason=reason,
         )
 
     def _complete(
-        self,
-        rid: int,
-        answer: FleetAnswer,
-        now: float,
-        emit_answer: bool = True,
+        self, record: _Request, status: AnswerStatus, now: float, **fields
     ) -> None:
+        """Store the one terminal answer, log it and call the caller
+        back.  A SHED answer is logged by its ``fleet_shed`` event."""
+        rid = record.request_id
         if rid in self.answers:  # pragma: no cover - guarded upstream
             raise FleetError(
                 f"request {rid} already has a terminal answer"
             )
+        answer = FleetAnswer(request_id=rid, status=status, **fields)
         self.answers[rid] = answer
-        if emit_answer:
+        if status is not AnswerStatus.SHED:
             self.bus.emit(
                 "fleet_answer",
                 t=float(now),
                 request_id=rid,
-                status=answer.status.value,
+                status=status.value,
                 attempts=int(answer.attempts),
             )
-        callback = self._callbacks.pop(rid, None)
-        if callback is not None:
-            callback(answer)
+        if record.callback is not None:
+            record.callback(answer)
 
     # -- introspection --------------------------------------------------
 

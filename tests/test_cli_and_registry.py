@@ -158,6 +158,36 @@ class TestCLI:
         assert line.startswith("error: ")
         assert field in line
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--mixes", "coupled", "nope"], "nope"),
+            (["--placements", "paper", "bogus"], "bogus"),
+            (["--setpoints", "22", "nan"], "setpoints"),
+            (["--chassis", "0"], "chassis"),
+            (["--set", "Nope"], "Nope"),
+            (["--diurnal-step", "0"], "diurnal step"),
+            (["--diurnal-step", "-3"], "diurnal step"),
+        ],
+    )
+    def test_room_rejects_bad_inputs_before_running(
+        self, capsys, monkeypatch, tmp_path, flags, named
+    ):
+        import repro.experiments.room_scenarios
+
+        def _run(*args, **kwargs):
+            raise AssertionError("the room ran with a bad input")
+
+        monkeypatch.setattr(repro.experiments.room_scenarios, "run", _run)
+        directory = tmp_path / "telemetry"
+        assert main(["room", "--telemetry", str(directory)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert named in line
+        assert not directory.exists()
+
     def test_rejected_serve_leaves_no_telemetry(
         self, capsys, monkeypatch, tmp_path
     ):

@@ -207,6 +207,19 @@ def test_full_batch_flushes_before_window():
     assert len(coordinator.queue) == 1
 
 
+def test_chunk_at_the_inflight_cap_is_full():
+    """The cap counts members, so a chunk at the cap can grow no more:
+    it ships at once even when ``max_batch`` is larger."""
+    coordinator, handles, events = make_batching_fleet(
+        batch_window_s=10.0, max_batch=8, max_inflight_per_worker=2
+    )
+    rids = [coordinator.submit(place(), 0.0) for _ in range(3)]
+    coordinator.tick(0.1)
+    (batch, _), = handles["w0"].batches
+    assert batch.request_ids == tuple(rids[:2])
+    assert [r.request_id for r in coordinator.queue] == rids[2:]
+
+
 def test_member_timeout_retries_on_replica_only():
     coordinator, handles, events = make_batching_fleet(
         replicas=1,
@@ -314,6 +327,83 @@ def test_queue_timeout_inside_window():
         AnswerStatus.DEGRADED,
         AnswerStatus.FAILED,
     )
+    assert check_fleet_events(events) == []
+
+
+# -- the fleet_batch rule: one event per batch, from a live member ----
+
+
+def _batch_events(events):
+    return [e for e in events if e["type"] == "fleet_batch"]
+
+
+def _reply(handle, batch, rids):
+    handle.inbox.append(
+        ("answer_batch", batch.batch_id, [(r, {"ok": r}) for r in rids], {})
+    )
+
+
+def test_batch_answered_in_two_replies_is_reported_once():
+    coordinator, handles, events = make_batching_fleet(
+        batch_window_s=0.1, max_batch=2
+    )
+    rid_a = coordinator.submit(place(), 0.0)
+    rid_b = coordinator.submit(place(), 0.0)
+    coordinator.tick(0.1)
+    (batch, _), = handles["w0"].batches
+    _reply(handles["w0"], batch, [rid_a])
+    coordinator.tick(0.2)
+    _reply(handles["w0"], batch, [rid_b])
+    coordinator.tick(0.3)
+    assert [(e["t"], e["size"]) for e in _batch_events(events)] == [(0.2, 2)]
+    for rid in (rid_a, rid_b):
+        assert coordinator.answers[rid].status is AnswerStatus.OK
+    assert check_fleet_events(events) == []
+
+
+def test_reply_after_its_member_moved_to_the_replica_is_not_reported():
+    coordinator, handles, events = make_batching_fleet(
+        replicas=1, request_timeout_s=1.0
+    )
+    rid = coordinator.submit(place(), 0.0)
+    (first, _), = handles["w0"].batches
+    coordinator.tick(1.5)  # timed out on w0: retried on w1
+    (retry, _), = handles["w1"].batches
+    _reply(handles["w0"], first, [rid])
+    coordinator.tick(1.6)
+    assert _batch_events(events) == []
+    drops = [e for e in events if e["type"] == "fleet_drop"]
+    assert [e["request_id"] for e in drops] == [rid]
+    assert rid in coordinator.inflight
+    _reply(handles["w1"], retry, [rid])
+    coordinator.tick(1.7)
+    assert [e["worker"] for e in _batch_events(events)] == ["w1"]
+    assert check_fleet_events(events) == []
+
+
+def test_reply_from_before_a_restart_is_not_reported():
+    coordinator, handles, events = make_batching_fleet(
+        batch_window_s=0.1, max_batch=2, max_attempts=1
+    )
+    old = [coordinator.submit(place(), 0.0) for _ in range(2)]
+    coordinator.tick(0.1)
+    (stale, _), = handles["w0"].batches
+    handles["w0"].inbox.append(("exit",))
+    coordinator.tick(0.2)  # w0 died: its members are out of attempts
+    coordinator.tick(1.0)  # restarted after the backoff
+    assert coordinator.supervisors["w0"].incarnation == 1
+    rid = coordinator.submit(place(), 1.0)
+    coordinator.tick(1.1)
+    (_, _), (fresh, _) = handles["w0"].batches
+    _reply(handles["w0"], stale, old)
+    coordinator.tick(1.2)
+    assert _batch_events(events) == []
+    drops = [e for e in events if e["type"] == "fleet_drop"]
+    assert [e["request_id"] for e in drops] == old
+    _reply(handles["w0"], fresh, [rid])
+    coordinator.tick(1.3)
+    assert [e["size"] for e in _batch_events(events)] == [1]
+    assert coordinator.answers[rid].status is AnswerStatus.OK
     assert check_fleet_events(events) == []
 
 

@@ -7,6 +7,9 @@ submissions, clock advances and worker kills, hangs and slowdowns, and
 checks the coordinator's guarantees after every step:
 
 - the admission queue never outgrows ``max_queue``;
+- every submitted request is in exactly one of the queue, the
+  in-flight table and the answers, and every in-flight request runs on
+  a worker of its query's chassis;
 - no worker holds more than ``max_inflight_per_worker`` requests;
 - no request gets a second terminal event, and no caller hears back
   twice;
@@ -211,6 +214,18 @@ class FleetModel(RuleBasedStateMachine):
         per_worker = Counter(r.worker_id for r in self.coordinator.inflight.values())
         cap = self.coordinator.config.max_inflight_per_worker
         assert all(n <= cap for n in per_worker.values()), per_worker
+
+    @invariant()
+    def each_request_in_exactly_one_place(self):
+        coordinator = self.coordinator
+        places = Counter(r.request_id for r in coordinator.queue)
+        places.update(coordinator.inflight.keys())
+        places.update(coordinator.answers.keys())
+        assert set(places) == set(self.queries)
+        assert all(n == 1 for n in places.values()), places
+        for record in coordinator.inflight.values():
+            workers = REGISTRY.workers_for(record.query.chassis)
+            assert record.worker_id in {w.worker_id for w in workers}
 
     @invariant()
     def at_most_one_terminal_per_request(self):

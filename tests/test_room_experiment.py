@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.errors import RoomConvergenceError, RoomError
+from repro.errors import ConfigurationError, RoomConvergenceError, RoomError
+from repro.experiments import room_scenarios
 from repro.fleet.registry import ChassisSpec
 from repro.room import (
     RecirculationMatrix,
@@ -105,8 +106,26 @@ class TestRoomCLI:
         assert any('"room_converged"' in line for line in lines)
 
     def test_room_command_rejects_unknown_mix(self, capsys):
-        assert main(["room", "--mixes", "volcano"]) == 1
+        assert main(["room", "--mixes", "volcano"]) == 2
         assert "unknown chassis mix" in capsys.readouterr().err
+
+    def test_diurnal_mix_is_built_when_the_mixes_leave_it_out(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "room.json"
+        argv = ["room", "--mixes", "coupled", "--chassis", "1"]
+        argv += ["--setpoints", "22", "--placements", "paper"]
+        argv += ["--diurnal-step", "12", "--out", str(out)]
+        assert main(argv) == 0
+        assert "Diurnal envelope (mixed mix)" in capsys.readouterr().out
+        artifact = json.loads(out.read_text())
+        assert list(artifact["curves"]) == ["coupled"]
+        assert [p["hour"] for p in artifact["diurnal"]] == [0, 12]
+
+    @pytest.mark.parametrize("step", [0, -3])
+    def test_diurnal_step_below_one_rejected(self, step):
+        with pytest.raises(ConfigurationError, match="diurnal_step_h"):
+            room_scenarios.run(diurnal_step_h=step)
 
 
 class TestRoomInvariantAuditor:
