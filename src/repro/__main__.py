@@ -19,8 +19,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
-from typing import List
+from typing import Dict, List
 
 from ._version import __version__
 from .core import all_scheduler_names
@@ -85,10 +87,30 @@ def _unknown_names(*checks) -> bool:
     return False
 
 
-def _cmd_run(args) -> int:
-    import os
+@contextlib.contextmanager
+def _environ(values: Dict[str, str]):
+    """Set environment variables for the block, then restore the
+    caller's values, also when the block raises."""
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
-    from .experiments.common import ENV_AUDIT, ENV_WORKERS
+
+def _cmd_run(args) -> int:
+    from .experiments.common import (
+        ENV_AUDIT,
+        ENV_PROFILE,
+        ENV_TELEMETRY,
+        ENV_WORKERS,
+        env_telemetry_dir,
+    )
 
     if args.all:
         experiments = all_experiments()
@@ -102,27 +124,25 @@ def _cmd_run(args) -> int:
             )
             return 2
         experiments = [get_experiment(name) for name in args.names]
-    if not _make_output_dirs(args.telemetry):
+    if not _make_output_dirs(args.telemetry or env_telemetry_dir()):
         return 2
     # Experiments read their scale knobs from ExperimentConfig, which
     # honours these environment variables; the flags are a convenience
-    # spelling of the same contract.
+    # spelling of the same contract, in force for this run only.
+    flags = {}
     if args.workers is not None:
-        os.environ[ENV_WORKERS] = str(args.workers)
+        flags[ENV_WORKERS] = str(args.workers)
     if args.audit:
-        os.environ[ENV_AUDIT] = "1"
+        flags[ENV_AUDIT] = "1"
     if args.telemetry:
-        from .obs.session import ENV_TELEMETRY
-
-        os.environ[ENV_TELEMETRY] = args.telemetry
+        flags[ENV_TELEMETRY] = args.telemetry
     if args.profile:
-        from .obs.session import ENV_PROFILE
-
-        os.environ[ENV_PROFILE] = "1"
-    for experiment in experiments:
-        print(f"==> {experiment.name}: {experiment.title}")
-        experiment.main()
-        print()
+        flags[ENV_PROFILE] = "1"
+    with _environ(flags):
+        for experiment in experiments:
+            print(f"==> {experiment.name}: {experiment.title}")
+            experiment.main()
+            print()
     return 0
 
 
@@ -139,7 +159,7 @@ def _cmd_report(args) -> int:
 def _cmd_sweep(args) -> int:
     from .config.presets import scaled
     from .errors import ConfigurationError, TopologyError, WorkloadError
-    from .obs.session import profile_from_env
+    from .experiments.common import ENV_PROFILE, env_flag, env_telemetry_dir
     from .server.topology import moonshot_sut
     from .sim.export import save_csv, save_json, sweep_summaries
     from .sim.runner import run_sweep
@@ -173,8 +193,9 @@ def _cmd_sweep(args) -> int:
     except (ConfigurationError, TopologyError, WorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    telemetry = args.telemetry or env_telemetry_dir()
     if not _make_output_dirs(
-        args.telemetry, args.resume, files=(args.csv, args.json)
+        telemetry, args.resume, files=(args.csv, args.json)
     ):
         return 2
     if fault_schedule is not None:
@@ -182,11 +203,6 @@ def _cmd_sweep(args) -> int:
             f"fault schedule: {len(fault_schedule)} event(s), "
             f"fingerprint {fault_schedule.fingerprint()[:16]}"
         )
-    telemetry = args.telemetry
-    if telemetry is None:
-        from .obs.session import TelemetryConfig
-
-        telemetry = TelemetryConfig.from_env()
     results = run_sweep(
         topology,
         params,
@@ -198,7 +214,7 @@ def _cmd_sweep(args) -> int:
         fault_schedule=fault_schedule,
         checkpoint_dir=args.resume,
         telemetry=telemetry,
-        profile=args.profile or profile_from_env(),
+        profile=args.profile or env_flag(ENV_PROFILE),
     )
     if args.csv:
         save_csv(results, args.csv)
@@ -386,7 +402,7 @@ def _cmd_room(args) -> int:
     import math
 
     from .errors import ReproError
-    from .experiments.common import ExperimentConfig
+    from .experiments.common import ExperimentConfig, env_telemetry_dir
     from .experiments.room_scenarios import DEFAULT_MIXES, run
     from .room.placement import ROOM_PLACEMENTS
     from .workloads.benchmark import BenchmarkSet
@@ -407,13 +423,14 @@ def _cmd_room(args) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    if not _make_output_dirs(args.telemetry, files=(args.out,)):
+    telemetry = args.telemetry or env_telemetry_dir()
+    if not _make_output_dirs(telemetry, files=(args.out,)):
         return 2
     try:
         config = ExperimentConfig(
             seed=args.seed,
             audit=args.audit,
-            telemetry_dir=args.telemetry,
+            telemetry_dir=telemetry,
         )
         result = run(
             config=config,

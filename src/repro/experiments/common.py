@@ -27,6 +27,13 @@ ENV_WORKERS = "REPRO_WORKERS"
 #: non-empty value other than "0").
 ENV_AUDIT = "REPRO_AUDIT"
 
+#: Environment variable naming the telemetry output directory.
+ENV_TELEMETRY = "REPRO_TELEMETRY"
+
+#: Environment variable enabling per-component profiling (any
+#: non-empty value other than "0").
+ENV_PROFILE = "REPRO_PROFILE"
+
 
 @dataclass
 class ExperimentConfig:
@@ -71,8 +78,6 @@ class ExperimentConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        from ..obs.session import ENV_TELEMETRY, profile_from_env
-
         env_rows = _env_number(ENV_ROWS, int)
         if env_rows is not None:
             self.n_rows = env_rows
@@ -83,13 +88,11 @@ class ExperimentConfig:
         env_workers = _env_number(ENV_WORKERS, int)
         if env_workers is not None:
             self.max_workers = env_workers
-        env_audit = os.environ.get(ENV_AUDIT)
-        if env_audit is not None and env_audit not in ("", "0"):
+        if env_flag(ENV_AUDIT):
             self.audit = True
-        env_telemetry = os.environ.get(ENV_TELEMETRY)
-        if self.telemetry_dir is None and env_telemetry:
-            self.telemetry_dir = env_telemetry
-        if profile_from_env():
+        if self.telemetry_dir is None:
+            self.telemetry_dir = env_telemetry_dir()
+        if env_flag(ENV_PROFILE):
             self.profile = True
         if self.n_rows < 1:
             raise ConfigurationError("n_rows must be >= 1")
@@ -125,6 +128,7 @@ class ExperimentConfig:
         process-wide sweep cache — figures sharing grid points (e.g.
         Figures 14 and 15) recompute nothing.
         """
+        from ..sim.parallel import shared_cache
         from ..sim.runner import run_sweep
 
         return run_sweep(
@@ -135,10 +139,22 @@ class ExperimentConfig:
             self.loads if loads is None else loads,
             max_workers=self.max_workers,
             audit=self.audit,
-            use_cache=True,
+            cache=shared_cache,
             telemetry=self.telemetry_dir,
             profile=self.profile,
         )
+
+
+def env_flag(name: str) -> bool:
+    """Whether environment switch ``name`` is on: set, non-empty and
+    not ``"0"``."""
+    raw = os.environ.get(name)
+    return raw is not None and raw not in ("", "0")
+
+
+def env_telemetry_dir() -> "str | None":
+    """The telemetry directory ``REPRO_TELEMETRY`` names, if any."""
+    return os.environ.get(ENV_TELEMETRY) or None
 
 
 def _env_number(name: str, kind: type):

@@ -14,10 +14,12 @@ the fingerprint oracle tests):
   wall-clock accounting of the step pipeline at <2% overhead.
 - **Run manifests** (:mod:`~repro.obs.manifest`): per-run provenance
   records (parameters, topology recipe, fault schedule, versions,
-  result fingerprint) from which any run can be replayed and verified.
+  result fingerprint) naming the recipe behind each artifact; beside a
+  sweep checkpoint, the manifest also guards its package version.
 
 Enable from the CLI with ``--telemetry DIR`` / ``--profile``, or from
-the environment with ``REPRO_TELEMETRY`` / ``REPRO_PROFILE``.  Check
+the environment with ``REPRO_TELEMETRY`` / ``REPRO_PROFILE`` (read only
+in :mod:`repro.experiments.common`).  Check
 artifacts with ``python -m repro.obs.check DIR``; summarise with
 ``python -m repro.metrics.obs_report DIR``.
 """
@@ -28,17 +30,9 @@ from .manifest import (
     MANIFEST_VERSION,
     RunManifest,
     manifest_for_point,
-    rerun_from_manifest,
-    verify_manifest,
 )
 from .profiler import ComponentProfile, RunProfile, StepProfiler
-from .session import (
-    ENV_PROFILE,
-    ENV_TELEMETRY,
-    TelemetryConfig,
-    TelemetryRecorder,
-    profile_from_env,
-)
+from .session import TelemetryRecorder
 from .writer import (
     DEFAULT_BUFFER_LINES,
     JsonlWriter,
@@ -61,15 +55,9 @@ __all__ = [
     "ComponentProfile",
     "RunProfile",
     "StepProfiler",
-    "ENV_TELEMETRY",
-    "ENV_PROFILE",
-    "TelemetryConfig",
     "TelemetryRecorder",
-    "profile_from_env",
     "MANIFEST_VERSION",
     "MANIFEST_SUFFIX",
     "RunManifest",
     "manifest_for_point",
-    "rerun_from_manifest",
-    "verify_manifest",
 ]

@@ -2,24 +2,15 @@
 
 A :class:`RunManifest` is the machine-readable recipe that produced
 one simulation result: the full simulation parameters, the topology
-construction recipe, the scheduler/benchmark-set/load point, the fault
-schedule (content plus fingerprint), the package version and — when
-available — ``git describe``.  Manifests ride along with sweep
-checkpoints (``<key>.manifest.json`` beside ``<key>.ckpt.pkl``) and
-telemetry directories, so a figure traced back to its artifact can be
-re-run *from the manifest alone* and reproduce the identical result
-fingerprint (:func:`rerun_from_manifest`, pinned by tests).
-
-Reconstruction scope: the standard experiment stack — any
-:class:`~repro.server.topology.ServerTopology` built from scalar
-geometry with the alternating-sink rule (which includes every
-``moonshot_sut`` variant) and any registered processor/scheduler.
-Exotic topologies (uniform-sink ablations, per-site sink callables)
-still get a manifest, but with ``topology.reconstructible = false``
-and only the content token recorded; re-running those raises a clean
-:class:`~repro.errors.ObservabilityError`.  Reconstruction is *proven*
-at manifest-build time by rebuilding the topology and comparing
-content tokens — a manifest never claims a recipe it cannot replay.
+recipe and content token, the scheduler/benchmark-set/load point, the
+fault schedule (content plus fingerprint), the package version, the
+result's content fingerprint and — when available — ``git describe``.
+Manifests ride along with sweep checkpoints (``<key>.manifest.json``
+beside ``<key>.ckpt.pkl``) and telemetry directories, so a figure
+traced back to its artifact names the exact run behind it.  Beside a
+checkpoint the manifest is also the version guard: a pickle whose
+sidecar was written by another package version is recomputed instead
+of loaded (:attr:`RunManifest.version_compatible`).
 """
 
 from __future__ import annotations
@@ -82,8 +73,8 @@ class RunManifest:
         seed: Workload seed (duplicated from ``params`` for grep-ability).
         params: Full :class:`~repro.config.parameters.
             SimulationParameters` field dict.
-        topology: Topology recipe: ``{"reconstructible": bool,
-            "token_sha256": str, ...scalar geometry...}``.
+        topology: Topology recipe: ``{"token_sha256": str,
+            ...scalar geometry...}``.
         fault: Fault schedule content (``fingerprint``, ``response``,
             ``events``), or ``None`` for fault-free runs.
         result_fingerprint: Content fingerprint of the produced result
@@ -134,7 +125,7 @@ class RunManifest:
                 raise ObservabilityError(
                     f"manifest was recorded with stepping {stepping!r}; "
                     f"the adaptive (multi-rate) engine was removed and "
-                    f"only fixed-step runs can be replayed"
+                    f"only fixed-step runs can be read"
                 )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
@@ -151,7 +142,8 @@ class RunManifest:
 
     @property
     def version_compatible(self) -> bool:
-        """Whether this build can faithfully replay the manifest."""
+        """Whether this build wrote the manifest's format and package
+        version (a checkpoint beside it is safe to unpickle)."""
         return (
             self.manifest_version == MANIFEST_VERSION
             and self.package_version == __version__
@@ -208,32 +200,14 @@ class RunManifest:
 # -- building -----------------------------------------------------------
 
 
-def _processor_registry() -> dict:
-    """Registered processors by marketing name."""
-    from ..server import processors as processors_module
-    from ..server.processors import ProcessorSpec
-
-    registry = {}
-    for value in vars(processors_module).values():
-        if isinstance(value, ProcessorSpec):
-            registry[value.name] = value
-    return registry
-
-
-def _topology_token_digest(topology) -> str:
+def _topology_payload(topology) -> dict:
+    """The topology recipe: its scalar geometry and content token."""
     import hashlib
 
     from ..sim.parallel import topology_token
 
-    return hashlib.sha256(topology_token(topology)).hexdigest()
-
-
-def _topology_payload(topology) -> dict:
-    """The topology recipe, proven reconstructible (or marked not)."""
-    from ..sim.parallel import topology_token
-
-    payload = {
-        "token_sha256": _topology_token_digest(topology),
+    return {
+        "token_sha256": hashlib.sha256(topology_token(topology)).hexdigest(),
         "n_sockets": int(topology.n_sockets),
         "kind": type(topology).__name__,
         "processor": topology.processor.name,
@@ -248,49 +222,6 @@ def _topology_payload(topology) -> dict:
         "intra_cartridge_decay": float(topology.intra_cartridge_decay),
         "inter_cartridge_decay": float(topology.inter_cartridge_decay),
     }
-    # Prove the recipe: rebuild from the scalars and compare content
-    # tokens.  Uniform-sink / per-site-sink topologies fail this and
-    # are marked non-reconstructible instead of silently lying.
-    try:
-        candidate = _topology_from_payload(
-            dict(payload, reconstructible=True)
-        )
-        reconstructible = topology_token(candidate) == topology_token(
-            topology
-        )
-    except Exception:
-        reconstructible = False
-    payload["reconstructible"] = reconstructible
-    return payload
-
-
-def _topology_from_payload(payload: dict):
-    from ..server.topology import ServerTopology
-
-    if not payload.get("reconstructible"):
-        raise ObservabilityError(
-            "manifest topology is not reconstructible (non-standard "
-            "sink arrangement); only its content token was recorded"
-        )
-    processors = _processor_registry()
-    name = payload["processor"]
-    if name not in processors:
-        raise ObservabilityError(
-            f"manifest names unknown processor {name!r}"
-        )
-    return ServerTopology(
-        n_rows=int(payload["n_rows"]),
-        lanes_per_row=int(payload["lanes_per_row"]),
-        chain_length=int(payload["chain_length"]),
-        processor=processors[name],
-        sockets_per_cartridge_depth=int(
-            payload["sockets_per_cartridge_depth"]
-        ),
-        socket_airflow_cfm=float(payload["socket_airflow_cfm"]),
-        mixing_factor=float(payload["mixing_factor"]),
-        intra_cartridge_decay=float(payload["intra_cartridge_decay"]),
-        inter_cartridge_decay=float(payload["inter_cartridge_decay"]),
-    )
 
 
 def _fault_payload(fault_schedule) -> Optional[dict]:
@@ -309,76 +240,6 @@ def _fault_payload(fault_schedule) -> Optional[dict]:
     }
 
 
-def _fault_from_payload(payload: Optional[dict]):
-    if payload is None:
-        return None
-    from ..faults import events as fault_events
-    from ..faults.events import SensorFaultMode
-    from ..faults.schedule import FaultResponse, FaultSchedule
-
-    kinds = {
-        name: getattr(fault_events, name)
-        for name in (
-            "FanLaneFault",
-            "SensorFault",
-            "DVFSStuckFault",
-            "SocketKillFault",
-            "PowerCapFault",
-        )
-    }
-    events = []
-    for entry in payload.get("events", ()):
-        entry = dict(entry)
-        kind = entry.pop("kind", None)
-        if kind not in kinds:
-            raise ObservabilityError(
-                f"manifest names unknown fault kind {kind!r}"
-            )
-        if "mode" in entry:
-            entry["mode"] = SensorFaultMode(entry["mode"])
-        try:
-            events.append(kinds[kind](**entry))
-        except TypeError as exc:
-            raise ObservabilityError(
-                f"malformed manifest fault event ({kind}): {exc}"
-            ) from exc
-    try:
-        response = FaultResponse(**payload.get("response", {}))
-    except TypeError as exc:
-        raise ObservabilityError(
-            f"malformed manifest fault response: {exc}"
-        ) from exc
-    schedule = FaultSchedule(events=tuple(events), response=response)
-    recorded = payload.get("fingerprint")
-    if recorded is not None and schedule.fingerprint() != recorded:
-        raise ObservabilityError(
-            "rebuilt fault schedule does not match the manifest's "
-            "recorded fingerprint — the manifest was edited or is from "
-            "an incompatible version"
-        )
-    return schedule
-
-
-def _params_from_payload(payload: dict):
-    from ..config.parameters import SimulationParameters
-
-    known = {
-        f.name for f in dataclasses.fields(SimulationParameters)
-    }
-    unknown = set(payload) - known
-    if unknown:
-        raise ObservabilityError(
-            f"manifest parameters carry unknown fields "
-            f"{sorted(unknown)} — written by an incompatible version"
-        )
-    try:
-        return SimulationParameters(**payload)
-    except TypeError as exc:
-        raise ObservabilityError(
-            f"malformed manifest parameters: {exc}"
-        ) from exc
-
-
 def manifest_for_point(
     topology,
     params,
@@ -393,9 +254,7 @@ def manifest_for_point(
 
     Args:
         result: Optional finished :class:`~repro.sim.results.
-            SimulationResult`; its content fingerprint is recorded so
-            the manifest can later *verify* a reproduction, not just
-            perform one.
+            SimulationResult`; its content fingerprint is recorded.
         profile: Optional :class:`~repro.obs.profiler.RunProfile` to
             embed.
     """
@@ -426,60 +285,3 @@ def manifest_for_point(
         result_fingerprint=fingerprint,
         profile=profile.to_dict() if profile is not None else None,
     )
-
-
-# -- replaying ----------------------------------------------------------
-
-
-def rerun_from_manifest(manifest: RunManifest, audit: bool = False):
-    """Re-run the exact simulation a manifest describes.
-
-    Returns:
-        The fresh :class:`~repro.sim.results.SimulationResult`.  When
-        the manifest recorded a ``result_fingerprint``, the caller can
-        compare it against :func:`repro.sim.fingerprint.
-        result_fingerprint` of the returned result — they must match
-        bit-for-bit on a compatible build.
-
-    Raises:
-        ObservabilityError: if the topology recipe is marked
-            non-reconstructible or any manifest content is malformed.
-    """
-    from ..core import get_scheduler
-    from ..sim.runner import run_once
-    from ..workloads.benchmark import BenchmarkSet
-
-    topology = _topology_from_payload(manifest.topology)
-    params = _params_from_payload(manifest.params)
-    fault_schedule = _fault_from_payload(manifest.fault)
-    auditor = None
-    if audit:
-        from ..sim.invariants import InvariantAuditor
-
-        auditor = InvariantAuditor()
-    return run_once(
-        topology,
-        params,
-        get_scheduler(manifest.scheduler),
-        BenchmarkSet(manifest.benchmark_set),
-        manifest.load,
-        auditor=auditor,
-        fault_schedule=fault_schedule,
-    )
-
-
-def verify_manifest(manifest: RunManifest) -> bool:
-    """Re-run a manifest and check the recorded result fingerprint.
-
-    Raises:
-        ObservabilityError: if the manifest recorded no fingerprint
-            (nothing to verify against) or cannot be replayed.
-    """
-    if manifest.result_fingerprint is None:
-        raise ObservabilityError(
-            "manifest records no result fingerprint to verify against"
-        )
-    from ..sim.fingerprint import result_fingerprint
-
-    result = rerun_from_manifest(manifest)
-    return result_fingerprint(result) == manifest.result_fingerprint

@@ -27,11 +27,10 @@ objects and are only meant to be read back by the same code version
 that wrote them.  Each point may carry a ``<key>.manifest.json``
 provenance sidecar (a :class:`~repro.obs.manifest.RunManifest`): the
 full recipe — parameters, topology, fault schedule, package version,
-result fingerprint — from which the point can be re-run and verified
-independently of the pickle.  The manifest doubles as the version
-guard: a checkpoint whose sidecar was written by a different package
-version is dropped and recomputed instead of silently deserialising
-stale state.
+result fingerprint — readable without unpickling anything.  The
+manifest doubles as the version guard: a checkpoint whose sidecar was
+written by a different package version is dropped and recomputed
+instead of silently deserialising stale state.
 """
 
 from __future__ import annotations

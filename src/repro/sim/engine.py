@@ -236,15 +236,13 @@ class Simulation:
             extra_components: Additional :class:`~repro.sim.pipeline.
                 StepComponent` observers appended after the standard
                 pipeline.
-            telemetry: Optional :class:`repro.obs.session.
-                TelemetryConfig` (or a bare directory path): record a
-                structured JSONL event log per run.  Purely
-                observational — a telemetry-enabled run is bit-identical
-                to a telemetry-off run.
+            telemetry: Optional directory: record a structured JSONL
+                event log per run there.  Purely observational — a
+                telemetry-enabled run is bit-identical to a
+                telemetry-off run.
             profile: Account per-component wall-clock with a
                 :class:`repro.obs.profiler.StepProfiler`; the finished
-                profile lands in ``result.profile``.  Implied by
-                ``telemetry.profile``.
+                profile lands in ``result.profile``.
             run_name: Base name of telemetry log files (each run
                 appends ``-r<k>`` so reuse never interleaves logs).
         """
@@ -257,12 +255,6 @@ class Simulation:
         self.auditor = auditor
         self.fault_schedule = fault_schedule
         self.extra_components = tuple(extra_components)
-        if telemetry is not None:
-            # Local import: repro.obs is an optional observer layer.
-            from ..obs.session import TelemetryConfig
-
-            telemetry = TelemetryConfig.coerce(telemetry, profile=profile)
-            profile = telemetry.profile
         self.telemetry = telemetry
         self.profile = bool(profile)
         self.run_name = run_name
@@ -288,6 +280,7 @@ class Simulation:
         extra = list(self.extra_components)
         if self.telemetry is not None:
             if self._recorder is None:
+                # Local import: repro.obs is an optional observer layer.
                 from ..obs.session import TelemetryRecorder
 
                 self._recorder = TelemetryRecorder(

@@ -18,21 +18,21 @@ the results bit-identical to serial execution:
 
 The pool path is additionally *crash-resilient*: a worker that dies
 (OOM kill, segfault) breaks the pool, and the harness rebuilds it and
-retries only the unfinished points, with exponential backoff, up to
-``max_retries`` rounds before falling back to in-process serial
-execution for whatever is left.  Deterministic failures — anything in
-the :class:`~repro.errors.ReproError` hierarchy, such as an
+retries only the unfinished points, with exponential backoff, for up
+to two more rounds before falling back to in-process serial execution
+for whatever is left.  Deterministic failures — anything in the
+:class:`~repro.errors.ReproError` hierarchy, such as an
 :class:`~repro.sim.invariants.InvariantViolation` — propagate
 immediately: re-running a deterministic simulation cannot change its
-outcome.  An optional per-point ``timeout_s`` bounds hung workers.
+outcome.
 
 A process-wide :class:`SweepCache` memoises results keyed on the full
 configuration (topology, parameters, scheduler name, benchmark set,
 load, fault schedule), so repeated figure runs in one process — e.g.
 Figure 14 and Figure 15 share their entire grid — skip identical
-configurations.  The cache holds at most ``REPRO_CACHE_MAX`` entries
-(least-recently-used eviction), bounding sweep memory on large grids.
-Cached results are returned by reference; callers must treat
+configurations.  The cache holds at most :data:`DEFAULT_CACHE_MAX`
+entries (least-recently-used eviction), bounding sweep memory on large
+grids.  Cached results are returned by reference; callers must treat
 :class:`~repro.sim.results.SimulationResult` objects as read-only
 (which every experiment already does).  For durability *across*
 processes, pass a :class:`~repro.sim.checkpoint.SweepCheckpoint`:
@@ -44,31 +44,33 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..config.parameters import SimulationParameters
-from ..errors import ConfigurationError, ReproError, SimulationError
+from ..errors import ConfigurationError, ReproError
 from ..obs.events import EventBus
 from ..obs.writer import JsonlWriter
 from ..server.topology import ServerTopology
 from ..workloads.benchmark import BenchmarkSet
 from .checkpoint import SweepCheckpoint
-from .invariants import DEFAULT_INTERVAL_STEPS
 from .results import SimulationResult
 
 #: One sweep point: (scheduler name, benchmark set, load).
 SweepPoint = Tuple[str, BenchmarkSet, float]
 
-#: Environment variable bounding the in-process sweep cache.
-ENV_CACHE_MAX = "REPRO_CACHE_MAX"
-
-#: Default cache bound when ``REPRO_CACHE_MAX`` is unset.
+#: Default bound of a :class:`SweepCache`, in results.
 DEFAULT_CACHE_MAX = 256
+
+#: Pool rounds re-attempted after worker crashes before the leftover
+#: points run serially.
+_MAX_RETRIES = 2
+
+#: Base of the exponential sleep between retry rounds, seconds.
+_RETRY_BACKOFF_S = 0.25
 
 
 def topology_token(topology: ServerTopology) -> bytes:
@@ -135,20 +137,6 @@ def config_key(
     return digest.hexdigest()
 
 
-def _env_cache_max() -> Optional[int]:
-    """Cache bound from ``REPRO_CACHE_MAX`` (``<= 0`` means unbounded)."""
-    raw = os.environ.get(ENV_CACHE_MAX)
-    if raw is None:
-        return DEFAULT_CACHE_MAX
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"{ENV_CACHE_MAX} must be an integer, got {raw!r}"
-        ) from exc
-    return value if value > 0 else None
-
-
 class SweepCache:
     """Bounded, process-local LRU memo cache for sweep results.
 
@@ -168,27 +156,16 @@ class SweepCache:
         evictions: Entries dropped to respect ``max_entries``.
     """
 
-    def __init__(self, max_entries: Optional[int] = -1):
+    def __init__(self, max_entries: Optional[int] = DEFAULT_CACHE_MAX):
         if max_entries is not None and not isinstance(max_entries, int):
             raise ConfigurationError(
                 f"cache max_entries must be an int or None, got "
                 f"{type(max_entries).__name__} ({max_entries!r})"
             )
-        if max_entries == -1:
-            # The -1 sentinel defers to the environment (REPRO_CACHE_MAX,
-            # default DEFAULT_CACHE_MAX); it is the only negative value
-            # with a meaning.
-            max_entries = _env_cache_max()
-        elif max_entries is not None and max_entries < -1:
+        if max_entries is not None and max_entries < 1:
             raise ConfigurationError(
-                f"cache max_entries must be positive, None (unbounded), "
-                f"or the -1 sentinel (use {ENV_CACHE_MAX}); got "
-                f"{max_entries}"
-            )
-        elif max_entries is not None and max_entries == 0:
-            raise ConfigurationError(
-                "cache max_entries of 0 would cache nothing; use a "
-                "positive bound, or None to run unbounded"
+                f"cache max_entries must be positive (0 would cache "
+                f"nothing), or None to run unbounded; got {max_entries}"
             )
         self.max_entries = max_entries
         self._store: "OrderedDict[str, SimulationResult]" = OrderedDict()
@@ -230,7 +207,8 @@ class SweepCache:
         return len(self._store)
 
 
-#: Shared per-process cache used by ``use_cache=True`` sweeps.
+#: Process-wide cache; ``ExperimentConfig.sweep`` passes it as
+#: ``cache=``, so figures sharing grid points recompute nothing.
 shared_cache = SweepCache()
 
 
@@ -244,7 +222,6 @@ def _run_point(
     params: SimulationParameters,
     point: SweepPoint,
     audit: bool,
-    audit_interval: int,
     fault_schedule=None,
     telemetry=None,
     profile: bool = False,
@@ -254,10 +231,9 @@ def _run_point(
 
     The scheduler is constructed *inside* the executing process from its
     registered name, so stateful policies always start fresh and no
-    policy object ever crosses a process boundary.  The telemetry
-    config is a frozen value object, so it crosses the fork boundary by
-    construction; each point writes its own ``point-<key>`` log and
-    manifest, named by the configuration key so artifacts from
+    policy object ever crosses a process boundary.  Each point writes
+    its own ``point-<key>`` log and manifest into the telemetry
+    directory, named by the configuration key so artifacts from
     different points can never collide.
     """
     from ..core import get_scheduler  # local import: avoids cycle
@@ -268,7 +244,7 @@ def _run_point(
     if audit:
         from .invariants import InvariantAuditor
 
-        auditor = InvariantAuditor(interval_steps=audit_interval)
+        auditor = InvariantAuditor()
     run_name = "run"
     if point_key is not None:
         run_name = f"point-{point_key[:12]}"
@@ -300,12 +276,8 @@ def execute_sweep(
     points: Sequence[SweepPoint],
     max_workers: int = 1,
     audit: bool = False,
-    audit_interval: int = DEFAULT_INTERVAL_STEPS,
     cache: Optional[SweepCache] = None,
     fault_schedule=None,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 2,
-    retry_backoff_s: float = 0.25,
     checkpoint: Optional[SweepCheckpoint] = None,
     telemetry=None,
     profile: bool = False,
@@ -321,37 +293,24 @@ def execute_sweep(
         max_workers: Process count; ``1`` forces the serial path.
         audit: Run each point under a fresh
             :class:`~repro.sim.invariants.InvariantAuditor`.
-        audit_interval: Audit cadence in engine steps.
         cache: Optional memo cache consulted before and filled after
             execution.
         fault_schedule: Optional :class:`~repro.faults.schedule.
             FaultSchedule` replayed in every point (the schedule also
             joins the cache/checkpoint key).
-        timeout_s: Optional per-point wall-clock bound in the pool
-            path; a point that exceeds it counts as a failed attempt
-            and is never retried serially (a hung simulation would hang
-            the parent too).
-        max_retries: Pool rounds re-attempted after worker crashes or
-            timeouts before falling back to serial execution of the
-            leftover points.  Deterministic
-            :class:`~repro.errors.ReproError` failures are never
-            retried.
-        retry_backoff_s: Base of the exponential sleep between retry
-            rounds.
         checkpoint: Optional :class:`~repro.sim.checkpoint.
             SweepCheckpoint`; finished points load from it up front and
             every newly computed point persists to it *immediately*, so
             a sweep killed mid-flight resumes bit-identically.  Every
             persisted point gets a ``.manifest.json`` provenance
             sidecar recording the full recipe and result fingerprint.
-        telemetry: Optional :class:`~repro.obs.session.TelemetryConfig`
-            (or bare directory).  The harness appends its own events
-            (``sweep_start``, ``cache_hit``, ``point_done``,
-            ``checkpoint_write``, ``pool_retry``, ``pool_timeout``,
-            ``sweep_end``) to ``sweep.jsonl`` in that directory —
-            append mode, so an interrupted-and-resumed sweep keeps one
-            continuous harness log — and each executed point records
-            its own per-run event log and manifest there.
+        telemetry: Optional directory.  The harness appends its own
+            events (``sweep_start``, ``cache_hit``, ``point_done``,
+            ``checkpoint_write``, ``pool_retry``, ``sweep_end``) to
+            ``sweep.jsonl`` there — append mode, so an
+            interrupted-and-resumed sweep keeps one continuous harness
+            log — and each executed point records its own per-run
+            event log and manifest there.
         profile: Attach per-component wall-clock accounting to every
             point's ``result.profile``.
 
@@ -360,24 +319,10 @@ def execute_sweep(
         the order given.
 
     Raises:
-        SimulationError: propagated from any point (including
+        SimulationError: propagated from any point, including an
             :class:`~repro.sim.invariants.InvariantViolation` raised
-            inside a worker process), or raised for points that
-            exhausted their timeout attempts.
+            inside a worker process.
     """
-    if max_retries < 0:
-        raise ConfigurationError("max_retries must be >= 0")
-    if retry_backoff_s < 0:
-        raise ConfigurationError("retry_backoff_s must be >= 0")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ConfigurationError("timeout_s must be positive")
-
-    if telemetry is not None:
-        from ..obs.session import TelemetryConfig
-
-        telemetry = TelemetryConfig.coerce(telemetry, profile=profile)
-        profile = telemetry.profile
-
     results: List[Optional[SimulationResult]] = [None] * len(points)
     pending: List[int] = []
     keys: List[Optional[str]] = [None] * len(points)
@@ -411,15 +356,9 @@ def execute_sweep(
     bus = EventBus()
     writer = None
     if telemetry is not None:
-        from pathlib import Path
-
         # One continuous harness log per directory: append mode keeps
         # a killed-and-resumed sweep's rounds in a single stream.
-        writer = JsonlWriter(
-            Path(telemetry.directory) / "sweep.jsonl",
-            telemetry.buffer_lines,
-            append=True,
-        )
+        writer = JsonlWriter(Path(telemetry) / "sweep.jsonl", append=True)
         bus.subscribe(writer.emit)
     bus.emit(
         "sweep_start",
@@ -435,9 +374,8 @@ def execute_sweep(
         if checkpoint is not None:
             from ..obs.manifest import manifest_for_point
 
-            # Every persisted point carries its provenance sidecar, so
-            # any figure built from a checkpoint directory can be
-            # re-run and verified from the artifacts alone.
+            # Every persisted point carries its provenance sidecar: the
+            # recipe, the result fingerprint and the version guard.
             manifest = manifest_for_point(
                 topology,
                 params,
@@ -473,11 +411,7 @@ def execute_sweep(
                     pending,
                     workers,
                     audit,
-                    audit_interval,
                     fault_schedule,
-                    timeout_s,
-                    max_retries,
-                    retry_backoff_s,
                     record,
                     telemetry=telemetry,
                     profile=profile,
@@ -492,7 +426,6 @@ def execute_sweep(
                         params,
                         points[i],
                         audit,
-                        audit_interval,
                         fault_schedule,
                         telemetry=telemetry,
                         profile=profile,
@@ -513,33 +446,25 @@ def _run_pool(
     pending: Sequence[int],
     workers: int,
     audit: bool,
-    audit_interval: int,
     fault_schedule,
-    timeout_s: Optional[float],
-    max_retries: int,
-    retry_backoff_s: float,
     record: Callable[[int, SimulationResult], None],
     bus,
-    telemetry=None,
-    profile: bool = False,
-    keys: Optional[Sequence[Optional[str]]] = None,
+    telemetry,
+    profile: bool,
+    keys: Sequence[Optional[str]],
 ) -> List[int]:
     """Fan points out over a fork-based process pool, with recovery.
 
-    Runs up to ``1 + max_retries`` pool rounds.  Each round submits
+    Runs up to ``1 + _MAX_RETRIES`` pool rounds.  Each round submits
     every still-unfinished point; successes are recorded immediately
     (checkpoint durability), deterministic :class:`ReproError` failures
-    propagate, and crash-type failures (broken pool, timeout, pickling
-    trouble) leave the point for the next round.  Returns the indices
-    still unfinished after the last round, for the caller's serial
-    fallback — except points that *timed out*, which raise instead:
-    a simulation that outlived its budget in a worker would also hang
-    the parent process.
+    propagate, and crash-type failures (broken pool, pickling trouble)
+    leave the point for the next round.  Returns the indices still
+    unfinished after the last round, for the caller's serial fallback.
     """
     context = multiprocessing.get_context("fork")
     remaining: List[int] = list(pending)
-    timed_out: Dict[int, int] = {}
-    for round_no in range(1 + max_retries):
+    for round_no in range(1 + _MAX_RETRIES):
         if not remaining:
             break
         if round_no:
@@ -548,8 +473,7 @@ def _run_pool(
                 round=round_no,
                 remaining=len(remaining),
             )
-            if retry_backoff_s > 0:
-                time.sleep(retry_backoff_s * 2 ** (round_no - 1))
+            time.sleep(_RETRY_BACKOFF_S * 2 ** (round_no - 1))
         try:
             pool = ProcessPoolExecutor(
                 max_workers=min(workers, len(remaining)),
@@ -557,7 +481,6 @@ def _run_pool(
             )
         except (OSError, PermissionError):
             return remaining  # sandboxed: no new processes at all
-        hung = False
         try:
             try:
                 futures = {
@@ -567,11 +490,10 @@ def _run_pool(
                         params,
                         points[i],
                         audit,
-                        audit_interval,
                         fault_schedule,
                         telemetry,
                         profile,
-                        keys[i] if keys is not None else None,
+                        keys[i],
                     )
                     for i in remaining
                 }
@@ -586,31 +508,11 @@ def _run_pool(
                 # machinery entirely.
                 continue
             still: List[int] = []
-            order = iter(list(remaining))
-            for i in order:
+            for i in remaining:
                 try:
-                    result = futures[i].result(timeout=timeout_s)
+                    result = futures[i].result()
                 except ReproError:
                     raise  # deterministic: a retry cannot change it
-                except FutureTimeoutError:
-                    timed_out[i] = timed_out.get(i, 0) + 1
-                    hung = True
-                    still.append(i)
-                    bus.emit(
-                        "pool_timeout",
-                        index=i,
-                        attempt=timed_out[i],
-                    )
-                    # The pool is wedged on the hung worker.  Harvest
-                    # whatever already finished, requeue the rest, and
-                    # abandon the round.
-                    for j in order:
-                        done = futures[j]
-                        if done.done() and done.exception() is None:
-                            record(j, done.result())
-                        else:
-                            still.append(j)
-                    break
                 except Exception:
                     # Crash-type failure (broken pool, pickling, OS):
                     # leave the point for the next round.
@@ -619,16 +521,5 @@ def _run_pool(
                     record(i, result)
             remaining = still
         finally:
-            if hung:
-                # Do not wait on the hung worker; kill the pool.
-                for proc in getattr(pool, "_processes", {}).values():
-                    proc.terminate()
-            pool.shutdown(wait=not hung, cancel_futures=True)
-    hopeless = [i for i in remaining if timed_out.get(i, 0) > 0]
-    if hopeless:
-        raise SimulationError(
-            f"sweep points {hopeless} exceeded the {timeout_s:g}s "
-            f"per-point timeout in {max(timed_out.values())} attempt(s); "
-            "not retrying serially (a hung point would hang the parent)"
-        )
+            pool.shutdown(wait=True, cancel_futures=True)
     return remaining

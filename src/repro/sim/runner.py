@@ -9,7 +9,6 @@ from ..server.topology import ServerTopology
 from ..workloads.arrivals import ArrivalProcess
 from ..workloads.benchmark import BenchmarkSet
 from .engine import Simulation
-from .invariants import DEFAULT_INTERVAL_STEPS
 from .results import SimulationResult
 
 
@@ -42,12 +41,11 @@ def run_once(
             run.
         fault_schedule: Optional :class:`~repro.faults.schedule.
             FaultSchedule` replayed deterministically during the run.
-        telemetry: Optional :class:`~repro.obs.session.TelemetryConfig`
-            (or bare directory): record a structured JSONL event log
-            plus a ``.manifest.json`` provenance record for the run.
-            Strictly observational — results stay bit-identical.
+        telemetry: Optional directory: record a structured JSONL event
+            log plus a ``.manifest.json`` provenance record for the run
+            there.  Strictly observational — results stay bit-identical.
         profile: Attach per-component wall-clock accounting to
-            ``result.profile`` (implied by ``telemetry.profile``).
+            ``result.profile``.
         run_name: Base name for the run's telemetry artifacts.
     """
     arrivals = ArrivalProcess(
@@ -69,7 +67,7 @@ def run_once(
         run_name=run_name,
     )
     result = simulation.run(jobs)
-    if simulation.telemetry is not None:
+    if telemetry is not None:
         from pathlib import Path
 
         from ..obs.manifest import manifest_for_point
@@ -84,10 +82,7 @@ def run_once(
             result=result,
             profile=result.profile,
         )
-        manifest.save(
-            Path(simulation.telemetry.directory)
-            / f"{run_name}.manifest.json"
-        )
+        manifest.save(Path(telemetry) / f"{run_name}.manifest.json")
     return result
 
 
@@ -99,13 +94,8 @@ def run_sweep(
     loads: Sequence[float],
     max_workers: int = 1,
     audit: bool = False,
-    audit_interval: int = DEFAULT_INTERVAL_STEPS,
-    use_cache: bool = False,
     cache=None,
     fault_schedule=None,
-    timeout_s=None,
-    max_retries: int = 2,
-    retry_backoff_s: float = 0.25,
     checkpoint_dir=None,
     telemetry=None,
     profile: bool = False,
@@ -128,29 +118,22 @@ def run_sweep(
             keeps the classic serial loop.
         audit: Run every point under a fresh
             :class:`~repro.sim.invariants.InvariantAuditor`.
-        audit_interval: Audit cadence in engine steps.
-        use_cache: Memoise results in the process-wide
-            :data:`repro.sim.parallel.shared_cache` so repeated sweeps
-            over identical configurations skip the simulation.
-        cache: Explicit :class:`~repro.sim.parallel.SweepCache`
-            overriding ``use_cache``.
+        cache: Optional :class:`~repro.sim.parallel.SweepCache` that
+            memoises results, so repeated sweeps over identical
+            configurations skip the simulation (pass
+            :data:`repro.sim.parallel.shared_cache` to share one
+            across a process).
         fault_schedule: Optional :class:`~repro.faults.schedule.
             FaultSchedule` replayed deterministically in *every* grid
             point (it also joins the cache/checkpoint key).
-        timeout_s: Optional per-point wall-clock bound in the parallel
-            path (see :func:`~repro.sim.parallel.execute_sweep`).
-        max_retries: Pool rounds re-attempted after worker crashes
-            before the leftover points fall back to serial execution.
-        retry_backoff_s: Base of the exponential sleep between retry
-            rounds.
         checkpoint_dir: Optional directory; every finished point is
             persisted there immediately (atomic per-point pickles with
             ``.manifest.json`` provenance sidecars), and a re-run with
             the same configuration resumes bit-identically from
             whatever completed.
-        telemetry: Optional :class:`~repro.obs.session.TelemetryConfig`
-            (or bare directory): record a sweep-level ``sweep.jsonl``
-            harness log plus one per-point event log and manifest.
+        telemetry: Optional directory: record a sweep-level
+            ``sweep.jsonl`` harness log plus one per-point event log
+            and manifest there.
         profile: Attach per-component wall-clock accounting to every
             point's ``result.profile``.
 
@@ -159,7 +142,7 @@ def run_sweep(
         run's :class:`SimulationResult`.
     """
     from .checkpoint import SweepCheckpoint
-    from .parallel import execute_sweep, shared_cache
+    from .parallel import execute_sweep
 
     points = [
         (name, benchmark_set, load)
@@ -167,8 +150,6 @@ def run_sweep(
         for load in loads
         for name in scheduler_names
     ]
-    if cache is None and use_cache:
-        cache = shared_cache
     checkpoint = None
     if checkpoint_dir is not None:
         checkpoint = SweepCheckpoint(checkpoint_dir)
@@ -178,12 +159,8 @@ def run_sweep(
         points,
         max_workers=max_workers,
         audit=audit,
-        audit_interval=audit_interval,
         cache=cache,
         fault_schedule=fault_schedule,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        retry_backoff_s=retry_backoff_s,
         checkpoint=checkpoint,
         telemetry=telemetry,
         profile=profile,

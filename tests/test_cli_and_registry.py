@@ -203,6 +203,40 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error: ")
         assert not directory.exists()
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_run_restores_the_callers_environment(self, monkeypatch, fails):
+        """``run``'s flags reach the experiments through the environment
+        and leave it as the caller had it, also when a run raises."""
+        experiment = get_experiment("table2")
+        seen = {}
+
+        def _main():
+            seen.update(
+                (name, os.environ.get(name))
+                for name in ("REPRO_WORKERS", "REPRO_AUDIT", "REPRO_PROFILE")
+            )
+            if fails:
+                raise RuntimeError("experiment failed")
+
+        monkeypatch.setattr(experiment.module, "main", _main)
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        argv = ["run", "table2", "--workers", "2", "--audit", "--profile"]
+        if fails:
+            with pytest.raises(RuntimeError, match="experiment failed"):
+                main(argv)
+        else:
+            assert main(argv) == 0
+        assert seen == {
+            "REPRO_WORKERS": "2",
+            "REPRO_AUDIT": "1",
+            "REPRO_PROFILE": "1",
+        }
+        assert os.environ["REPRO_WORKERS"] == "3"
+        assert "REPRO_AUDIT" not in os.environ
+        assert "REPRO_PROFILE" not in os.environ
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -291,6 +325,29 @@ class TestUnusableOutputPaths:
         assert main(["run", "table2", "--telemetry", str(bad_dir)]) == 2
         self.assert_one_error_line(capsys, bad_dir)
         assert os.environ.get("REPRO_TELEMETRY") == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--rows", "1", "--sim-time", "1"],
+            ["run", "fig11"],
+            ["room"],
+        ],
+        ids=["sweep", "run", "room"],
+    )
+    def test_environment_telemetry(self, capsys, monkeypatch, bad_dir, argv):
+        """``REPRO_TELEMETRY`` gets the same early check as the flag."""
+        import repro.experiments.registry
+        import repro.experiments.room_scenarios
+        import repro.sim.runner
+
+        experiment = repro.experiments.registry.get_experiment("fig11")
+        self.forbid(monkeypatch, repro.sim.runner, "run_sweep")
+        self.forbid(monkeypatch, experiment.module, "main")
+        self.forbid(monkeypatch, repro.experiments.room_scenarios, "run")
+        monkeypatch.setenv("REPRO_TELEMETRY", str(bad_dir))
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys, bad_dir)
 
     def test_report(self, capsys, monkeypatch, bad_dir):
         import repro.experiments.report

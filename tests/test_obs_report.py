@@ -55,7 +55,7 @@ def _write_manifest(path, scheduler="CF", profile=None):
         load=0.5,
         seed=4,
         params=dict(smoke(seed=4).__dict__),
-        topology={"reconstructible": False, "token_sha256": "0" * 64},
+        topology={"token_sha256": "0" * 64},
         profile=profile.to_dict() if profile else None,
     )
     manifest.save(path)

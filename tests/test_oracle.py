@@ -53,7 +53,6 @@ from repro.core.prediction import (
 )
 from repro.core.predictive import SINK_TIEBREAK_WEIGHT, Predictive
 from repro.faults import FaultSchedule
-from repro.obs.session import TelemetryConfig
 from repro.obs.writer import read_events
 from repro.server.topology import ServerTopology, moonshot_sut
 from repro.sim.engine import Simulation
@@ -264,9 +263,8 @@ def test_run_matches_golden(
 ):
     observers = {}
     if mode == "telemetry":
-        observers["telemetry"] = TelemetryConfig(
-            directory=str(tmp_path), profile=True
-        )
+        observers["telemetry"] = tmp_path
+        observers["profile"] = True
     elif mode == "audit":
         observers["auditor"] = InvariantAuditor()
     elif mode == "empty_faults":

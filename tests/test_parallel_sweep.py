@@ -64,9 +64,7 @@ class TestParallelSerialEquivalence:
         """Auditing is read-only: it changes no metric bit."""
         params = smoke(seed=5)
         plain = run_sweep(small_sut, params, **GRID)
-        audited = run_sweep(
-            small_sut, params, **GRID, audit=True, audit_interval=20
-        )
+        audited = run_sweep(small_sut, params, **GRID, audit=True)
         assert_results_identical(plain, audited)
 
     def test_scheduler_error_propagates_from_worker(self, small_sut):
@@ -106,9 +104,10 @@ class TestSweepCache:
         parallel.clear_shared_cache()
         try:
             params = smoke(seed=3)
-            run_sweep(small_sut, params, **GRID, use_cache=True)
+            cache = parallel.shared_cache
+            run_sweep(small_sut, params, **GRID, cache=cache)
             before = parallel.shared_cache.hits
-            run_sweep(small_sut, params, **GRID, use_cache=True)
+            run_sweep(small_sut, params, **GRID, cache=cache)
             assert parallel.shared_cache.hits - before == len(
                 GRID["scheduler_names"]
             ) * len(GRID["loads"])
@@ -136,20 +135,18 @@ class TestSweepCache:
         cache.clear()
         assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
 
-    def test_sentinel_reads_env_bound(self, monkeypatch):
-        monkeypatch.setenv(parallel.ENV_CACHE_MAX, "3")
-        assert SweepCache(max_entries=-1).max_entries == 3
-        monkeypatch.setenv(parallel.ENV_CACHE_MAX, "0")
-        assert SweepCache(max_entries=-1).max_entries is None
-
     def test_explicit_bounds_bypass_env(self, monkeypatch):
-        monkeypatch.setenv(parallel.ENV_CACHE_MAX, "3")
+        """The bound is 256 unless the caller passes one; the
+        environment never sets it."""
+        monkeypatch.setenv("REPRO_CACHE_MAX", "3")
+        assert SweepCache().max_entries == 256
         assert SweepCache(max_entries=7).max_entries == 7
         assert SweepCache(max_entries=None).max_entries is None
 
-    def test_negative_bound_rejected_naming_sentinel(self):
-        with pytest.raises(ConfigurationError, match="-1 sentinel"):
-            SweepCache(max_entries=-5)
+    def test_negative_bound_rejected(self):
+        for bound in (-1, -5):
+            with pytest.raises(ConfigurationError, match="must be positive"):
+                SweepCache(max_entries=bound)
 
     def test_zero_bound_rejected(self):
         with pytest.raises(
@@ -300,20 +297,14 @@ class TestRetryEdgeCases:
         def shutdown(self, *args, **kwargs):
             pass
 
-    def _run(self, small_sut, monkeypatch, pool_cls, max_retries):
+    def _run(self, small_sut, monkeypatch, pool_cls):
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", pool_cls)
         sleeps = []
         monkeypatch.setattr(
             parallel.time, "sleep", lambda s: sleeps.append(s)
         )
         params = smoke(seed=2)
-        results = run_sweep(
-            small_sut,
-            params,
-            **GRID,
-            max_workers=4,
-            max_retries=max_retries,
-        )
+        results = run_sweep(small_sut, params, **GRID, max_workers=4)
         return results, sleeps, params
 
     def test_submit_time_broken_pool_falls_back_to_serial(
@@ -324,7 +315,7 @@ class TestRetryEdgeCases:
         propagate straight out of execute_sweep)."""
         self._BrokenAtSubmitPool.instances = 0
         results, sleeps, params = self._run(
-            small_sut, monkeypatch, self._BrokenAtSubmitPool, 2
+            small_sut, monkeypatch, self._BrokenAtSubmitPool
         )
         reference = run_sweep(small_sut, params, **GRID, max_workers=1)
         assert_results_identical(results, reference)
@@ -337,19 +328,19 @@ class TestRetryEdgeCases:
         """Crashes through the last retry round leave every point to
         the serial leg, with the documented exponential backoff."""
         results, sleeps, params = self._run(
-            small_sut, monkeypatch, self._BrokenAtResultPool, 2
+            small_sut, monkeypatch, self._BrokenAtResultPool
         )
         reference = run_sweep(small_sut, params, **GRID, max_workers=1)
         assert_results_identical(results, reference)
         # Two retry rounds after the first: backoff doubles each time.
-        backoff = 0.25  # execute_sweep's retry_backoff_s default
-        assert sleeps == [backoff, backoff * 2]
+        assert sleeps == [0.25, 0.5]
 
     def test_zero_retry_budget_goes_straight_to_serial(
         self, small_sut, monkeypatch
     ):
+        monkeypatch.setattr(parallel, "_MAX_RETRIES", 0)
         results, sleeps, params = self._run(
-            small_sut, monkeypatch, self._BrokenAtResultPool, 0
+            small_sut, monkeypatch, self._BrokenAtResultPool
         )
         reference = run_sweep(small_sut, params, **GRID, max_workers=1)
         assert_results_identical(results, reference)
@@ -358,7 +349,6 @@ class TestRetryEdgeCases:
     def test_retry_rounds_are_telemetered(
         self, small_sut, monkeypatch, tmp_path
     ):
-        from repro.obs.session import TelemetryConfig
         from repro.obs.writer import read_events
 
         monkeypatch.setattr(
@@ -370,8 +360,7 @@ class TestRetryEdgeCases:
             smoke(seed=2),
             **GRID,
             max_workers=4,
-            max_retries=2,
-            telemetry=TelemetryConfig(directory=tmp_path),
+            telemetry=tmp_path,
         )
         retries = [
             e
