@@ -24,7 +24,8 @@ Backpressure is visible on the wire: a shed request answers with
 A line that is not a valid query — bad or too deeply nested JSON,
 invalid UTF-8, out-of-range values, or longer than the 64 KiB stream
 limit — answers with one ``{"status": "error", "reason": ...}`` line
-and the connection stays open.
+and the connection stays open.  :meth:`FleetService.stop` answers the
+lines each connection has already read, then closes it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import contextlib
 import json
 import math
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..errors import FleetError
 from ..obs.events import EventBus
@@ -111,6 +112,11 @@ def query_from_json(obj: dict):
     )
 
 
+#: Seconds :meth:`FleetService.stop` waits for a connection to write
+#: its last answers before it aborts the connection.
+_CLOSE_GRACE_S = 5.0
+
+
 def _next_tick(tick: int, now: float, interval_s: float) -> int:
     """The index of the tick to run after tick ``tick``.
 
@@ -165,6 +171,10 @@ class FleetService:
         self._waiters: Dict[int, asyncio.Future] = {}
         # The exception that ended the tick loop, if one did.
         self._failure: Optional[Exception] = None
+        # The task of each open connection, with its reader and writer.
+        self._connections: Dict[
+            asyncio.Task, Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+        ] = {}
 
     def _now(self) -> float:
         if self._epoch is None:
@@ -249,10 +259,12 @@ class FleetService:
         return await future
 
     async def stop(self) -> None:
-        """Resolve stragglers and stop workers; a second call returns.
+        """Resolve stragglers, stop workers and close every connection.
 
         The coordinator is finished even when the tick loop died; its
-        exception is re-raised after that.
+        exception is re-raised after that.  Each open connection then
+        writes the answers to the lines it has already read and closes.
+        A second call returns at once.
         """
         task, self._tick_task = self._tick_task, None
         try:
@@ -263,9 +275,31 @@ class FleetService:
         finally:
             if self.coordinator is not None and not self.coordinator.finished:
                 self.coordinator.finish(self._now())
+            await self._close_connections()
+
+    async def _close_connections(self) -> None:
+        """End every connection's input and await its task.
+
+        A connection that has not finished writing within
+        ``_CLOSE_GRACE_S`` (a client that stopped reading) is aborted.
+        The tasks end normally, never cancelled, so asyncio's stream
+        callback has no exception to report.
+        """
+        while self._connections:
+            for reader, writer in self._connections.values():
+                # No data may arrive after the end of input is fed.
+                writer.transport.pause_reading()
+                reader.feed_eof()
+            _, stuck = await asyncio.wait(
+                list(self._connections), timeout=_CLOSE_GRACE_S
+            )
+            for task in stuck:
+                self._connections[task][1].transport.abort()
 
     async def handle_connection(self, reader, writer) -> None:
         """Serve one JSON-lines client connection."""
+        task = asyncio.current_task()
+        self._connections[task] = (reader, writer)
         try:
             while True:
                 line = await _read_line(reader)
@@ -294,6 +328,7 @@ class FleetService:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[task]
             # A worker restarted while this connection was open was
             # forked with a copy of its socket, so close() alone sends
             # no FIN: shut the socket down so the client sees the end.

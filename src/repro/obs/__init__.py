@@ -8,8 +8,9 @@ the fingerprint oracle tests):
   :mod:`~repro.obs.writer`, :mod:`~repro.obs.session`): an
   :class:`~repro.obs.events.EventBus` validates each event of every
   layer (engine, sweep harness, room solver, fleet) once and fans it
-  out to subscribers, such as a buffered non-blocking JSONL writer
-  that leaves parseable logs even when the process is SIGKILLed.
+  out to subscribers, such as a buffered JSONL writer that writes on
+  the emitting thread and leaves parseable logs even when the process
+  is SIGKILLed.
 - **Per-step profiling** (:mod:`~repro.obs.profiler`): per-component
   wall-clock accounting of the step pipeline at <2% overhead.
 - **Run manifests** (:mod:`~repro.obs.manifest`): per-run provenance
@@ -33,13 +34,7 @@ from .manifest import (
 )
 from .profiler import ComponentProfile, RunProfile, StepProfiler
 from .session import TelemetryRecorder
-from .writer import (
-    DEFAULT_BUFFER_LINES,
-    JsonlWriter,
-    encode_event,
-    iter_events,
-    read_events,
-)
+from .writer import JsonlWriter, encode_event, iter_events, read_events
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -47,7 +42,6 @@ __all__ = [
     "EventBus",
     "make_event",
     "validate_event",
-    "DEFAULT_BUFFER_LINES",
     "JsonlWriter",
     "encode_event",
     "iter_events",

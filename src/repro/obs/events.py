@@ -260,8 +260,9 @@ class EventBus:
     """Validate each event once and hand it to every subscriber.
 
     A subscriber is any ``Callable[[dict], None]`` (``JsonlWriter.emit``,
-    ``list.append``, a room ``emit=`` sink); all receive the same dict
-    and must not mutate it.  The bus closes nothing.
+    ``list.append``, a room ``emit=`` sink); all receive the same dict,
+    in order on the emitting thread, and must not mutate it.  The bus
+    closes nothing.
     """
 
     def __init__(self) -> None:

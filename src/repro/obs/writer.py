@@ -1,46 +1,38 @@
-"""Buffered, non-blocking JSONL event log writer and its reader.
+"""Buffered JSONL event log writer and its reader.
 
 The writer's contract, in order of importance:
 
-1. **Never perturb the simulation.**  ``emit`` only enqueues; all
-   serialisation and file I/O happen on one background thread, so the
-   engine hot path pays a queue put and nothing else.  Telemetry reads
-   state, it never touches it — a telemetry-enabled run is bit-identical
-   to a telemetry-off run (pinned by the fingerprint oracle tests).
+1. **Never perturb the simulation.**  ``emit`` encodes the event and
+   writes it to a buffered file on the caller's thread; it only reads
+   the event.  A telemetry-enabled run is bit-identical to a
+   telemetry-off run (pinned by the fingerprint oracle tests).
 2. **Truncation safety.**  Lines are canonical one-line JSON documents
-   flushed to the OS every ``buffer_lines`` events, so a run killed with
-   SIGKILL leaves a log whose every complete line parses; at most the
-   final line is partial, and :func:`iter_events` tolerates exactly
-   that (a corrupt *interior* line is real corruption and always
-   raises).
+   flushed to the OS every 64 events, so a run killed with SIGKILL
+   leaves a log whose every complete line parses; at most the final
+   line is partial, and :func:`iter_events` tolerates exactly that (a
+   corrupt *interior* line is real corruption and always raises).
 3. **Deterministic bytes.**  Events are serialised with sorted keys and
    fixed separators, so the same event stream always produces the same
    file bytes — logs can be diffed and fingerprinted.
 
 ``NaN``/``Infinity`` are rejected (``allow_nan=False``): a non-finite
 value would serialise to non-portable JSON and break every downstream
-parser.  Serialisation failures on the background thread are latched
-and re-raised from :meth:`JsonlWriter.close`, so they cannot pass
-silently.
+parser.  An event that cannot be encoded raises from
+:meth:`JsonlWriter.emit`, at its source, and writes nothing.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
-import threading
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from ..errors import ObservabilityError
 from .events import validate_event
 
-#: Sentinel shutting down the writer thread.
-_STOP = object()
-
-#: Default number of buffered lines between flushes to the OS.
-DEFAULT_BUFFER_LINES = 64
+#: Lines written between flushes to the OS.
+_FLUSH_LINES = 64
 
 
 def encode_event(event: dict) -> bytes:
@@ -62,29 +54,16 @@ def encode_event(event: dict) -> bytes:
 
 
 class JsonlWriter:
-    """Append-only JSONL writer with a background drain thread.
+    """Append-only JSONL writer; ``emit`` writes on the caller's thread.
 
     Attributes:
         path: The log file (parent directories are created).
-        lines_written: Lines fully handed to the OS so far (stable only
-            after :meth:`close`).
     """
 
-    def __init__(
-        self,
-        path,
-        buffer_lines: int = DEFAULT_BUFFER_LINES,
-        append: bool = False,
-    ) -> None:
-        if buffer_lines < 1:
-            raise ObservabilityError("buffer_lines must be >= 1")
+    def __init__(self, path, append: bool = False) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.lines_written = 0
-        self._buffer_lines = buffer_lines
-        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._error: Optional[BaseException] = None
-        self._closed = False
+        self._since_flush = 0
         self._file = open(self.path, "ab" if append else "wb")
         if append and self.path.stat().st_size > 0:
             # Terminate a truncated tail from an interrupted previous
@@ -94,78 +73,33 @@ class JsonlWriter:
                 handle.seek(-1, os.SEEK_END)
                 if handle.read(1) != b"\n":
                     self._file.write(b"\n")
-        self._thread = threading.Thread(
-            target=self._drain,
-            name=f"repro-telemetry-{self.path.name}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    # -- producer side --------------------------------------------------
 
     def emit(self, event: dict) -> None:
-        """Enqueue one event for the background writer (non-blocking).
-
-        The caller must not mutate ``event`` afterwards — serialisation
-        happens asynchronously.
+        """Encode one event and write it to the buffered file.
 
         Raises:
-            ObservabilityError: if the writer is already closed.
+            ObservabilityError: if the writer is already closed, or the
+                event cannot be encoded (nothing is written then).
         """
-        if self._closed:
+        if self._file.closed:
             raise ObservabilityError(
                 f"telemetry writer for {self.path} is closed"
             )
-        self._queue.put(event)
+        self._file.write(encode_event(event))
+        self._since_flush += 1
+        if self._since_flush >= _FLUSH_LINES:
+            self._file.flush()
+            self._since_flush = 0
 
     def close(self) -> None:
-        """Drain the queue, flush, and close the file (idempotent).
-
-        Raises:
-            ObservabilityError: if any enqueued event failed to
-                serialise (the first such error, latched by the drain
-                thread).
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(_STOP)
-        self._thread.join()
-        try:
-            self._file.flush()
-        finally:
-            self._file.close()
-        if self._error is not None:
-            raise ObservabilityError(
-                f"telemetry writer for {self.path} failed: {self._error}"
-            ) from self._error
+        """Flush and close the file (idempotent)."""
+        self._file.close()
 
     def __enter__(self) -> "JsonlWriter":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- background thread ----------------------------------------------
-
-    def _drain(self) -> None:
-        since_flush = 0
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            try:
-                line = encode_event(item)
-                self._file.write(line)
-            except BaseException as exc:  # latched, raised by close()
-                if self._error is None:
-                    self._error = exc
-                continue
-            self.lines_written += 1
-            since_flush += 1
-            if since_flush >= self._buffer_lines:
-                self._file.flush()
-                since_flush = 0
 
 
 def iter_events(

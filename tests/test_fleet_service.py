@@ -1,12 +1,14 @@
 """Process-worker and asyncio service tests (real time, real pipes)."""
 
 import asyncio
+import contextlib
 import json
 import math
 import multiprocessing
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -26,6 +28,7 @@ from repro.fleet.registry import (
     WorkerSpec,
     demo_fleet,
 )
+from repro.fleet import service as service_module
 from repro.fleet.service import (
     FleetService,
     _next_tick,
@@ -274,6 +277,27 @@ def _collector():
     return bus, events
 
 
+LOCAL = "127.0.0.1"
+
+PLACEMENT_LINE = json.dumps(
+    {"kind": "placement", "chassis": "c0", "job_power_w": 3.0}
+).encode() + b"\n"
+
+
+@contextlib.asynccontextmanager
+async def _serving(service):
+    """Serve ``service`` on a free local port and yield the port; then
+    close the server and stop the service, which closes its
+    connections."""
+    server = await service.serve(host=LOCAL, port=0)
+    try:
+        yield server.sockets[0].getsockname()[1]
+    finally:
+        server.close()
+        await server.wait_closed()
+        await service.stop()
+
+
 @pytest.mark.parametrize("interval", [0.0, -0.05, math.nan, math.inf])
 def test_bad_tick_interval_rejected(interval):
     with pytest.raises(FleetError, match="tick_interval_s"):
@@ -331,37 +355,148 @@ class TestFleetService:
         assert answer.status.value == "ok"
 
     def test_stopped_service_answers_one_error_line(self):
-        """A stopped service refuses work at once: a client still
-        connected gets one error line, and nothing is logged after
-        ``fleet_end``."""
+        """A stopped service refuses work at once: stop() closes the
+        connection of a client that was connected, a client that
+        connects afterwards gets one error line, and nothing is logged
+        after ``fleet_end``."""
         bus, events = _collector()
-        query = {"kind": "placement", "chassis": "c0", "job_power_w": 3.0}
 
         async def scenario():
             service = _service(REGISTRY, bus=bus)
-            server = await service.serve(host="127.0.0.1", port=0)
-            port = server.sockets[0].getsockname()[1]
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            try:
+            async with _serving(service) as port:
+                reader, writer = await asyncio.open_connection(LOCAL, port)
+                writer.write(PLACEMENT_LINE)
+                first = await asyncio.wait_for(reader.readline(), timeout=30.0)
                 await service.stop()
-                writer.write(json.dumps(query).encode() + b"\n")
-                await writer.drain()
-                reply = await asyncio.wait_for(reader.readline(), timeout=3.0)
+                end = await asyncio.wait_for(reader.readline(), timeout=3.0)
+                writer.close()
+                late_reader, late_writer = await asyncio.open_connection(
+                    LOCAL, port
+                )
+                late_writer.write(PLACEMENT_LINE)
+                reply = await asyncio.wait_for(
+                    late_reader.readline(), timeout=3.0
+                )
+                late_writer.close()
                 with pytest.raises(FleetError, match="finished"):
                     await asyncio.wait_for(
-                        service.submit(query_from_json(query)), timeout=3.0
+                        service.submit(
+                            PlacementQuery(chassis="c0", job_power_w=3.0)
+                        ),
+                        timeout=3.0,
                     )
-            finally:
-                writer.close()
-                server.close()
-                await server.wait_closed()
-            return json.loads(reply)
+            return json.loads(first), end, json.loads(reply)
 
-        reply = asyncio.run(scenario())
+        first, end, reply = asyncio.run(scenario())
+        assert first["status"] == "ok"
+        assert end == b""
         assert reply["status"] == "error"
         assert "finished" in reply["reason"]
         assert events[-1]["type"] == "fleet_end"
         assert check_fleet_events(events) == []
+
+    def test_client_leaving_before_its_answer_harms_nothing(self):
+        """A client that sends a placement and closes at once does not
+        disturb the next client, its request still gets exactly one
+        terminal event, and stop() returns cleanly."""
+        bus, events = _collector()
+
+        async def scenario():
+            service = _service(REGISTRY, bus=bus)
+            async with _serving(service) as port:
+                _, leaver = await asyncio.open_connection(LOCAL, port)
+                leaver.write(PLACEMENT_LINE)
+                await leaver.drain()
+                leaver.close()
+                await leaver.wait_closed()
+                reader, writer = await asyncio.open_connection(LOCAL, port)
+                writer.write(PLACEMENT_LINE)
+                reply = await asyncio.wait_for(reader.readline(), timeout=30.0)
+                writer.close()
+            return json.loads(reply)
+
+        reply = asyncio.run(scenario())
+        assert reply["status"] == "ok"
+        submitted = [
+            e["request_id"] for e in events if e["type"] == "fleet_submit"
+        ]
+        assert len(submitted) == 2
+        (left,) = set(submitted) - {reply["request_id"]}
+        terminals = [
+            e["type"] for e in events if e.get("request_id") == left
+        ]
+        assert terminals.count("fleet_answer") == 1
+        assert check_fleet_events(events) == []
+
+    def test_pipelining_client_that_reads_late_gets_every_reply(self):
+        """A client that writes 20 placements at once and reads nothing
+        holds up no other client, then reads exactly 20 replies in
+        request order: one reply per line."""
+
+        async def scenario():
+            async with _serving(_service(REGISTRY)) as port:
+                slow_reader, slow = await asyncio.open_connection(LOCAL, port)
+                slow.write(PLACEMENT_LINE * 20)
+                reader, writer = await asyncio.open_connection(LOCAL, port)
+                writer.write(PLACEMENT_LINE)
+                other = await asyncio.wait_for(reader.readline(), timeout=30.0)
+                writer.close()
+                replies = [
+                    await asyncio.wait_for(slow_reader.readline(), timeout=30.0)
+                    for _ in range(20)
+                ]
+                slow.write_eof()
+                end = await asyncio.wait_for(slow_reader.readline(), timeout=30.0)
+                slow.close()
+            return json.loads(other), [json.loads(r) for r in replies], end
+
+        other, replies, end = asyncio.run(scenario())
+        assert other["status"] == "ok"
+        assert [r["status"] for r in replies] == ["ok"] * 20
+        ids = [r["request_id"] for r in replies]
+        assert ids == sorted(set(ids)) and len(ids) == 20
+        assert end == b""
+
+    def test_stop_aborts_a_client_that_never_reads(self, monkeypatch):
+        """A client whose unread replies fill every buffer cannot hold
+        stop() past the grace period: its connection is aborted."""
+        monkeypatch.setattr(service_module, "_CLOSE_GRACE_S", 0.2)
+        service = _service(REGISTRY)
+
+        def backed_up():
+            return any(
+                writer.transport.get_write_buffer_size()
+                for _, writer in service._connections.values()
+            )
+
+        async def scenario():
+            server = await service.serve(host=LOCAL, port=0)
+            # Accepted sockets inherit this small send buffer.
+            server.sockets[0].setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            client = socket.socket()
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            client.connect(server.sockets[0].getsockname())
+            try:
+                # Each bad line earns an error reply of about 75 bytes:
+                # far more than the socket buffers and the transport's
+                # 64-KiB high-water mark hold.
+                client.sendall(b"x\n" * 5000)
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline and not backed_up():
+                    await asyncio.sleep(0.01)
+                assert backed_up()
+                started = time.monotonic()
+                await asyncio.wait_for(service.stop(), timeout=10.0)
+                return time.monotonic() - started
+            finally:
+                client.close()
+                server.close()
+                await server.wait_closed()
+
+        assert asyncio.run(scenario()) < 5.0
+        assert service._connections == {}
 
     def test_second_stop_returns_at_once(self):
         bus, events = _collector()
@@ -418,6 +553,53 @@ def test_serve_cli_closes_its_log_on_sigint(tmp_path):
     lines = (tmp_path / "fleet.jsonl").read_text().splitlines()
     assert json.loads(lines[-1])["type"] == "fleet_end"
     assert check_directory(tmp_path) == []
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs process workers",
+)
+def test_serve_cli_stops_quietly_with_a_client_connected():
+    """SIGINT with an idle client connected: the client reads the end
+    of its stream, and the server exits 0 with nothing on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "fleet", "serve", "--port", "0",
+            "--chassis", "1",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+    async def idle_client(port):
+        reader, writer = await asyncio.open_connection(LOCAL, port)
+        try:
+            writer.write(PLACEMENT_LINE)
+            answer = await asyncio.wait_for(reader.readline(), timeout=30.0)
+            # Connected and idle: the server has served this client.
+            proc.send_signal(signal.SIGINT)
+            end = await asyncio.wait_for(reader.readline(), timeout=30.0)
+        finally:
+            writer.close()
+        return json.loads(answer), end
+
+    try:
+        port = int(re.search(r", (\d+)\)", proc.stdout.readline()).group(1))
+        answer, end = asyncio.run(idle_client(port))
+        out, err = proc.communicate(timeout=30.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert answer["status"] == "ok"
+    assert end == b""
+    assert proc.returncode == 0
+    assert err == ""
+    assert out == "fleet: stopped\n"
 
 
 async def _exchange(service, lines):

@@ -204,11 +204,13 @@ def test_render_indents_bucket_rows_after_loop_row():
     assert text.index("place:CP") > text.index("(engine loop)")
 
 
-def test_profiled_run_exposes_placement_bucket(small_sut):
+def test_profiled_run_exposes_placement_bucket(small_sut, tmp_path):
     """An end-to-end profiled run reports the scheduler's scoring time
-    under ``place:<policy>``, bounded by the Placer's own total."""
+    under ``place:<policy>``, bounded by the Placer's own total, and
+    counts exactly the placements the run's telemetry log records."""
     from repro.config.presets import smoke
     from repro.core import get_scheduler
+    from repro.obs.writer import read_events
     from repro.sim.engine import Simulation
     from repro.workloads.arrivals import ArrivalProcess
     from repro.workloads.benchmark import BenchmarkSet
@@ -223,13 +225,22 @@ def test_profiled_run_exposes_placement_bucket(small_sut):
     )
     jobs = arrivals.generate(params.sim_time_s)
     result = Simulation(
-        small_sut, params, get_scheduler("CP"), profile=True
+        small_sut,
+        params,
+        get_scheduler("CP"),
+        profile=True,
+        telemetry=tmp_path,
     ).run(jobs)
     profile = result.profile
     (bucket,) = [
         entry for entry in profile.buckets if entry.name == "place:CP"
     ]
-    assert 0 < bucket.calls <= len(jobs)
+    placements = [
+        event
+        for event in read_events(tmp_path / "run-r0.jsonl", strict=True)
+        if event["type"] == "placement"
+    ]
+    assert 0 < bucket.calls == len(placements) <= len(jobs)
     (placer,) = [
         entry for entry in profile.components if entry.name == "Placer"
     ]

@@ -41,7 +41,7 @@ class TestEventStreamRoundTrip:
         """Any schema-valid stream writes byte-for-byte canonical
         lines and reads back equal, strictly and validated."""
         path = tmp_path_factory.mktemp("obs") / "stream.jsonl"
-        with JsonlWriter(path, buffer_lines=3) as writer:
+        with JsonlWriter(path) as writer:
             for event in stream:
                 writer.emit(event)
         assert path.read_bytes() == b"".join(

@@ -1,5 +1,6 @@
 """The buffered JSONL writer: round-trips, truncation safety, reuse."""
 
+import json
 import os
 import signal
 import subprocess
@@ -40,10 +41,9 @@ def _events(n):
 def test_round_trip(tmp_path):
     path = tmp_path / "log.jsonl"
     events = _events(100)
-    with JsonlWriter(path, buffer_lines=8) as writer:
+    with JsonlWriter(path) as writer:
         for event in events:
             writer.emit(event)
-    assert writer.lines_written == len(events)
     assert read_events(path, strict=True, validate=True) == events
 
 
@@ -134,16 +134,17 @@ def test_emit_after_close_raises(tmp_path):
         writer.emit(_events(1)[0])
 
 
-def test_serialisation_error_latched_and_raised_on_close(tmp_path):
-    writer = JsonlWriter(tmp_path / "log.jsonl")
-    writer.emit({"v": 1, "type": "sweep_end", "n_points": object()})
-    with pytest.raises(ObservabilityError, match="failed"):
-        writer.close()
-
-
-def test_buffer_lines_must_be_positive(tmp_path):
-    with pytest.raises(ObservabilityError, match="buffer_lines"):
-        JsonlWriter(tmp_path / "log.jsonl", buffer_lines=0)
+def test_serialisation_error_raises_at_emit(tmp_path):
+    """An event that cannot be encoded raises where it is emitted and
+    writes nothing; the events around it are kept."""
+    path = tmp_path / "log.jsonl"
+    first, second = _events(2)
+    with JsonlWriter(path) as writer:
+        writer.emit(first)
+        with pytest.raises(ObservabilityError, match="not JSON"):
+            writer.emit({"v": 1, "type": "sweep_end", "n_points": object()})
+        writer.emit(second)
+    assert read_events(path, strict=True) == [first, second]
 
 
 def test_encode_event_rejects_non_finite():
@@ -160,7 +161,7 @@ _KILL_SCRIPT = textwrap.dedent(
     from repro.obs.events import make_event
     from repro.obs.writer import JsonlWriter
 
-    writer = JsonlWriter(sys.argv[1], buffer_lines=1)
+    writer = JsonlWriter(sys.argv[1])
     for i in range(200_000):
         writer.emit(
             make_event(
@@ -187,8 +188,8 @@ def test_sigkill_leaves_parseable_log(tmp_path):
     )
     try:
         assert proc.stdout.readline().strip() == b"WRITING"
-        # Give the drain thread a moment to hand lines to the OS, then
-        # kill without any chance to flush or close.
+        # Wait until the writer has handed a few flushes to the OS,
+        # then kill without any chance to flush or close.
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             if path.exists() and path.stat().st_size > 4096:
@@ -205,6 +206,70 @@ def test_sigkill_leaves_parseable_log(tmp_path):
     assert len(events) > 0
     # Steps are contiguous from zero: nothing interior went missing.
     assert [e["step"] for e in events] == list(range(len(events)))
+
+
+# -- no thread at fork ------------------------------------------------------
+
+
+_FORK_PROBE_SCRIPT = textwrap.dedent(
+    """
+    import asyncio, json, os, sys, threading
+
+    counts = []
+    os.register_at_fork(before=lambda: counts.append(threading.active_count()))
+
+    from repro.__main__ import main
+    from repro.fleet import FleetService, demo_fleet
+    from repro.obs.events import EventBus
+    from repro.obs.writer import JsonlWriter
+
+    out = sys.argv[1]
+    main([
+        "sweep", "--schemes", "CF", "CP", "--sets", "Computation",
+        "--loads", "0.5", "--sim-time", "2", "--rows", "1",
+        "--workers", "2", "--telemetry", out,
+    ])
+    sweep = list(counts)
+    writer = JsonlWriter(os.path.join(out, "fleet.jsonl"))
+    bus = EventBus()
+    bus.subscribe(writer.emit)
+
+    async def serve():
+        service = FleetService(demo_fleet(1, n_rows=1, replicas=1), bus=bus)
+        await service.start()
+        await service.stop()
+
+    asyncio.run(serve())
+    writer.close()
+    print("FORKS", json.dumps({"sweep": sweep, "fleet": counts[len(sweep):]}))
+    """
+)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "register_at_fork"), reason="needs os.register_at_fork"
+)
+def test_no_thread_is_alive_at_any_fork(tmp_path):
+    """Writing telemetry starts no thread: a pooled sweep and a fleet
+    service, both with a log open, fork their workers from a process
+    whose only thread is the main one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [
+        line for line in proc.stdout.splitlines() if line.startswith("FORKS ")
+    ]
+    forks = json.loads(line[len("FORKS ") :])
+    assert forks == {"sweep": [1, 1], "fleet": [1, 1]}
+    assert (tmp_path / "sweep.jsonl").stat().st_size > 0
+    assert read_events(tmp_path / "fleet.jsonl", strict=True)
 
 
 # -- engine reuse ----------------------------------------------------------
