@@ -14,6 +14,10 @@ every bench scores runs the same way:
   caller-supplied predicate says the measured ratio has cleared its
   threshold (or a round cap is hit), since on virtualised runners
   host-steal bursts can inflate either floor for seconds at a time.
+- :func:`alternating_rounds` — the same alternation, keeping every
+  round's times.  Two best-of floors can come from different
+  host-speed periods; a ratio taken within each round compares runs
+  made back to back, and :func:`median_ratio` summarises those.
 
 :func:`write_bench_json` standardises the BENCH output contract: one
 ``BENCH {...}`` line on stdout plus a committed JSON artifact under
@@ -28,6 +32,7 @@ so every committed artifact can be consumed without scraping text.
 
 import json
 import os
+import statistics
 import time
 
 #: Default best-of repetitions; the least-interfered round is scored.
@@ -58,6 +63,48 @@ def best_of(fn, rounds=ROUNDS):
     return best_s, result
 
 
+def alternating_rounds(
+    variants,
+    stop=None,
+    rounds_min=ADAPTIVE_ROUNDS_MIN,
+    rounds_max=ADAPTIVE_ROUNDS_MAX,
+):
+    """Adaptive alternating rounds across named variants.
+
+    Args:
+        variants: Ordered mapping of ``name -> zero-arg callable``.
+            Every round runs each variant once, in order.
+        stop: Optional ``stop(times) -> bool`` predicate over the
+            ``name -> [seconds of each round so far]`` lists; once it
+            returns True (and at least ``rounds_min`` rounds have
+            run), sampling stops early.
+        rounds_min: Minimum full rounds before ``stop`` is consulted.
+        rounds_max: Hard cap on rounds.
+
+    Returns:
+        ``(times, results, rounds)``: the per-variant seconds of every
+        round, the per-variant last results, and the rounds run.
+    """
+    times = {name: [] for name in variants}
+    results = {}
+    rounds = 0
+    for rounds in range(1, rounds_max + 1):
+        for name, fn in variants.items():
+            start = time.perf_counter()
+            results[name] = fn()
+            times[name].append(time.perf_counter() - start)
+        if stop is not None and rounds >= rounds_min and stop(times):
+            break
+    return times, results, rounds
+
+
+def median_ratio(times, name, reference):
+    """Median over rounds of ``name``'s time over ``reference``'s."""
+    return statistics.median(
+        a / b for a, b in zip(times[name], times[reference])
+    )
+
+
 def alternating_best_of(
     variants,
     stop=None,
@@ -66,32 +113,25 @@ def alternating_best_of(
 ):
     """Adaptive alternating best-of across named variants.
 
-    Args:
-        variants: Ordered mapping of ``name -> zero-arg callable``.
-            Every round runs each variant once, in order.
-        stop: Optional ``stop(best) -> bool`` predicate over the
-            current ``name -> best_seconds`` floors; once it returns
-            True (and at least ``rounds_min`` rounds have run),
-            sampling stops early.
-        rounds_min: Minimum full rounds before ``stop`` is consulted.
-        rounds_max: Hard cap on rounds.
+    :func:`alternating_rounds` scored by each variant's floor: ``stop``
+    is a ``stop(best) -> bool`` predicate over the current
+    ``name -> best_seconds`` floors.
 
     Returns:
         ``(best, results, rounds)``: the per-variant best seconds, the
         per-variant last results, and the rounds actually run.
     """
-    best = {name: float("inf") for name in variants}
-    results = {}
-    rounds = 0
-    for rounds in range(1, rounds_max + 1):
-        for name, fn in variants.items():
-            start = time.perf_counter()
-            results[name] = fn()
-            elapsed = time.perf_counter() - start
-            best[name] = min(best[name], elapsed)
-        if stop is not None and rounds >= rounds_min and stop(best):
-            break
-    return best, results, rounds
+
+    def floors(times):
+        return {name: min(values) for name, values in times.items()}
+
+    times, results, rounds = alternating_rounds(
+        variants,
+        stop=None if stop is None else (lambda times: stop(floors(times))),
+        rounds_min=rounds_min,
+        rounds_max=rounds_max,
+    )
+    return floors(times), results, rounds
 
 
 def write_bench_json(filename, payload, merge=False):

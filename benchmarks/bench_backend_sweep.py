@@ -15,6 +15,12 @@ one shared topology (``repro.sim.batched``):
   ``BENCH_BATCHED_MIN_SPEEDUP`` (default 1.1x; CI smoke drops it to
   parity so shared-runner noise cannot flake the job).
 
+A second leg times the room's call shape: the 8 chassis of the
+end-to-end ``room_plan`` room (3 recipes, 4 x 180 and 4 x 60 sockets)
+as **one mixed-recipe call**, each point with its own topology, against
+**one call per recipe**.  Every row must be bit-identical between the
+two, and the mixed call must clear the same floor.
+
 The committed artifact is ``benchmarks/results/backend_sweep.json``.
 """
 
@@ -26,6 +32,9 @@ import numpy as np
 import pytest
 
 from repro.config.presets import smoke
+from repro.fleet.registry import spec_from_catalog
+from repro.room.model import _topology_for
+from repro.server.catalog import TABLE_I_SYSTEMS
 from repro.server.topology import moonshot_sut
 from repro.sim.batched import (
     FleetPoint,
@@ -35,7 +44,8 @@ from repro.sim.batched import (
 
 from _timing import alternating_best_of, best_of, write_bench_json
 
-#: Required batched-numpy speedup over the per-point serial loop.
+#: Required batched-numpy speedup over the per-point serial loop, and
+#: of the mixed-recipe call over one call per recipe.
 BATCHED_MIN_SPEEDUP = float(
     os.environ.get("BENCH_BATCHED_MIN_SPEEDUP", "1.1")
 )
@@ -54,6 +64,10 @@ FIELDS = ("power_w", "ambient_c", "sink_c", "chip_c", "freq_mhz")
 N_ROWS = 3
 N_POINTS = 64
 POOL_WORKERS = 4
+
+#: The mixed-recipe leg's room: ``room_plan``'s 8 catalog chassis.
+ROOM_ROWS = 15
+ROOM_CHASSIS = 8
 
 _TOPOLOGY = None
 _PARAMS = smoke(seed=0)
@@ -90,6 +104,77 @@ def _run_pool(points):
     chunks = [points[i::POOL_WORKERS] for i in range(POOL_WORKERS)]
     with ProcessPoolExecutor(max_workers=POOL_WORKERS) as pool:
         return list(pool.map(_pool_chunk, chunks))
+
+
+def _room_chassis():
+    """``room_plan``'s chassis (Table-I degrees cycled), with the
+    topologies the room solver shares between chassis of one recipe."""
+    by_degree = {}
+    for system in TABLE_I_SYSTEMS:
+        by_degree.setdefault(system.degree_of_coupling, system)
+    cycle = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    topologies = [
+        _topology_for(
+            spec_from_catalog(cycle[i % len(cycle)], f"r{i}", ROOM_ROWS)
+        )
+        for i in range(ROOM_CHASSIS)
+    ]
+    points = [
+        FleetPoint(
+            utilization=0.3 + 0.08 * i,
+            dyn_max_w=15.0,
+            inlet_c=20.0 + 0.5 * i,
+        )
+        for i in range(ROOM_CHASSIS)
+    ]
+    return topologies, points
+
+
+def _mixed_recipe_leg():
+    """One mixed-recipe call vs one call per recipe, bit for bit."""
+    topologies, points = _room_chassis()
+    groups = {}
+    for k, topology in enumerate(topologies):
+        groups.setdefault(topology, []).append(k)
+
+    def _per_recipe():
+        fields = [None] * len(points)
+        for topology, members in groups.items():
+            result = evaluate_fleet(
+                topology, _PARAMS, [points[k] for k in members]
+            )
+            for j, k in enumerate(members):
+                fields[k] = result.field(j)
+        return fields
+
+    def _mixed():
+        result = evaluate_fleet(topologies, _PARAMS, points)
+        return [result.field(k) for k in range(len(points))]
+
+    best, results, _ = alternating_best_of(
+        {"per_recipe": _per_recipe, "mixed": _mixed},
+        rounds_min=ALTERNATING_ROUNDS,
+        rounds_max=ALTERNATING_ROUNDS,
+    )
+    for k, (mixed, alone) in enumerate(
+        zip(results["mixed"], results["per_recipe"])
+    ):
+        for field in FIELDS[:-1]:
+            np.testing.assert_array_equal(
+                getattr(mixed, field),
+                getattr(alone, field),
+                err_msg=f"chassis {k} {field}",
+            )
+    return {
+        "mixed_recipe_points": len(points),
+        "mixed_recipe_recipes": len(groups),
+        "mixed_recipe_sockets": sum(t.n_sockets for t in topologies),
+        "per_recipe_calls_per_s": round(1.0 / best["per_recipe"], 1),
+        "mixed_recipe_calls_per_s": round(1.0 / best["mixed"], 1),
+        "mixed_recipe_speedup": round(
+            best["per_recipe"] / best["mixed"], 3
+        ),
+    }
 
 
 def test_batched_sweep_speedup(record_artifact):
@@ -135,6 +220,7 @@ def test_batched_sweep_speedup(record_artifact):
         pool_s = None  # sandboxed: no subprocesses
 
     speedup = serial_s / batched_s
+    mixed = _mixed_recipe_leg()
     payload = {
         "benchmark": "backend_sweep",
         "n_points": N_POINTS,
@@ -151,6 +237,7 @@ def test_batched_sweep_speedup(record_artifact):
             None if pool_s is None else round(serial_s / pool_s, 3)
         ),
         "min_speedup": BATCHED_MIN_SPEEDUP,
+        **mixed,
     }
     line = write_bench_json("backend_sweep.json", payload)
     record_artifact("backend_sweep", line + "\n")
@@ -158,6 +245,11 @@ def test_batched_sweep_speedup(record_artifact):
     assert speedup >= BATCHED_MIN_SPEEDUP, (
         f"batched fleet evaluation reached only {speedup:.2f}x over "
         f"the per-point loop (required {BATCHED_MIN_SPEEDUP}x): {line}"
+    )
+    assert mixed["mixed_recipe_speedup"] >= BATCHED_MIN_SPEEDUP, (
+        f"the mixed-recipe call reached only "
+        f"{mixed['mixed_recipe_speedup']:.2f}x over one call per recipe "
+        f"(required {BATCHED_MIN_SPEEDUP}x): {line}"
     )
 
 

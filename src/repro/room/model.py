@@ -17,10 +17,10 @@ against a leakage-heavy fleet), when residuals go non-finite, or when
 the iteration budget runs out above tolerance.
 
 Each iteration evaluates the chassis steady states through one path:
-chassis sharing a topology recipe are stacked into one
-:func:`~repro.sim.batched.evaluate_fleet` fleet-tensor call, each
-chassis a :class:`~repro.sim.batched.FleetPoint` with its inlet as the
-per-point override.  Only chassis whose operating point (recipe,
+one :func:`~repro.sim.batched.evaluate_fleet` fleet-tensor call, each
+chassis a :class:`~repro.sim.batched.FleetPoint` with its own topology
+and its inlet as the per-point override, chassis of every recipe
+stacked into one block.  Only chassis whose operating point (recipe,
 utilisation, power, inlet) is new within the solve go to the
 evaluator; one whose inlet did not move reuses its field.  The room
 reads only the steady fields, so the evaluator's deferred DVFS
@@ -248,14 +248,6 @@ def _as_chassis_vector(room: Room, values, name: str) -> np.ndarray:
     return array
 
 
-def _recipe_groups(room: Room) -> List[List[int]]:
-    """Chassis indices grouped by topology recipe, first-seen order."""
-    groups: Dict[Tuple[int, int, int, int], List[int]] = {}
-    for i, spec in enumerate(room.chassis):
-        groups.setdefault(_chassis_recipe(spec), []).append(i)
-    return list(groups.values())
-
-
 #: A chassis operating point: topology recipe, utilisation, dynamic
 #: power and inlet.  Equal keys give bit-identical steady fields.
 ChassisKey = Tuple[Tuple[int, int, int, int], float, float, float]
@@ -281,9 +273,10 @@ def _solve_chassis(
 
     ``solved`` holds the chassis already solved in this room solve; a
     chassis whose :data:`ChassisKey` is in it reuses that entry, and
-    the rest are solved and added.  New chassis sharing a topology
-    recipe stack into one :func:`~repro.sim.batched.evaluate_fleet`
-    call, each as a :class:`~repro.sim.batched.FleetPoint` whose
+    the rest are solved and added.  Every new chassis of the pass,
+    whatever its topology recipe, goes to one
+    :func:`~repro.sim.batched.evaluate_fleet` call with its own
+    topology, as a :class:`~repro.sim.batched.FleetPoint` whose
     ``inlet_c`` override carries the room iteration's inlet.  Each
     field is bit-identical to
     :func:`~repro.sim.steady_state.solve_steady_state` at that inlet
@@ -298,21 +291,25 @@ def _solve_chassis(
         )
         for i, spec in enumerate(room.chassis)
     ]
-    for indices in _recipe_groups(room):
-        # Identical new chassis both go: evaluate_fleet solves each
-        # distinct row once.
-        new = [keys[i] for i in indices if keys[i] not in solved]
-        if not new:
-            continue
-        points = [
-            FleetPoint(utilization=u, dyn_max_w=dyn, inlet_c=inlet)
-            for _, u, dyn, inlet in new
-        ]
-        topology = _topology_for(room.chassis[indices[0]])
-        result = evaluate_fleet(topology, params, points)
-        for k, key in enumerate(new):
+    # Identical new chassis both go: evaluate_fleet solves each
+    # distinct row once.
+    new = [i for i, key in enumerate(keys) if key not in solved]
+    if new:
+        result = evaluate_fleet(
+            [_topology_for(room.chassis[i]) for i in new],
+            params,
+            [
+                FleetPoint(
+                    utilization=keys[i][1],
+                    dyn_max_w=keys[i][2],
+                    inlet_c=keys[i][3],
+                )
+                for i in new
+            ],
+        )
+        for k, i in enumerate(new):
             field = result.field(k)
-            solved[key] = _Solved(
+            solved[keys[i]] = _Solved(
                 field, float(np.sum(field.power_w)), float(field.chip_c.max())
             )
     return [solved[key] for key in keys]

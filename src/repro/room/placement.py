@@ -44,7 +44,7 @@ import numpy as np
 from ..config.presets import scaled
 from ..errors import RoomError
 from ..sim.batched import FleetPoint, evaluate_fleet
-from .model import Room, _recipe_groups, _topology_for, solve_room
+from .model import Room, _topology_for, solve_room
 
 PlacementFn = Callable[..., np.ndarray]
 
@@ -69,12 +69,12 @@ def _standalone_caps(
 
     A chassis that stays under the limit fully loaded caps at 1.0, one
     over it even idle caps at 0.0, and the rest bisect [0, 1] to
-    :data:`CAP_TOLERANCE`.  Every chassis of one topology recipe
-    bisects in lockstep — one stacked steady solve
-    (:func:`~repro.sim.batched.evaluate_fleet`) per halving — and
-    since all start from [0, 1] they take the same halvings, each
-    bit-identical to a scalar bisection over
-    :func:`~repro.sim.steady_state.uniform_load_field`.
+    :data:`CAP_TOLERANCE`.  Every chassis of the room, whatever its
+    topology recipe, bisects in lockstep — one stacked steady solve
+    (:func:`~repro.sim.batched.evaluate_fleet`, each chassis with its
+    own topology) per halving — and since all start from [0, 1] they
+    take the same halvings, each bit-identical to a scalar bisection
+    over :func:`~repro.sim.steady_state.uniform_load_field`.
     """
     params = scaled(seed=seed)
     inlets = np.broadcast_to(
@@ -84,40 +84,43 @@ def _standalone_caps(
         # Rejects an inlet at or above the DVFS limit.
         params.with_overrides(inlet_c=float(inlet))
     ceiling = params.temperature_limit_c
-    caps = np.empty(room.n_chassis)
-    for indices in _recipe_groups(room):
-        topology = _topology_for(room.chassis[indices[0]])
+    topologies = [_topology_for(spec) for spec in room.chassis]
 
-        def hottest(members, util) -> np.ndarray:
-            points = [
+    def hottest(members, util) -> np.ndarray:
+        result = evaluate_fleet(
+            [topologies[i] for i in members],
+            params,
+            [
                 FleetPoint(
                     utilization=float(u),
                     dyn_max_w=dyn_max_w,
                     inlet_c=float(inlets[i]),
                 )
                 for i, u in zip(members, util)
-            ]
-            result = evaluate_fleet(topology, params, points)
-            return result.chip_c.max(axis=1)
+            ],
+        )
+        return np.array(
+            [result.field(k).chip_c.max() for k in range(members.size)]
+        )
 
-        members = np.asarray(indices)
-        full = hottest(members, np.ones(members.size)) <= ceiling
-        caps[members[full]] = 1.0
-        members = members[~full]
-        if members.size == 0:
-            continue
+    caps = np.empty(room.n_chassis)
+    members = np.arange(room.n_chassis)
+    full = hottest(members, np.ones(members.size)) <= ceiling
+    caps[members[full]] = 1.0
+    members = members[~full]
+    if members.size:
         idle = hottest(members, np.zeros(members.size)) > ceiling
         caps[members[idle]] = 0.0
         members = members[~idle]
-        low = np.zeros(members.size)
-        high = np.ones(members.size)
-        # Equal (and exact, dyadic) widths: every chassis halves [0, 1].
-        while members.size and high[0] - low[0] > CAP_TOLERANCE:
-            mid = (low + high) / 2.0
-            fits = hottest(members, mid) <= ceiling
-            low = np.where(fits, mid, low)
-            high = np.where(fits, high, mid)
-        caps[members] = low
+    low = np.zeros(members.size)
+    high = np.ones(members.size)
+    # Equal (and exact, dyadic) widths: every chassis halves [0, 1].
+    while members.size and high[0] - low[0] > CAP_TOLERANCE:
+        mid = (low + high) / 2.0
+        fits = hottest(members, mid) <= ceiling
+        low = np.where(fits, mid, low)
+        high = np.where(fits, high, mid)
+    caps[members] = low
     return caps
 
 

@@ -1,19 +1,25 @@
-"""Batched fleet-tensor sweep evaluation over a shared topology.
+"""Batched fleet-tensor sweep evaluation.
 
 Capacity-planning sweeps ask the same decision-free questions at many
-operating points of one server: "at utilisation u and per-socket
-dynamic power P, where does the steady thermal field settle, and which
-DVFS state survives it?".  The per-point path answers each question
-with a fresh set of ``(n,)`` kernel calls; this module stacks ``N`` such
-points into leading-axis ``(N, n)`` fleet tensors and evaluates every
-point per kernel call instead.
+operating points: "at utilisation u and per-socket dynamic power P,
+where does the steady thermal field settle, and which DVFS state
+survives it?".  The per-point path answers each question with a fresh
+set of ``(n,)`` kernel calls; this module stacks ``N`` such points into
+leading-axis ``(N, n)`` fleet tensors and evaluates every point per
+kernel call instead.
+
+The points of one call share one topology, or each carries its own.
+Rows of different topologies (a room's chassis recipes) stack into one
+block padded to the widest socket count; a row's own sockets are the
+leading columns, and :meth:`FleetSweepResult.field` trims to them.
 
 The stacked math is **bit-identical** to the per-point serial path
 (:func:`evaluate_fleet_serial`), because every kernel is elementwise
 over the socket axis and the one exception — the coupling
 matrix–vector product, whose BLAS kernel (dgemv vs dgemm) may round
-differently when batched — is deliberately evaluated one point at a
-time through the exact serial entry point.
+differently when batched — is deliberately evaluated one row at a
+time: one GEMV of the row's own matrix over the row's own sockets,
+exactly the serial product.
 
 Only decision-free math batches this way: scheduler placement decisions
 depend on job identity and history, so the full engine keeps its serial
@@ -25,15 +31,22 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..config.parameters import SimulationParameters
 from ..errors import SimulationError
 from ..server.topology import ServerTopology
-from ..workloads.power_model import leakage_power
+from ..workloads.power_model import (
+    LEAKAGE_FLOOR_FRACTION,
+    LEAKAGE_REFERENCE_C,
+    LEAKAGE_TDP_FRACTION,
+    LEAKAGE_TEMP_COEFF,
+    leakage_power,
+)
 from .power_manager import select_frequencies_steady
 from .steady_state import (
     LEAKAGE_ITERATIONS,
@@ -41,10 +54,9 @@ from .steady_state import (
     solve_steady_state,
 )
 
-
 @dataclass(frozen=True)
 class FleetPoint:
-    """One decision-free sweep point over the shared topology.
+    """One decision-free sweep point.
 
     Attributes:
         utilization: Uniform per-socket busy fraction in [0, 1].
@@ -75,17 +87,22 @@ class FleetPoint:
 
 
 class FleetSweepResult:
-    """Stacked ``(N, n)`` results for a batch of fleet points.
+    """Stacked results for a batch of fleet points.
 
-    The point axis leads and is aligned with the input sequence.
+    The point axis leads and is aligned with the input sequence.  A
+    call over one shared topology returns ``(N, n)`` tensors.  A call
+    mixing topologies returns ``(N, width)`` tensors padded to the
+    widest row: each row's own sockets are its leading columns, the
+    rest is finite filler, so read a row through :meth:`field`.
 
     The four steady tensors are always computed.  The DVFS selection
     (``freq_mhz``) may be *deferred*: :func:`evaluate_fleet` passes it
     as a zero-argument callable over the steady tensors, run on the
     first read and cached on the result.  A caller that reads only the
     steady fields — the room solver — never pays for it; fleet
-    what-ifs read it.  Pickling materialises it, so a result crosses a
-    process boundary whole.
+    what-ifs read it.  A mixed-topology call has none: reading it
+    raises :class:`~repro.errors.SimulationError`.  Pickling
+    materialises it, so a result crosses a process boundary whole.
 
     Attributes:
         power_w: Steady per-socket total power, W.
@@ -101,16 +118,23 @@ class FleetSweepResult:
         ambient_c: np.ndarray,
         sink_c: np.ndarray,
         chip_c: np.ndarray,
-        freq_mhz: Union[np.ndarray, Callable[[], np.ndarray]],
+        freq_mhz: Union[np.ndarray, Callable[[], np.ndarray], None],
+        n_sockets: Optional[Sequence[int]] = None,
     ) -> None:
         self.power_w = power_w
         self.ambient_c = ambient_c
         self.sink_c = sink_c
         self.chip_c = chip_c
         self._freq_mhz = freq_mhz
+        self._n_sockets = n_sockets
 
     @property
     def freq_mhz(self) -> np.ndarray:
+        if self._freq_mhz is None:
+            raise SimulationError(
+                "a call mixing topologies has no DVFS selection; "
+                "evaluate each topology's points in their own call"
+            )
         if callable(self._freq_mhz):
             self._freq_mhz = self._freq_mhz()
         return self._freq_mhz
@@ -123,7 +147,8 @@ class FleetSweepResult:
                 self.ambient_c,
                 self.sink_c,
                 self.chip_c,
-                self.freq_mhz,
+                None if self._freq_mhz is None else self.freq_mhz,
+                self._n_sockets,
             ),
         )
 
@@ -133,12 +158,13 @@ class FleetSweepResult:
         return self.power_w.shape[0]
 
     def field(self, index: int) -> SteadyStateField:
-        """The steady field of one point, as the per-point dataclass."""
+        """The steady field of one point over its own sockets."""
+        n = None if self._n_sockets is None else self._n_sockets[index]
         return SteadyStateField(
-            power_w=self.power_w[index],
-            ambient_c=self.ambient_c[index],
-            sink_c=self.sink_c[index],
-            chip_c=self.chip_c[index],
+            power_w=self.power_w[index, :n],
+            ambient_c=self.ambient_c[index, :n],
+            sink_c=self.sink_c[index, :n],
+            chip_c=self.chip_c[index, :n],
         )
 
 
@@ -207,8 +233,78 @@ def evaluate_fleet_serial(
     )
 
 
+class _RowConstants(NamedTuple):
+    """The topology constants of one stacked block.
+
+    For one shared topology each array is its ``(n,)`` vector and
+    broadcasts over the rows; for per-row topologies each is a
+    ``(rows, width)`` block, row ``k`` holding its topology's vector
+    in the leading columns and zeros after.  ``products`` pairs each
+    row with its coupling matrix and socket count (one pair, used by
+    every row, when shared).
+    """
+
+    tdp: np.ndarray
+    gated: np.ndarray
+    r_ext: np.ndarray
+    theta_offset: np.ndarray
+    theta_slope: np.ndarray
+    #: Leakage of the first pass, every chip at its 60 degC start.
+    first_leak: np.ndarray
+    products: Tuple[Tuple[np.ndarray, int], ...]
+    width: int
+
+
+#: Most constant blocks kept between calls.  A cold room-planning pass
+#: over 8 chassis of 3 recipes uses 15 row layouts; the bound keeps a
+#: long-lived process from holding one block (and its topologies) per
+#: layout it ever saw.
+_CONSTANTS_MAX = 32
+
+#: Constant blocks keyed on the shared topology or the tuple of row
+#: topologies, least recently used first.  Keys are the topology
+#: objects themselves (held alive by the entry), never their ``id()``.
+_constants: "OrderedDict[object, _RowConstants]" = OrderedDict()
+
+
+def _row_constants(
+    key: Union[ServerTopology, Tuple[ServerTopology, ...]],
+) -> _RowConstants:
+    """The (cached) :class:`_RowConstants` of one block layout."""
+    constants = _constants.get(key)
+    if constants is not None:
+        _constants.move_to_end(key)
+        return constants
+    rows = (key,) if isinstance(key, ServerTopology) else key
+    width = max(t.n_sockets for t in rows)
+
+    def block(name: str) -> np.ndarray:
+        if len(rows) == 1:
+            return getattr(rows[0], name)
+        out = np.zeros((len(rows), width))
+        for k, topology in enumerate(rows):
+            out[k, : topology.n_sockets] = getattr(topology, name)
+        return out
+
+    tdp = block("tdp_array")
+    constants = _RowConstants(
+        tdp=tdp,
+        gated=block("gated_power_array"),
+        r_ext=block("r_ext_array"),
+        theta_offset=block("theta_offset_array"),
+        theta_slope=block("theta_slope_array"),
+        first_leak=leakage_power(np.full(tdp.shape, 60.0), 1.0) * tdp,
+        products=tuple((t.coupling.matrix, t.n_sockets) for t in rows),
+        width=width,
+    )
+    _constants[key] = constants
+    if len(_constants) > _CONSTANTS_MAX:
+        _constants.popitem(last=False)
+    return constants
+
+
 def _steady_fleet(
-    topology: ServerTopology,
+    topology: Union[ServerTopology, Tuple[ServerTopology, ...]],
     params: SimulationParameters,
     util: np.ndarray,
     dynamic: np.ndarray,
@@ -216,40 +312,70 @@ def _steady_fleet(
 ) -> tuple:
     """Stacked steady fixed point, bit-identical to the serial solver.
 
+    ``topology`` is the rows' shared topology or one topology per row;
+    ``util`` and ``dynamic`` are ``(rows, 1)`` columns and ``inlet`` a
+    ``(rows,)`` vector, all broadcast over the socket axis.
+
     Every operation is elementwise over the trailing socket axis in the
-    exact order of :func:`~repro.sim.steady_state.solve_steady_state`,
-    so each ``(N, n)`` element sees the identical float sequence as its
-    ``(n,)`` serial counterpart.  The one matrix–vector product runs
-    one point at a time into that point's row of ``ambient``: a stacked
-    ``(N, n)`` product would hit a different BLAS kernel (dgemm vs
+    exact order of :func:`~repro.sim.steady_state.solve_steady_state`
+    (and, for the leakage, of
+    :func:`~repro.workloads.power_model.leakage_power` at unit TDP),
+    so each element sees the identical float sequence as its ``(n,)``
+    serial counterpart; the buffers are reused in place across the
+    passes.  The one matrix–vector product runs one row at a time,
+    its own matrix over its own sockets, into that row of ``ambient``:
+    a stacked product would hit a different BLAS kernel (dgemm vs
     dgemv) whose reduction order is not guaranteed to match.
     """
-    tdp = topology.tdp_array
-    gated = topology.gated_power_array
-    r_ext = topology.r_ext_array
-    theta_off = topology.theta_offset_array
-    theta_slope = topology.theta_slope_array
-    matrix = topology.coupling.matrix
-
-    chip = np.full(util.shape, 60.0)
-    ambient = np.empty(util.shape)
-    idle_power = (1.0 - util) * gated
-    power = sink = None
-    for _ in range(LEAKAGE_ITERATIONS):
-        leak = leakage_power(chip, 1.0) * tdp
-        busy_power = dynamic + leak
-        power = util * busy_power + idle_power
-        for i in range(power.shape[0]):
-            np.matmul(matrix, power[i], out=ambient[i])
-        ambient += inlet[:, None]
-        sink = ambient + power * r_ext
-        theta = theta_off + theta_slope * power
-        chip = sink + power * params.r_int + theta
+    constants = _row_constants(topology)
+    rows = util.shape[0]
+    shape = (rows, constants.width)
+    power = np.empty(shape)
+    # Zeroed so the padding columns, which no product writes, stay
+    # finite.
+    ambient = np.zeros(shape)
+    sink = np.empty(shape)
+    chip = np.empty(shape)
+    scratch = np.empty(shape)
+    pairs = constants.products
+    if len(pairs) != rows:
+        pairs = pairs * rows
+    # Each row's matrix with its own sockets' views of the buffers the
+    # product reads and writes; every pass reuses them.
+    products = [
+        (matrix, row_power[:n], row_ambient[:n])
+        for (matrix, n), row_power, row_ambient in zip(pairs, power, ambient)
+    ]
+    inlet = inlet[:, None]
+    idle_power = (1.0 - util) * constants.gated
+    leak = constants.first_leak
+    for iteration in range(LEAKAGE_ITERATIONS):
+        if iteration:
+            # leakage_power(chip, 1.0) * tdp, one operation at a time.
+            leak = np.subtract(chip, LEAKAGE_REFERENCE_C, out=scratch)
+            np.multiply(leak, LEAKAGE_TEMP_COEFF, out=leak)
+            np.add(leak, 1.0, out=leak)
+            np.maximum(leak, LEAKAGE_FLOOR_FRACTION, out=leak)
+            np.multiply(leak, LEAKAGE_TDP_FRACTION, out=leak)
+            np.multiply(leak, constants.tdp, out=leak)
+        np.add(dynamic, leak, out=power)
+        np.multiply(util, power, out=power)
+        np.add(power, idle_power, out=power)
+        for matrix, row_power, row_ambient in products:
+            np.matmul(matrix, row_power, out=row_ambient)
+        np.add(ambient, inlet, out=ambient)
+        np.multiply(power, constants.r_ext, out=sink)
+        np.add(ambient, sink, out=sink)
+        theta = np.multiply(constants.theta_slope, power, out=scratch)
+        np.add(constants.theta_offset, theta, out=theta)
+        np.multiply(power, params.r_int, out=chip)
+        np.add(sink, chip, out=chip)
+        np.add(chip, theta, out=chip)
     return power, ambient, sink, chip
 
 
 def evaluate_fleet(
-    topology: ServerTopology,
+    topology: Union[ServerTopology, Sequence[ServerTopology]],
     params: SimulationParameters,
     points: Sequence[FleetPoint],
 ) -> FleetSweepResult:
@@ -259,57 +385,83 @@ def evaluate_fleet(
     deferred to the first read of the result's ``freq_mhz`` (see
     :class:`FleetSweepResult`).
 
-    The steady field of a point depends only on its ``(utilization,
-    dyn_max_w, inlet)``, so the fixed point runs once per distinct
-    triple and its rows are repeated into the ``(N, n)`` tensors.  The
-    deferred selection runs on those expanded tensors: points that
-    differ only in ``dyn_exp`` share a steady row but not a frequency.
+    The steady field of a point depends only on its topology and its
+    ``(utilization, dyn_max_w, inlet)``, so the fixed point runs once
+    per distinct quadruple and its rows are repeated into the output
+    tensors.  The deferred selection runs on those expanded tensors:
+    points that differ only in ``dyn_exp`` share a steady row but not
+    a frequency.
 
     Args:
-        topology: The shared server geometry.
+        topology: The server geometry shared by every point, or a
+            sequence of one topology per point.  Points of different
+            topologies stack into one block padded to the widest (see
+            :class:`FleetSweepResult`); such a call has no
+            ``freq_mhz``.
         params: Shared simulation parameters; per-point ``inlet_c``
             overrides apply on top.
         points: The sweep points; all evaluate in one pass.
 
     Returns:
-        The stacked :class:`FleetSweepResult`, bit-identical to
-        :func:`evaluate_fleet_serial`.
+        The stacked :class:`FleetSweepResult`; each point's
+        :meth:`~FleetSweepResult.field` is bit-identical to
+        :func:`evaluate_fleet_serial` on that point's topology.
     """
     if not points:
         raise SimulationError("fleet sweep needs at least one point")
-    n = topology.n_sockets
     n_points = len(points)
-
-    def columns(values: Sequence[float]) -> np.ndarray:
-        """One value per row, repeated over that row's sockets."""
-        return np.repeat(np.array(values, dtype=float), n).reshape(
-            len(values), n
-        )
+    if isinstance(topology, ServerTopology):
+        per_point = (topology,) * n_points
+    else:
+        per_point = tuple(topology)
+        if len(per_point) != n_points:
+            raise SimulationError(
+                f"got {len(per_point)} topologies for {n_points} points"
+            )
+    shared = per_point[0]
+    if any(t is not shared for t in per_point):
+        shared = None
 
     inlets = [
         params.inlet_c if point.inlet_c is None else float(point.inlet_c)
         for point in points
     ]
-    dyn_max = [point.dyn_max_w for point in points]
-    dyn_exp = [point.dyn_exp for point in points]
     # FleetPoint admits only finite values, so equal keys mean equal
     # inputs (0.0 and -0.0 merge, and give the same steady field).
-    rows: Dict[Tuple[float, float, float], int] = {}
+    rows: Dict[Tuple[ServerTopology, float, float, float], int] = {}
     row_of = [
-        rows.setdefault((point.utilization, point.dyn_max_w, t), len(rows))
-        for point, t in zip(points, inlets)
+        rows.setdefault(
+            (t, point.utilization, point.dyn_max_w, inlet), len(rows)
+        )
+        for t, point, inlet in zip(per_point, points, inlets)
     ]
-    util, dynamic, row_inlet = zip(*rows)
+    row_topology, util, dynamic, row_inlet = zip(*rows)
     steady = _steady_fleet(
-        topology,
+        shared if shared is not None else row_topology,
         params,
-        columns(util),
-        columns(dynamic),
-        np.array(row_inlet),
+        np.array(util, dtype=float)[:, None],
+        np.array(dynamic, dtype=float)[:, None],
+        np.array(row_inlet, dtype=float),
     )
     if len(rows) < n_points:
         steady = tuple(tensor[row_of] for tensor in steady)
     power, ambient, sink, chip = steady
+    if shared is None:
+        return FleetSweepResult(
+            power_w=power,
+            ambient_c=ambient,
+            sink_c=sink,
+            chip_c=chip,
+            freq_mhz=None,
+            n_sockets=[t.n_sockets for t in per_point],
+        )
+    n = shared.n_sockets
+    dyn_max = [point.dyn_max_w for point in points]
+    dyn_exp = [point.dyn_exp for point in points]
+
+    def columns(values: Sequence[float]) -> np.ndarray:
+        """One value per point, repeated over that point's sockets."""
+        return np.repeat(np.array(values, dtype=float), n)
 
     def frequencies() -> np.ndarray:
         # DVFS selection is elementwise per socket column, so the
@@ -320,13 +472,13 @@ def evaluate_fleet(
         return select_frequencies_steady(
             ambient_c=ambient.reshape(flat),
             chip_c=chip.reshape(flat),
-            dyn_max_w=columns(dyn_max).reshape(flat),
-            dyn_exp=columns(dyn_exp).reshape(flat),
-            tdp_w=np.tile(topology.tdp_array, n_points),
-            r_ext=np.tile(topology.r_ext_array, n_points),
-            theta_offset=np.tile(topology.theta_offset_array, n_points),
-            theta_slope=np.tile(topology.theta_slope_array, n_points),
-            ladder=topology.processor.ladder,
+            dyn_max_w=columns(dyn_max),
+            dyn_exp=columns(dyn_exp),
+            tdp_w=np.tile(shared.tdp_array, n_points),
+            r_ext=np.tile(shared.r_ext_array, n_points),
+            theta_offset=np.tile(shared.theta_offset_array, n_points),
+            theta_slope=np.tile(shared.theta_slope_array, n_points),
+            ladder=shared.processor.ladder,
             params=params,
         ).reshape((n_points, n))
 

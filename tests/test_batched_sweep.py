@@ -1,9 +1,11 @@
 """Batched fleet-tensor sweep evaluator vs the per-point serial path.
 
 ``repro.sim.batched`` stacks N decision-free sweep points over one
-topology into ``(N, n)`` fleet tensors.  The stacked evaluation must
-match the per-point serial kernels **bit for bit** — including a mixed
-8-point sweep with per-point inlet overrides.
+topology into ``(N, n)`` fleet tensors, or points of several topologies
+into one block padded to the widest.  The stacked evaluation must match
+the per-point serial kernels **bit for bit** — including a mixed
+8-point sweep with per-point inlet overrides, and a call mixing the
+three catalog recipes a room stacks.
 """
 
 import pickle
@@ -13,6 +15,8 @@ import pytest
 
 from repro.config.presets import smoke
 from repro.errors import SimulationError
+from repro.fleet.registry import spec_from_catalog
+from repro.server.catalog import TABLE_I_SYSTEMS
 from repro.sim import batched
 from repro.sim.batched import (
     FleetPoint,
@@ -142,3 +146,80 @@ def test_empty_batch_rejected(small_sut, params):
         evaluate_fleet(small_sut, params, [])
     with pytest.raises(SimulationError):
         evaluate_fleet_serial(small_sut, params, [])
+
+
+def _catalog_recipes():
+    """The three catalog recipes a room mixes: 180, 60 and 60 sockets."""
+    by_degree = {}
+    for system in TABLE_I_SYSTEMS:
+        by_degree.setdefault(system.degree_of_coupling, system)
+    specs = [
+        spec_from_catalog(by_degree[degree], f"d{degree}", n_rows=15)
+        for degree in (11, 3, 1)
+    ]
+    return [spec.build_topology() for spec in specs]
+
+
+def test_mixed_recipe_call_matches_serial_on_each_topology(
+    params, monkeypatch
+):
+    """One call stacks three recipes padded to the widest; each row is
+    the serial path on its own topology, bit for bit.  Points of
+    different recipes that share ``(utilization, dyn_max_w, inlet)``
+    keep their own rows, and a repeated point shares one."""
+    wide, narrow, flat = _catalog_recipes()
+    assert [t.n_sockets for t in (wide, narrow, flat)] == [180, 60, 60]
+    topologies = [narrow, wide, flat, narrow, wide, flat, narrow]
+    points = [
+        FleetPoint(0.6, 15.0, inlet_c=24.0),
+        FleetPoint(0.6, 15.0, inlet_c=24.0),  # row 0's triple, wide
+        FleetPoint(0.3, 12.0),
+        FleetPoint(0.6, 15.0, inlet_c=24.0),  # repeats row 0
+        FleetPoint(1.0, 21.0, inlet_c=30.0),
+        FleetPoint(0.6, 15.0, inlet_c=24.0),  # row 0's triple, flat
+        FleetPoint(0.0, 10.0, inlet_c=18.0),
+    ]
+    rows = []
+    steady = batched._steady_fleet
+
+    def recording(topology, params_, util, dynamic, inlet):
+        rows.append(topology)
+        return steady(topology, params_, util, dynamic, inlet)
+
+    monkeypatch.setattr(batched, "_steady_fleet", recording)
+    result = evaluate_fleet(topologies, params, points)
+    assert rows == [(narrow, wide, flat, wide, flat, narrow)]
+    assert result.n_points == len(points)
+    assert result.chip_c.shape == (len(points), 180)
+    for k, (topology, point) in enumerate(zip(topologies, points)):
+        serial = evaluate_fleet_serial(topology, params, [point])
+        field = result.field(k)
+        for name in FIELDS[:-1]:
+            np.testing.assert_array_equal(
+                getattr(field, name),
+                getattr(serial, name)[0],
+                err_msg=f"row {k} {name}",
+            )
+    with pytest.raises(SimulationError, match="mixing topologies"):
+        result.freq_mhz
+    restored = pickle.loads(pickle.dumps(result))
+    np.testing.assert_array_equal(
+        restored.field(2).chip_c, result.field(2).chip_c
+    )
+    with pytest.raises(SimulationError):
+        restored.freq_mhz
+
+
+def test_shared_topology_calls_keep_unpadded_tensors(small_sut, params):
+    """One topology, passed once or once per point, gives ``(N, n)``
+    tensors and the DVFS selection."""
+    n = small_sut.n_sockets
+    for topology in (small_sut, [small_sut] * len(MIXED_POINTS)):
+        result = evaluate_fleet(topology, params, MIXED_POINTS)
+        for name in FIELDS:
+            assert getattr(result, name).shape == (len(MIXED_POINTS), n)
+        _assert_bit_identical(
+            result, evaluate_fleet_serial(small_sut, params, MIXED_POINTS)
+        )
+    with pytest.raises(SimulationError, match="topologies"):
+        evaluate_fleet([small_sut], params, MIXED_POINTS)

@@ -1,13 +1,13 @@
 """Lockstep standalone caps vs a scalar per-chassis bisection.
 
 :func:`repro.room.placement._standalone_caps` bisects every chassis of
-one topology recipe at once, one stacked steady solve per halving.  The
-reference here is the plain per-chassis loop over
-:func:`~repro.sim.steady_state.uniform_load_field`: full load under the
-limit caps at 1.0, idle over it caps at 0.0, anything else bisects
-[0, 1] to ``CAP_TOLERANCE``.  The two must agree bit for bit on every
-branch, with recipes repeated at non-adjacent positions and with scalar
-and per-chassis inlets.
+the room at once, whatever its topology recipe, one stacked steady
+solve per halving.  The reference here is the plain per-chassis loop
+over :func:`~repro.sim.steady_state.uniform_load_field`: full load
+under the limit caps at 1.0, idle over it caps at 0.0, anything else
+bisects [0, 1] to ``CAP_TOLERANCE``.  The two must agree bit for bit
+on every branch, with recipes repeated at non-adjacent positions and
+with scalar and per-chassis inlets.
 """
 
 import numpy as np
@@ -182,3 +182,29 @@ def test_non_finite_crac_setpoint_is_one_typed_error(policy, crac_supply_c):
         placement.place_room_load(
             caps_room(), policy, 0.5, crac_supply_c=crac_supply_c
         )
+
+
+def test_every_cap_halving_is_one_evaluator_call_across_recipes(
+    monkeypatch,
+):
+    """The full-load and idle checks and each halving are one
+    ``evaluate_fleet`` call for the whole room: the two bisecting
+    chassis (recipes COUPLED and SHALLOW) share every halving."""
+    room = caps_room()
+    inlets_c = [22.0, 30.0, 80.0, 60.0]
+    calls = []
+    evaluate = placement.evaluate_fleet
+
+    def recording_evaluate(topology, params, points):
+        calls.append(list(topology))
+        return evaluate(topology, params, points)
+
+    monkeypatch.setattr(placement, "evaluate_fleet", recording_evaluate)
+    caps = _standalone_caps(room, inlets_c, DYN_W, seed=0)
+    np.testing.assert_array_equal(caps, scalar_caps(room, inlets_c, DYN_W))
+    topologies = [_topology_for(spec) for spec in room.chassis]
+    halvings = int(np.ceil(np.log2(1.0 / CAP_TOLERANCE)))
+    assert calls == (
+        [topologies, [topologies[i] for i in (0, 2, 3)]]
+        + [[topologies[0], topologies[3]]] * halvings
+    )

@@ -1,10 +1,10 @@
 """Room solver: stacked chassis fields vs the chassis-level solver.
 
-:func:`~repro.room.model.solve_room` stacks chassis sharing a topology
-recipe into one :func:`~repro.sim.batched.evaluate_fleet` call per
-fixed-point iteration, each chassis a
-:class:`~repro.sim.batched.FleetPoint` carrying its inlet override.
-Every converged chassis field must equal
+:func:`~repro.room.model.solve_room` stacks every new chassis of a
+fixed-point iteration, whatever its topology recipe, into one
+:func:`~repro.sim.batched.evaluate_fleet` call, each chassis a
+:class:`~repro.sim.batched.FleetPoint` with its own topology and its
+inlet override.  Every converged chassis field must equal
 :func:`~repro.sim.steady_state.solve_steady_state` at that chassis'
 converged inlet **bit for bit** — the chassis solver stays the
 reference.  Every iteration feeds on the previous one's inlets, so a
@@ -182,3 +182,32 @@ def test_downwind_solve_sends_only_the_chassis_whose_inlet_moved(
         solution.exhaust_w,
     ] + [getattr(f, name) for f in solution.fields for name in FIELDS]
     assert all(array.base is None for array in arrays)
+
+
+def test_every_iteration_is_one_evaluator_call_across_recipes(monkeypatch):
+    """Each fixed-point iteration sends every new chassis, whatever its
+    recipe, to one ``evaluate_fleet`` call with per-chassis topologies;
+    the first carries all eight chassis and all three recipes."""
+    room = catalog_mix(8)
+    utilization = np.array([0.9, 0.3, 0.6, 0.75, 0.5, 0.8, 0.4, 0.65])
+    calls = []
+    iterations = []
+    evaluate = model.evaluate_fleet
+
+    def recording_evaluate(topology, params, points):
+        calls.append((topology, len(points)))
+        return evaluate(topology, params, points)
+
+    def emit(event):
+        if event["type"] == "room_iteration":
+            iterations.append(len(calls))
+
+    monkeypatch.setattr(model, "evaluate_fleet", recording_evaluate)
+    solution = solve_room(room, utilization, 12.0, 20.0, emit=emit)
+    assert solution.n_iterations > 2
+    assert iterations == list(range(1, solution.n_iterations + 1))
+    first, n_points = calls[0]
+    assert n_points == 8
+    assert list(first) == [_topology_for(spec) for spec in room.chassis]
+    assert len(set(first)) == 3
+    _assert_fields_match_chassis_solver(room, solution)
