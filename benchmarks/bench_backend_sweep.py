@@ -4,7 +4,7 @@ Measures the three ways to answer a decision-free capacity sweep over
 one shared topology (``repro.sim.batched``):
 
 - **per_point_serial** — the historical loop: every point runs the
-  ``(n,)`` steady solve and DVFS selection on its own.
+  ``(n,)`` steady solve on its own.
 - **process_pool** — the same per-point work fanned over a fork-based
   process pool, the way :func:`repro.sim.runner.run_sweep` scales the
   *engine* sweeps.  For decision-free math the points are far too
@@ -58,8 +58,8 @@ POOL_ROUNDS = int(os.environ.get("BENCH_POOL_ROUNDS", "3"))
 #: samples, and the recorded ratio would swing from run to run.
 ALTERNATING_ROUNDS = 20
 
-#: Every tensor of a sweep result; the timed batched call reads them all.
-FIELDS = ("power_w", "ambient_c", "sink_c", "chip_c", "freq_mhz")
+#: Every tensor of a sweep result.
+FIELDS = ("power_w", "ambient_c", "sink_c", "chip_c")
 
 N_ROWS = 3
 N_POINTS = 64
@@ -81,14 +81,13 @@ def _topology():
 
 
 def _points():
-    """A mixed deterministic grid: load x power x exponent x inlet."""
+    """A mixed deterministic grid: load x power x inlet."""
     points = []
     for i in range(N_POINTS):
         points.append(
             FleetPoint(
                 utilization=(i % 10) / 10.0 + 0.05,
                 dyn_max_w=8.0 + 0.25 * (i % 53),
-                dyn_exp=1.8 + 0.05 * (i % 9),
                 inlet_c=None if i % 3 else 18.0 + (i % 7),
             )
         )
@@ -159,7 +158,7 @@ def _mixed_recipe_leg():
     for k, (mixed, alone) in enumerate(
         zip(results["mixed"], results["per_recipe"])
     ):
-        for field in FIELDS[:-1]:
+        for field in FIELDS:
             np.testing.assert_array_equal(
                 getattr(mixed, field),
                 getattr(alone, field),
@@ -185,12 +184,7 @@ def test_batched_sweep_speedup(record_artifact):
         return evaluate_fleet_serial(topology, _PARAMS, points)
 
     def _batched():
-        result = evaluate_fleet(topology, _PARAMS, points)
-        # The DVFS selection is deferred to the first read; reading
-        # every field keeps it inside the timing.
-        for field in FIELDS:
-            getattr(result, field)
-        return result
+        return evaluate_fleet(topology, _PARAMS, points)
 
     best, results, rounds = alternating_best_of(
         {"serial": _serial, "batched": _batched},

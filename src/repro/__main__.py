@@ -529,8 +529,9 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help=(
             "account per-component wall-clock for every simulation "
-            "(<2%% overhead) and attach the profile table to results "
-            "and manifests (also: REPRO_PROFILE=1)"
+            "(about 3%% overhead on the 180-socket SUT) and attach the "
+            "profile table to results and manifests (also: "
+            "REPRO_PROFILE=1)"
         ),
     )
 

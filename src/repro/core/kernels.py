@@ -13,9 +13,10 @@ reproduces the per-candidate results bit for bit:
   the longest downwind chain.  A pad points at the candidate itself:
   the candidate is idle, so ``view.busy`` masks every pad.
 - Every victim's *now* and *later* steady-state frequency comes from
-  one :func:`~repro.sim.power_manager.select_frequencies_steady` call
-  over the concatenated pairs.  The selection is elementwise per
-  column, so one call gives the bits of many small ones.
+  one :func:`~repro.sim.power_manager.select_frequencies` call over
+  the concatenated pairs, from entry air through ``r_ext``.  The
+  selection is elementwise per column, so one call gives the bits of
+  many small ones.
 - Each candidate's weighted losses are summed column by column, left
   to right, with idle victims and pads contributing ``0.0``.  Below 8
   elements that is ``ndarray.sum``'s own order (numpy's pairwise
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..sim.power_manager import select_frequencies_steady
+from ..sim.power_manager import select_frequencies
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..server.topology import ServerTopology
@@ -91,7 +92,7 @@ class PlacementKernel:
         flat = victims.ravel()
         pairs = np.concatenate((flat, flat))
         ambient = view.ambient_c[flat]
-        freq = select_frequencies_steady(
+        freq = select_frequencies(
             ambient_c=np.concatenate(
                 (ambient, ambient + ambient_delta.ravel())
             ),

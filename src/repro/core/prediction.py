@@ -23,11 +23,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from ..sim.power_manager import (
-    dynamic_power,
-    select_frequencies,
-    select_frequencies_steady,
-)
+from ..sim.power_manager import dynamic_power, select_frequencies
 from ..workloads.benchmark import profile_for
 from ..workloads.power_model import (
     LEAKAGE_FLOOR_FRACTION,
@@ -64,11 +60,12 @@ def predict_job_frequency(
     dyn_max = job.app.power_at_max_w - LEAKAGE_TDP_FRACTION * tdp
     dyn_exp = np.full(ids.shape, profile.dynamic_exponent)
     return select_frequencies(
-        sink_c=view.sink_c[ids],
+        ambient_c=view.sink_c[ids],
         chip_c=view.chip_c[ids],
         dyn_max_w=dyn_max,
         dyn_exp=dyn_exp,
         tdp_w=tdp,
+        r_ext=0.0,
         theta_offset=topology.theta_offset_array[ids],
         theta_slope=topology.theta_slope_array[ids],
         ladder=view.ladder,
@@ -87,11 +84,9 @@ def predict_job_placement(
     :func:`predicted_job_power` call per candidate, from one gather of
     each candidate column:
 
-    - The frequency comes from :func:`~repro.sim.power_manager.
-      select_frequencies_steady` with ``ambient_c`` set to the sink
-      temperatures and ``r_ext=0.0``.  That is the instantaneous-sink
-      selection op for op: ``r_int + 0.0`` is ``r_int``, and every
-      other step is the same operation in the same order.
+    - The frequency is :func:`predict_job_frequency`'s one
+      :func:`~repro.sim.power_manager.select_frequencies` call, from
+      the sink temperatures with ``r_ext=0.0``.
     - The power keeps :func:`predicted_job_power`'s per-element order.
       Its leakage term is inlined because :func:`~repro.workloads.
       power_model.leakage_power` validates ``tdp_w`` as a scalar.
@@ -103,7 +98,7 @@ def predict_job_placement(
     reference_leak = LEAKAGE_TDP_FRACTION * tdp
     dyn_max = job.app.power_at_max_w - reference_leak
     ladder = view.ladder
-    freq = select_frequencies_steady(
+    freq = select_frequencies(
         ambient_c=view.sink_c[socket_ids],
         chip_c=chip,
         dyn_max_w=dyn_max,
@@ -176,10 +171,10 @@ def predict_downwind_slowdown(
         ladder=view.ladder,
         params=view.params,
     )
-    freq_now = select_frequencies_steady(
+    freq_now = select_frequencies(
         ambient_c=view.ambient_c[busy_down], **common
     )
-    freq_later = select_frequencies_steady(
+    freq_later = select_frequencies(
         ambient_c=view.ambient_c[busy_down] + ambient_delta, **common
     )
     losses = np.maximum(freq_now - freq_later, 0.0)

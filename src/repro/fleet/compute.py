@@ -13,9 +13,11 @@ query kinds deterministically from chassis state:
   field instead of the engine view.
 - **What-if** queries go through the batched fleet-tensor sweep
   (:func:`repro.sim.batched.evaluate_fleet`): every scenario is one
-  :class:`~repro.sim.batched.FleetPoint` and the whole batch is
-  answered with stacked kernel calls, memoised in a
-  :class:`~repro.sim.parallel.SweepCache`.
+  :class:`~repro.sim.batched.FleetPoint` and the whole batch's steady
+  fields come from stacked kernel calls.  One
+  :func:`~repro.sim.power_manager.select_frequencies` call over those
+  fields then gives every scenario's DVFS states.  Answers are
+  memoised in a :class:`~repro.sim.parallel.SweepCache`.
 
 :meth:`ChassisCompute.answer_batch` is the cross-*query* analogue and
 the entry point of every coordinator dispatch: the
@@ -24,9 +26,9 @@ the batch (state fingerprint = utilization vector over this chassis'
 topology/parameters), all placement candidates of all queries sharing
 a state are scored in one stacked pass, and the what-if scenarios of
 every member stack into a single :func:`~repro.sim.batched.
-evaluate_fleet` fleet-tensor call.  The batched answers are
-bit-identical to the per-query :meth:`ChassisCompute.answer` — every
-stacked operation is
+evaluate_fleet` fleet-tensor call and one DVFS selection.  The
+batched answers are bit-identical to the per-query
+:meth:`ChassisCompute.answer` — every stacked operation is
 elementwise over the member axis.
 
 Solved equilibrium fields are additionally memoised in a **warm-field
@@ -55,8 +57,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import FleetError
-from ..sim.batched import FleetPoint, evaluate_fleet
+from ..sim.batched import FleetPoint, FleetSweepResult, evaluate_fleet
 from ..sim.parallel import SweepCache
+from ..sim.power_manager import select_frequencies
 from ..sim.steady_state import SteadyStateField, solve_steady_state
 from .messages import PlacementQuery, WhatIfQuery
 from .registry import ChassisSpec
@@ -64,6 +67,10 @@ from .registry import ChassisSpec
 #: Busy dynamic power assumed per socket, as a fraction of TDP, when a
 #: query describes load only through utilization.
 DEFAULT_DYN_FRACTION = 0.6
+
+#: Dynamic power exponent of a what-if scenario's DVFS selection: a
+#: scenario names utilisation and dynamic power, not a workload.
+WHAT_IF_DYN_EXP = 2.0
 
 #: Default bound on the warm-field cache (distinct chassis states whose
 #: solved equilibrium fields are retained).
@@ -322,15 +329,50 @@ class ChassisCompute:
         cached = self.cache.get(key)
         if cached is not None:
             return cached
-        points = [
-            FleetPoint(utilization=u, dyn_max_w=p) for u, p in query.scenarios
-        ]
-        result = evaluate_fleet(self.topology, self.params, points)
-        payload = self._what_if_payload(result, 0, len(points))
+        result, freq = self._evaluate(query.scenarios)
+        payload = self._what_if_payload(
+            result, freq, 0, len(query.scenarios)
+        )
         self.cache.put(key, payload)
         return payload
 
-    def _what_if_payload(self, result, start: int, count: int) -> dict:
+    def _evaluate(
+        self, scenarios: Sequence[Tuple[float, float]]
+    ) -> Tuple[FleetSweepResult, np.ndarray]:
+        """Steady fields and steady DVFS states of ``scenarios``.
+
+        The fields come from one :func:`~repro.sim.batched.
+        evaluate_fleet` call.  The selection flattens the stacked
+        ``(N, n)`` fields to one ``(N * n,)`` call: it is elementwise
+        per socket column, so each row is bit-identical to that
+        scenario's own ``(n,)`` call.
+        """
+        points = [
+            FleetPoint(utilization=u, dyn_max_w=p) for u, p in scenarios
+        ]
+        result = evaluate_fleet(self.topology, self.params, points)
+        topology = self.topology
+        n_points, n = len(points), topology.n_sockets
+        flat = (n_points * n,)
+        freq = select_frequencies(
+            ambient_c=result.ambient_c.reshape(flat),
+            chip_c=result.chip_c.reshape(flat),
+            dyn_max_w=np.repeat(
+                np.array([p.dyn_max_w for p in points], dtype=float), n
+            ),
+            dyn_exp=np.full(flat, WHAT_IF_DYN_EXP),
+            tdp_w=np.tile(topology.tdp_array, n_points),
+            r_ext=np.tile(topology.r_ext_array, n_points),
+            theta_offset=np.tile(topology.theta_offset_array, n_points),
+            theta_slope=np.tile(topology.theta_slope_array, n_points),
+            ladder=topology.processor.ladder,
+            params=self.params,
+        ).reshape((n_points, n))
+        return result, freq
+
+    def _what_if_payload(
+        self, result, freq: np.ndarray, start: int, count: int
+    ) -> dict:
         """Package ``count`` rows of a fleet-sweep result from ``start``."""
         stop = start + count
         return {
@@ -339,7 +381,7 @@ class ChassisCompute:
                 float(c) for c in result.chip_c[start:stop].max(axis=1)
             ],
             "min_freq_mhz": [
-                float(f) for f in result.freq_mhz[start:stop].min(axis=1)
+                float(f) for f in freq[start:stop].min(axis=1)
             ],
             "total_power_w": [
                 float(p) for p in result.power_w[start:stop].sum(axis=1)
@@ -374,7 +416,8 @@ class ChassisCompute:
         socket of every member sharing that state is scored in one
         stacked broadcast over the member axis.  What-if members'
         uncached scenarios stack into one
-        :func:`~repro.sim.batched.evaluate_fleet` call.
+        :func:`~repro.sim.batched.evaluate_fleet` call and one DVFS
+        selection.
 
         Every payload is bit-identical to the corresponding
         :meth:`answer` call — all stacked operations are elementwise
@@ -484,8 +527,8 @@ class ChassisCompute:
 
         Members whose memo key is already cached are served from the
         :class:`~repro.sim.parallel.SweepCache`; the misses' scenarios
-        concatenate into one :func:`~repro.sim.batched.evaluate_fleet`
-        call.  Returns the number of evaluator calls made (0 or 1).
+        concatenate into one :meth:`_evaluate` call.  Returns the
+        number of evaluator calls made (0 or 1).
         """
         misses: List[int] = []
         for index in indices:
@@ -496,16 +539,13 @@ class ChassisCompute:
                 misses.append(index)
         if not misses:
             return 0
-        points = [
-            FleetPoint(utilization=u, dyn_max_w=p)
-            for index in misses
-            for u, p in queries[index].scenarios
-        ]
-        result = evaluate_fleet(self.topology, self.params, points)
+        result, freq = self._evaluate(
+            [s for index in misses for s in queries[index].scenarios]
+        )
         start = 0
         for index in misses:
             count = len(queries[index].scenarios)
-            payload = self._what_if_payload(result, start, count)
+            payload = self._what_if_payload(result, freq, start, count)
             start += count
             self.cache.put(self._what_if_key(queries[index]), payload)
             payloads[index] = payload

@@ -99,8 +99,10 @@ class WhatIfQuery:
     Evaluated through the batched fleet-tensor sweep
     (:func:`repro.sim.batched.evaluate_fleet`): each ``(utilization,
     dyn_max_w)`` scenario becomes one :class:`~repro.sim.batched.
-    FleetPoint` and the whole batch is answered with stacked kernel
-    calls.
+    FleetPoint` and the whole batch's steady fields come from stacked
+    kernel calls.  One :func:`~repro.sim.power_manager.
+    select_frequencies` call over those fields gives each scenario's
+    lowest steady DVFS state (``min_freq_mhz``).
 
     Attributes:
         chassis: Target chassis id.

@@ -12,7 +12,9 @@ the fingerprint oracle tests):
   the emitting thread and leaves parseable logs even when the process
   is SIGKILLed.
 - **Per-step profiling** (:mod:`~repro.obs.profiler`): per-component
-  wall-clock accounting of the step pipeline at <2% overhead.
+  wall-clock accounting of the step pipeline, measured at 2.93%
+  overhead on the 180-socket SUT (the median of 30 per-round ratios
+  on a 2-core VM, ``benchmarks/results/profiler_overhead.json``).
 - **Run manifests** (:mod:`~repro.obs.manifest`): per-run provenance
   records (parameters, topology recipe, fault schedule, versions,
   result fingerprint) naming the recipe behind each artifact; beside a

@@ -21,9 +21,9 @@ from .capacity import (
 )
 from .invariants import RoomInvariantAuditor, RoomInvariantViolation
 from .model import (
-    DEFAULT_DIVERGENCE_LIMIT_C,
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE_C,
+    DIVERGENCE_LIMIT_C,
+    MAX_ITERATIONS,
+    TOLERANCE_C,
     Room,
     RoomSolution,
     solve_room,
@@ -39,9 +39,8 @@ from .recirculation import (
 
 __all__ = [
     "CracSetpointChoice",
-    "DEFAULT_DIVERGENCE_LIMIT_C",
-    "DEFAULT_MAX_ITERATIONS",
-    "DEFAULT_TOLERANCE_C",
+    "DIVERGENCE_LIMIT_C",
+    "MAX_ITERATIONS",
     "ROOM_PLACEMENTS",
     "RecirculationMatrix",
     "Room",
@@ -49,6 +48,7 @@ __all__ = [
     "RoomInvariantAuditor",
     "RoomInvariantViolation",
     "RoomSolution",
+    "TOLERANCE_C",
     "downwind_recirculation",
     "max_sustainable_room_load",
     "optimize_crac_setpoint",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -96,7 +96,6 @@ def max_sustainable_room_load(
     crac_supply_c: float,
     placement: str = "paper",
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
-    limit_c: Optional[float] = None,
     seed: int = 0,
     emit=None,
 ) -> float:
@@ -106,7 +105,7 @@ def max_sustainable_room_load(
     max_sustainable_utilization`: bisection over the *room* utilisation
     axis, where each probe places the load under ``placement``, solves
     the recirculation-coupled equilibrium, and checks the hottest chip
-    in the room.
+    in the room against the DVFS limit of the seed's parameter set.
 
     Args:
         room: The chassis mix and recirculation coupling.
@@ -114,8 +113,6 @@ def max_sustainable_room_load(
         placement: A policy name from
             :data:`~repro.room.placement.ROOM_PLACEMENTS`.
         benchmark_set: Workload whose sustained power is applied.
-        limit_c: Temperature ceiling; defaults to the DVFS limit of
-            the shared parameter set.
         seed: Parameter seed.
         emit: Optional telemetry sink threaded to every room solve.
 
@@ -124,17 +121,14 @@ def max_sustainable_room_load(
         0.0 means even the idle room violates it.
 
     Raises:
-        RoomError: for a non-finite ``crac_supply_c`` or ``limit_c``.
+        RoomError: for a non-finite ``crac_supply_c``.
         RoomConvergenceError: when any probe's fixed point diverges —
             an unsustainable room configuration is reported loudly,
             not as a silently clipped curve.
     """
     if not np.isfinite(crac_supply_c):
         raise RoomError(f"crac_supply_c must be finite, got {crac_supply_c!r}")
-    params = scaled(seed=seed)
-    ceiling = params.temperature_limit_c if limit_c is None else limit_c
-    if not np.isfinite(ceiling):
-        raise RoomError(f"limit_c must be finite, got {limit_c!r}")
+    ceiling = scaled(seed=seed).temperature_limit_c
     dynamic = sustained_dynamic_power_w(benchmark_set)
     # MinHR's caps sit at the CRAC supply, which no probe moves: bisect
     # them once here rather than once per probe.
@@ -196,7 +190,6 @@ def room_derating_curve(
     crac_setpoints_c: Sequence[float],
     placement: str = "paper",
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
-    limit_c: Optional[float] = None,
     seed: int = 0,
     emit=None,
 ) -> List[RoomDeratingPoint]:
@@ -218,7 +211,6 @@ def room_derating_curve(
                 float(setpoint),
                 placement=placement,
                 benchmark_set=benchmark_set,
-                limit_c=limit_c,
                 seed=seed,
                 emit=emit,
             ),
@@ -249,7 +241,6 @@ def optimize_crac_setpoint(
     target_utilization: float,
     placement: str = "paper",
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
-    limit_c: Optional[float] = None,
     seed: int = 0,
     emit=None,
 ) -> CracSetpointChoice:
@@ -258,7 +249,7 @@ def optimize_crac_setpoint(
     Joint cooling co-control: every degree of CRAC supply temperature
     is cooling energy saved, so among the candidate setpoints the
     search returns the *warmest* one whose sustainable load (subject
-    to the redline ``limit_c``) still covers ``target_utilization``.
+    to the DVFS redline) still covers ``target_utilization``.
     When no setpoint sustains the target, the coldest candidate — the
     one with the largest sustainable load — is returned with
     ``meets_target=False`` so callers can derate explicitly rather
@@ -277,7 +268,6 @@ def optimize_crac_setpoint(
         crac_setpoints_c,
         placement=placement,
         benchmark_set=benchmark_set,
-        limit_c=limit_c,
         seed=seed,
         emit=emit,
     )

@@ -23,8 +23,8 @@ and its inlet as the per-point override, chassis of every recipe
 stacked into one block.  Only chassis whose operating point (recipe,
 utilisation, power, inlet) is new within the solve go to the
 evaluator; one whose inlet did not move reuses its field.  The room
-reads only the steady fields, so the evaluator's deferred DVFS
-selection never runs.
+reads only steady fields, which is all the evaluator returns: no DVFS
+selection runs.
 Every converged chassis field is bit-identical to
 :func:`~repro.sim.steady_state.solve_steady_state` at that chassis'
 converged inlet (``tests/test_room_differential.py``).
@@ -52,14 +52,14 @@ from ..sim.batched import FleetPoint, evaluate_fleet
 from ..sim.steady_state import SteadyStateField
 from .recirculation import RecirculationMatrix
 
-#: Default convergence tolerance on the inlet fixed point, degC.
-DEFAULT_TOLERANCE_C = 1e-6
+#: Convergence tolerance on the inlet fixed point, degC.
+TOLERANCE_C = 1e-6
 
-#: Default iteration budget for the fixed-point loop.
-DEFAULT_MAX_ITERATIONS = 60
+#: Iteration budget for the fixed-point loop.
+MAX_ITERATIONS = 60
 
 #: Residual above which the solve is declared divergent outright, degC.
-DEFAULT_DIVERGENCE_LIMIT_C = 1000.0
+DIVERGENCE_LIMIT_C = 1000.0
 
 #: Per-process cache of built chassis topologies, keyed by recipe.
 _topology_cache: Dict[Tuple[int, int, int, int], ServerTopology] = {}
@@ -336,12 +336,13 @@ def solve_room(
     dyn_max_w,
     crac_supply_c: float,
     seed: int = 0,
-    tolerance_c: float = DEFAULT_TOLERANCE_C,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    divergence_limit_c: float = DEFAULT_DIVERGENCE_LIMIT_C,
     emit: Optional[Callable[[dict], None]] = None,
 ) -> RoomSolution:
     """Iterate chassis steady states to the room thermal equilibrium.
+
+    The fixed point converges when the max inlet residual is within
+    :data:`TOLERANCE_C`, inside a budget of :data:`MAX_ITERATIONS`;
+    a residual above :data:`DIVERGENCE_LIMIT_C` aborts at once.
 
     Args:
         room: The chassis mix and recirculation coupling.
@@ -352,10 +353,6 @@ def solve_room(
         crac_supply_c: CRAC supply (cold-aisle) temperature, degC —
             the room's controlled input.
         seed: Seed for the shared scaled parameter set.
-        tolerance_c: Convergence tolerance on the max inlet residual.
-        max_iterations: Fixed-point iteration budget.
-        divergence_limit_c: Residual above which the solve aborts as
-            divergent without spending the rest of the budget.
         emit: Optional subscriber for the solve's ``room_*`` events
             (validated dicts, e.g. ``JsonlWriter.emit``).
 
@@ -365,7 +362,7 @@ def solve_room(
     Raises:
         RoomError: for malformed inputs.
         RoomConvergenceError: when the fixed point diverges (residual
-            growth past ``divergence_limit_c``, non-finite residuals,
+            growth past :data:`DIVERGENCE_LIMIT_C`, non-finite residuals,
             or three consecutive growing residuals an order of
             magnitude above the first) or the budget runs out above
             tolerance.
@@ -380,10 +377,6 @@ def solve_room(
         raise RoomError("dynamic power must be non-negative")
     if not np.isfinite(crac_supply_c):
         raise RoomError(f"crac_supply_c must be finite, got {crac_supply_c}")
-    if not tolerance_c > 0:
-        raise RoomError("tolerance must be positive")
-    if max_iterations < 1:
-        raise RoomError("max_iterations must be >= 1")
 
     bus = EventBus()
     if emit is not None:
@@ -410,9 +403,9 @@ def solve_room(
             residual_c=finite[-1] if finite else 0.0,
             reason=reason,
         )
-        return RoomConvergenceError(residuals, tolerance_c, reason)
+        return RoomConvergenceError(residuals, TOLERANCE_C, reason)
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         chassis = _solve_chassis(
             room, params, utilization, dyn_max_w, inlet, solved
         )
@@ -429,10 +422,10 @@ def solve_room(
             residual_c=residual,
             max_chip_c=hottest,
         )
-        if residual > divergence_limit_c:
+        if residual > DIVERGENCE_LIMIT_C:
             raise diverged(
                 f"residual exceeded the divergence limit "
-                f"{divergence_limit_c:g} degC"
+                f"{DIVERGENCE_LIMIT_C:g} degC"
             )
         if (
             len(residuals) >= 4
@@ -440,7 +433,7 @@ def solve_room(
             and residuals[-1] > 10.0 * residuals[0]
         ):
             raise diverged("residuals growing (loop gain above 1)")
-        if residual <= tolerance_c:
+        if residual <= TOLERANCE_C:
             bus.emit(
                 "room_converged",
                 n_iterations=len(residuals),

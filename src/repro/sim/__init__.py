@@ -39,7 +39,7 @@ vector operations regardless of socket count.
 
 from .state import SimulationState
 from .view import SchedulerView
-from .power_manager import select_frequencies, predicted_chip_temperature
+from .power_manager import select_frequencies
 from .engine import Engine, Simulation
 from .pipeline import EngineContext, StepComponent, build_pipeline
 from .invariants import InvariantAuditor, InvariantViolation
@@ -53,7 +53,6 @@ __all__ = [
     "SimulationState",
     "SchedulerView",
     "select_frequencies",
-    "predicted_chip_temperature",
     "Engine",
     "EngineContext",
     "StepComponent",

@@ -1,12 +1,14 @@
 """Batched fleet-tensor sweep evaluation.
 
-Capacity-planning sweeps ask the same decision-free questions at many
-operating points: "at utilisation u and per-socket dynamic power P,
-where does the steady thermal field settle, and which DVFS state
-survives it?".  The per-point path answers each question with a fresh
-set of ``(n,)`` kernel calls; this module stacks ``N`` such points into
-leading-axis ``(N, n)`` fleet tensors and evaluates every point per
-kernel call instead.
+Capacity-planning sweeps ask the same decision-free question at many
+operating points: "at utilisation u, per-socket dynamic power P and
+inlet T, where does the steady thermal field settle?".  The per-point
+path answers each question with a fresh set of ``(n,)`` kernel calls;
+this module stacks ``N`` such points into leading-axis ``(N, n)`` fleet
+tensors and evaluates every point per kernel call instead.  It returns
+the four steady fields only: a caller that wants the DVFS state those
+fields allow (the fleet what-if) runs
+:func:`~repro.sim.power_manager.select_frequencies` over them itself.
 
 The points of one call share one topology, or each carries its own.
 Rows of different topologies (a room's chassis recipes) stack into one
@@ -33,7 +35,7 @@ import dataclasses
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,12 +49,12 @@ from ..workloads.power_model import (
     LEAKAGE_TEMP_COEFF,
     leakage_power,
 )
-from .power_manager import select_frequencies_steady
 from .steady_state import (
     LEAKAGE_ITERATIONS,
     SteadyStateField,
     solve_steady_state,
 )
+
 
 @dataclass(frozen=True)
 class FleetPoint:
@@ -61,33 +63,28 @@ class FleetPoint:
     Attributes:
         utilization: Uniform per-socket busy fraction in [0, 1].
         dyn_max_w: Per-socket dynamic power while busy, W.
-        dyn_exp: Dynamic power exponent for the DVFS selection step
-            (workload dependent; see
-            :func:`repro.sim.power_manager.dynamic_power`).
         inlet_c: Optional inlet-air override, degC; ``None`` uses the
             sweep's shared ``params.inlet_c``.
     """
 
     utilization: float
     dyn_max_w: float
-    dyn_exp: float = 2.0
     inlet_c: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.utilization <= 1.0:
             raise SimulationError("utilisation must lie in [0, 1]")
-        for name in ("dyn_max_w", "dyn_exp", "inlet_c"):
+        for name in ("dyn_max_w", "inlet_c"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise SimulationError(f"{name} must be finite, got {value}")
         if self.dyn_max_w < 0:
             raise SimulationError("dynamic power must be non-negative")
-        if self.dyn_exp <= 0:
-            raise SimulationError("dynamic exponent must be positive")
 
 
+@dataclass(frozen=True, eq=False)
 class FleetSweepResult:
-    """Stacked results for a batch of fleet points.
+    """Stacked steady fields for a batch of fleet points.
 
     The point axis leads and is aligned with the input sequence.  A
     call over one shared topology returns ``(N, n)`` tensors.  A call
@@ -95,62 +92,19 @@ class FleetSweepResult:
     widest row: each row's own sockets are its leading columns, the
     rest is finite filler, so read a row through :meth:`field`.
 
-    The four steady tensors are always computed.  The DVFS selection
-    (``freq_mhz``) may be *deferred*: :func:`evaluate_fleet` passes it
-    as a zero-argument callable over the steady tensors, run on the
-    first read and cached on the result.  A caller that reads only the
-    steady fields — the room solver — never pays for it; fleet
-    what-ifs read it.  A mixed-topology call has none: reading it
-    raises :class:`~repro.errors.SimulationError`.  Pickling
-    materialises it, so a result crosses a process boundary whole.
-
     Attributes:
         power_w: Steady per-socket total power, W.
         ambient_c: Steady entry air temperatures, degC.
         sink_c: Steady heat-sink temperatures, degC.
         chip_c: Steady chip temperatures, degC.
-        freq_mhz: Steady-state DVFS selection per socket, MHz.
+        n_sockets: Each point's own socket count.
     """
 
-    def __init__(
-        self,
-        power_w: np.ndarray,
-        ambient_c: np.ndarray,
-        sink_c: np.ndarray,
-        chip_c: np.ndarray,
-        freq_mhz: Union[np.ndarray, Callable[[], np.ndarray], None],
-        n_sockets: Optional[Sequence[int]] = None,
-    ) -> None:
-        self.power_w = power_w
-        self.ambient_c = ambient_c
-        self.sink_c = sink_c
-        self.chip_c = chip_c
-        self._freq_mhz = freq_mhz
-        self._n_sockets = n_sockets
-
-    @property
-    def freq_mhz(self) -> np.ndarray:
-        if self._freq_mhz is None:
-            raise SimulationError(
-                "a call mixing topologies has no DVFS selection; "
-                "evaluate each topology's points in their own call"
-            )
-        if callable(self._freq_mhz):
-            self._freq_mhz = self._freq_mhz()
-        return self._freq_mhz
-
-    def __reduce__(self):
-        return (
-            FleetSweepResult,
-            (
-                self.power_w,
-                self.ambient_c,
-                self.sink_c,
-                self.chip_c,
-                None if self._freq_mhz is None else self.freq_mhz,
-                self._n_sockets,
-            ),
-        )
+    power_w: np.ndarray
+    ambient_c: np.ndarray
+    sink_c: np.ndarray
+    chip_c: np.ndarray
+    n_sockets: Sequence[int]
 
     @property
     def n_points(self) -> int:
@@ -159,7 +113,7 @@ class FleetSweepResult:
 
     def field(self, index: int) -> SteadyStateField:
         """The steady field of one point over its own sockets."""
-        n = None if self._n_sockets is None else self._n_sockets[index]
+        n = self.n_sockets[index]
         return SteadyStateField(
             power_w=self.power_w[index, :n],
             ambient_c=self.ambient_c[index, :n],
@@ -182,54 +136,31 @@ def evaluate_fleet_serial(
     params: SimulationParameters,
     points: Sequence[FleetPoint],
 ) -> FleetSweepResult:
-    """Per-point reference evaluation through the serial kernels.
+    """Per-point reference evaluation through the serial solver.
 
     Runs each point independently through the exact historical entry
-    points (:func:`~repro.sim.steady_state.solve_steady_state` and the
-    steady DVFS selector) and stacks the results.
-    :func:`evaluate_fleet` must match this bit for bit — it is the
-    batched evaluator's oracle.
+    point (:func:`~repro.sim.steady_state.solve_steady_state`) and
+    stacks the results.  :func:`evaluate_fleet` must match this bit
+    for bit — it is the batched evaluator's oracle.
     """
     if not points:
         raise SimulationError("fleet sweep needs at least one point")
     n = topology.n_sockets
-    ladder = topology.processor.ladder
-    tdp = topology.tdp_array
-    r_ext = topology.r_ext_array
-    theta_off = topology.theta_offset_array
-    theta_slope = topology.theta_slope_array
-
-    fields: List[SteadyStateField] = []
-    freqs: List[np.ndarray] = []
-    for point in points:
-        p = _point_params(params, point)
-        field = solve_steady_state(
+    fields: List[SteadyStateField] = [
+        solve_steady_state(
             topology,
-            p,
+            _point_params(params, point),
             np.full(n, point.dyn_max_w),
             np.full(n, point.utilization),
         )
-        fields.append(field)
-        freqs.append(
-            select_frequencies_steady(
-                ambient_c=field.ambient_c,
-                chip_c=field.chip_c,
-                dyn_max_w=np.full(n, point.dyn_max_w),
-                dyn_exp=np.full(n, point.dyn_exp),
-                tdp_w=tdp,
-                r_ext=r_ext,
-                theta_offset=theta_off,
-                theta_slope=theta_slope,
-                ladder=ladder,
-                params=p,
-            )
-        )
+        for point in points
+    ]
     return FleetSweepResult(
         power_w=np.stack([f.power_w for f in fields]),
         ambient_c=np.stack([f.ambient_c for f in fields]),
         sink_c=np.stack([f.sink_c for f in fields]),
         chip_c=np.stack([f.chip_c for f in fields]),
-        freq_mhz=np.stack(freqs),
+        n_sockets=[n] * len(points),
     )
 
 
@@ -381,23 +312,16 @@ def evaluate_fleet(
 ) -> FleetSweepResult:
     """Evaluate a batch of fleet points with stacked kernel calls.
 
-    The steady tensors are computed here; the DVFS selection is
-    deferred to the first read of the result's ``freq_mhz`` (see
-    :class:`FleetSweepResult`).
-
     The steady field of a point depends only on its topology and its
     ``(utilization, dyn_max_w, inlet)``, so the fixed point runs once
     per distinct quadruple and its rows are repeated into the output
-    tensors.  The deferred selection runs on those expanded tensors:
-    points that differ only in ``dyn_exp`` share a steady row but not
-    a frequency.
+    tensors.
 
     Args:
         topology: The server geometry shared by every point, or a
             sequence of one topology per point.  Points of different
             topologies stack into one block padded to the widest (see
-            :class:`FleetSweepResult`); such a call has no
-            ``freq_mhz``.
+            :class:`FleetSweepResult`).
         params: Shared simulation parameters; per-point ``inlet_c``
             overrides apply on top.
         points: The sweep points; all evaluate in one pass.
@@ -446,46 +370,10 @@ def evaluate_fleet(
     if len(rows) < n_points:
         steady = tuple(tensor[row_of] for tensor in steady)
     power, ambient, sink, chip = steady
-    if shared is None:
-        return FleetSweepResult(
-            power_w=power,
-            ambient_c=ambient,
-            sink_c=sink,
-            chip_c=chip,
-            freq_mhz=None,
-            n_sockets=[t.n_sockets for t in per_point],
-        )
-    n = shared.n_sockets
-    dyn_max = [point.dyn_max_w for point in points]
-    dyn_exp = [point.dyn_exp for point in points]
-
-    def columns(values: Sequence[float]) -> np.ndarray:
-        """One value per point, repeated over that point's sockets."""
-        return np.repeat(np.array(values, dtype=float), n)
-
-    def frequencies() -> np.ndarray:
-        # DVFS selection is elementwise per socket column, so the
-        # stacked batch flattens to one (N * n,) call — bit-identical
-        # per element to N separate (n,) calls (see
-        # select_frequencies_steady).
-        flat = (n_points * n,)
-        return select_frequencies_steady(
-            ambient_c=ambient.reshape(flat),
-            chip_c=chip.reshape(flat),
-            dyn_max_w=columns(dyn_max),
-            dyn_exp=columns(dyn_exp),
-            tdp_w=np.tile(shared.tdp_array, n_points),
-            r_ext=np.tile(shared.r_ext_array, n_points),
-            theta_offset=np.tile(shared.theta_offset_array, n_points),
-            theta_slope=np.tile(shared.theta_slope_array, n_points),
-            ladder=shared.processor.ladder,
-            params=params,
-        ).reshape((n_points, n))
-
     return FleetSweepResult(
         power_w=power,
         ambient_c=ambient,
         sink_c=sink,
         chip_c=chip,
-        freq_mhz=frequencies,
+        n_sockets=[t.n_sockets for t in per_point],
     )

@@ -101,9 +101,11 @@ class Engine:
                 with *chained* timestamps — one clock reading between
                 consecutive hooks, not a start/stop pair around each —
                 so profiling costs a single ``perf_counter`` call per
-                component per step (<2% overhead, pinned by
-                ``benchmarks/bench_step_pipeline.py``).  The finished
-                profile lands in ``result.profile``.
+                component per step.  ``benchmarks/bench_step_pipeline.py``
+                measures the overhead: 2.93% on the 180-socket SUT, the
+                median of 30 per-round ratios on a 2-core VM
+                (``benchmarks/results/profiler_overhead.json``).  The
+                finished profile lands in ``result.profile``.
         """
         if not components:
             raise SimulationError("engine needs at least one component")

@@ -316,7 +316,9 @@ class Placer(StepComponent):
         acc = self._bucket
         if acc is not None:
             # Timing the drain once per step instead of per placement
-            # keeps the profiler's <2% overhead bound intact.
+            # keeps the bucket to two clock reads a step, whatever the
+            # number of placements (the whole profile measured 2.93%,
+            # benchmarks/results/profiler_overhead.json).
             queued = len(queue)
             started = self._clock()
         while queue and idle.size:
@@ -381,7 +383,8 @@ class Migrator(StepComponent):
 class PowerManager(StepComponent):
     """Select per-socket DVFS states and compute electrical power.
 
-    Runs the batched frequency selection (see
+    Runs the batched frequency selection from the current sink
+    temperature with ``r_ext=0.0`` (see
     :func:`repro.sim.power_manager.select_frequencies`), then derives
     socket power: dynamic + leakage while busy, the gated floor while
     idle.  The leakage vector is computed once and shared with the
@@ -415,11 +418,12 @@ class PowerManager(StepComponent):
         ladder = state.ladder
         leak = _leakage_into(state.chip_c, ctx.tdp, self._leak)
         freq = select_frequencies(
-            sink_c=state.sink_c,
+            ambient_c=state.sink_c,
             chip_c=state.chip_c,
             dyn_max_w=state.dyn_max_w,
             dyn_exp=state.dyn_exp,
             tdp_w=ctx.tdp,
+            r_ext=0.0,
             theta_offset=ctx.theta_offset,
             theta_slope=ctx.theta_slope,
             ladder=ladder,

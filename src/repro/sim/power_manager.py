@@ -1,24 +1,29 @@
 """Power manager: DVFS selection and power computation.
 
-The paper's power management policy "emphasizes responsiveness and runs
-jobs at the highest possible frequency within the temperature limit"
-(Table III), evaluated every 1 ms.  Because the on-chip time constant
-(5 ms) is tiny compared to the heat-sink constant (30 s), the chip sits
-in quasi-equilibrium with its sink; the manager therefore grants the
-highest state whose quasi-equilibrium chip temperature
+The paper uses one DVFS rule in two places.  Its power management
+policy "emphasizes responsiveness and runs jobs at the highest possible
+frequency within the temperature limit" (Table III), evaluated every
+1 ms; its Predictive and CP schedulers predict the state a job would
+get the same way (Section IV-C).  Both grant the highest state whose
+Equation-1 chip temperature
 
-    T_chip = T_sink + P(f) * R_int + theta(P(f))
+    T_chip = T_amb + P(f) * (R_int + R_ext) + theta(P(f))
 
-stays under the 95 degC limit.  Boost states (above the sustained
-1500 MHz) are additionally gated by the boost governor threshold — the
-BKDG-derived rule that a fully loaded socket only *sustains* the highest
-non-boost state, boosting opportunistically while thermal headroom
-exists.
+stays under the 95 degC limit, which :func:`select_frequencies`
+computes.  The 1-ms manager passes the current sink temperature with
+``r_ext=0.0``: the on-chip time constant (5 ms) is tiny next to the
+heat sink's (30 s), so the chip sits in quasi-equilibrium with its
+sink.  The schedulers' steady prediction passes the entry air with
+each socket's ``R_ext``: the temperature the chip settles at once its
+sink equilibrates.  Boost states (above the sustained 1500 MHz) are
+additionally gated by the boost governor threshold — the BKDG-derived
+rule that a fully loaded socket only *sustains* the highest non-boost
+state, boosting opportunistically while thermal headroom exists.
 
 Idle sockets are power gated and draw 10% of TDP.
 
-Both selection functions are *batched over the ladder*: instead of a
-Python loop re-deriving power and temperature per DVFS state, one
+The selection is *batched over the ladder*: instead of a Python loop
+re-deriving power and temperature per DVFS state, one
 ``(n_states, n_sockets)`` broadcast computes every state's predicted
 chip temperature at once and a reverse arg-max picks the highest
 admissible state per socket.  The broadcast performs the identical
@@ -146,22 +151,6 @@ def _pick_highest_allowed(
     return np.where(any_allowed, workspace.freq, min_mhz)
 
 
-def predicted_chip_temperature(
-    sink_c: ArrayLike,
-    power_w: ArrayLike,
-    r_int: float,
-    theta_offset: ArrayLike,
-    theta_slope: ArrayLike,
-) -> ArrayLike:
-    """Quasi-equilibrium chip temperature over the current sink state."""
-    return (
-        np.asarray(sink_c)
-        + np.asarray(power_w) * r_int
-        + np.asarray(theta_offset)
-        + np.asarray(theta_slope) * np.asarray(power_w)
-    )
-
-
 def dynamic_power(
     freq_mhz: ArrayLike,
     dyn_max_w: ArrayLike,
@@ -174,11 +163,12 @@ def dynamic_power(
 
 
 def select_frequencies(
-    sink_c: np.ndarray,
+    ambient_c: ArrayLike,
     chip_c: np.ndarray,
     dyn_max_w: np.ndarray,
     dyn_exp: np.ndarray,
     tdp_w: np.ndarray,
+    r_ext: ArrayLike,
     theta_offset: np.ndarray,
     theta_slope: np.ndarray,
     ladder: FrequencyLadder,
@@ -191,12 +181,24 @@ def select_frequencies(
     Every input is a per-socket array (idle sockets may pass zeros for
     the job parameters; their result is meaningless and ignored by the
     engine).  The selection considers every ladder state at once,
-    keeping the highest state whose predicted chip temperature respects
-    the 95 degC limit — and, for boost states, the boost governor
-    threshold.  The minimum state is always available (the clock is
-    never stopped).
+    keeping the highest state whose Equation-1 chip temperature
+    ``ambient_c + P * (r_int + r_ext) + theta(P)`` respects the 95 degC
+    limit — and, for boost states, the boost governor threshold.  The
+    minimum state is always available (the clock is never stopped).
+
+    The math is elementwise per socket column, so callers may flatten
+    many sockets' inputs into one call (the fleet what-if's ``(N * n,)``
+    scenarios, CP's concatenated victims) and get the bits of many
+    small calls.
 
     Args:
+        ambient_c: Temperature the chip's heat path starts from, degC:
+            the current sink temperature with ``r_ext=0.0`` (the 1-ms
+            power manager's quasi-equilibrium), or the entry air with
+            the socket's external resistance (the steady prediction).
+        r_ext: External (sink-to-air) thermal resistance, degC/W; a
+            scalar or per-socket array.  ``r_int + 0.0`` is ``r_int``,
+            so ``r_ext=0.0`` adds no rounding step.
         leakage_w: Optional precomputed per-socket leakage power
             (``leakage_power(chip_c, 1.0) * tdp_w``); callers that
             already hold the identical quantity (the engine's power
@@ -207,10 +209,11 @@ def select_frequencies(
     """
     if leakage_w is None:
         leakage_w = leakage_power(chip_c, 1.0) * tdp_w
-    states, boost, ratios = _ladder_tables(ladder)
+    states, _, ratios = _ladder_tables(ladder)
     # In-place accumulation of power = dyn_max * ratio**exp + leak and
-    # chip_eq = sink + power*r_int + theta_off + theta_slope*power,
-    # reordering only across commutative ops (bit-identical results).
+    # chip_eq = ambient + power*(r_int + r_ext) + theta_off
+    # + theta_slope*power, reordering only across commutative ops
+    # (bit-identical results).
     if workspace is None:
         power = ratios ** dyn_exp
         chip_eq = None
@@ -219,8 +222,8 @@ def select_frequencies(
         chip_eq = workspace.chip_eq
     power *= dyn_max_w
     power += leakage_w
-    chip_eq = np.multiply(power, params.r_int, out=chip_eq)
-    chip_eq += sink_c
+    chip_eq = np.multiply(power, params.r_int + r_ext, out=chip_eq)
+    chip_eq += ambient_c
     chip_eq += theta_offset
     if workspace is None:
         chip_eq += theta_slope * power
@@ -235,43 +238,3 @@ def select_frequencies(
     return _pick_highest_allowed(
         allowed, states, float(ladder.min_mhz), workspace
     )
-
-
-def select_frequencies_steady(
-    ambient_c: np.ndarray,
-    chip_c: np.ndarray,
-    dyn_max_w: np.ndarray,
-    dyn_exp: np.ndarray,
-    tdp_w: np.ndarray,
-    r_ext: np.ndarray,
-    theta_offset: np.ndarray,
-    theta_slope: np.ndarray,
-    ladder: FrequencyLadder,
-    params: SimulationParameters,
-) -> np.ndarray:
-    """Steady-state frequency prediction from entry air temperature.
-
-    Uses the full Equation 1 (``T = T_amb + P * (R_int + R_ext) +
-    theta``), i.e. the temperature the chip settles at once its heat
-    sink equilibrates — the prediction the paper's Predictive and CP
-    schedulers perform.  Compared to :func:`select_frequencies` (which
-    reflects the instantaneous sink state) the steady view responds
-    smoothly to ambient changes, because each DVFS state's power
-    difference shifts the equilibrium through the external resistance
-    as well.
-
-    The batched fleet evaluator calls this with flattened ``(N * n,)``
-    inputs: the math is elementwise per column, so batching is
-    bit-identical to per-point calls.
-    """
-    leak = leakage_power(chip_c, 1.0) * tdp_w
-    states, boost, ratios = _ladder_tables(ladder)
-    power = ratios ** dyn_exp
-    power *= dyn_max_w
-    power += leak
-    chip_ss = power * (params.r_int + r_ext)
-    chip_ss += ambient_c
-    chip_ss += theta_offset
-    chip_ss += theta_slope * power
-    allowed = chip_ss <= _state_limits(ladder, params)
-    return _pick_highest_allowed(allowed, states, float(ladder.min_mhz))

@@ -25,25 +25,19 @@ from repro.sim.batched import (
     evaluate_fleet_serial,
 )
 
-FIELDS = (
-    "power_w",
-    "ambient_c",
-    "sink_c",
-    "chip_c",
-    "freq_mhz",
-)
+FIELDS = ("power_w", "ambient_c", "sink_c", "chip_c")
 
 #: The acceptance sweep: 8 mixed points — utilisation extremes, power
-#: extremes, workload exponents, and per-point inlet overrides.
+#: extremes, and per-point inlet overrides.
 MIXED_POINTS = (
-    FleetPoint(0.1, 8.0, 2.0),
-    FleetPoint(0.3, 12.0, 1.8),
-    FleetPoint(0.5, 15.0, 2.2, inlet_c=22.0),
-    FleetPoint(0.7, 18.0, 2.0),
-    FleetPoint(0.9, 20.0, 1.9),
-    FleetPoint(1.0, 21.0, 2.1, inlet_c=30.0),
-    FleetPoint(0.0, 10.0, 2.0),
-    FleetPoint(0.65, 16.5, 2.0, inlet_c=18.0),
+    FleetPoint(0.1, 8.0),
+    FleetPoint(0.3, 12.0),
+    FleetPoint(0.5, 15.0, inlet_c=22.0),
+    FleetPoint(0.7, 18.0),
+    FleetPoint(0.9, 20.0),
+    FleetPoint(1.0, 21.0, inlet_c=30.0),
+    FleetPoint(0.0, 10.0),
+    FleetPoint(0.65, 16.5, inlet_c=18.0),
 )
 
 
@@ -76,13 +70,12 @@ def test_field_accessor_matches_serial_solver(small_sut, params):
     assert field.hottest_socket == int(np.argmax(serial.chip_c[0]))
 
 
-def test_deferred_fields_are_cached_and_pickle_whole(small_sut, params):
-    """The DVFS tensor is computed once, on first read, and pickling
-    materialises it (results cross process pools)."""
+def test_results_pickle_whole(small_sut, params):
+    """Results cross process pools: a pickled result keeps every
+    field bit for bit."""
     batched = evaluate_fleet(small_sut, params, MIXED_POINTS)
     serial = evaluate_fleet_serial(small_sut, params, MIXED_POINTS)
     _assert_bit_identical(pickle.loads(pickle.dumps(batched)), serial)
-    assert batched.freq_mhz is batched.freq_mhz
 
 
 def test_point_validation():
@@ -90,15 +83,11 @@ def test_point_validation():
         FleetPoint(1.2, 10.0)
     with pytest.raises(SimulationError):
         FleetPoint(0.5, -1.0)
-    with pytest.raises(SimulationError):
-        FleetPoint(0.5, 10.0, dyn_exp=0.0)
     # Non-finite values would otherwise come back as NaN or -inf
     # fields, and a NaN never equals itself as a distinct-row key.
     for value in (float("nan"), float("inf")):
         with pytest.raises(SimulationError, match="dyn_max_w"):
             FleetPoint(0.5, value)
-    with pytest.raises(SimulationError, match="dyn_exp"):
-        FleetPoint(0.5, 10.0, dyn_exp=float("nan"))
     for value in (float("nan"), float("-inf")):
         with pytest.raises(SimulationError, match="inlet_c"):
             FleetPoint(0.5, 10.0, inlet_c=value)
@@ -107,14 +96,14 @@ def test_point_validation():
 def test_repeated_points_solve_each_distinct_row_once(
     small_sut, params, monkeypatch
 ):
-    """Repeats share one steady row; points that differ only in
-    ``dyn_exp`` share it too but keep their own frequencies."""
+    """Repeats share one steady row, whether the same point object
+    or an equal one."""
     points = (
         MIXED_POINTS[1],
         MIXED_POINTS[2],
         MIXED_POINTS[1],
-        FleetPoint(0.5, 15.0, 1.7, inlet_c=22.0),  # MIXED_POINTS[2]'s row
-        FleetPoint(0.3, 12.0, 1.8, inlet_c=params.inlet_c),  # row 0
+        FleetPoint(0.5, 15.0, inlet_c=22.0),  # MIXED_POINTS[2]'s row
+        FleetPoint(0.3, 12.0, inlet_c=params.inlet_c),  # row 0
         MIXED_POINTS[5],
         MIXED_POINTS[2],
     )
@@ -138,7 +127,6 @@ def test_repeated_points_solve_each_distinct_row_once(
         result,
         evaluate_fleet_serial(small_sut, params, points),
     )
-    assert not np.array_equal(result.freq_mhz[1], result.freq_mhz[3])
 
 
 def test_empty_batch_rejected(small_sut, params):
@@ -194,25 +182,21 @@ def test_mixed_recipe_call_matches_serial_on_each_topology(
     for k, (topology, point) in enumerate(zip(topologies, points)):
         serial = evaluate_fleet_serial(topology, params, [point])
         field = result.field(k)
-        for name in FIELDS[:-1]:
+        for name in FIELDS:
             np.testing.assert_array_equal(
                 getattr(field, name),
                 getattr(serial, name)[0],
                 err_msg=f"row {k} {name}",
             )
-    with pytest.raises(SimulationError, match="mixing topologies"):
-        result.freq_mhz
     restored = pickle.loads(pickle.dumps(result))
     np.testing.assert_array_equal(
         restored.field(2).chip_c, result.field(2).chip_c
     )
-    with pytest.raises(SimulationError):
-        restored.freq_mhz
 
 
 def test_shared_topology_calls_keep_unpadded_tensors(small_sut, params):
     """One topology, passed once or once per point, gives ``(N, n)``
-    tensors and the DVFS selection."""
+    tensors."""
     n = small_sut.n_sockets
     for topology in (small_sut, [small_sut] * len(MIXED_POINTS)):
         result = evaluate_fleet(topology, params, MIXED_POINTS)

@@ -27,11 +27,12 @@ from repro.workloads.power_model import (
 PARAMS = SimulationParameters()
 
 
-def pick_frequency(sink_c, chip_c, dyn_max=11.4, exp=1.7, r_ext=1.578,
+def pick_frequency(sink_c, chip_c, dyn_max=11.4, exp=1.7,
                    theta_off=4.41, theta_slope=-0.0896):
     return float(
         select_frequencies(
-            sink_c=np.array([sink_c]),
+            ambient_c=np.array([sink_c]),
+            r_ext=0.0,
             chip_c=np.array([chip_c]),
             dyn_max_w=np.array([dyn_max]),
             dyn_exp=np.array([exp]),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import FleetError
 from repro.fleet.compute import (
+    WHAT_IF_DYN_EXP,
     ChassisCompute,
     ChassisSnapshot,
     degraded_payload,
@@ -24,6 +25,8 @@ from repro.fleet.registry import (
     spec_from_catalog,
 )
 from repro.server.catalog import TABLE_I_SYSTEMS
+from repro.sim.power_manager import select_frequencies
+from repro.sim.steady_state import solve_steady_state
 
 SPEC = ChassisSpec(
     chassis_id="c0",
@@ -178,6 +181,63 @@ class TestChassisCompute:
         second = compute.what_if(q)
         assert compute.cache.hits == 1
         assert first == second
+
+    def test_min_frequency_is_one_steady_selection_per_scenario(self):
+        """``min_freq_mhz`` from ``what_if``, and from ``answer_batch``
+        over several what-ifs, is bit-identical to a steady solve and
+        a DVFS selection run once per scenario."""
+        spec = demo_fleet().chassis["c0"]
+        # A fine power grid puts scenarios next to the ladder's
+        # thresholds, where a wrong input moves a state.
+        grid = [(u, 2.0 + k) for u in (0.0, 0.3, 0.9) for k in range(28)]
+        queries = [
+            WhatIfQuery(chassis="c0", scenarios=tuple(grid[i::3]))
+            for i in range(3)
+        ]
+        reference = ChassisCompute(spec)
+        topology, params = reference.topology, reference.params
+        n = topology.n_sockets
+
+        def selection(utilization, dyn_max_w):
+            field = solve_steady_state(
+                topology,
+                params,
+                np.full(n, dyn_max_w),
+                np.full(n, utilization),
+            )
+            return select_frequencies(
+                ambient_c=field.ambient_c,
+                chip_c=field.chip_c,
+                dyn_max_w=np.full(n, dyn_max_w),
+                dyn_exp=np.full(n, WHAT_IF_DYN_EXP),
+                tdp_w=topology.tdp_array,
+                r_ext=topology.r_ext_array,
+                theta_offset=topology.theta_offset_array,
+                theta_slope=topology.theta_slope_array,
+                ladder=topology.processor.ladder,
+                params=params,
+            )
+
+        expected = [
+            [float(selection(u, p).min()) for u, p in q.scenarios]
+            for q in queries
+        ]
+        # The scenarios reach every state of the ladder.
+        assert {f for row in expected for f in row} == set(
+            map(float, topology.processor.ladder.states_mhz)
+        )
+        single = ChassisCompute(spec)
+        assert [
+            single.what_if(q)["min_freq_mhz"] for q in queries
+        ] == expected
+        payloads, stats = ChassisCompute(spec).answer_batch(queries)
+        assert stats["n_evaluations"] == 1
+        assert [p["min_freq_mhz"] for p in payloads] == expected
+        # Every socket too: the minimum hides most sockets' states.
+        _, freq = reference._evaluate(grid)
+        np.testing.assert_array_equal(
+            freq, np.stack([selection(u, p) for u, p in grid])
+        )
 
     def test_answer_dispatches_and_rejects_unknown(self):
         compute = ChassisCompute(SPEC)

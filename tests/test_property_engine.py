@@ -29,7 +29,8 @@ class TestFrequencySelectionProperties:
         self, sink, chip, dyn_max, exp
     ):
         freq = select_frequencies(
-            sink_c=np.array([sink]),
+            ambient_c=np.array([sink]),
+            r_ext=0.0,
             chip_c=np.array([chip]),
             dyn_max_w=np.array([dyn_max]),
             dyn_exp=np.array([exp]),
@@ -49,7 +50,8 @@ class TestFrequencySelectionProperties:
     def test_hotter_sink_never_faster(self, sink, dyn_max):
         def pick(s):
             return select_frequencies(
-                sink_c=np.array([s]),
+                ambient_c=np.array([s]),
+                r_ext=0.0,
                 chip_c=np.array([s + 3.0]),
                 dyn_max_w=np.array([dyn_max]),
                 dyn_exp=np.array([1.7]),

@@ -21,7 +21,6 @@ from repro.room import (
     capacity,
     downwind_recirculation,
     max_sustainable_room_load,
-    optimize_crac_setpoint,
     placement,
 )
 from repro.room.model import _topology_for
@@ -144,28 +143,6 @@ def test_minhr_bisects_its_supply_caps_once_per_load_search(monkeypatch):
     max_sustainable_room_load(caps_room(), 22.0, placement="minhr")
     assert len(probes) > 2
     assert inlets == [22.0]
-
-
-def _no_probe(*args, **kwargs):
-    raise AssertionError("a room was probed under a non-finite redline")
-
-
-@pytest.mark.parametrize("limit", [float("nan"), float("inf")])
-def test_non_finite_redline_is_rejected_before_the_first_probe(
-    monkeypatch, limit
-):
-    """Every ``<=`` against a NaN redline is false, so it used to read
-    as "nothing is sustainable" (load 0.0, ``meets_target=False``)."""
-    monkeypatch.setattr(capacity, "_standalone_caps", _no_probe)
-    monkeypatch.setattr(capacity, "place_room_load", _no_probe)
-    with pytest.raises(RoomError, match="limit_c"):
-        max_sustainable_room_load(
-            caps_room(), 22.0, placement="minhr", limit_c=limit
-        )
-    with pytest.raises(RoomError, match="limit_c"):
-        optimize_crac_setpoint(
-            caps_room(), (18.0, 22.0), 0.5, limit_c=limit
-        )
 
 
 @pytest.mark.parametrize("crac_supply_c", [float("nan"), float("inf")])

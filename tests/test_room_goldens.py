@@ -41,7 +41,7 @@ from repro.room import (
     solve_room,
     zero_recirculation,
 )
-from repro.sim import batched
+from repro.sim import power_manager
 from repro.sim.parallel import clear_shared_cache
 from repro.sim.steady_state import solve_steady_state
 from repro.workloads.benchmark import BenchmarkSet
@@ -216,14 +216,14 @@ def assert_mixed_fleet_matches_golden(actual: dict) -> None:
 
 
 def test_room_never_runs_the_deferred_fleet_kernels(monkeypatch):
-    """The room reads only steady fields: with the batched evaluator's
-    DVFS selection made to raise, a cold solve and a cold
-    sustainable-load curve still give the golden answers."""
+    """The room reads only steady fields: with the one DVFS selector
+    made to raise, a cold solve and a cold sustainable-load curve
+    still give the golden answers."""
 
     def forbidden(*_args, **_kwargs):
-        raise AssertionError("the room ran a deferred fleet kernel")
+        raise AssertionError("the room ran a DVFS selection")
 
-    monkeypatch.setattr(batched, "select_frequencies_steady", forbidden)
+    monkeypatch.setattr(power_manager, "_ladder_tables", forbidden)
     clear_shared_cache()
     assert_mixed_fleet_matches_golden(compute_mixed_fleet())
     assert_curve_matches_golden(compute_curve())

@@ -5,22 +5,18 @@ import pytest
 
 from repro.config.parameters import SimulationParameters
 from repro.server.processors import X2150_LADDER
-from repro.sim.power_manager import (
-    dynamic_power,
-    predicted_chip_temperature,
-    select_frequencies,
-    select_frequencies_steady,
-)
+from repro.sim.power_manager import dynamic_power, select_frequencies
 
 PARAMS = SimulationParameters()
 
 
 def _socket_arrays(
-    n=1, sink=25.0, chip=30.0, dyn_max=11.4, exp=1.7, r_ext=1.578,
+    n=1, sink=25.0, chip=30.0, dyn_max=11.4, exp=1.7,
     theta_off=4.41, theta_slope=-0.0896,
 ):
     return dict(
-        sink_c=np.full(n, sink),
+        ambient_c=np.full(n, sink),
+        r_ext=0.0,
         chip_c=np.full(n, chip),
         dyn_max_w=np.full(n, dyn_max),
         dyn_exp=np.full(n, exp),
@@ -47,14 +43,6 @@ class TestDynamicPower:
         )
         assert p.shape == (2,)
         assert p[0] < p[1]
-
-
-class TestPredictedChipTemperature:
-    def test_matches_hand_calculation(self):
-        t = predicted_chip_temperature(
-            40.0, 15.0, 0.205, 4.41, -0.0896
-        )
-        assert t == pytest.approx(40.0 + 15 * 0.205 + 4.41 - 0.0896 * 15)
 
 
 class TestSelectFrequencies:
@@ -100,7 +88,7 @@ class TestSelectFrequencies:
 
     def test_vectorised_mixed_sockets(self):
         arrays = _socket_arrays(n=3)
-        arrays["sink_c"] = np.array([20.0, 50.0, 94.0])
+        arrays["ambient_c"] = np.array([20.0, 50.0, 94.0])
         arrays["chip_c"] = np.array([22.0, 52.0, 95.0])
         freq = select_frequencies(
             ladder=X2150_LADDER, params=PARAMS, **arrays
@@ -135,8 +123,8 @@ class TestSelectFrequencies:
 class TestSelectFrequenciesSteady:
     def test_cool_ambient_allows_boost(self):
         arrays = _socket_arrays(sink=20.0, chip=22.0)
-        del arrays["sink_c"]
-        freq = select_frequencies_steady(
+        del arrays["ambient_c"], arrays["r_ext"]
+        freq = select_frequencies(
             ambient_c=np.array([18.0]),
             r_ext=np.array([1.578]),
             ladder=X2150_LADDER,
@@ -147,8 +135,8 @@ class TestSelectFrequenciesSteady:
 
     def test_hot_ambient_throttles(self):
         arrays = _socket_arrays(sink=20.0, chip=60.0)
-        del arrays["sink_c"]
-        freq = select_frequencies_steady(
+        del arrays["ambient_c"], arrays["r_ext"]
+        freq = select_frequencies(
             ambient_c=np.array([75.0]),
             r_ext=np.array([1.578]),
             ladder=X2150_LADDER,
@@ -160,9 +148,9 @@ class TestSelectFrequenciesSteady:
     def test_graded_response_to_ambient(self):
         """Steady prediction steps down gradually with ambient."""
         arrays = _socket_arrays(sink=0.0, chip=60.0)
-        del arrays["sink_c"]
+        del arrays["ambient_c"], arrays["r_ext"]
         freqs = [
-            select_frequencies_steady(
+            select_frequencies(
                 ambient_c=np.array([amb]),
                 r_ext=np.array([1.578]),
                 ladder=X2150_LADDER,
