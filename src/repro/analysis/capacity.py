@@ -23,6 +23,7 @@ import numpy as np
 
 from ..config.parameters import SimulationParameters
 from ..errors import ReproError
+from ..server.processors import OPTERON_X2150
 from ..server.topology import ServerTopology
 from ..sim.power_manager import dynamic_power
 from ..sim.steady_state import uniform_load_field
@@ -33,12 +34,16 @@ from ..workloads.power_model import LEAKAGE_TDP_FRACTION
 UTILIZATION_TOLERANCE = 1e-3
 
 
-def sustained_dynamic_power_w(
-    benchmark_set: BenchmarkSet, tdp_w: float = 22.0
-) -> float:
-    """Dynamic power of a set's average job at the sustained state, W."""
+def sustained_dynamic_power_w(benchmark_set: BenchmarkSet) -> float:
+    """Dynamic power of a set's average job at the sustained state, W.
+
+    The job runs on the SUT's processor, the 22 W
+    :data:`~repro.server.processors.OPTERON_X2150`.
+    """
     profile = profile_for(benchmark_set)
-    dyn_max = profile.power_at_max_w - LEAKAGE_TDP_FRACTION * tdp_w
+    dyn_max = (
+        profile.power_at_max_w - LEAKAGE_TDP_FRACTION * OPTERON_X2150.tdp_w
+    )
     return float(dynamic_power(1500.0, dyn_max, profile.dynamic_exponent, 1900.0))
 
 
@@ -46,28 +51,20 @@ def max_sustainable_utilization(
     topology: ServerTopology,
     params: SimulationParameters,
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
-    limit_c: float = None,
 ) -> float:
-    """Largest uniform utilisation with every steady chip under a limit.
+    """Largest uniform utilisation with every steady chip under the limit.
 
     Args:
         topology: Server geometry.
-        params: Simulation parameters (inlet temperature matters most).
+        params: Simulation parameters: the inlet temperature matters
+            most, and ``temperature_limit_c`` is the ceiling.
         benchmark_set: Workload whose sustained power is applied.
-        limit_c: Temperature ceiling; defaults to the DVFS limit.
 
     Returns:
         Utilisation in [0, 1]; 1.0 means the limit never binds, 0.0
         means even an idle (gated) server violates it.
-
-    Raises:
-        ReproError: for a non-finite ``limit_c``.
     """
-    ceiling = (
-        params.temperature_limit_c if limit_c is None else limit_c
-    )
-    if not np.isfinite(ceiling):
-        raise ReproError(f"limit_c must be finite, got {limit_c!r}")
+    ceiling = params.temperature_limit_c
     dynamic = sustained_dynamic_power_w(benchmark_set)
 
     def hottest(util: float) -> float:
@@ -106,9 +103,9 @@ def derating_curve(
     params: SimulationParameters,
     inlets_c: Sequence[float],
     benchmark_set: BenchmarkSet = BenchmarkSet.COMPUTATION,
-    limit_c: float = None,
 ) -> List[DeratingPoint]:
-    """Sustainable utilisation as a function of inlet temperature.
+    """Sustainable utilisation as a function of inlet temperature,
+    under ``params.temperature_limit_c``.
 
     Raises:
         ReproError: for an empty inlet list.
@@ -122,7 +119,7 @@ def derating_curve(
             DeratingPoint(
                 inlet_c=float(inlet),
                 max_utilization=max_sustainable_utilization(
-                    topology, adjusted, benchmark_set, limit_c
+                    topology, adjusted, benchmark_set
                 ),
             )
         )

@@ -401,22 +401,27 @@ class SimWorkerHandle:
 
 # -- the harness --------------------------------------------------------
 
+#: Virtual seconds between the coordinator ticks of a chaos run.
+TICK_S = 0.05
+
+#: BATCH requests injected in one tick mid-run to force backpressure
+#: sheds.  Queries ship at admission, so a burst sheds only beyond the
+#: queue (8) plus every worker's in-flight slots (2 each): 16 at 2
+#: chassis, 20 at 3.
+BURST_SIZE = 24
+
 
 @dataclass(frozen=True)
 class ChaosRunConfig:
-    """Everything a chaos run depends on (and nothing else).
+    """Everything a chaos run depends on besides the module constants
+    :data:`TICK_S` and :data:`BURST_SIZE`, which every run reads.
 
     Attributes:
         seed: Master seed — drives the chaos schedule, the workload
             and the coordinator's retry jitter.
         horizon_s: Virtual time to simulate.
-        tick_s: Coordinator drive cadence.
         n_chassis: Fleet width (each chassis gets one replica worker).
         n_requests: Poisson-ish background request count.
-        burst_size: BATCH requests injected in one tick mid-run to
-            force backpressure sheds.  Queries ship at admission, so a
-            burst sheds only beyond the queue (8) plus every worker's
-            in-flight slots (2 each): 16 at 2 chassis, 20 at 3.
         n_chaos_events: Failures sampled into the schedule.
         heartbeat_interval_s: Virtual heartbeat cadence.
         batch_window_s: Micro-batching window passed through to
@@ -424,25 +429,23 @@ class ChaosRunConfig:
         max_batch: Batch size bound passed through likewise.
 
     Raises:
-        FleetError: for a non-positive or non-finite horizon, tick or
-            heartbeat interval, a negative burst or chaos event count
-            (naming the field), too small a fleet or workload, or
-            batching knobs ``FleetConfig`` rejects.
+        FleetError: for a non-positive or non-finite horizon or
+            heartbeat interval, a negative chaos event count (naming
+            the field), too small a fleet or workload, or batching
+            knobs ``FleetConfig`` rejects.
     """
 
     seed: int = 0
     horizon_s: float = 30.0
-    tick_s: float = 0.05
     n_chassis: int = 2
     n_requests: int = 40
-    burst_size: int = 24
     n_chaos_events: int = 6
     heartbeat_interval_s: float = 0.25
     batch_window_s: float = 0.0
     max_batch: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("horizon_s", "tick_s", "heartbeat_interval_s"):
+        for name in ("horizon_s", "heartbeat_interval_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise FleetError(
@@ -450,10 +453,10 @@ class ChaosRunConfig:
                 )
         if min(self.n_chassis, self.n_requests) < 1:
             raise FleetError("need at least one chassis and request")
-        for name in ("burst_size", "n_chaos_events"):
-            value = getattr(self, name)
-            if value < 0:
-                raise FleetError(f"{name} must be >= 0, got {value!r}")
+        if self.n_chaos_events < 0:
+            raise FleetError(
+                f"n_chaos_events must be >= 0, got {self.n_chaos_events!r}"
+            )
         # Reject bad batching knobs here, before any run starts.
         FleetConfig(
             batch_window_s=self.batch_window_s, max_batch=self.max_batch
@@ -534,7 +537,7 @@ def _workload(
         requests.append((float(t), query))
     # Backpressure burst: a stampede of BATCH what-ifs in one instant.
     burst_t = config.horizon_s * 0.5
-    for i in range(config.burst_size):
+    for i in range(BURST_SIZE):
         requests.append(
             (
                 burst_t,
@@ -711,7 +714,7 @@ def run_chaos(
             _workload(config, sorted(registry.chassis)),
             fleet_config,
             policy,
-            tick_s=config.tick_s,
+            tick_s=TICK_S,
             horizon_s=config.horizon_s,
             schedule=schedule,
             checkpoint_dir=checkpoint_dir,

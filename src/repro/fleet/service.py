@@ -116,6 +116,11 @@ def query_from_json(obj: dict):
 #: its last answers before it aborts the connection.
 _CLOSE_GRACE_S = 5.0
 
+#: Seconds between the coordinator ticks of a :class:`FleetService`,
+#: read at each tick.  Answers, supervision, timeouts and restarts
+#: advance on this cadence.
+TICK_INTERVAL_S = 0.05
+
 
 def _next_tick(tick: int, now: float, interval_s: float) -> int:
     """The index of the tick to run after tick ``tick``.
@@ -132,6 +137,8 @@ def _next_tick(tick: int, now: float, interval_s: float) -> int:
 class FleetService:
     """Drive a fleet of process workers on the asyncio event loop.
 
+    The coordinator ticks every :data:`TICK_INTERVAL_S` seconds.
+
     Attributes:
         registry: The fleet layout to serve.
         bus: Optional :class:`~repro.obs.events.EventBus` for the
@@ -146,16 +153,7 @@ class FleetService:
         config: Optional[FleetConfig] = None,
         checkpoint_dir: Optional[str] = None,
         bus: Optional[EventBus] = None,
-        tick_interval_s: float = 0.05,
     ) -> None:
-        if not math.isfinite(tick_interval_s):
-            raise FleetError(
-                f"tick_interval_s must be finite, got {tick_interval_s!r}"
-            )
-        if tick_interval_s <= 0:
-            raise FleetError(
-                f"tick_interval_s must be positive, got {tick_interval_s!r}"
-            )
         self.registry = registry
         self.policy = policy or SupervisionPolicy()
         # Long-running service: heartbeat events would dominate the
@@ -163,7 +161,6 @@ class FleetService:
         self.config = config or FleetConfig(log_heartbeats=False)
         self.checkpoint_dir = checkpoint_dir
         self.bus = bus
-        self.tick_interval_s = tick_interval_s
         self.coordinator: Optional[FleetCoordinator] = None
         self._epoch: Optional[float] = None
         self._tick_task: Optional[asyncio.Task] = None
@@ -206,7 +203,7 @@ class FleetService:
         self._tick_task = asyncio.ensure_future(self._tick_loop())
 
     async def _tick_loop(self) -> None:
-        """Run tick ``k`` at ``k * tick_interval_s`` after start.
+        """Run tick ``k`` at ``k * TICK_INTERVAL_S`` after start.
 
         A tick that raises ends the loop: every waiting caller gets a
         FAILED answer naming the error, and :meth:`stop` re-raises it.
@@ -214,10 +211,8 @@ class FleetService:
         tick = 0
         try:
             while True:
-                tick = _next_tick(tick, self._now(), self.tick_interval_s)
-                await asyncio.sleep(
-                    tick * self.tick_interval_s - self._now()
-                )
+                tick = _next_tick(tick, self._now(), TICK_INTERVAL_S)
+                await asyncio.sleep(tick * TICK_INTERVAL_S - self._now())
                 self.coordinator.tick(self._now())
         except Exception as exc:
             self._failure = exc

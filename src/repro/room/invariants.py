@@ -10,7 +10,8 @@ auditor re-derives each one from the raw arrays and raises a typed
 - no inlet below the CRAC supply temperature (recirculated exhaust
   can only *heat* an inlet);
 - the converged inlets actually satisfy the fixed-point equation
-  ``inlet = T_crac + D @ P_exhaust`` within tolerance;
+  ``inlet = T_crac + D @ P_exhaust`` within the solve tolerance
+  (:data:`repro.room.model.TOLERANCE_C`);
 - within every chassis the steady ordering ``chip >= sink >=
   ambient >= inlet`` holds (each stage only adds heat);
 - chassis exhaust is at least the gated floor (power-gated sockets
@@ -27,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import RoomError
+from . import model
 from .model import Room, RoomSolution, _topology_for
 
 #: Slack absorbing accumulated float rounding in the re-derivations.
@@ -40,22 +42,17 @@ class RoomInvariantViolation(RoomError):
 class RoomInvariantAuditor:
     """Checks a converged room solution against its physical envelopes.
 
+    The fixed-point recheck and the residual trail allow the drift of
+    the solve's own convergence tolerance,
+    :data:`repro.room.model.TOLERANCE_C`, read at each check.
+
     Attributes:
-        tolerance_c: Convergence tolerance the solve claimed (the
-            fixed-point recheck allows this much drift).
         redline_c: Optional hard ceiling on any chip temperature —
             ``None`` skips the redline envelope (capacity searches
             probe past the limit on purpose).
     """
 
-    def __init__(
-        self,
-        tolerance_c: float = 1e-6,
-        redline_c: Optional[float] = None,
-    ) -> None:
-        if tolerance_c <= 0:
-            raise RoomError("tolerance must be positive")
-        self.tolerance_c = tolerance_c
+    def __init__(self, redline_c: Optional[float] = None) -> None:
         self.redline_c = redline_c
 
     def check(self, room: Room, solution: RoomSolution) -> None:
@@ -65,6 +62,7 @@ class RoomInvariantAuditor:
             RoomInvariantViolation: naming the envelope and chassis.
         """
         self._check_finite(solution)
+        tolerance = model.TOLERANCE_C
         crac = solution.crac_supply_c
         cold = solution.inlet_c - crac
         if (cold < -NUMERIC_SLACK).any():
@@ -75,19 +73,18 @@ class RoomInvariantAuditor:
             )
         rise = room.recirculation.inlet_rise(solution.exhaust_w)
         drift = np.abs(solution.inlet_c - (crac + rise))
-        if (drift > self.tolerance_c + NUMERIC_SLACK).any():
+        if (drift > tolerance + NUMERIC_SLACK).any():
             worst = int(np.argmax(drift))
             raise RoomInvariantViolation(
                 f"chassis {worst} inlet drifts {drift[worst]:.3g} degC "
-                f"from the fixed point (tolerance "
-                f"{self.tolerance_c:.3g})"
+                f"from the fixed point (tolerance {tolerance:.3g})"
             )
         if not solution.residuals_c:
             raise RoomInvariantViolation("solution records no residuals")
-        if solution.residuals_c[-1] > self.tolerance_c + NUMERIC_SLACK:
+        if solution.residuals_c[-1] > tolerance + NUMERIC_SLACK:
             raise RoomInvariantViolation(
                 f"final residual {solution.residuals_c[-1]:.3g} degC "
-                f"is above tolerance {self.tolerance_c:.3g}"
+                f"is above tolerance {tolerance:.3g}"
             )
         for i, (spec, field) in enumerate(
             zip(room.chassis, solution.fields)

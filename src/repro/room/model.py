@@ -198,11 +198,6 @@ class RoomSolution:
         return np.array([float(f.chip_c.max()) for f in self.fields])
 
     @property
-    def hottest_chassis(self) -> int:
-        """Index of the chassis holding the room's hottest chip."""
-        return int(np.argmax(self.max_chip_c))
-
-    @property
     def total_power_w(self) -> float:
         """Total IT power leaving the room as heat, W."""
         return float(self.exhaust_w.sum())

@@ -42,13 +42,7 @@ import numpy as np
 from ..config.parameters import SimulationParameters
 from ..errors import SimulationError
 from ..server.topology import ServerTopology
-from ..workloads.power_model import (
-    LEAKAGE_FLOOR_FRACTION,
-    LEAKAGE_REFERENCE_C,
-    LEAKAGE_TDP_FRACTION,
-    LEAKAGE_TEMP_COEFF,
-    leakage_power,
-)
+from ..workloads.power_model import leakage_array
 from .steady_state import (
     LEAKAGE_ITERATIONS,
     SteadyStateField,
@@ -224,7 +218,7 @@ def _row_constants(
         r_ext=block("r_ext_array"),
         theta_offset=block("theta_offset_array"),
         theta_slope=block("theta_slope_array"),
-        first_leak=leakage_power(np.full(tdp.shape, 60.0), 1.0) * tdp,
+        first_leak=leakage_array(np.full(tdp.shape, 60.0), tdp),
         products=tuple((t.coupling.matrix, t.n_sockets) for t in rows),
         width=width,
     )
@@ -248,12 +242,12 @@ def _steady_fleet(
     ``(rows,)`` vector, all broadcast over the socket axis.
 
     Every operation is elementwise over the trailing socket axis in the
-    exact order of :func:`~repro.sim.steady_state.solve_steady_state`
-    (and, for the leakage, of
-    :func:`~repro.workloads.power_model.leakage_power` at unit TDP),
-    so each element sees the identical float sequence as its ``(n,)``
-    serial counterpart; the buffers are reused in place across the
-    passes.  The one matrix–vector product runs one row at a time,
+    exact order of :func:`~repro.sim.steady_state.solve_steady_state`,
+    whose leakage kernel (:func:`~repro.workloads.power_model.
+    leakage_array`) runs here into a reused buffer, so each element
+    sees the identical float sequence as its ``(n,)`` serial
+    counterpart; the buffers are reused in place across the passes.
+    The one matrix–vector product runs one row at a time,
     its own matrix over its own sockets, into that row of ``ambient``:
     a stacked product would hit a different BLAS kernel (dgemm vs
     dgemv) whose reduction order is not guaranteed to match.
@@ -282,13 +276,7 @@ def _steady_fleet(
     leak = constants.first_leak
     for iteration in range(LEAKAGE_ITERATIONS):
         if iteration:
-            # leakage_power(chip, 1.0) * tdp, one operation at a time.
-            leak = np.subtract(chip, LEAKAGE_REFERENCE_C, out=scratch)
-            np.multiply(leak, LEAKAGE_TEMP_COEFF, out=leak)
-            np.add(leak, 1.0, out=leak)
-            np.maximum(leak, LEAKAGE_FLOOR_FRACTION, out=leak)
-            np.multiply(leak, LEAKAGE_TDP_FRACTION, out=leak)
-            np.multiply(leak, constants.tdp, out=leak)
+            leak = leakage_array(chip, constants.tdp, out=scratch)
         np.add(dynamic, leak, out=power)
         np.multiply(util, power, out=power)
         np.add(power, idle_power, out=power)

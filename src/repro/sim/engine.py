@@ -204,7 +204,6 @@ class Simulation:
         trace_config=None,
         auditor=None,
         fault_schedule=None,
-        extra_components: Sequence[StepComponent] = (),
         telemetry=None,
         profile: bool = False,
         run_name: str = "run",
@@ -228,16 +227,14 @@ class Simulation:
                 ``result.trace``.
             auditor: Optional :class:`repro.sim.invariants.
                 InvariantAuditor`; checks physical invariants every
-                ``auditor.interval_steps`` steps and raises on
-                violation.  Reset at every run start.
+                :data:`~repro.sim.invariants.AUDIT_INTERVAL_STEPS`
+                steps and raises on violation.  Reset at every run
+                start.
             fault_schedule: Optional :class:`repro.faults.schedule.
                 FaultSchedule`; replayed deterministically by a
                 :class:`repro.faults.injector.FaultInjector` spliced
                 into the pipeline.  Runs without one (or with an empty
                 schedule) are bit-identical to the fault-free engine.
-            extra_components: Additional :class:`~repro.sim.pipeline.
-                StepComponent` observers appended after the standard
-                pipeline.
             telemetry: Optional directory: record a structured JSONL
                 event log per run there.  Purely observational — a
                 telemetry-enabled run is bit-identical to a
@@ -256,7 +253,6 @@ class Simulation:
         self.trace_config = trace_config
         self.auditor = auditor
         self.fault_schedule = fault_schedule
-        self.extra_components = tuple(extra_components)
         self.telemetry = telemetry
         self.profile = bool(profile)
         self.run_name = run_name
@@ -269,9 +265,10 @@ class Simulation:
     def build_components(self) -> List[StepComponent]:
         """The pipeline this simulation runs, in contract order.
 
-        Override (or pass ``extra_components``) to customise the
-        pipeline; see ``docs/architecture.md`` for the ordering
-        contract.
+        :func:`~repro.sim.pipeline.build_pipeline`'s components, then
+        the telemetry recorder when ``telemetry`` is set.  Override to
+        customise the pipeline; see ``docs/architecture.md`` for the
+        ordering contract.
         """
         fault_injector = None
         if self.fault_schedule is not None:
@@ -279,7 +276,13 @@ class Simulation:
             from ..faults.injector import FaultInjector
 
             fault_injector = FaultInjector(self.fault_schedule)
-        extra = list(self.extra_components)
+        components = build_pipeline(
+            migrator=self.migrator,
+            fan_controller=self.fan_controller,
+            trace_config=self.trace_config,
+            auditor=self.auditor,
+            fault_injector=fault_injector,
+        )
         if self.telemetry is not None:
             if self._recorder is None:
                 # Local import: repro.obs is an optional observer layer.
@@ -288,15 +291,8 @@ class Simulation:
                 self._recorder = TelemetryRecorder(
                     self.telemetry, base_name=self.run_name
                 )
-            extra.append(self._recorder)
-        return build_pipeline(
-            migrator=self.migrator,
-            fan_controller=self.fan_controller,
-            trace_config=self.trace_config,
-            auditor=self.auditor,
-            fault_injector=fault_injector,
-            extra_components=extra,
-        )
+            components.append(self._recorder)
+        return components
 
     def run(self, jobs: Sequence[Job]) -> SimulationResult:
         """Simulate the given job stream to the configured horizon.

@@ -4,9 +4,9 @@ The engine advances thousands of vectorised steps per run; a silent
 physics bug (a NaN leaking out of a thermal update, a power excursion
 past the TDP envelope, work retiring twice) can corrupt every metric
 downstream without crashing anything.  The :class:`InvariantAuditor` is
-an opt-in guard hooked into :meth:`repro.sim.engine.Simulation.run`: at
-a configurable step cadence it checks the physical consistency of the
-full simulation state and raises a structured
+an opt-in guard hooked into :meth:`repro.sim.engine.Simulation.run`:
+every :data:`AUDIT_INTERVAL_STEPS` steps it checks the physical
+consistency of the full simulation state and raises a structured
 :class:`InvariantViolation` (a :class:`~repro.errors.SimulationError`)
 naming the step, the offending socket and the violated invariant.
 
@@ -48,19 +48,19 @@ import numpy as np
 
 from ..errors import SimulationError
 
-#: Default audit cadence, in power-manager steps.
-DEFAULT_INTERVAL_STEPS = 50
+#: Audit cadence, in power-manager steps.
+AUDIT_INTERVAL_STEPS = 50
 
-#: Default thermal-mass lag tolerance, degC.  The sink node relaxes with
+#: Thermal-mass lag tolerance, degC.  The sink node relaxes with
 #: a multi-second time constant while entry air can move within one
 #: step, so ``sink >= ambient`` only holds up to the transient lag; the
 #: same applies to chip vs its target.  5 degC comfortably bounds the
 #: lag for every calibrated topology while still catching real ordering
 #: bugs, which show up as tens of degrees.
-DEFAULT_LAG_TOLERANCE_C = 5.0
+LAG_TOLERANCE_C = 5.0
 
-#: Default slack on the power envelope, W.
-DEFAULT_POWER_TOLERANCE_W = 0.5
+#: Slack on the power envelope, W.
+POWER_TOLERANCE_W = 0.5
 
 #: Extra chip-temperature headroom assumed when sizing the leakage
 #: margin of the power upper bound, degC.
@@ -130,29 +130,15 @@ class InvariantAuditor:
     silently inheriting the previous run's energy baseline (which
     would trip the monotonicity check or, worse, mask a regression).
 
+    The cadence and tolerances are the module constants
+    :data:`AUDIT_INTERVAL_STEPS`, :data:`LAG_TOLERANCE_C` and
+    :data:`POWER_TOLERANCE_W`, read at each check.
+
     Attributes:
-        interval_steps: Audit every this many engine steps.
-        lag_tolerance_c: Allowed transient lag in the
-            ``ambient <= sink <= chip`` ordering, degC.
-        power_tolerance_w: Slack on the per-socket power envelope, W.
         n_audits: Number of audits performed in the current run.
     """
 
-    def __init__(
-        self,
-        interval_steps: int = DEFAULT_INTERVAL_STEPS,
-        lag_tolerance_c: float = DEFAULT_LAG_TOLERANCE_C,
-        power_tolerance_w: float = DEFAULT_POWER_TOLERANCE_W,
-    ):
-        if interval_steps < 1:
-            raise SimulationError(
-                f"audit interval must be >= 1 step, got {interval_steps}"
-            )
-        if lag_tolerance_c < 0 or power_tolerance_w < 0:
-            raise SimulationError("audit tolerances must be non-negative")
-        self.interval_steps = interval_steps
-        self.lag_tolerance_c = lag_tolerance_c
-        self.power_tolerance_w = power_tolerance_w
+    def __init__(self) -> None:
         self.n_audits = 0
         self._last_energy_j = 0.0
 
@@ -210,7 +196,7 @@ class InvariantAuditor:
         self._check_lower(
             "ambient >= inlet", ambient, params.inlet_c - _EPS, step
         )
-        lag = self.lag_tolerance_c
+        lag = LAG_TOLERANCE_C
         degraded = faults is not None and faults.airflow_degraded
         if airflow_scale < 1.0 or degraded:
             # Rises above inlet scale as 1/airflow; the sink tracks
@@ -228,7 +214,7 @@ class InvariantAuditor:
         )
         self._check_pair("chip >= sink - lag", chip, sink - lag, step)
 
-        tol = self.power_tolerance_w
+        tol = POWER_TOLERANCE_W
         gated = topology.gated_power_array
         upper = self._power_upper_bound(topology, params)
         low_bad = power < gated - tol
@@ -337,7 +323,7 @@ class InvariantAuditor:
             )
         )
         recovered_due = tripped & (elapsed >= recovery_steps)
-        limit = faults.trip_c + self.lag_tolerance_c
+        limit = faults.trip_c + LAG_TOLERANCE_C
         recover_bad = recovered_due & (state.chip_c > limit)
         if recover_bad.any():
             socket = int(np.argmax(recover_bad))

@@ -30,7 +30,7 @@ A process-wide :class:`SweepCache` memoises results keyed on the full
 configuration (topology, parameters, scheduler name, benchmark set,
 load, fault schedule), so repeated figure runs in one process — e.g.
 Figure 14 and Figure 15 share their entire grid — skip identical
-configurations.  The cache holds at most :data:`DEFAULT_CACHE_MAX`
+configurations.  The cache holds at most :data:`CACHE_MAX`
 entries (least-recently-used eviction), bounding sweep memory on large
 grids.  Cached results are returned by reference; callers must treat
 :class:`~repro.sim.results.SimulationResult` objects as read-only
@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..config.parameters import SimulationParameters
-from ..errors import ConfigurationError, ReproError
+from ..errors import ReproError
 from ..obs.events import EventBus
 from ..obs.writer import JsonlWriter
 from ..server.topology import ServerTopology
@@ -62,8 +62,8 @@ from .results import SimulationResult
 #: One sweep point: (scheduler name, benchmark set, load).
 SweepPoint = Tuple[str, BenchmarkSet, float]
 
-#: Default bound of a :class:`SweepCache`, in results.
-DEFAULT_CACHE_MAX = 256
+#: Bound of every :class:`SweepCache`, in results.
+CACHE_MAX = 256
 
 #: Pool rounds re-attempted after worker crashes before the leftover
 #: points run serially.
@@ -144,30 +144,18 @@ class SweepCache:
     layer that stores results here brings its own prefixed keys, so
     all entries share the bound without ever aliasing.
 
-    Holds at most ``max_entries`` results, evicting the least recently
-    *used* entry (both hits and inserts refresh recency) when full — a
-    month-long grid of large result objects cannot grow memory without
-    bound.
+    Holds at most :data:`CACHE_MAX` results (read at each insert),
+    evicting the least recently *used* entry (both hits and inserts
+    refresh recency) when full — a month-long grid of large result
+    objects cannot grow memory without bound.
 
     Attributes:
-        max_entries: Capacity; ``None`` means unbounded.
         hits: Lookups answered from the cache.
         misses: Lookups that fell through to a simulation run.
-        evictions: Entries dropped to respect ``max_entries``.
+        evictions: Entries dropped to respect :data:`CACHE_MAX`.
     """
 
-    def __init__(self, max_entries: Optional[int] = DEFAULT_CACHE_MAX):
-        if max_entries is not None and not isinstance(max_entries, int):
-            raise ConfigurationError(
-                f"cache max_entries must be an int or None, got "
-                f"{type(max_entries).__name__} ({max_entries!r})"
-            )
-        if max_entries is not None and max_entries < 1:
-            raise ConfigurationError(
-                f"cache max_entries must be positive (0 would cache "
-                f"nothing), or None to run unbounded; got {max_entries}"
-            )
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._store: "OrderedDict[str, SimulationResult]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -187,10 +175,9 @@ class SweepCache:
         """Store a result under its configuration key, evicting LRU."""
         self._store[key] = result
         self._store.move_to_end(key)
-        if self.max_entries is not None:
-            while len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
-                self.evictions += 1
+        while len(self._store) > CACHE_MAX:
+            self._store.popitem(last=False)
+            self.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss/eviction counters."""

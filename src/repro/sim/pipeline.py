@@ -47,13 +47,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..config.parameters import SimulationParameters
 from ..server.topology import ServerTopology
 from ..workloads.job import Job
+from ..workloads.power_model import leakage_array
+from . import invariants
 from .power_manager import SelectionWorkspace, select_frequencies
 from .results import SimulationResult
 from .state import SimulationState
@@ -416,7 +418,7 @@ class PowerManager(StepComponent):
         state = ctx.state
         params = ctx.params
         ladder = state.ladder
-        leak = _leakage_into(state.chip_c, ctx.tdp, self._leak)
+        leak = leakage_array(state.chip_c, ctx.tdp, out=self._leak)
         freq = select_frequencies(
             ambient_c=state.sink_c,
             chip_c=state.chip_c,
@@ -758,17 +760,18 @@ class Tracer(StepComponent):
         if ctx.step % self._interval_steps != 0:
             return
         self._trace.sample(ctx.state, len(ctx.queue), ctx.max_mhz)
-        if self.config.per_zone:
-            self._trace.sample_zones(ctx.state)
+        self._trace.sample_zones(ctx.state)
 
 
 class Auditor(StepComponent):
     """Periodically check physical invariants of the full state.
 
     Registered only when an :class:`repro.sim.invariants.
-    InvariantAuditor` is configured.  The auditor is reset at run
-    start, so reusing a `Simulation` across runs audits each run
-    independently instead of silently accumulating energy baselines.
+    InvariantAuditor` is configured; it checks every
+    :data:`~repro.sim.invariants.AUDIT_INTERVAL_STEPS` steps, read at
+    each step.  The auditor is reset at run start, so reusing a
+    `Simulation` across runs audits each run independently instead of
+    silently accumulating energy baselines.
     Auditing reads state only — an audited run is bit-identical to an
     unaudited one.
     """
@@ -780,7 +783,7 @@ class Auditor(StepComponent):
         self.auditor.reset()
 
     def on_step(self, ctx: EngineContext) -> None:
-        if ctx.step % self.auditor.interval_steps != 0:
+        if ctx.step % invariants.AUDIT_INTERVAL_STEPS != 0:
             return
         self.auditor.check(
             ctx.state,
@@ -797,7 +800,6 @@ def build_pipeline(
     trace_config=None,
     auditor=None,
     fault_injector=None,
-    extra_components: Sequence[StepComponent] = (),
 ) -> List[StepComponent]:
     """The standard component pipeline in contract order.
 
@@ -810,10 +812,10 @@ def build_pipeline(
     before any placement decision so a socket killed at time t never
     receives a job at time t, and the injector's view swap must happen
     before the placer hands the view to the scheduler's ``reset``.
-    ``extra_components`` are appended after the standard pipeline —
-    safe for read-only observers; components that mutate state must
-    instead be spliced in explicitly at the right phase (see
-    ``docs/architecture.md``).
+    A caller may append read-only observers to the returned list (the
+    engine's telemetry recorder joins this way); components that
+    mutate state must instead be spliced in explicitly at the right
+    phase (see ``docs/architecture.md``).
     """
     components: List[StepComponent] = [ArrivalAdmitter()]
     if fault_injector is not None:
@@ -831,32 +833,5 @@ def build_pipeline(
         components.append(Tracer(trace_config))
     if auditor is not None:
         components.append(Auditor(auditor))
-    components.extend(extra_components)
     return components
 
-
-def _leakage_into(
-    chip_c: np.ndarray, tdp_w: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Vectorised leakage with per-socket TDP, into a reused buffer.
-
-    Performs ``leakage_power(chip_c, 1.0) * tdp_w`` (see
-    :func:`repro.workloads.power_model.leakage_power`) with the
-    identical per-element operation order, accumulated in place —
-    reorderings are limited to commutative multiplies, so the result
-    is bit-identical to the composed public functions.
-    """
-    from ..workloads.power_model import (
-        LEAKAGE_FLOOR_FRACTION,
-        LEAKAGE_REFERENCE_C,
-        LEAKAGE_TDP_FRACTION,
-        LEAKAGE_TEMP_COEFF,
-    )
-
-    factor = np.subtract(chip_c, LEAKAGE_REFERENCE_C, out=out)
-    factor *= LEAKAGE_TEMP_COEFF
-    factor += 1.0
-    np.maximum(factor, LEAKAGE_FLOOR_FRACTION, out=factor)
-    factor *= LEAKAGE_TDP_FRACTION
-    factor *= tdp_w
-    return factor

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..config.parameters import SimulationParameters
 from ..server.processors import FrequencyLadder
-from ..workloads.power_model import leakage_power
+from ..workloads.power_model import leakage_array
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -200,15 +200,16 @@ def select_frequencies(
             scalar or per-socket array.  ``r_int + 0.0`` is ``r_int``,
             so ``r_ext=0.0`` adds no rounding step.
         leakage_w: Optional precomputed per-socket leakage power
-            (``leakage_power(chip_c, 1.0) * tdp_w``); callers that
-            already hold the identical quantity (the engine's power
-            step) pass it to avoid recomputation.
+            (:func:`~repro.workloads.power_model.leakage_array` of
+            ``chip_c`` and ``tdp_w``); callers that already hold the
+            identical quantity (the engine's power step) pass it to
+            avoid recomputation.
         workspace: Optional :class:`SelectionWorkspace` sized for this
             ladder and socket count; repeat callers (the engine hot
             path) pass one to skip per-call temporary allocation.
     """
     if leakage_w is None:
-        leakage_w = leakage_power(chip_c, 1.0) * tdp_w
+        leakage_w = leakage_array(chip_c, tdp_w)
     states, _, ratios = _ladder_tables(ladder)
     # In-place accumulation of power = dyn_max * ratio**exp + leak and
     # chip_eq = ambient + power*(r_int + r_ext) + theta_off

@@ -25,7 +25,7 @@ import numpy as np
 from ..config.parameters import SimulationParameters
 from ..errors import SimulationError
 from ..server.topology import ServerTopology
-from ..workloads.power_model import leakage_power
+from ..workloads.power_model import leakage_array
 
 #: Fixed-point iterations for the leakage-power loop.
 LEAKAGE_ITERATIONS = 4
@@ -51,10 +51,6 @@ class SteadyStateField:
     def hottest_socket(self) -> int:
         """Index of the hottest chip."""
         return int(np.argmax(self.chip_c))
-
-    def throttled_mask(self, limit_c: float = 95.0) -> np.ndarray:
-        """Sockets whose steady chip temperature exceeds a limit."""
-        return self.chip_c > limit_c
 
 
 def solve_steady_state(
@@ -110,7 +106,7 @@ def solve_steady_state(
     ambient = np.full(n, params.inlet_c)
     sink = ambient.copy()
     for _ in range(LEAKAGE_ITERATIONS):
-        leak = leakage_power(chip, 1.0) * tdp
+        leak = leakage_array(chip, tdp)
         busy_power = dynamic + leak
         power = utilization * busy_power + (1.0 - utilization) * gated
         ambient = coupling.entry_temperatures(params.inlet_c, power)

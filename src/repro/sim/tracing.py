@@ -18,15 +18,14 @@ from ..errors import SimulationError
 
 @dataclass
 class TraceConfig:
-    """What and how often to sample.
+    """How often to sample.  Every sample records the aggregate series
+    and the per-zone mean chip temperatures.
 
     Attributes:
         interval_s: Sampling period, seconds.
-        per_zone: Also record per-zone mean chip temperatures.
     """
 
     interval_s: float = 0.1
-    per_zone: bool = True
 
     def __post_init__(self) -> None:
         if self.interval_s <= 0:
@@ -49,7 +48,7 @@ class SimulationTrace:
         mean_rel_frequency: Mean relative frequency of busy sockets
             (nan when everything is idle).
         zone_chip_c: Per-sample list of per-zone mean chip
-            temperatures (empty when per-zone tracing is off).
+            temperatures.
     """
 
     times_s: List[float] = field(default_factory=list)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -127,22 +127,22 @@ def kabini_floorplan() -> Tuple[FloorplanBlock, ...]:
 #: Silicon lateral sheet resistivity used for block-to-block resistances,
 #: degC * mm / W.  Derived from k_si ~ 150 W/(m K) at ~0.45 mm effective
 #: spreading thickness.
-DEFAULT_LATERAL_RESISTIVITY = 14.8
+LATERAL_RESISTIVITY = 14.8
 
 #: Exponent of the area-spreading law for per-block vertical resistance:
 #: r_v(block) = R_int * (A_die / A_block) ** beta.  beta = 1 would be pure
 #: area scaling (no spreading in the package); real packages spread
 #: strongly, so beta < 1.
-DEFAULT_SPREADING_EXPONENT = 0.82
+SPREADING_EXPONENT = 0.82
 
 #: Spreader-to-sink-base interface resistance, degC/W.
-DEFAULT_SPREADER_RESISTANCE = 0.04
+SPREADER_RESISTANCE = 0.04
 
 #: Convection excess term: R_conv = R_ext + CONV_A / (P + CONV_P0).  This
 #: captures the empirically observed constant-ish offset that Equation 1
 #: fits with its theta(P) term.
-DEFAULT_CONV_A = 0.6
-DEFAULT_CONV_P0 = 2.0
+CONV_A = 0.6
+CONV_P0 = 2.0
 
 
 @dataclass(frozen=True)
@@ -183,40 +183,20 @@ class DetailedChipResult:
 
 
 class DetailedChipModel:
-    """Reference steady-state chip model over a floorplan RC network."""
+    """Reference steady-state chip model over a floorplan RC network.
 
-    def __init__(
-        self,
-        sink: HeatSink,
-        floorplan: Sequence[FloorplanBlock] = (),
-        r_int: float = DEFAULT_R_INT,
-        lateral_resistivity: float = DEFAULT_LATERAL_RESISTIVITY,
-        spreading_exponent: float = DEFAULT_SPREADING_EXPONENT,
-        spreader_resistance: float = DEFAULT_SPREADER_RESISTANCE,
-        conv_a: float = DEFAULT_CONV_A,
-        conv_p0: float = DEFAULT_CONV_P0,
-    ):
-        if r_int <= 0:
-            raise ThermalModelError(f"r_int must be positive, got {r_int}")
-        if lateral_resistivity <= 0:
-            raise ThermalModelError("lateral resistivity must be positive")
-        if not 0.0 <= spreading_exponent <= 1.0:
-            raise ThermalModelError(
-                "spreading exponent must lie in [0, 1]"
-            )
+    The network is the :func:`kabini_floorplan` die under
+    :data:`~repro.thermal.chip_model.DEFAULT_R_INT` (Table III's
+    R_int), with the module constants :data:`LATERAL_RESISTIVITY`,
+    :data:`SPREADING_EXPONENT`, :data:`SPREADER_RESISTANCE`,
+    :data:`CONV_A` and :data:`CONV_P0`.  The resistances enter the
+    conductance matrix built with the model; the convection terms are
+    read at each solve.  Only the heat sink varies between models.
+    """
+
+    def __init__(self, sink: HeatSink):
         self.sink = sink
-        self.floorplan: Tuple[FloorplanBlock, ...] = (
-            tuple(floorplan) if floorplan else kabini_floorplan()
-        )
-        names = [b.name for b in self.floorplan]
-        if len(set(names)) != len(names):
-            raise ThermalModelError("floorplan block names must be unique")
-        self.r_int = r_int
-        self.lateral_resistivity = lateral_resistivity
-        self.spreading_exponent = spreading_exponent
-        self.spreader_resistance = spreader_resistance
-        self.conv_a = conv_a
-        self.conv_p0 = conv_p0
+        self.floorplan: Tuple[FloorplanBlock, ...] = kabini_floorplan()
         self._init_kernel()
 
     def _init_kernel(self) -> None:
@@ -244,9 +224,7 @@ class DetailedChipModel:
             base[i, j] -= g
             base[j, i] -= g
 
-        accumulate(
-            index["spreader"], index["sink_base"], self.spreader_resistance
-        )
+        accumulate(index["spreader"], index["sink_base"], SPREADER_RESISTANCE)
         # The sink_base <-> ambient convection edge is added per solve.
         for block in self.floorplan:
             accumulate(
@@ -277,7 +255,7 @@ class DetailedChipModel:
 
     def _vertical_resistance(self, block: FloorplanBlock) -> float:
         ratio = self.die_area_mm2 / block.area_mm2
-        return self.r_int * ratio**self.spreading_exponent
+        return DEFAULT_R_INT * ratio**SPREADING_EXPONENT
 
     def _lateral_resistance(
         self, a: FloorplanBlock, b: FloorplanBlock, edge_mm: float
@@ -285,7 +263,7 @@ class DetailedChipModel:
         ax, ay = a.center
         bx, by = b.center
         distance = ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5
-        return self.lateral_resistivity * distance / edge_mm
+        return LATERAL_RESISTIVITY * distance / edge_mm
 
     def _validate_powers(self, block_power_w: Mapping[str, float]) -> None:
         known = {b.name for b in self.floorplan}
@@ -321,7 +299,7 @@ class DetailedChipModel:
         """
         self._validate_powers(block_power_w)
         total_power = sum(block_power_w.values())
-        r_conv = self.sink.r_ext + self.conv_a / (total_power + self.conv_p0)
+        r_conv = self.sink.r_ext + CONV_A / (total_power + CONV_P0)
         g_conv = 1.0 / r_conv
 
         system = self._factor_cache.get(g_conv)
@@ -379,8 +357,8 @@ class DetailedChipModel:
         network.add_boundary("ambient", ambient_c)
         network.add_node("spreader")
         network.add_node("sink_base")
-        network.connect("spreader", "sink_base", self.spreader_resistance)
-        r_conv = self.sink.r_ext + self.conv_a / (total_power + self.conv_p0)
+        network.connect("spreader", "sink_base", SPREADER_RESISTANCE)
+        r_conv = self.sink.r_ext + CONV_A / (total_power + CONV_P0)
         network.connect("sink_base", "ambient", r_conv)
 
         for block in self.floorplan:

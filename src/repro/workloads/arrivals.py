@@ -22,7 +22,7 @@ from that application's distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -128,14 +128,11 @@ class ArrivalProcess:
             self.load, self.n_sockets, self.mean_duration_ms
         )
 
-    def generate(
-        self, until_s: float, max_jobs: Optional[int] = None
-    ) -> List[Job]:
+    def generate(self, until_s: float) -> List[Job]:
         """Generate every arrival in ``[0, until_s)``.
 
         Args:
             until_s: Horizon, seconds.
-            max_jobs: Optional hard cap on the number of jobs.
 
         Returns:
             Jobs sorted by arrival time with durations pre-sampled.
@@ -151,8 +148,6 @@ class ArrivalProcess:
             more = rng.exponential(1.0 / rate, size=expected)
             times = np.concatenate([times, times[-1] + np.cumsum(more)])
         times = times[times < until_s]
-        if max_jobs is not None:
-            times = times[:max_jobs]
 
         app_indices = rng.integers(0, len(self.apps), size=times.size)
         jobs: List[Job] = []

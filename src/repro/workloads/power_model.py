@@ -15,7 +15,7 @@ dynamic from static power (Figure 7a).  We reproduce that decomposition:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -39,12 +39,7 @@ LEAKAGE_FLOOR_FRACTION = 0.25
 ArrayLike = Union[float, np.ndarray]
 
 
-def leakage_power(
-    temperature_c: ArrayLike,
-    tdp_w: float,
-    reference_c: float = LEAKAGE_REFERENCE_C,
-    temp_coeff: float = LEAKAGE_TEMP_COEFF,
-) -> ArrayLike:
+def leakage_power(temperature_c: ArrayLike, tdp_w: float) -> ArrayLike:
     """Temperature-dependent leakage power, W.
 
     Equals ``LEAKAGE_TDP_FRACTION * tdp_w`` at the reference temperature
@@ -54,12 +49,37 @@ def leakage_power(
     if tdp_w <= 0:
         raise WorkloadError(f"TDP must be positive, got {tdp_w}")
     reference_leakage = LEAKAGE_TDP_FRACTION * tdp_w
-    factor = 1.0 + temp_coeff * (np.asarray(temperature_c) - reference_c)
+    factor = 1.0 + LEAKAGE_TEMP_COEFF * (
+        np.asarray(temperature_c) - LEAKAGE_REFERENCE_C
+    )
     factor = np.maximum(factor, LEAKAGE_FLOOR_FRACTION)
     result = reference_leakage * factor
     if np.isscalar(temperature_c):
         return float(result)
     return result
+
+
+def leakage_array(
+    temperature_c: np.ndarray,
+    tdp_w: ArrayLike,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Per-socket leakage power, W, into ``out`` when given.
+
+    The vector kernel of the engine's power step, the DVFS selector and
+    both steady solvers: ``leakage_power(temperature_c, 1.0) * tdp_w``
+    in the identical per-element operation order, so its bits equal
+    that composition's.  ``temperature_c`` sets the shape; ``tdp_w``
+    (per-socket, or scalar) broadcasts over it, so a ``(rows, n)``
+    block of chip temperatures takes one ``(n,)`` TDP vector.
+    """
+    leak = np.subtract(temperature_c, LEAKAGE_REFERENCE_C, out=out)
+    leak *= LEAKAGE_TEMP_COEFF
+    leak += 1.0
+    np.maximum(leak, LEAKAGE_FLOOR_FRACTION, out=leak)
+    leak *= LEAKAGE_TDP_FRACTION
+    leak *= tdp_w
+    return leak
 
 
 @dataclass(frozen=True)

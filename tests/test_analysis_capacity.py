@@ -55,16 +55,16 @@ class TestMaxSustainableUtilization:
 
     def test_tighter_limit_less_capacity(self, small_sut):
         loose = max_sustainable_utilization(
-            small_sut, PARAMS, limit_c=95.0
+            small_sut, PARAMS.with_overrides(temperature_limit_c=95.0)
         )
         tight = max_sustainable_utilization(
-            small_sut, PARAMS, limit_c=85.0
+            small_sut, PARAMS.with_overrides(temperature_limit_c=85.0)
         )
         assert tight <= loose
 
     def test_impossible_limit_gives_zero(self, small_sut):
         util = max_sustainable_utilization(
-            small_sut, PARAMS, limit_c=19.0
+            small_sut, PARAMS.with_overrides(temperature_limit_c=19.0)
         )
         assert util == 0.0
 
@@ -72,10 +72,13 @@ class TestMaxSustainableUtilization:
         "limit", [float("nan"), float("inf"), float("-inf")]
     )
     def test_non_finite_limit_rejected(self, small_sut, limit):
-        """Every ``<=`` against a NaN limit is false, so it used to
-        read as "nothing is sustainable" (0.0)."""
-        with pytest.raises(ReproError, match="limit_c"):
-            max_sustainable_utilization(small_sut, PARAMS, limit_c=limit)
+        """Every ``<=`` against a NaN limit is false, so it would read
+        as "nothing is sustainable" (0.0); the parameter set rejects
+        a non-finite limit before any bisection sees it."""
+        with pytest.raises(ReproError, match="temperature_limit_c"):
+            max_sustainable_utilization(
+                small_sut, PARAMS.with_overrides(temperature_limit_c=limit)
+            )
 
 
 class TestDeratingCurve:

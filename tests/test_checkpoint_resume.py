@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro.config.presets import smoke
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.sim import parallel
 from repro.sim.checkpoint import CHECKPOINT_SUFFIX, SweepCheckpoint
 from repro.sim.fingerprint import result_fingerprint
@@ -46,11 +46,15 @@ def _fingerprints(results):
 
 
 class TestLRUCache:
+    @pytest.fixture(autouse=True)
+    def bound_of_two(self, monkeypatch):
+        monkeypatch.setattr(parallel, "CACHE_MAX", 2)
+
     def _result(self, small_sut):
         return SimulationResult("stub", smoke(), small_sut)
 
     def test_evicts_least_recently_used(self, small_sut):
-        cache = SweepCache(max_entries=2)
+        cache = SweepCache()
         stub = self._result(small_sut)
         cache.put("a", stub)
         cache.put("b", stub)
@@ -61,7 +65,7 @@ class TestLRUCache:
         assert cache.get("a") is None
 
     def test_hits_refresh_recency(self, small_sut):
-        cache = SweepCache(max_entries=2)
+        cache = SweepCache()
         stub = self._result(small_sut)
         cache.put("a", stub)
         cache.put("b", stub)
@@ -72,7 +76,7 @@ class TestLRUCache:
         assert cache.get("b") is None
 
     def test_reinsert_refreshes_recency(self, small_sut):
-        cache = SweepCache(max_entries=2)
+        cache = SweepCache()
         stub = self._result(small_sut)
         cache.put("a", stub)
         cache.put("b", stub)
@@ -80,8 +84,9 @@ class TestLRUCache:
         cache.put("c", stub)
         assert cache.keys() == ["a", "c"]
 
-    def test_counters_and_clear(self, small_sut):
-        cache = SweepCache(max_entries=1)
+    def test_counters_and_clear(self, small_sut, monkeypatch):
+        monkeypatch.setattr(parallel, "CACHE_MAX", 1)
+        cache = SweepCache()
         stub = self._result(small_sut)
         cache.put("a", stub)
         cache.get("a")
@@ -91,10 +96,6 @@ class TestLRUCache:
         cache.clear()
         assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
         assert len(cache) == 0
-
-    def test_explicit_bound_validated(self):
-        with pytest.raises(ConfigurationError):
-            SweepCache(max_entries=0)
 
 
 class TestSweepCheckpoint:

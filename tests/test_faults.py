@@ -20,6 +20,7 @@ from repro.faults import (
 )
 from repro.faults.injector import FaultInjector
 from repro.sim.fingerprint import result_fingerprint
+from repro.sim import invariants
 from repro.sim.invariants import InvariantAuditor, InvariantViolation
 from repro.sim.runner import run_once
 from repro.workloads.benchmark import BenchmarkSet
@@ -396,13 +397,17 @@ class TestInjectionBehaviour:
 
 
 class TestGracefulDegradationAudit:
+    @pytest.fixture(autouse=True)
+    def audit_every_25_steps(self, monkeypatch):
+        monkeypatch.setattr(invariants, "AUDIT_INTERVAL_STEPS", 25)
+
     def test_forced_trips_pass_fault_aware_audit(self, small_sut):
         schedule = FaultSchedule(response=FORCE_TRIPS)
         result = _run(
             small_sut,
             schedule,
             scheme="CP",
-            auditor=InvariantAuditor(interval_steps=25),
+            auditor=InvariantAuditor(),
         )
         assert result.fault_summary["n_trips"] > 0
 
@@ -422,7 +427,7 @@ class TestGracefulDegradationAudit:
                 small_sut,
                 schedule,
                 scheme="CP",
-                auditor=InvariantAuditor(interval_steps=25),
+                auditor=InvariantAuditor(),
             )
         assert "floor" in excinfo.value.invariant
 
@@ -441,7 +446,7 @@ class TestGracefulDegradationAudit:
                 small_sut,
                 schedule,
                 load=0.9,
-                auditor=InvariantAuditor(interval_steps=25),
+                auditor=InvariantAuditor(),
             )
         assert excinfo.value.invariant == "dead sockets draw zero power"
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.errors import FleetError
+from repro.fleet import chaos
 from repro.fleet.chaos import (
     AnswerDelay,
     ChaosRunConfig,
@@ -28,7 +29,6 @@ CFG = ChaosRunConfig(
     horizon_s=12.0,
     n_chassis=2,
     n_requests=18,
-    burst_size=24,
     n_chaos_events=5,
 )
 
@@ -78,20 +78,13 @@ class TestSchedule:
 
 
 class TestRunConfig:
-    @pytest.mark.parametrize(
-        "field", ["horizon_s", "tick_s", "heartbeat_interval_s"]
-    )
+    @pytest.mark.parametrize("field", ["horizon_s", "heartbeat_interval_s"])
     @pytest.mark.parametrize(
         "value", [0.0, -1.0, float("nan"), float("inf")]
     )
     def test_bad_times_rejected_naming_field(self, field, value):
         with pytest.raises(FleetError, match=field):
             ChaosRunConfig(**{field: value})
-
-    def test_negative_burst_rejected_naming_field(self):
-        with pytest.raises(FleetError, match="burst_size"):
-            ChaosRunConfig(burst_size=-3)
-        assert ChaosRunConfig(burst_size=0).burst_size == 0
 
     def test_negative_chaos_event_count_rejected_naming_field(self):
         with pytest.raises(FleetError, match="n_chaos_events"):
@@ -195,6 +188,20 @@ class TestInvariantsUnderChaos:
             if event["type"] == "fleet_submit":
                 assert event["queue_len"] <= max_queue
 
+    def test_burst_constant_read_at_run_time(self, monkeypatch):
+        """The mid-run stampede is ``BURST_SIZE`` BATCH what-ifs, read
+        when the run builds its workload.  At 2 chassis it sheds all
+        but 16: the queue (8) and two in-flight slots per worker."""
+
+        def shed(report):
+            return report.summary()["statuses"].get("shed", 0)
+
+        assert shed(run_chaos(CFG)) == chaos.BURST_SIZE - 16 == 8
+        monkeypatch.setattr(chaos, "BURST_SIZE", 20)
+        assert shed(run_chaos(CFG)) == 4
+        monkeypatch.setattr(chaos, "BURST_SIZE", 0)
+        assert shed(run_chaos(CFG)) == 0
+
     def test_queue_breach_is_reported(self, monkeypatch):
         """The log checker sees admissions only; the run checks the
         coordinator's own peak, which retries also count."""
@@ -237,6 +244,10 @@ class TestInvariantsUnderChaos:
 
 
 class TestTargetedScenarios:
+    @pytest.fixture(autouse=True)
+    def no_burst(self, monkeypatch):
+        monkeypatch.setattr(chaos, "BURST_SIZE", 0)
+
     def test_flapping_worker_quarantined_chassis_serves_stale(self):
         registry = demo_fleet(n_chassis=1, replicas=0)
         schedule = ChaosSchedule(
@@ -251,7 +262,6 @@ class TestTargetedScenarios:
                 horizon_s=12.0,
                 n_chassis=1,
                 n_requests=16,
-                burst_size=0,
                 n_chaos_events=0,
             ),
             registry=registry,
@@ -286,7 +296,6 @@ class TestTargetedScenarios:
                 horizon_s=8.0,
                 n_chassis=1,
                 n_requests=6,
-                burst_size=0,
                 n_chaos_events=0,
             ),
             out_dir=tmp_path,
@@ -312,7 +321,6 @@ class TestTargetedScenarios:
                 horizon_s=10.0,
                 n_chassis=1,
                 n_requests=10,
-                burst_size=0,
                 n_chaos_events=0,
             ),
             registry=registry,
@@ -344,7 +352,6 @@ class TestTargetedScenarios:
                 horizon_s=10.0,
                 n_chassis=1,
                 n_requests=8,
-                burst_size=0,
                 n_chaos_events=0,
             ),
             registry=registry,

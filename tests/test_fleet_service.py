@@ -3,7 +3,6 @@
 import asyncio
 import contextlib
 import json
-import math
 import multiprocessing
 import os
 import re
@@ -265,8 +264,19 @@ def _service(registry, bus=None):
             log_heartbeats=False,
         ),
         bus=bus,
-        tick_interval_s=0.02,
     )
+
+
+@pytest.fixture
+def fast_ticks(monkeypatch):
+    """Tick every 20 ms, so a running service answers quickly."""
+    monkeypatch.setattr(service_module, "TICK_INTERVAL_S", 0.02)
+
+
+@pytest.fixture
+def untimed_ticks(monkeypatch):
+    """Push the first tick an hour past the start of the service."""
+    monkeypatch.setattr(service_module, "TICK_INTERVAL_S", 3600.0)
 
 
 def _collector():
@@ -298,16 +308,11 @@ async def _serving(service):
         await service.stop()
 
 
-@pytest.mark.parametrize("interval", [0.0, -0.05, math.nan, math.inf])
-def test_bad_tick_interval_rejected(interval):
-    with pytest.raises(FleetError, match="tick_interval_s"):
-        FleetService(REGISTRY, tick_interval_s=interval)
-
-
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="needs process workers",
 )
+@pytest.mark.usefixtures("fast_ticks")
 class TestFleetService:
     def test_end_to_end_over_tcp(self):
         async def scenario():
@@ -627,6 +632,7 @@ async def _exchange(service, lines):
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="needs process workers",
 )
+@pytest.mark.usefixtures("fast_ticks")
 class TestHostileInput:
     """Bad lines get one structured reply and harm nothing else."""
 
@@ -721,12 +727,12 @@ def test_over_long_line_is_skipped_even_when_split_across_reads():
 
 
 def _untimed_service(**config):
-    """A service whose first tick would come only after an hour."""
+    """A service for the ``untimed_ticks`` tests: its first tick would
+    come only after an hour."""
     return FleetService(
         REGISTRY,
         policy=SupervisionPolicy(heartbeat_interval_s=0.2),
         config=FleetConfig(log_heartbeats=False, **config),
-        tick_interval_s=3600.0,
     )
 
 
@@ -734,6 +740,7 @@ def _untimed_service(**config):
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="needs process workers",
 )
+@pytest.mark.usefixtures("untimed_ticks")
 class TestDispatchAtAdmission:
     """A query leaves for a worker when admitted, not at the next tick."""
 
@@ -832,7 +839,8 @@ def test_tick_loop_keeps_a_fixed_cadence(monkeypatch):
     async def fake_sleep(delay):
         clock[0] += max(delay, 0.0)
 
-    service = FleetService(REGISTRY, tick_interval_s=0.05)
+    monkeypatch.setattr(service_module, "TICK_INTERVAL_S", 0.05)
+    service = FleetService(REGISTRY)
     service.coordinator = Coordinator()
     monkeypatch.setattr(service, "_now", lambda: clock[0])
     monkeypatch.setattr(asyncio, "sleep", fake_sleep)
@@ -845,9 +853,12 @@ def test_tick_loop_keeps_a_fixed_cadence(monkeypatch):
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="needs process workers",
 )
-def test_raising_tick_fails_callers_and_stop_still_cleans_up(tmp_path):
+def test_raising_tick_fails_callers_and_stop_still_cleans_up(
+    tmp_path, monkeypatch
+):
     """A tick that raises answers every waiting caller FAILED; stop()
     still finishes the coordinator, then re-raises."""
+    monkeypatch.setattr(service_module, "TICK_INTERVAL_S", 0.01)
     log = tmp_path / "fleet.jsonl"
     writer = JsonlWriter(log)
     bus = EventBus()
@@ -859,7 +870,6 @@ def test_raising_tick_fails_callers_and_stop_still_cleans_up(tmp_path):
             policy=SupervisionPolicy(heartbeat_interval_s=0.2),
             config=FleetConfig(log_heartbeats=False),
             bus=bus,
-            tick_interval_s=0.01,
         )
         await service.start()
         tick = service.coordinator.tick

@@ -16,12 +16,14 @@ which rewrites every JSON fixture under ``tests/goldens/``.
 
 import json
 import os
+from unittest import mock
 
 import pytest
 
 from repro.config.presets import smoke
 from repro.core import get_scheduler
 from repro.server.topology import ServerTopology
+from repro.sim import invariants
 from repro.sim.invariants import InvariantAuditor
 from repro.sim.runner import run_once
 from repro.workloads.benchmark import BenchmarkSet
@@ -59,17 +61,18 @@ def golden_params():
 def compute_metrics(scheduler_name: str) -> dict:
     """Run the golden scenario for one scheduler; extract key metrics.
 
-    The run executes under the invariant auditor, so a golden run also
-    certifies a violation-free trajectory.
+    The run executes under the invariant auditor, every 25 steps, so a
+    golden run also certifies a violation-free trajectory.
     """
-    result = run_once(
-        golden_topology(),
-        golden_params(),
-        get_scheduler(scheduler_name),
-        GOLDEN_SET,
-        GOLDEN_LOAD,
-        auditor=InvariantAuditor(interval_steps=25),
-    )
+    with mock.patch.object(invariants, "AUDIT_INTERVAL_STEPS", 25):
+        result = run_once(
+            golden_topology(),
+            golden_params(),
+            get_scheduler(scheduler_name),
+            GOLDEN_SET,
+            GOLDEN_LOAD,
+            auditor=InvariantAuditor(),
+        )
     return {
         "scheduler": scheduler_name,
         "n_jobs_submitted": result.n_jobs_submitted,

@@ -8,6 +8,7 @@ import pytest
 from repro.config.presets import smoke
 from repro.core import get_scheduler
 from repro.errors import SimulationError
+from repro.sim import invariants
 from repro.sim.invariants import InvariantAuditor, InvariantViolation
 from repro.sim.runner import run_once
 from repro.sim.state import SimulationState
@@ -19,8 +20,8 @@ def state(small_sut):
     return SimulationState(small_sut, smoke())
 
 
-def audit(state, step=120, energy_j=0.0, **kwargs):
-    InvariantAuditor(**kwargs).check(state, step, energy_j)
+def audit(state, step=120, energy_j=0.0):
+    InvariantAuditor().check(state, step, energy_j)
 
 
 class TestCleanState:
@@ -33,8 +34,9 @@ class TestCleanState:
         auditor.check(state, 50, 1.0)
         assert auditor.n_audits == 2
 
-    def test_full_run_zero_violations(self, small_sut):
-        auditor = InvariantAuditor(interval_steps=10)
+    def test_full_run_zero_violations(self, small_sut, monkeypatch):
+        monkeypatch.setattr(invariants, "AUDIT_INTERVAL_STEPS", 10)
+        auditor = InvariantAuditor()
         run_once(
             small_sut,
             smoke(seed=1),
@@ -44,6 +46,27 @@ class TestCleanState:
             auditor=auditor,
         )
         assert auditor.n_audits > 100
+
+    @pytest.mark.parametrize("interval", [7, 40])
+    def test_interval_constant_read_at_run_time(
+        self, small_sut, monkeypatch, interval
+    ):
+        """The audit cadence is the module constant as it reads when
+        the run steps, not when the auditor was built."""
+        auditor = InvariantAuditor()
+        monkeypatch.setattr(invariants, "AUDIT_INTERVAL_STEPS", interval)
+        params = smoke(seed=1)
+        run_once(
+            small_sut,
+            params,
+            get_scheduler("CF"),
+            BenchmarkSet.STORAGE,
+            0.5,
+            auditor=auditor,
+        )
+        dt = params.power_manager_interval_s
+        n_steps = int(round(params.sim_time_s / dt))
+        assert auditor.n_audits == len(range(0, n_steps, interval))
 
 
 class TestViolations:
@@ -97,9 +120,12 @@ class TestViolations:
             audit(state)
         assert excinfo.value.socket_id == 4
 
-    def test_lag_tolerance_absorbs_small_inversion(self, state):
+    def test_lag_tolerance_absorbs_small_inversion(
+        self, state, monkeypatch
+    ):
+        monkeypatch.setattr(invariants, "LAG_TOLERANCE_C", 5.0)
         state.thermal.chip_c[4] = state.thermal.sink_c[4] - 1.0
-        audit(state, lag_tolerance_c=5.0)
+        audit(state)
 
     def test_sink_lag_bound_scales_with_airflow(self, state):
         # A slowed fan (scale << 1) amplifies entry-air rises by
@@ -138,14 +164,6 @@ class TestViolations:
 
 
 class TestConstruction:
-    def test_rejects_zero_interval(self):
-        with pytest.raises(SimulationError):
-            InvariantAuditor(interval_steps=0)
-
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(SimulationError):
-            InvariantAuditor(lag_tolerance_c=-1.0)
-
     def test_violation_survives_pickling(self):
         original = InvariantViolation(
             "finite chip temperature", 120, 3, float("nan"), "chip is nan"
@@ -162,6 +180,7 @@ class TestEngineIntegration:
         """A violation mid-run surfaces through Simulation.run."""
         from repro.thermal.dynamics import TwoNodeThermalState
 
+        monkeypatch.setattr(invariants, "AUDIT_INTERVAL_STEPS", 5)
         original = TwoNodeThermalState.step_decayed
 
         def poisoned(self, *args, **kwargs):
@@ -178,6 +197,6 @@ class TestEngineIntegration:
                 get_scheduler("CF"),
                 BenchmarkSet.STORAGE,
                 0.5,
-                auditor=InvariantAuditor(interval_steps=5),
+                auditor=InvariantAuditor(),
             )
         assert excinfo.value.socket_id == 2

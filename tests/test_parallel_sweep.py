@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config.presets import smoke
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import SchedulingError
 from repro.sim import parallel
 from repro.sim.parallel import (
     SweepCache,
@@ -135,30 +135,24 @@ class TestSweepCache:
         cache.clear()
         assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
 
-    def test_explicit_bounds_bypass_env(self, monkeypatch):
-        """The bound is 256 unless the caller passes one; the
-        environment never sets it."""
+    def test_environment_never_sets_the_bound(self, monkeypatch):
+        """The bound is ``CACHE_MAX`` (256); the environment never
+        sets it."""
         monkeypatch.setenv("REPRO_CACHE_MAX", "3")
-        assert SweepCache().max_entries == 256
-        assert SweepCache(max_entries=7).max_entries == 7
-        assert SweepCache(max_entries=None).max_entries is None
+        assert parallel.CACHE_MAX == 256
+        cache = SweepCache()
+        for i in range(4):
+            cache.put(str(i), object())
+        assert (len(cache), cache.evictions) == (4, 0)
 
-    def test_negative_bound_rejected(self):
-        for bound in (-1, -5):
-            with pytest.raises(ConfigurationError, match="must be positive"):
-                SweepCache(max_entries=bound)
-
-    def test_zero_bound_rejected(self):
-        with pytest.raises(
-            ConfigurationError, match="would cache nothing"
-        ):
-            SweepCache(max_entries=0)
-
-    def test_non_int_bound_rejected(self):
-        with pytest.raises(ConfigurationError, match="float"):
-            SweepCache(max_entries=2.5)
-        with pytest.raises(ConfigurationError, match="str"):
-            SweepCache(max_entries="8")
+    def test_bound_constant_read_at_insert(self, monkeypatch):
+        """A patched ``CACHE_MAX`` bounds a cache built before it."""
+        cache = SweepCache()
+        monkeypatch.setattr(parallel, "CACHE_MAX", 2)
+        for key in "abc":
+            cache.put(key, object())
+        assert cache.keys() == ["b", "c"]
+        assert cache.evictions == 1
 
 
 class TestConfigKey:

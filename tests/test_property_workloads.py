@@ -10,7 +10,13 @@ from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.benchmark import BenchmarkSet
 from repro.workloads.pcmark import PCMARK_APPS
 from repro.workloads.perf_model import PerfModel
-from repro.workloads.power_model import PowerModel, leakage_power
+from repro.workloads.power_model import (
+    LEAKAGE_FLOOR_FRACTION,
+    LEAKAGE_TDP_FRACTION,
+    PowerModel,
+    leakage_array,
+    leakage_power,
+)
 
 benchmark_sets = st.sampled_from(list(BenchmarkSet))
 ladder_freqs = st.sampled_from(X2150_LADDER.states_mhz)
@@ -51,6 +57,43 @@ class TestPowerModelProperties:
                 model.dynamic_power(f)
                 <= model.dynamic_power_at_max_w + 1e-9
             )
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLeakageKernel:
+    """``leakage_array`` against ``leakage_power(chip, 1.0) * tdp``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bit_identical_to_leakage_power(self, rows, n, seed):
+        rng = np.random.default_rng(seed)
+        chip = rng.uniform(-100.0, 130.0, (rows, n))
+        # Below -60 degC the linear law falls under the 0.25 floor.
+        chip[:, 0] = rng.uniform(-200.0, -60.0, rows)
+        tdp = rng.uniform(1.0, 150.0, n)
+        expected = leakage_power(chip, 1.0) * tdp
+        assert (
+            expected[:, 0]
+            == LEAKAGE_FLOOR_FRACTION * LEAKAGE_TDP_FRACTION * tdp[0]
+        ).all()
+
+        # A (rows, n) block broadcast against one TDP vector, one row,
+        # and each written into a caller's buffer.
+        assert _same_bits(leakage_array(chip, tdp), expected)
+        assert _same_bits(leakage_array(chip[0], tdp), expected[0])
+        out = np.empty((rows, n))
+        assert leakage_array(chip, tdp, out=out) is out
+        assert _same_bits(out, expected)
+        row_out = np.empty(n)
+        assert leakage_array(chip[-1], tdp, out=row_out) is row_out
+        assert _same_bits(row_out, expected[-1])
 
 
 class TestPerfModelProperties:

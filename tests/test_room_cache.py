@@ -137,7 +137,7 @@ class TestSharedCacheRoundTrip:
     def test_cache_hit_returns_the_exact_solution(self, monkeypatch):
         """Second identical solve comes from the cache, bit-identical,
         and a different CRAC setpoint misses."""
-        cache = SweepCache(max_entries=8)
+        cache = SweepCache()
         monkeypatch.setattr(
             "repro.room.capacity.shared_cache", cache
         )
@@ -156,7 +156,7 @@ class TestSharedCacheRoundTrip:
     ):
         """The collision scenario end to end: identical chassis and
         load, different recirculation matrices."""
-        cache = SweepCache(max_entries=8)
+        cache = SweepCache()
         monkeypatch.setattr(
             "repro.room.capacity.shared_cache", cache
         )
@@ -178,7 +178,7 @@ class TestSharedCacheRoundTrip:
     def test_malformed_vector_is_rejected_before_the_lookup(
         self, monkeypatch
     ):
-        cache = SweepCache(max_entries=8)
+        cache = SweepCache()
         monkeypatch.setattr(
             "repro.room.capacity.shared_cache", cache
         )

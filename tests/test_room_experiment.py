@@ -140,9 +140,35 @@ class TestRoomInvariantAuditor:
         RoomInvariantAuditor().check(room, solution)
         RoomInvariantAuditor(redline_c=500.0).check(room, solution)
 
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(RoomError, match="positive"):
-            RoomInvariantAuditor(tolerance_c=0.0)
+    def test_rechecks_read_the_solve_tolerance(self, audited, monkeypatch):
+        """The fixed-point and residual rechecks allow
+        ``model.TOLERANCE_C`` as it reads when the check runs."""
+        room, solution = audited
+        shift = 1e-4
+        field = solution.fields[0]
+        moved = dataclasses.replace(
+            field,
+            ambient_c=field.ambient_c + shift,
+            sink_c=field.sink_c + shift,
+            chip_c=field.chip_c + shift,
+        )
+        drifted = dataclasses.replace(
+            solution,
+            inlet_c=solution.inlet_c + shift,
+            fields=(moved,),
+            residuals_c=(shift,),
+        )
+        auditor = RoomInvariantAuditor()
+        with pytest.raises(RoomInvariantViolation, match="drifts"):
+            auditor.check(room, drifted)
+        monkeypatch.setattr(model, "TOLERANCE_C", 10 * shift)
+        auditor.check(room, drifted)
+        with pytest.raises(
+            RoomInvariantViolation, match="above tolerance"
+        ):
+            auditor.check(
+                room, dataclasses.replace(drifted, residuals_c=(1.0,))
+            )
 
     def test_non_finite_arrays_rejected(self, audited):
         room, solution = audited

@@ -15,6 +15,7 @@ from repro.core import get_scheduler
 from repro.core.migration import MigrationPolicy
 from repro.errors import SimulationError
 from repro.sim.engine import Engine, Simulation
+from repro.sim import invariants
 from repro.sim.invariants import InvariantAuditor
 from repro.sim.pipeline import (
     ArrivalAdmitter,
@@ -121,19 +122,21 @@ class TestPipelineOrder:
         assert kinds.index(FanControl) < kinds.index(ThermalUpdater)
         assert kinds.index(Migrator) < kinds.index(PowerManager)
 
-    def test_extra_components_appended(self):
-        class Probe:
-            def on_run_start(self, ctx):
-                pass
+    def test_telemetry_recorder_runs_last(self, small_sut, tmp_path):
+        from repro.obs.session import TelemetryRecorder
 
-            def on_step(self, ctx):
-                pass
-
-            def on_run_end(self, ctx):
-                pass
-
-        probe = Probe()
-        assert build_pipeline(extra_components=[probe])[-1] is probe
+        sim = Simulation(
+            small_sut,
+            smoke(),
+            get_scheduler("CF"),
+            auditor=InvariantAuditor(),
+            telemetry=str(tmp_path),
+        )
+        components = sim.build_components()
+        assert isinstance(components[-1], TelemetryRecorder)
+        assert [type(c) for c in components[:-1]] == [
+            type(c) for c in build_pipeline(auditor=InvariantAuditor())
+        ]
 
 
 class TestPerRunResets:
@@ -161,8 +164,9 @@ class TestPerRunResets:
         # belongs to the previous run, not this one.
         auditor.check(state, 10, 1.0)
 
-    def test_engine_reuse_is_independent(self, small_sut):
-        auditor = InvariantAuditor(interval_steps=100)
+    def test_engine_reuse_is_independent(self, small_sut, monkeypatch):
+        monkeypatch.setattr(invariants, "AUDIT_INTERVAL_STEPS", 100)
+        auditor = InvariantAuditor()
         sim = Simulation(
             small_sut,
             smoke(seed=5),
@@ -304,8 +308,11 @@ class TestIntervalCadence:
         expected_calls = len(range(0, n_steps, interval_steps))
         assert len(controller.calls) == expected_calls
 
-    def test_combined_migration_and_fan_passes_auditor(self, small_sut):
-        auditor = InvariantAuditor(interval_steps=50)
+    def test_combined_migration_and_fan_passes_auditor(
+        self, small_sut, monkeypatch
+    ):
+        monkeypatch.setattr(invariants, "AUDIT_INTERVAL_STEPS", 50)
+        auditor = InvariantAuditor()
         sim = Simulation(
             small_sut,
             smoke(seed=2),

@@ -42,12 +42,6 @@ class TestUniformLoadField:
         hottest = field.hottest_socket
         assert small_sut.chain_pos_array[hottest] >= 3
 
-    def test_throttled_mask(self, small_sut):
-        cold = uniform_load_field(small_sut, PARAMS, 0.1, 5.0)
-        assert not cold.throttled_mask(95.0).any()
-        hot = uniform_load_field(small_sut, PARAMS, 1.0, 14.0)
-        assert hot.chip_c.max() > cold.chip_c.max()
-
     def test_invalid_inputs_rejected(self, small_sut):
         with pytest.raises(SimulationError):
             uniform_load_field(small_sut, PARAMS, 1.5, 5.0)

@@ -81,13 +81,6 @@ class TestTracedRun:
         zones = trace.as_arrays()["zone_chip_c"]
         assert zones.shape[1] == small_sut.n_zones
 
-    def test_per_zone_disabled(self, small_sut):
-        trace = run_traced(
-            small_sut, TraceConfig(interval_s=0.1, per_zone=False)
-        ).trace
-        assert trace.zone_chip_c == []
-        assert "zone_chip_c" not in trace.as_arrays()
-
     def test_back_zones_hotter_in_trace(self, small_sut):
         trace = run_traced(
             small_sut, TraceConfig(interval_s=0.1), load=0.8

@@ -121,18 +121,6 @@ class TestDetailedChipModel:
         with pytest.raises(ThermalModelError):
             model.solve_uniform(25.0, -1.0)
 
-    def test_duplicate_block_names_rejected(self):
-        blocks = [
-            FloorplanBlock("a", 0, 0, 1, 1),
-            FloorplanBlock("a", 1, 0, 1, 1),
-        ]
-        with pytest.raises(ThermalModelError):
-            DetailedChipModel(FIN_18, floorplan=blocks)
-
-    def test_bad_spreading_exponent_rejected(self):
-        with pytest.raises(ThermalModelError):
-            DetailedChipModel(FIN_18, spreading_exponent=1.5)
-
     def test_die_area_property(self):
         model = DetailedChipModel(FIN_18)
         assert model.die_area_mm2 == pytest.approx(100.0)

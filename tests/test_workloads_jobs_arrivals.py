@@ -140,10 +140,6 @@ class TestArrivalProcess:
             j.app.benchmark_set == BenchmarkSet.COMPUTATION for j in jobs
         )
 
-    def test_max_jobs_cap(self):
-        jobs = self._process().generate(5.0, max_jobs=10)
-        assert len(jobs) == 10
-
     def test_job_ids_sequential(self):
         jobs = self._process().generate(1.0)
         assert [j.job_id for j in jobs] == list(range(len(jobs)))
