@@ -1,9 +1,8 @@
-"""Scheduler-kernel and thermal-solver speedups vs. the scalar paths.
+"""Scheduler-kernel speedups vs. the scalar paths.
 
-Three measurements, each against a reference implementation:
-bench-local copies of the per-candidate loops CouplingPredictor and
-Coolest Neighbors used to score sockets, and
-``DetailedChipModel.solve_via_network``:
+Two measurements, each against a bench-local copy of the
+per-candidate loop CouplingPredictor or Coolest Neighbors used to score
+sockets:
 
 - **placement_e2e** — a placement-heavy 180-socket Moonshot run under
   full-search CouplingPredictor (``row_restricted=False``: every idle
@@ -16,15 +15,10 @@ Coolest Neighbors used to score sockets, and
 - **neighbors_e2e** — the same run under Coolest Neighbors.  Its
   one-array-pass scoring must reproduce the loop's trajectory bit for
   bit and clear the same ``BENCH_KERNEL_MIN_SPEEDUP``.
-- **detailed_solver** — the repeated detailed-chip-model solve pattern
-  of the Fig. 9/10 sweeps (two sinks x 19 power levels x 3 ambients).
-  The factorization-cached fast path must match the rebuilt-network
-  reference bit for bit and clear ``BENCH_SOLVER_MIN_SPEEDUP``
-  (default 3x).
 
-All results land in one committed artifact,
+Both results land in one committed artifact,
 ``benchmarks/results/scheduler_kernels.json``.  Running the module
-directly with ``--smoke`` (the CI perf-regression job) lowers every
+directly with ``--smoke`` (the CI perf-regression job) lowers the
 threshold to 1.0 — any regression below parity fails, with no flaky
 absolute-time bars — and trims the best-of rounds for runner time.
 """
@@ -47,8 +41,6 @@ from repro.core.predictive import SINK_TIEBREAK_WEIGHT
 from repro.server.topology import moonshot_sut
 from repro.sim.engine import Simulation
 from repro.sim.fingerprint import result_fingerprint
-from repro.thermal.detailed_model import DetailedChipModel
-from repro.thermal.heatsink import FIN_18, FIN_30
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.benchmark import BenchmarkSet
 
@@ -60,11 +52,6 @@ from _timing import ROUNDS, best_of, write_bench_json
 #: with 1.0 (regression-only guard).
 KERNEL_MIN_SPEEDUP = float(
     os.environ.get("BENCH_KERNEL_MIN_SPEEDUP", "1.5")
-)
-
-#: Required fast-vs-network solver speedup on the repeated-solve grid.
-SOLVER_MIN_SPEEDUP = float(
-    os.environ.get("BENCH_SOLVER_MIN_SPEEDUP", "3.0")
 )
 
 #: Best-of rounds (the scalar baseline is slow; smoke trims this).
@@ -231,80 +218,6 @@ def test_neighbors_speedup(record_artifact):
     )
 
 
-#: The Fig. 9/10-style repeated-solve grid: per-block power splits at
-#: 19 total-power levels, three ambients, both sink variants.
-_POWER_SPLIT = {
-    "core0": 0.10,
-    "core1": 0.10,
-    "core2": 0.10,
-    "core3": 0.10,
-    "l2": 0.10,
-    "gpu": 0.40,
-    "uncore": 0.06,
-    "io": 0.04,
-}
-_POWERS_W = [4.0 + 0.5 * i for i in range(19)]
-_AMBIENTS_C = [25.0, 32.0, 38.5]
-
-
-def _solve_grid(solver):
-    results = []
-    for power in _POWERS_W:
-        block_power = {
-            name: power * frac for name, frac in _POWER_SPLIT.items()
-        }
-        for ambient in _AMBIENTS_C:
-            result = solver(ambient, block_power)
-            results.append(
-                (
-                    result.spreader_c,
-                    result.sink_base_c,
-                    tuple(sorted(result.block_temperatures_c.items())),
-                )
-            )
-    return results
-
-
-def test_detailed_solver_speedup(record_artifact):
-    models = [DetailedChipModel(sink) for sink in (FIN_18, FIN_30)]
-
-    def _fast():
-        return [_solve_grid(model.solve) for model in models]
-
-    def _reference():
-        return [
-            _solve_grid(model.solve_via_network) for model in models
-        ]
-
-    fast_s, fast_results = best_of(_fast)
-    ref_s, ref_results = best_of(_reference)
-
-    # Bit-identical temperatures, path for path.
-    assert fast_results == ref_results
-
-    n_solves = len(models) * len(_POWERS_W) * len(_AMBIENTS_C)
-    speedup = ref_s / fast_s
-    payload = {
-        "benchmark": "detailed_solver",
-        "n_solves": n_solves,
-        "rounds": ROUNDS,
-        "reference_solves_per_s": round(n_solves / ref_s, 1),
-        "fast_solves_per_s": round(n_solves / fast_s, 1),
-        "speedup": round(speedup, 3),
-        "min_speedup": SOLVER_MIN_SPEEDUP,
-    }
-    line = write_bench_json(
-        "scheduler_kernels.json", {"detailed_solver": payload}, merge=True
-    )
-    record_artifact("detailed_solver", line + "\n")
-
-    assert speedup >= SOLVER_MIN_SPEEDUP, (
-        f"factorization-cached solver reached only {speedup:.2f}x over "
-        f"the rebuilt-network path (required {SOLVER_MIN_SPEEDUP}x): "
-        f"{line}"
-    )
-
-
 if __name__ == "__main__":
     argv = sys.argv[1:]
     if "--smoke" in argv:
@@ -314,6 +227,5 @@ if __name__ == "__main__":
         # scalar baseline.
         argv.remove("--smoke")
         os.environ.setdefault("BENCH_KERNEL_MIN_SPEEDUP", "1.0")
-        os.environ.setdefault("BENCH_SOLVER_MIN_SPEEDUP", "1.0")
         os.environ.setdefault("BENCH_KERNEL_ROUNDS", "2")
     sys.exit(pytest.main([__file__, "-v", "-s"] + argv))

@@ -18,11 +18,8 @@ from typing import List, TYPE_CHECKING, Tuple
 import numpy as np
 
 from ..errors import SchedulingError
-from .prediction import (
-    predict_downwind_slowdown,
-    predict_job_frequency,
-    predicted_job_power,
-)
+from .kernels import PlacementKernel
+from .prediction import predict_job_placement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.view import SchedulerView
@@ -74,13 +71,17 @@ class MigrationPolicy:
             raise SchedulingError("migration gain must be positive")
         if self.max_moves_per_round < 1:
             raise SchedulingError("max moves must be >= 1")
+        self._kernel = None
 
     def propose(self, view: "SchedulerView") -> List[Tuple[int, int]]:
         """Propose (source, destination) socket moves.
 
         Destinations are idle sockets; each destination is used at most
         once per round, and a job is only moved when the predicted
-        frequency gain clears ``min_gain_mhz``.
+        frequency gain clears ``min_gain_mhz``.  The idle destinations
+        are scored in one pass, as CP scores a placement pool:
+        :func:`~repro.core.prediction.predict_job_placement` and the
+        topology's :class:`~repro.core.kernels.PlacementKernel`.
         """
         idle = view.idle_socket_ids()
         if idle.size == 0:
@@ -109,17 +110,11 @@ class MigrationPolicy:
             available = idle[~taken[idle]]
             if available.size == 0:
                 break
-            predicted = predict_job_frequency(view, available, job)
-            scores = np.empty(available.shape, dtype=float)
-            for i, (dest, f_mhz) in enumerate(
-                zip(available, predicted)
-            ):
-                power = predicted_job_power(
-                    view, int(dest), job, float(f_mhz)
-                )
-                scores[i] = float(f_mhz) - predict_downwind_slowdown(
-                    view, int(dest), power
-                )
+            freq, powers = predict_job_placement(view, available, job)
+            kernel = self._kernel
+            if kernel is None or kernel.topology is not view.topology:
+                kernel = self._kernel = PlacementKernel(view.topology)
+            scores = freq - kernel.downwind_losses(view, available, powers)
             best = int(np.argmax(scores))
             gain = float(scores[best]) - float(view.freq_mhz[source])
             if gain >= self.min_gain_mhz:

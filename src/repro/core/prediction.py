@@ -8,13 +8,15 @@ machinery, pointed at a downwind socket with its entry temperature
 shifted by the coupling weight, predicts how much that socket would slow
 down.
 
-The policies score a whole candidate pool through
-:func:`predict_job_placement`, which gathers each candidate column once
-and returns the job's predicted frequency and power draw together.  The
-scalar helpers (:func:`predict_job_frequency`,
-:func:`predicted_job_power`, :func:`predict_downwind_slowdown`) serve
-the migration policy and are the per-candidate references the pool
-scoring is tested against, bit for bit.
+The policies and the migration policy score a whole candidate pool
+through :func:`predict_job_placement`, which gathers each candidate
+column once and returns the job's predicted frequency and power draw
+together.  The scalar helpers (:func:`predict_job_frequency`,
+:func:`predicted_job_power`, :func:`predict_downwind_slowdown`) have no
+production caller: they are the per-candidate references that
+``tests/test_core_prediction.py`` and ``tests/test_oracle.py`` hold the
+pool scoring and :class:`~repro.core.kernels.PlacementKernel` to, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ import numpy as np
 from ..sim.power_manager import dynamic_power, select_frequencies
 from ..workloads.benchmark import profile_for
 from ..workloads.power_model import (
-    LEAKAGE_FLOOR_FRACTION,
-    LEAKAGE_REFERENCE_C,
     LEAKAGE_TDP_FRACTION,
-    LEAKAGE_TEMP_COEFF,
+    leakage_array,
     leakage_power,
 )
 
@@ -87,16 +87,16 @@ def predict_job_placement(
     - The frequency is :func:`predict_job_frequency`'s one
       :func:`~repro.sim.power_manager.select_frequencies` call, from
       the sink temperatures with ``r_ext=0.0``.
-    - The power keeps :func:`predicted_job_power`'s per-element order.
-      Its leakage term is inlined because :func:`~repro.workloads.
-      power_model.leakage_power` validates ``tdp_w`` as a scalar.
+    - The power is :func:`predicted_job_power`'s dynamic term plus
+      :func:`~repro.workloads.power_model.leakage_array` over the
+      candidates' chips, the kernel whose bits
+      :func:`~repro.workloads.power_model.leakage_power` returns.
     """
     topology = view.topology
     tdp = topology.tdp_array[socket_ids]
     chip = view.chip_c[socket_ids]
     exponent = profile_for(job.app.benchmark_set).dynamic_exponent
-    reference_leak = LEAKAGE_TDP_FRACTION * tdp
-    dyn_max = job.app.power_at_max_w - reference_leak
+    dyn_max = job.app.power_at_max_w - LEAKAGE_TDP_FRACTION * tdp
     ladder = view.ladder
     freq = select_frequencies(
         ambient_c=view.sink_c[socket_ids],
@@ -110,10 +110,8 @@ def predict_job_placement(
         ladder=ladder,
         params=view.params,
     )
-    factor = 1.0 + LEAKAGE_TEMP_COEFF * (chip - LEAKAGE_REFERENCE_C)
-    factor = np.maximum(factor, LEAKAGE_FLOOR_FRACTION)
     power = dynamic_power(freq, dyn_max, exponent, ladder.max_mhz)
-    return freq, power + reference_leak * factor
+    return freq, power + leakage_array(chip, tdp)
 
 
 def predicted_job_power(

@@ -22,23 +22,13 @@ Equation 1 is accurate to within ~2 degC.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Tuple
-
-import numpy as np
 
 from ..errors import ThermalModelError
 from .chip_model import DEFAULT_R_INT
 from .heatsink import HeatSink
-from .rc_network import FactorizedSystem, ThermalNetwork
-
-#: Retained LU factorizations per model instance.  The convection edge
-#: is the only power-dependent conductance, so the cache is keyed on
-#: ``g_conv`` alone; sweeps that revisit the same total power (Fig. 9/10
-#: grids, steady-state iteration) hit the cache and only pay
-#: back-substitution.
-FACTOR_CACHE_MAX = 64
+from .rc_network import ThermalNetwork
 
 
 @dataclass(frozen=True)
@@ -189,64 +179,13 @@ class DetailedChipModel:
     :data:`~repro.thermal.chip_model.DEFAULT_R_INT` (Table III's
     R_int), with the module constants :data:`LATERAL_RESISTIVITY`,
     :data:`SPREADING_EXPONENT`, :data:`SPREADER_RESISTANCE`,
-    :data:`CONV_A` and :data:`CONV_P0`.  The resistances enter the
-    conductance matrix built with the model; the convection terms are
-    read at each solve.  Only the heat sink varies between models.
+    :data:`CONV_A` and :data:`CONV_P0`, all read at each solve.  Only
+    the heat sink varies between models.
     """
 
     def __init__(self, sink: HeatSink):
         self.sink = sink
         self.floorplan: Tuple[FloorplanBlock, ...] = kabini_floorplan()
-        self._init_kernel()
-
-    def _init_kernel(self) -> None:
-        """Precompute the power-independent part of the conductance matrix.
-
-        The network structure is fixed at construction; only the
-        sink-base-to-ambient convection conductance depends on the power
-        map.  The base matrix accumulates every other edge in the exact
-        order :meth:`solve_via_network` adds them, so adding the
-        convection contributions afterwards reproduces the reference
-        assembly bit for bit (the deferred edge touches only cells the
-        base matrix leaves at their pre-convection partial sums).
-        """
-        names = ["ambient", "spreader", "sink_base"] + [
-            b.name for b in self.floorplan
-        ]
-        index = {name: i for i, name in enumerate(names)}
-        n = len(names)
-        base = np.zeros((n, n))
-
-        def accumulate(i: int, j: int, resistance: float) -> None:
-            g = 1.0 / resistance
-            base[i, i] += g
-            base[j, j] += g
-            base[i, j] -= g
-            base[j, i] -= g
-
-        accumulate(index["spreader"], index["sink_base"], SPREADER_RESISTANCE)
-        # The sink_base <-> ambient convection edge is added per solve.
-        for block in self.floorplan:
-            accumulate(
-                index[block.name],
-                index["spreader"],
-                self._vertical_resistance(block),
-            )
-        for i, a in enumerate(self.floorplan):
-            for b in self.floorplan[i + 1 :]:
-                edge = a.shared_edge_mm(b)
-                if edge > 0:
-                    accumulate(
-                        index[a.name],
-                        index[b.name],
-                        self._lateral_resistance(a, b, edge),
-                    )
-        self._node_index = index
-        self._n_nodes = n
-        self._base_conductance = base
-        self._factor_cache: "OrderedDict[float, FactorizedSystem]" = (
-            OrderedDict()
-        )
 
     @property
     def die_area_mm2(self) -> float:
@@ -282,11 +221,8 @@ class DetailedChipModel:
     ) -> DetailedChipResult:
         """Solve for block temperatures given a per-block power map.
 
-        Fast path: reuses the precomputed base conductance matrix and an
-        LRU cache of LU factorizations keyed on the convection
-        conductance — bit-identical to :meth:`solve_via_network`, which
-        rebuilds the full :class:`~repro.thermal.rc_network.
-        ThermalNetwork` every call.
+        Builds the floorplan's :class:`~repro.thermal.rc_network.
+        ThermalNetwork` and solves it once.
 
         Args:
             ambient_c: Entry air temperature at the socket, degC.
@@ -296,59 +232,6 @@ class DetailedChipModel:
         Raises:
             ThermalModelError: if a power key names an unknown block or
                 any power is negative.
-        """
-        self._validate_powers(block_power_w)
-        total_power = sum(block_power_w.values())
-        r_conv = self.sink.r_ext + CONV_A / (total_power + CONV_P0)
-        g_conv = 1.0 / r_conv
-
-        system = self._factor_cache.get(g_conv)
-        if system is None:
-            conductance = self._base_conductance.copy()
-            # sink_base (2) <-> ambient (0) convection edge, in the same
-            # accumulation order as ThermalNetwork assembly.
-            conductance[2, 2] += g_conv
-            conductance[0, 0] += g_conv
-            conductance[2, 0] -= g_conv
-            conductance[0, 2] -= g_conv
-            system = FactorizedSystem(conductance[1:, 1:])
-            self._factor_cache[g_conv] = system
-            if len(self._factor_cache) > FACTOR_CACHE_MAX:
-                self._factor_cache.popitem(last=False)
-        else:
-            self._factor_cache.move_to_end(g_conv)
-
-        index = self._node_index
-        rhs = np.zeros(self._n_nodes - 1)
-        for block in self.floorplan:
-            rhs[index[block.name] - 1] = float(
-                block_power_w.get(block.name, 0.0)
-            )
-        # Only the sink_base row has a non-zero ambient-column entry
-        # (-g_conv); every other row subtracts an exact 0.0 * ambient.
-        rhs[index["sink_base"] - 1] -= (0.0 - g_conv) * float(ambient_c)
-        solution = system.solve(rhs)
-        block_temps = {
-            b.name: float(solution[index[b.name] - 1])
-            for b in self.floorplan
-        }
-        return DetailedChipResult(
-            block_temperatures_c=block_temps,
-            spreader_c=float(solution[index["spreader"] - 1]),
-            sink_base_c=float(solution[index["sink_base"] - 1]),
-        )
-
-    def solve_via_network(
-        self,
-        ambient_c: float,
-        block_power_w: Mapping[str, float],
-    ) -> DetailedChipResult:
-        """Reference solve that rebuilds the RC network from scratch.
-
-        Kept as the structural ground truth the fast :meth:`solve` path
-        is benchmarked and bit-compared against
-        (``tests/test_thermal_detailed_model.py``,
-        ``benchmarks/bench_scheduler_kernels.py``).
         """
         self._validate_powers(block_power_w)
         total_power = sum(block_power_w.values())

@@ -10,9 +10,10 @@ socket as a two-node RC ladder:
 - the *chip* node represents the die; its steady state is
   ``sink + power * r_int + theta(power)`` and it relaxes with tau = 5 ms.
 
-Each step uses the exact exponential solution of the first-order ODE, so
-the update is unconditionally stable for any step size — the engine can
-take 1 ms power-manager steps or coarser steps without error growth.
+Each step uses the exact exponential solution of the first-order ODE,
+``T(t+dt) = target + (T(t) - target) * exp(-dt/tau)``, so the update is
+unconditionally stable for any step size — the engine can take 1 ms
+power-manager steps or coarser steps without error growth.
 """
 
 from __future__ import annotations
@@ -28,28 +29,6 @@ DEFAULT_CHIP_TAU_S = 0.005
 
 #: Socket / heat-sink thermal time constant (Table III), seconds.
 DEFAULT_SOCKET_TAU_S = 30.0
-
-
-def exponential_step(
-    current: np.ndarray,
-    target: np.ndarray,
-    dt_s: float,
-    tau_s: float,
-) -> np.ndarray:
-    """One exact first-order relaxation step toward ``target``.
-
-    Implements ``T(t+dt) = target + (T(t) - target) * exp(-dt/tau)``.
-
-    Raises:
-        ThermalModelError: if ``dt_s`` is negative or ``tau_s`` is not
-            strictly positive.
-    """
-    if dt_s < 0:
-        raise ThermalModelError(f"dt must be non-negative, got {dt_s}")
-    if tau_s <= 0:
-        raise ThermalModelError(f"tau must be positive, got {tau_s}")
-    decay = np.exp(-dt_s / tau_s)
-    return target + (current - target) * decay
 
 
 @dataclass
@@ -99,34 +78,6 @@ class TwoNodeThermalState:
             socket_tau_s=socket_tau_s,
         )
 
-    def step(
-        self,
-        dt_s: float,
-        ambient_c: np.ndarray,
-        power_w: np.ndarray,
-        r_int: np.ndarray,
-        r_ext: np.ndarray,
-        theta: np.ndarray,
-    ) -> None:
-        """Advance both nodes by ``dt_s`` seconds in place.
-
-        Args:
-            dt_s: Step duration, seconds.
-            ambient_c: Per-socket entry air temperature, degC.
-            power_w: Per-socket total power, W.
-            r_int: Per-socket internal resistance, degC/W.
-            r_ext: Per-socket external (sink) resistance, degC/W.
-            theta: Per-socket Equation 1 correction, degC.
-        """
-        sink_target = ambient_c + power_w * r_ext
-        self.sink_c = exponential_step(
-            self.sink_c, sink_target, dt_s, self.socket_tau_s
-        )
-        chip_target = self.sink_c + power_w * r_int + theta
-        self.chip_c = exponential_step(
-            self.chip_c, chip_target, dt_s, self.chip_tau_s
-        )
-
     def step_decayed(
         self,
         sink_decay: float,
@@ -138,16 +89,15 @@ class TwoNodeThermalState:
         theta: np.ndarray,
         scratch: "np.ndarray | None" = None,
     ) -> None:
-        """Advance both nodes using precomputed decay factors.
+        """Advance both nodes in place by one step of ``dt`` seconds.
 
-        The fixed-step engine calls the relaxation thousands of times
-        with the same ``dt``; this fused variant takes the decay
-        factors ``exp(-dt/tau)`` precomputed once per run and updates
-        both node arrays fully in place (one scratch allocation per
-        call instead of six temporaries).  It performs the identical
-        floating-point operations in the identical per-element order as
-        :meth:`step` with ``exponential_step``, so trajectories are
-        bit-identical.
+        The fixed-step engine relaxes the nodes thousands of times with
+        the same ``dt``, so the step takes the decay factors
+        ``exp(-dt/tau)`` precomputed once per run.  The sink relaxes
+        toward ``ambient + power * r_ext`` first; the chip then relaxes
+        toward the *new* sink plus ``power * r_int + theta``.  Both node
+        arrays are updated fully in place (one scratch allocation per
+        call when no buffer is given).
 
         Args:
             sink_decay: ``exp(-dt / socket_tau_s)`` for the engine step.

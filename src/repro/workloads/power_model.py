@@ -44,16 +44,15 @@ def leakage_power(temperature_c: ArrayLike, tdp_w: float) -> ArrayLike:
 
     Equals ``LEAKAGE_TDP_FRACTION * tdp_w`` at the reference temperature
     and varies linearly with a floor to stay physical at low
-    temperatures.
+    temperatures.  A scalar-TDP front end to :func:`leakage_array`,
+    whose bits it returns: a float for a scalar temperature, else an
+    array of the temperatures' shape.
     """
     if tdp_w <= 0:
         raise WorkloadError(f"TDP must be positive, got {tdp_w}")
-    reference_leakage = LEAKAGE_TDP_FRACTION * tdp_w
-    factor = 1.0 + LEAKAGE_TEMP_COEFF * (
-        np.asarray(temperature_c) - LEAKAGE_REFERENCE_C
+    result = leakage_array(
+        temperature_c, tdp_w, out=np.empty(np.shape(temperature_c))
     )
-    factor = np.maximum(factor, LEAKAGE_FLOOR_FRACTION)
-    result = reference_leakage * factor
     if np.isscalar(temperature_c):
         return float(result)
     return result
@@ -66,10 +65,12 @@ def leakage_array(
 ) -> np.ndarray:
     """Per-socket leakage power, W, into ``out`` when given.
 
-    The vector kernel of the engine's power step, the DVFS selector and
-    both steady solvers: ``leakage_power(temperature_c, 1.0) * tdp_w``
-    in the identical per-element operation order, so its bits equal
-    that composition's.  ``temperature_c`` sets the shape; ``tdp_w``
+    The one leakage kernel: the engine's power step, the DVFS selector,
+    both steady solvers, the schedulers' and the migration policy's
+    pool scoring and :func:`leakage_power` all run it, so every leakage
+    figure has the bits of
+    ``max(1 + c * (T - T_ref), floor) * fraction * tdp_w`` in that
+    per-element order.  ``temperature_c`` sets the shape; ``tdp_w``
     (per-socket, or scalar) broadcasts over it, so a ``(rows, n)``
     block of chip temperatures takes one ``(n,)`` TDP vector.
     """

@@ -1,5 +1,12 @@
 """Tests for the analytical (non-simulation) experiment modules."""
 
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments import (
@@ -146,6 +153,58 @@ class TestFig10:
     def test_covers_all_apps_both_sinks(self):
         result = fig10_model_validation.run()
         assert len(result.points) == 38
+
+
+#: sha256 of each detailed-model figure's rows: the JSON list of every
+#: point's fields, floats unrounded, in ``run()`` order.  Every number
+#: comes from one ``np.linalg.solve`` per chip solve and from
+#: ``leakage_array``'s operation order.
+PINNED_ROWS = {
+    "fig09": "f228f31c3d52e35e9963cdd1d40b0c975f7e1ad31e4bc32836f5d43ea6984c29",
+    "fig10": "98432df64241aeb59421c4881eb2dfde6a3efc30cdccbcf5e362ef9a9d0bdf9a",
+}
+
+#: ``python -m repro run fig09 fig10``, then the scipy modules it loaded.
+_FIGURES_SCRIPT = """
+import runpy, sys
+sys.argv = ["repro", "run", "fig09", "fig10"]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+finally:
+    print("scipy modules:", sorted(
+        m for m in sys.modules if m.split(".")[0] == "scipy"
+    ))
+"""
+
+
+class TestDetailedModelFigures:
+    @pytest.mark.parametrize(
+        "name, module",
+        [("fig09", fig09_heatsinks), ("fig10", fig10_model_validation)],
+        ids=["fig09", "fig10"],
+    )
+    def test_rows_pinned(self, name, module):
+        rows = [dataclasses.astuple(p) for p in module.run().points]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == PINNED_ROWS[name]
+
+    def test_figures_load_no_scipy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIGURES_SCRIPT],
+            env=env,
+            cwd=os.path.dirname(os.path.dirname(__file__)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Figure 9" in proc.stdout
+        assert "Figure 10" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "scipy modules: []"
 
 
 class TestTables:

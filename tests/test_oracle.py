@@ -22,7 +22,9 @@ CP and Predictive rows.  Below the run level, a live-decision probe
 checks the pool pass against the scalar helpers inside real runs, and
 property tests check it on random states and idle sets, and on
 downwind chains long enough for ``ndarray.sum`` to switch to its
-unrolled pairwise order.
+unrolled pairwise order.  The migration policy scores its idle
+destinations with the same pool pass; a property test holds its
+proposals to :class:`_ScalarMigration`, its old per-destination loop.
 
 The golden is the proof that a refactor of the engine's numerics
 changes no answer and no cache key.  Regenerate it after an
@@ -45,6 +47,7 @@ from repro.config.presets import smoke
 from repro.core import all_scheduler_names, get_scheduler
 from repro.core.coupling_predictor import CouplingPredictor
 from repro.core.kernels import PlacementKernel
+from repro.core.migration import MigrationPolicy
 from repro.core.prediction import (
     predict_downwind_slowdown,
     predict_job_frequency,
@@ -175,6 +178,52 @@ class _ScalarPredictive(Predictive):
                 sink_ss + float(view.sink_c[socket])
             )
         return int(idle_ids[int(np.argmax(scores))])
+
+
+class _ScalarMigration(MigrationPolicy):
+    """Migration scoring one idle destination at a time (the reference
+    its pool pass replaced)."""
+
+    def propose(self, view):
+        idle = view.idle_socket_ids()
+        if idle.size == 0:
+            return []
+        eligible = view.busy & (
+            view.remaining_work_ms >= self.min_remaining_ms
+        )
+        if self.only_below_sustained:
+            eligible &= view.freq_mhz < float(view.ladder.sustained_mhz)
+        candidates = np.nonzero(eligible)[0]
+        if candidates.size == 0:
+            return []
+        candidates = candidates[np.argsort(view.freq_mhz[candidates])]
+        moves = []
+        taken = np.zeros(view.n_sockets, dtype=bool)
+        for source in candidates:
+            if len(moves) >= self.max_moves_per_round:
+                break
+            job = view.running_jobs[source]
+            if job is None:
+                continue
+            available = idle[~taken[idle]]
+            if available.size == 0:
+                break
+            predicted = predict_job_frequency(view, available, job)
+            scores = np.empty(available.shape, dtype=float)
+            for i, (dest, f_mhz) in enumerate(zip(available, predicted)):
+                power = predicted_job_power(
+                    view, int(dest), job, float(f_mhz)
+                )
+                scores[i] = float(f_mhz) - predict_downwind_slowdown(
+                    view, int(dest), power
+                )
+            best = int(np.argmax(scores))
+            gain = float(scores[best]) - float(view.freq_mhz[source])
+            if gain >= self.min_gain_mhz:
+                destination = int(available[best])
+                moves.append((int(source), destination))
+                taken[destination] = True
+        return moves
 
 
 #: The scalar reference of each policy the ``reference`` mode covers.
@@ -525,6 +574,44 @@ def test_pool_pass_matches_the_scalar_loop(property_topologies, data):
     assert _choice(Predictive, view, job, idle_ids, seed) == _choice(
         _ScalarPredictive, view, job, idle_ids, seed
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_migration_matches_the_scalar_loop(property_topologies, data):
+    """The migration policy's pool pass proposes what the per-destination
+    loop proposes: frequencies sit on the DVFS ladder, so many
+    destinations tie on their own speed and the downwind losses pick
+    among them."""
+    topology = property_topologies[
+        data.draw(st.sampled_from(_PROPERTY_TOPOLOGIES))
+    ]
+    n = topology.n_sockets
+    view = _draw_view(data, topology, _draw_busy(data, n))
+    idle = np.flatnonzero(~view.busy)
+    view.idle_socket_ids = lambda: idle
+    view.n_sockets = n
+    view.remaining_work_ms = _draw_floats(data, n, 0.0, 500.0)
+    states = view.ladder.states_mhz
+    view.freq_mhz = np.array(
+        data.draw(st.lists(st.sampled_from(states), min_size=n, max_size=n)),
+        dtype=float,
+    )
+    apps = st.sampled_from(PCMARK_APPS)
+    view.running_jobs = [
+        Job(job_id=s, app=data.draw(apps), arrival_s=0.0, work_ms=1.0)
+        if view.busy[s]
+        else None
+        for s in range(n)
+    ]
+    knobs = dict(
+        min_gain_mhz=data.draw(st.floats(1.0, 600.0)),
+        max_moves_per_round=data.draw(st.integers(1, 6)),
+        only_below_sustained=data.draw(st.booleans()),
+    )
+    assert MigrationPolicy(**knobs).propose(view) == _ScalarMigration(
+        **knobs
+    ).propose(view)
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,24 +13,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.thermal.coupling import CouplingChain, CouplingMatrix
-from repro.thermal.dynamics import (
-    TwoNodeThermalState,
-    exponential_step,
-)
+from repro.thermal.dynamics import TwoNodeThermalState
 
 temps = st.floats(-40.0, 150.0)
 taus = st.floats(0.001, 100.0)
 heats = st.floats(0.0, 60.0)
 
 
+def decays(state, dt):
+    """The engine's per-run decays ``exp(-dt/tau)`` for ``state``."""
+    return np.exp(-dt / state.socket_tau_s), np.exp(-dt / state.chip_tau_s)
+
+
+def relax(start, target, dt, tau):
+    """One engine step of an unpowered sink node from ``start`` toward
+    its entry air ``target``: ``target + (start - target) * exp(-dt/tau)``."""
+    state = TwoNodeThermalState(
+        sink_c=[start], chip_c=[start], socket_tau_s=tau
+    )
+    zero = np.zeros(1)
+    state.step_decayed(
+        *decays(state, dt), np.array([target]), zero, zero, np.ones(1), zero
+    )
+    return float(state.sink_c[0])
+
+
 class TestExponentialStepProperties:
     @given(start=temps, target=temps, dt=st.floats(0.0, 1e6), tau=taus)
     def test_never_overshoots_target(self, start, target, dt, tau):
-        out = float(
-            exponential_step(
-                np.array([start]), np.array([target]), dt, tau
-            )[0]
-        )
+        out = relax(start, target, dt, tau)
         if start <= target:
             assert start - 1e-9 <= out <= target + 1e-9
         else:
@@ -45,21 +56,14 @@ class TestExponentialStepProperties:
     )
     def test_monotone_in_dt(self, start, target, dt1, extra, tau):
         """A longer step lands at least as close to the target."""
-        t = np.array([target])
-        near = float(exponential_step(np.array([start]), t, dt1, tau)[0])
-        nearer = float(
-            exponential_step(np.array([start]), t, dt1 + extra, tau)[0]
-        )
+        near = relax(start, target, dt1, tau)
+        nearer = relax(start, target, dt1 + extra, tau)
         assert abs(nearer - target) <= abs(near - target) + 1e-9
 
     @given(start=temps, target=temps, tau=taus)
     def test_stable_for_huge_steps(self, start, target, tau):
         """Steps of thousands of time constants converge, never blow up."""
-        out = float(
-            exponential_step(
-                np.array([start]), np.array([target]), 1e9 * tau, tau
-            )[0]
-        )
+        out = relax(start, target, 1e9 * tau, tau)
         assert np.isfinite(out)
         assert out == pytest.approx(target, abs=1e-6)
 
@@ -87,8 +91,17 @@ class TestTwoNodeProperties:
         r_int = np.full(n, 0.205)
         r_ext = np.full(n, 0.7)
         theta = np.maximum(4.41 - 0.0896 * power_arr, 0.0)
+        sink_decay, chip_decay = decays(state, dt)
         for _ in range(n_steps):
-            state.step(dt, ambient_arr, power_arr, r_int, r_ext, theta)
+            state.step_decayed(
+                sink_decay,
+                chip_decay,
+                ambient_arr,
+                power_arr,
+                r_int,
+                r_ext,
+                theta,
+            )
             assert (state.chip_c >= state.sink_c - 1e-9).all()
 
     @settings(max_examples=50)
@@ -103,9 +116,11 @@ class TestTwoNodeProperties:
         n = 3
         state = TwoNodeThermalState.at_ambient(n, ambient)
         target = ambient + power * 0.7
+        sink_decay, chip_decay = decays(state, dt)
         for _ in range(20):
-            state.step(
-                dt,
+            state.step_decayed(
+                sink_decay,
+                chip_decay,
                 np.full(n, ambient),
                 np.full(n, power),
                 np.full(n, 0.205),

@@ -12,7 +12,9 @@ from repro.workloads.pcmark import PCMARK_APPS
 from repro.workloads.perf_model import PerfModel
 from repro.workloads.power_model import (
     LEAKAGE_FLOOR_FRACTION,
+    LEAKAGE_REFERENCE_C,
     LEAKAGE_TDP_FRACTION,
+    LEAKAGE_TEMP_COEFF,
     PowerModel,
     leakage_array,
     leakage_power,
@@ -63,8 +65,18 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _leakage_formula(chip, tdp):
+    """The leakage law written out, in the kernel's operation order."""
+    factor = np.maximum(
+        1.0 + LEAKAGE_TEMP_COEFF * (chip - LEAKAGE_REFERENCE_C),
+        LEAKAGE_FLOOR_FRACTION,
+    )
+    return factor * LEAKAGE_TDP_FRACTION * tdp
+
+
 class TestLeakageKernel:
-    """``leakage_array`` against ``leakage_power(chip, 1.0) * tdp``."""
+    """``leakage_array`` and ``leakage_power`` against the written-out
+    law, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -78,11 +90,20 @@ class TestLeakageKernel:
         # Below -60 degC the linear law falls under the 0.25 floor.
         chip[:, 0] = rng.uniform(-200.0, -60.0, rows)
         tdp = rng.uniform(1.0, 150.0, n)
-        expected = leakage_power(chip, 1.0) * tdp
+        expected = _leakage_formula(chip, tdp)
         assert (
             expected[:, 0]
             == LEAKAGE_FLOOR_FRACTION * LEAKAGE_TDP_FRACTION * tdp[0]
         ).all()
+
+        # The scalar-TDP front end returns the kernel's bits: an array
+        # for an array of temperatures, a float for one temperature.
+        assert _same_bits(
+            leakage_power(chip, tdp[1]), _leakage_formula(chip, tdp[1])
+        )
+        one = leakage_power(float(chip[0, 1]), tdp[1])
+        assert type(one) is float
+        assert one == _leakage_formula(chip[0, 1], tdp[1])
 
         # A (rows, n) block broadcast against one TDP vector, one row,
         # and each written into a caller's buffer.

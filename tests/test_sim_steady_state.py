@@ -89,9 +89,12 @@ class TestSolveSteadyState:
             + small_sut.theta_slope_array * field.power_w
         )
         ambient = field.ambient_c
+        sink_decay = np.exp(-0.01 / state.socket_tau_s)
+        chip_decay = np.exp(-0.01 / state.chip_tau_s)
         for _ in range(4000):
-            state.step(
-                0.01,
+            state.step_decayed(
+                sink_decay,
+                chip_decay,
                 ambient,
                 field.power_w,
                 PARAMS.r_int,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ThermalModelError
-from repro.thermal import detailed_model
 from repro.thermal.detailed_model import (
     DetailedChipModel,
     FloorplanBlock,
@@ -108,12 +107,12 @@ class TestDetailedChipModel:
 
     def test_unknown_block_rejected(self):
         model = DetailedChipModel(FIN_18)
-        with pytest.raises(ThermalModelError):
+        with pytest.raises(ThermalModelError, match="unknown"):
             model.solve(25.0, {"nonexistent": 5.0})
 
     def test_negative_power_rejected(self):
         model = DetailedChipModel(FIN_18)
-        with pytest.raises(ThermalModelError):
+        with pytest.raises(ThermalModelError, match="non-negative"):
             model.solve(25.0, {"core0": -1.0})
 
     def test_negative_uniform_power_rejected(self):
@@ -124,62 +123,3 @@ class TestDetailedChipModel:
     def test_die_area_property(self):
         model = DetailedChipModel(FIN_18)
         assert model.die_area_mm2 == pytest.approx(100.0)
-
-
-class TestFactorCachedSolve:
-    """The fast solve() path vs. the rebuilt-network reference."""
-
-    GRID = [
-        (25.0, {"core0": 3.0, "gpu": 6.5, "io": 0.5}),
-        (25.0, {"core0": 3.0, "gpu": 6.5, "io": 0.5}),  # repeat: cached
-        (38.5, {"core0": 3.0, "gpu": 6.5, "io": 0.5}),  # rhs-only change
-        (32.0, {"core1": 1.25, "l2": 0.75}),
-        (25.0, {"uncore": 11.0}),
-        (25.0, {}),
-    ]
-
-    @pytest.mark.parametrize("sink", [FIN_18, FIN_30], ids=["fin18", "fin30"])
-    def test_fast_path_bit_identical_to_network(self, sink):
-        model = DetailedChipModel(sink)
-        for ambient, powers in self.GRID:
-            fast = model.solve(ambient, powers)
-            reference = model.solve_via_network(ambient, powers)
-            assert fast.spreader_c == reference.spreader_c
-            assert fast.sink_base_c == reference.sink_base_c
-            assert (
-                fast.block_temperatures_c == reference.block_temperatures_c
-            )
-
-    def test_repeated_total_power_shares_one_factorization(self):
-        model = DetailedChipModel(FIN_18)
-        model.solve(25.0, {"core0": 4.0})
-        model.solve(40.0, {"gpu": 4.0})  # same total -> same g_conv
-        assert len(model._factor_cache) == 1
-        model.solve(25.0, {"core0": 5.0})
-        assert len(model._factor_cache) == 2
-
-    def test_cache_respects_lru_bound(self, monkeypatch):
-        monkeypatch.setattr(detailed_model, "FACTOR_CACHE_MAX", 2)
-        model = DetailedChipModel(FIN_18)
-        for power in (3.0, 4.0, 5.0, 6.0):
-            model.solve(25.0, {"core0": power})
-        assert len(model._factor_cache) == 2
-        # 5.0 and 6.0 survive; re-solving them adds no entry.
-        model.solve(25.0, {"core0": 6.0})
-        model.solve(25.0, {"core0": 5.0})
-        assert len(model._factor_cache) == 2
-
-    def test_cache_hit_is_bit_identical_to_cold_solve(self):
-        cold = DetailedChipModel(FIN_30).solve(30.0, {"core3": 7.0})
-        model = DetailedChipModel(FIN_30)
-        model.solve(30.0, {"core3": 7.0})
-        warm = model.solve(30.0, {"core3": 7.0})
-        assert warm == cold
-
-    def test_fast_path_still_validates(self):
-        model = DetailedChipModel(FIN_18)
-        with pytest.raises(ThermalModelError, match="unknown"):
-            model.solve(25.0, {"nonexistent": 5.0})
-        with pytest.raises(ThermalModelError, match="non-negative"):
-            model.solve(25.0, {"core0": -1.0})
-        assert len(model._factor_cache) == 0

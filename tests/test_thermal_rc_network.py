@@ -1,11 +1,9 @@
 """Tests for repro.thermal.rc_network."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ThermalModelError
-from repro.thermal import rc_network
-from repro.thermal.rc_network import FactorizedSystem, ThermalNetwork
+from repro.thermal.rc_network import ThermalNetwork
 
 
 class TestThermalNetwork:
@@ -79,6 +77,54 @@ class TestThermalNetwork:
         with pytest.raises(ThermalModelError):
             net.solve()
 
+    def test_disconnected_network_raises_on_every_solve(self):
+        net = ThermalNetwork()
+        net.add_boundary("amb", 25.0)
+        net.connect("chip", "sink", 1.0)
+        net.connect("sink", "amb", 2.0)
+        net.inject("chip", 5.0)
+        net.add_node("floating")
+        for _ in range(2):
+            with pytest.raises(
+                ThermalModelError, match="not.*connected to any boundary"
+            ):
+                net.solve()
+
+    def test_floating_island_rejected(self):
+        """Two free nodes joined only to each other leave a singular
+        block with no zero diagonal entry: ``np.linalg.solve`` meets
+        the zero pivot in elimination, and the network names it."""
+        net = ThermalNetwork()
+        net.add_boundary("amb", 25.0)
+        net.connect("chip", "amb", 1.0)
+        net.connect("island_a", "island_b", 1.0)
+        net.inject("island_a", 3.0)
+        with pytest.raises(
+            ThermalModelError, match="not.*connected to any boundary"
+        ):
+            net.solve()
+
+    def test_each_solve_reads_the_current_network(self):
+        """Nothing is kept between solves: a repeated solve returns the
+        same bits, and new injections, a re-pinned or newly pinned
+        boundary and a new edge all reach the next answer."""
+        net = ThermalNetwork()
+        net.add_boundary("amb", 25.0)
+        net.connect("chip", "sink", 1.0)
+        net.connect("sink", "amb", 2.0)
+        net.inject("chip", 5.0)
+        first = net.solve()
+        assert net.solve() == first
+        assert first["chip"] == pytest.approx(25.0 + 5.0 * 3.0)
+        net.inject("chip", 9.0)
+        net.add_boundary("amb", 40.0)
+        assert net.solve()["chip"] == pytest.approx(40.0 + 9.0 * 3.0)
+        net.connect("chip", "amb", 3.0)  # 3 degC/W in parallel with 3
+        assert net.solve()["chip"] == pytest.approx(40.0 + 9.0 * 1.5)
+        net.add_boundary("sink", 10.0)
+        # (T - 10) / 1 + (T - 40) / 3 = 9
+        assert net.solve()["chip"] == pytest.approx(24.25)
+
     def test_self_loop_rejected(self):
         net = ThermalNetwork()
         with pytest.raises(ThermalModelError):
@@ -136,93 +182,3 @@ class TestThermalNetwork:
         second = build(("sink", "chip", "amb"))
         for node in ("amb", "chip", "sink"):
             assert second[node] == pytest.approx(first[node])
-
-
-class TestFactorizationCache:
-    @staticmethod
-    def _net():
-        net = ThermalNetwork()
-        net.add_boundary("amb", 25.0)
-        net.connect("chip", "sink", 1.0)
-        net.connect("sink", "amb", 2.0)
-        net.inject("chip", 5.0)
-        return net
-
-    def test_rhs_only_mutations_keep_factorization(self):
-        net = self._net()
-        net.solve()
-        assembled = net._assembled
-        assert assembled is not None
-        net.inject("chip", 9.0)
-        net.add_boundary("amb", 40.0)  # re-pin: rhs-only
-        assert net._assembled is assembled
-        temps = net.solve()
-        assert net._assembled is assembled
-        assert temps["chip"] == pytest.approx(40.0 + 9.0 * 3.0)
-
-    def test_structural_mutations_invalidate(self):
-        net = self._net()
-        net.solve()
-        net.connect("chip", "amb", 4.0)
-        assert net._assembled is None
-        net.solve()
-        net.add_node("extra")
-        assert net._assembled is None
-        net.connect("extra", "amb", 1.0)
-        net.solve()
-        net.add_boundary("chip", 10.0)  # newly pinned boundary
-        assert net._assembled is None
-
-    def test_cached_resolve_is_bit_identical(self):
-        net = self._net()
-        first = net.solve()
-        second = net.solve()  # answered from the cached factorization
-        assert net._assembled is not None
-        for node in first:
-            assert second[node] == first[node]
-
-    def test_disconnected_network_raises_on_every_solve(self):
-        net = self._net()
-        net.add_node("floating")
-        for _ in range(2):
-            with pytest.raises(
-                ThermalModelError, match="not.*connected to any boundary"
-            ):
-                net.solve()
-
-
-class TestScipylessFallback:
-    def test_fallback_matches_factorized_path(self, monkeypatch):
-        reference = TestFactorizationCache._net().solve()
-        monkeypatch.setattr(rc_network, "HAVE_SCIPY", False)
-        fallback = TestFactorizationCache._net().solve()
-        for node in reference:
-            assert fallback[node] == pytest.approx(reference[node])
-
-    def test_fallback_raises_on_singular_solve(self, monkeypatch):
-        monkeypatch.setattr(rc_network, "HAVE_SCIPY", False)
-        net = TestFactorizationCache._net()
-        net.add_node("floating")
-        with pytest.raises(
-            ThermalModelError, match="not.*connected to any boundary"
-        ):
-            net.solve()
-
-
-class TestFactorizedSystem:
-    def test_solves_against_multiple_rhs(self):
-        matrix = np.array([[4.0, 1.0], [1.0, 3.0]])
-        system = FactorizedSystem(matrix)
-        for rhs in ([1.0, 0.0], [0.0, 1.0], [2.5, -7.0]):
-            b = np.array(rhs)
-            x = system.solve(b)
-            assert matrix @ x == pytest.approx(b)
-
-    def test_singular_matrix_rejected(self):
-        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-        if rc_network.HAVE_SCIPY:
-            with pytest.raises(ThermalModelError, match="zero pivot"):
-                FactorizedSystem(singular)
-        else:
-            with pytest.raises(ThermalModelError, match="zero pivot"):
-                FactorizedSystem(singular).solve(np.ones(2))
