@@ -104,27 +104,6 @@ class TestThermalNetwork:
         ):
             net.solve()
 
-    def test_each_solve_reads_the_current_network(self):
-        """Nothing is kept between solves: a repeated solve returns the
-        same bits, and new injections, a re-pinned or newly pinned
-        boundary and a new edge all reach the next answer."""
-        net = ThermalNetwork()
-        net.add_boundary("amb", 25.0)
-        net.connect("chip", "sink", 1.0)
-        net.connect("sink", "amb", 2.0)
-        net.inject("chip", 5.0)
-        first = net.solve()
-        assert net.solve() == first
-        assert first["chip"] == pytest.approx(25.0 + 5.0 * 3.0)
-        net.inject("chip", 9.0)
-        net.add_boundary("amb", 40.0)
-        assert net.solve()["chip"] == pytest.approx(40.0 + 9.0 * 3.0)
-        net.connect("chip", "amb", 3.0)  # 3 degC/W in parallel with 3
-        assert net.solve()["chip"] == pytest.approx(40.0 + 9.0 * 1.5)
-        net.add_boundary("sink", 10.0)
-        # (T - 10) / 1 + (T - 40) / 3 = 9
-        assert net.solve()["chip"] == pytest.approx(24.25)
-
     def test_self_loop_rejected(self):
         net = ThermalNetwork()
         with pytest.raises(ThermalModelError):
@@ -182,3 +161,51 @@ class TestThermalNetwork:
         second = build(("sink", "chip", "amb"))
         for node in ("amb", "chip", "sink"):
             assert second[node] == pytest.approx(first[node])
+
+
+class TestFactorizationCache:
+    """No factorization is carried between solves: each solve assembles
+    the current network, so every mutation reaches the next answer and a
+    repeated solve returns the same bits."""
+
+    @staticmethod
+    def _net():
+        net = ThermalNetwork()
+        net.add_boundary("amb", 25.0)
+        net.connect("chip", "sink", 1.0)
+        net.connect("sink", "amb", 2.0)
+        net.inject("chip", 5.0)
+        return net
+
+    def test_rhs_only_mutations_keep_factorization(self):
+        net = self._net()
+        assert net.solve()["chip"] == pytest.approx(25.0 + 5.0 * 3.0)
+        net.inject("chip", 9.0)
+        net.add_boundary("amb", 40.0)  # re-pin an existing boundary
+        temps = net.solve()
+        assert temps["chip"] == pytest.approx(40.0 + 9.0 * 3.0)
+        assert temps["sink"] == pytest.approx(40.0 + 9.0 * 2.0)
+
+    def test_structural_mutations_invalidate(self):
+        net = self._net()
+        net.solve()
+        net.connect("chip", "amb", 4.0)  # 4 degC/W in parallel with 3
+        assert net.solve()["chip"] == pytest.approx(25.0 + 5.0 * 12.0 / 7.0)
+        net.add_node("extra")
+        net.connect("extra", "amb", 1.0)
+        temps = net.solve()
+        assert temps["extra"] == pytest.approx(25.0)
+        assert temps["chip"] == pytest.approx(25.0 + 5.0 * 12.0 / 7.0)
+        net.add_boundary("chip", 10.0)  # newly pinned boundary
+        temps = net.solve()
+        assert temps["chip"] == 10.0
+        # (T - 10) / 1 + (T - 25) / 2 = 0
+        assert temps["sink"] == pytest.approx(15.0)
+
+    def test_cached_resolve_is_bit_identical(self):
+        net = self._net()
+        first = net.solve()
+        second = net.solve()
+        assert second.keys() == first.keys()
+        for node in first:
+            assert second[node] == first[node]
